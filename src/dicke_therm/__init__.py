@@ -52,7 +52,6 @@ from .dynamics import (
     StepControl,
     ThermalLiouvillian,
     Trajectory,
-    dicke_limit_liouvillian,
     default_step,
     initial_state,
     integrate,
@@ -117,7 +116,6 @@ __all__ = [
     "ThermalLiouvillian",
     "Trajectory",
     "liouvillian_apply",
-    "dicke_limit_liouvillian",
     "integrate",
     "steady_state_residual",
     "initial_state",

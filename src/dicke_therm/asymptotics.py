@@ -52,6 +52,11 @@ QUADRATIC_ETA_MAX = 0.2
 # finite-difference probe for the quadratic-coefficient check
 PROBE_ETA = 1e-3
 
+# axes of the default validation grid
+DEFAULT_VALIDATION_N = (2, 3, 7)
+DEFAULT_VALIDATION_ETA = (0.0, 0.1)
+DEFAULT_VALIDATION_X = (1e-6, 10.0, 15.0, 20.0, 25.0, 30.0)
+
 DEFAULT_TOLERANCES: dict[str, float] = {
     "eq15_strong": 1e-3,
     "eq15_weak": 1e-3,
@@ -204,12 +209,8 @@ def _skipped(formula, params, reason) -> FormulaCheck:
 
 def default_validation_grid() -> list[tuple[int, float, float]]:
     """Grid covering both bath regimes for a few ensemble sizes."""
-    grid: list[tuple[int, float, float]] = []
-    for n in (2, 3, 7):
-        for eta in (0.0, 0.1):
-            for x in (1e-6, 10.0, 15.0, 20.0, 25.0, 30.0):
-                grid.append((n, eta, x))
-    return grid
+    return [(n, eta, x) for n in DEFAULT_VALIDATION_N for eta in DEFAULT_VALIDATION_ETA
+            for x in DEFAULT_VALIDATION_X]
 
 
 def validate_asymptotics(

@@ -21,6 +21,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .asymptotics import (
+    DEFAULT_VALIDATION_ETA,
+    DEFAULT_VALIDATION_N,
+    DEFAULT_VALIDATION_X,
     BathRegime,
     eta_threshold,
     g1_weak_bath,
@@ -52,10 +55,6 @@ from .sweep import (
 )
 
 JOBS_ENV = "DICKE_THERM_JOBS"
-
-DEFAULT_VALIDATE_N = "2,3,7"
-DEFAULT_VALIDATE_ETA = "0,0.1"
-DEFAULT_VALIDATE_X = "1e-6,10,15,20,25,30"
 
 FIGURE_PRESETS: dict[str, SweepConfig] = {
     "fig1": SweepConfig((2,), (0.0, 0.1), 0.01, 30.0, 300, "linear", ("g2", "classification")),
@@ -155,14 +154,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Expand --config FILE into flags inserted before the explicit ones."""
-    if "--config" not in argv:
+    """Expand --config FILE or --config=FILE into flags inserted before the
+    explicit ones."""
+    for i, arg in enumerate(argv):
+        flag, eq, path = arg.partition("=")
+        if flag == "--config":
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
+    if eq:
+        rest = argv[:i] + argv[i + 1 :]
+    elif i + 1 < len(argv):
+        path = argv[i + 1]
+        rest = argv[:i] + argv[i + 2 :]
+    else:
         raise ValueError("--config requires a file path")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2 :]
     if not rest:
         raise ValueError("--config requires a subcommand")
     expanded: list[str] = []
@@ -239,9 +245,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    n_values = args.n if args.n is not None else _int_list(DEFAULT_VALIDATE_N)
-    eta_values = args.eta if args.eta is not None else _float_list(DEFAULT_VALIDATE_ETA)
-    x_values = args.x if args.x is not None else _float_list(DEFAULT_VALIDATE_X)
+    n_values = args.n if args.n is not None else DEFAULT_VALIDATION_N
+    eta_values = args.eta if args.eta is not None else DEFAULT_VALIDATION_ETA
+    x_values = args.x if args.x is not None else DEFAULT_VALIDATION_X
     grid = [(n, eta, x) for n in sorted(n_values) for eta in sorted(eta_values)
             for x in sorted(x_values)]
     if not grid:

@@ -11,9 +11,10 @@ second-order correlation reduce to single sums over the Dicke ladder:
 The geometric far-field prefactor Psi cancels in g2(0), so all primary
 outputs are Psi-normalized; Psi itself is a separate multiplicative factor.
 In cold regimes the populations span hundreds of orders of magnitude, so
-g2(0) is assembled from log-domain partial sums instead of ratios of
-underflowing floats: log g2 = log S2 + log Z - 2 log S1 with the shared
-weight shift cancelling exactly.
+G1 and g2(0) are assembled from log-domain partial sums over the stored
+log weights instead of ratios of underflowing floats: log G1 = log S1 -
+log Z and log g2 = log S2 + log Z - 2 log S1, with the shared weight shift
+cancelling exactly and log Z taken from the thermal state.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .core import (
     ladder_coefficients,
     thermal_state,
 )
-from .exceptions import MismatchedDimensions, ZeroIntensity
+from .exceptions import DimensionMismatch, ZeroIntensity
 
 __all__ = [
     "PhotonStatistics",
@@ -89,11 +90,11 @@ class FarFieldGeometry:
 
 
 def _check_dimensions(state: ThermalState, spectrum: DickeSpectrum, coeffs: LadderCoeffs) -> None:
-    sizes = {state.populations.size, spectrum.frequencies.size, coeffs.lowering.size}
+    sizes = {state.log_weights.size, spectrum.frequencies.size, coeffs.lowering.size}
     if len(sizes) != 1:
-        raise MismatchedDimensions(
+        raise DimensionMismatch(
             "state, spectrum and ladder coefficients must come from the same ensemble; "
-            f"got lengths {state.populations.size}, {spectrum.frequencies.size}, "
+            f"got lengths {state.log_weights.size}, {spectrum.frequencies.size}, "
             f"{coeffs.lowering.size}"
         )
 
@@ -113,32 +114,38 @@ def _exp(v: float) -> float:
     return math.exp(v)
 
 
+def _ensemble(params: EnsembleParams) -> tuple[ThermalState, DickeSpectrum, LadderCoeffs]:
+    spectrum = build_spectrum(params)
+    return thermal_state(params, spectrum), spectrum, ladder_coefficients(params.n_atoms)
+
+
 def _log_sums(
-    state: ThermalState, spectrum: DickeSpectrum, coeffs: LadderCoeffs
-) -> tuple[float, float, float]:
-    """Log of the unnormalized G1 and G2 sums and of the partition sum."""
+    state: ThermalState, spectrum: DickeSpectrum, coeffs: LadderCoeffs, pairs: bool
+) -> tuple[float, float]:
+    """Log of the unnormalized G1 sum and, when pairs is set, of the G2 sum.
+
+    The G2 sum is -inf when not requested and for N = 1.  Both sums use the
+    shifted weights, so the normalization is the stored state.log_z.
+    """
+    _check_dimensions(state, spectrum, coeffs)
     lw = state.log_weights
     log_w4 = 4.0 * np.log(spectrum.frequencies)
     c2 = coeffs.lowering**2
     log_s1 = _logsumexp(lw[1:] + np.log(c2[1:]) + log_w4[:-1])
-    if lw.size >= 3:
+    log_s2 = -math.inf
+    if pairs and lw.size >= 3:
         log_s2 = _logsumexp(lw[2:] + np.log(c2[2:] * c2[1:-1]) + log_w4[1:-1] + log_w4[:-2])
-    else:
-        log_s2 = -math.inf
-    log_z = _logsumexp(lw)
-    return log_s1, log_s2, log_z
+    return log_s1, log_s2
 
 
 def g1_intensity(state: ThermalState, spectrum: DickeSpectrum, coeffs: LadderCoeffs) -> float:
     """Psi-normalized mean intensity <S+ omega^4 S->.
 
-    Direct sum over the ladder with compensated summation.
+    The same log-domain ladder sum as g2_zero, so the two agree bitwise;
+    returns 0.0 where the intensity underflows at double precision.
     """
-    _check_dimensions(state, spectrum, coeffs)
-    p = state.populations
-    w4 = spectrum.frequencies**4
-    c2 = coeffs.lowering**2
-    return math.fsum(p[1:] * c2[1:] * w4[:-1])
+    log_s1, _ = _log_sums(state, spectrum, coeffs, pairs=False)
+    return _exp(log_s1 - state.log_z)
 
 
 def classify_statistics(g2_norm: float, tol: float = 1e-9) -> PhotonStatistics:
@@ -167,8 +174,8 @@ def g2_zero(
     precision; for N = 1 the result is exactly 0 (a single emitter never
     yields a photon pair).
     """
-    _check_dimensions(state, spectrum, coeffs)
-    log_s1, log_s2, log_z = _log_sums(state, spectrum, coeffs)
+    log_s1, log_s2 = _log_sums(state, spectrum, coeffs, pairs=True)
+    log_z = state.log_z
     g1 = _exp(log_s1 - log_z)
     if g1 == 0.0:
         raise ZeroIntensity(
@@ -191,23 +198,19 @@ def g2_zero(
 
 def steady_state_correlators(params: EnsembleParams, tol: float = 1e-9) -> CorrelatorResult:
     """Convenience wrapper: build the Gibbs state and evaluate g2_zero."""
-    spectrum = build_spectrum(params)
-    state = thermal_state(params, spectrum)
-    coeffs = ladder_coefficients(params.n_atoms)
-    return g2_zero(state, spectrum, coeffs, tol)
+    return g2_zero(*_ensemble(params), tol)
 
 
 def _log_g1(params: EnsembleParams) -> float:
-    spectrum = build_spectrum(params)
-    state = thermal_state(params, spectrum)
-    coeffs = ladder_coefficients(params.n_atoms)
-    log_s1, _, log_z = _log_sums(state, spectrum, coeffs)
-    if _exp(log_s1 - log_z) == 0.0:
+    state, spectrum, coeffs = _ensemble(params)
+    log_s1, _ = _log_sums(state, spectrum, coeffs, pairs=False)
+    log_g1 = log_s1 - state.log_z
+    if _exp(log_g1) == 0.0:
         raise ZeroIntensity(
             f"intensity underflows at double precision for N={params.n_atoms}, "
             f"eta={params.eta}, x={params.x}"
         )
-    return log_s1 - log_z
+    return log_g1
 
 
 def intensity_ratio(params: EnsembleParams) -> float:

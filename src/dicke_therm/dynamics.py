@@ -39,7 +39,6 @@ __all__ = [
     "MAX_DYNAMICS_ATOMS",
     "INITIAL_STATE_KINDS",
     "liouvillian_apply",
-    "dicke_limit_liouvillian",
     "integrate",
     "steady_state_residual",
     "initial_state",
@@ -88,13 +87,12 @@ class RateModel:
 class StepControl:
     """Fixed-step integrator settings.
 
-    h = None picks the conservative default step; trace renormalization is
-    off by default so that trace drift stays visible as a diagnostic.
+    h = None picks the conservative default step.  The trace is never
+    renormalized, so trace drift stays visible as a diagnostic.
     """
 
     h: float | None = None
     max_trace_drift: float = 1e-8
-    renormalize: bool = False
 
 
 @dataclass(frozen=True)
@@ -158,31 +156,6 @@ def liouvillian_apply(
 ) -> np.ndarray:
     """Apply the full level-resolved master equation to rho."""
     return ThermalLiouvillian(params, rates).apply(rho)
-
-
-def dicke_limit_liouvillian(
-    rho: np.ndarray, params: EnsembleParams, rates: RateModel | None = None
-) -> np.ndarray:
-    """Reference equation for vanishing coupling: scalar rates at omega0 = 1.
-
-        drho/dt = -g1*[S+, S- rho] - g2*[S-, S+ rho] + h.c.
-
-    with g1 = Gamma(1)/2*(1+nbar(1)) and g2 = Gamma(1)/2*nbar(1).  Equals
-    the full equation evaluated at eta = 0; params.eta is ignored.
-    """
-    rates = RateModel.for_params(params) if rates is None else rates
-    dim = params.n_atoms + 1
-    if rho.shape != (dim, dim):
-        raise DimensionMismatch(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
-    g1 = 0.5 * float(rates.decay_rate(1.0)) * (1.0 + float(rates.thermal_occupation(1.0)))
-    g2 = 0.5 * float(rates.decay_rate(1.0)) * float(rates.thermal_occupation(1.0))
-    sm, sp = _ladder_matrices(params.n_atoms)
-    sr = sm @ rho
-    t1 = g1 * (sp @ sr - sr @ sp)
-    pr = sp @ rho
-    t2 = g2 * (sm @ pr - pr @ sm)
-    m = -(t1 + t2)
-    return m + m.conj().T
 
 
 def default_step(params: EnsembleParams, rates: RateModel) -> float:
@@ -296,8 +269,6 @@ def integrate(
                     f"trace drift {drift:.3e} per step exceeds {ctrl.max_trace_drift:.3e}; "
                     f"reduce the step below h={h:g}"
                 )
-            if ctrl.renormalize:
-                rho = rho / np.trace(rho).real
         _record(states, diag, i, rho, gibbs)
 
     return Trajectory(
@@ -319,19 +290,11 @@ def _record(states, diag, i, rho, gibbs) -> None:
     diag["dist"][i] = trace_distance(rho, gibbs)
 
 
-def steady_state_residual(
-    params: EnsembleParams,
-    rates: RateModel | None = None,
-    *,
-    dicke_limit: bool = False,
-) -> float:
+def steady_state_residual(params: EnsembleParams, rates: RateModel | None = None) -> float:
     """Max-norm of the master equation applied to the Gibbs state, per
     gamma0.  The headline stationarity check: should sit at rounding level.
     """
     rates = RateModel.for_params(params) if rates is None else rates
     rho_s = np.diag(thermal_state(params).populations).astype(complex)
-    if dicke_limit:
-        out = dicke_limit_liouvillian(rho_s, params, rates)
-    else:
-        out = liouvillian_apply(rho_s, params, rates)
+    out = liouvillian_apply(rho_s, params, rates)
     return float(np.max(np.abs(out))) / rates.gamma0

@@ -29,10 +29,6 @@ class SingleAtomWithCoupling(ParameterError):
     """eta != 0 makes no sense for N = 1 (no partner to couple to)."""
 
 
-class MismatchedDimensions(DickeError, ValueError):
-    """Correlator inputs built from different ensembles."""
-
-
 class ZeroIntensity(DickeError, ArithmeticError):
     """The intensity underflows to zero at double precision.
 
@@ -42,7 +38,12 @@ class ZeroIntensity(DickeError, ArithmeticError):
 
 
 class DimensionMismatch(DickeError, ValueError):
-    """Density matrix dimension does not match the ensemble size."""
+    """Array sizes disagree: a density matrix that does not match the
+    ensemble size, or correlator inputs built from different ensembles."""
+
+
+# both names import and catch the same class; its error token is DimensionMismatch
+MismatchedDimensions = DimensionMismatch
 
 
 class NonPositiveFrequency(DickeError, ValueError):

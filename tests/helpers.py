@@ -1,13 +1,16 @@
-"""Shared test helpers: brute-force matrix-product correlator oracle.
+"""Shared test helpers: brute-force matrix-product correlator oracle and
+the scalar-rate Dicke-limit master equation.
 
 Deliberately independent of the indexed-sum path in the package: ladder
 operators are materialized as dense matrices and the correlators come out
-of explicit operator products traced against the Gibbs state.
+of explicit operator products traced against the Gibbs state.  The
+Dicke-limit equation uses scalar rates at omega0 = 1 instead of the
+package's level-resolved rate operators.
 """
 
 import numpy as np
 
-from dicke_therm import build_spectrum, thermal_state
+from dicke_therm import DimensionMismatch, RateModel, build_spectrum, thermal_state
 
 
 def ladder_matrices(n_atoms):
@@ -28,6 +31,29 @@ def matrix_correlators(params):
     g1 = float(np.trace(rho @ sp @ w4 @ sm))
     g2 = float(np.trace(rho @ sp @ w2 @ sp @ w4 @ sm @ w2 @ sm))
     return g1, g2
+
+
+def dicke_limit_liouvillian(rho, params):
+    """Reference equation for vanishing coupling: scalar rates at omega0 = 1.
+
+        drho/dt = -g1*[S+, S- rho] - g2*[S-, S+ rho] + h.c.
+
+    with g1 = Gamma(1)/2*(1+nbar(1)) and g2 = Gamma(1)/2*nbar(1).  Equals
+    the full equation evaluated at eta = 0; params.eta is ignored.
+    """
+    rates = RateModel.for_params(params)
+    dim = params.n_atoms + 1
+    if rho.shape != (dim, dim):
+        raise DimensionMismatch(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
+    g1 = 0.5 * float(rates.decay_rate(1.0)) * (1.0 + float(rates.thermal_occupation(1.0)))
+    g2 = 0.5 * float(rates.decay_rate(1.0)) * float(rates.thermal_occupation(1.0))
+    sm, sp = ladder_matrices(params.n_atoms)
+    sr = sm @ rho
+    t1 = g1 * (sp @ sr - sr @ sp)
+    pr = sp @ rho
+    t2 = g2 * (sm @ pr - pr @ sm)
+    m = -(t1 + t2)
+    return m + m.conj().T
 
 
 def random_valid_params(rng, n_max=6, x_lo=1e-4, x_hi=50.0):

@@ -180,6 +180,13 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out)["x"] == 1.0
 
+    def test_equals_form_is_read(self, capsys, tmp_path):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text("eta = 0.1\n")
+        code, out, _ = run(capsys, "point", "--n", "2", "--x", "10", f"--config={cfg}")
+        assert code == 0
+        assert json.loads(out)["eta"] == 0.1
+
     def test_missing_config_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "point", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2

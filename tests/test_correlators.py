@@ -63,9 +63,8 @@ class TestIntensity:
     def test_matches_log_domain_path(self):
         for (n, eta, x) in [(2, 0.1, 10.0), (5, -0.2, 3.0), (9, 0.3, 0.2)]:
             st, spec, c = tables(n, eta, x)
-            assert g2_zero(st, spec, c).g1 == pytest.approx(
-                g1_intensity(st, spec, c), rel=1e-12
-            )
+            g1_ref, _ = matrix_correlators(EnsembleParams(n, eta, x))
+            assert g1_intensity(st, spec, c) == pytest.approx(g1_ref, rel=1e-12)
 
     def test_dimension_mismatch(self):
         st, spec, _ = tables(2, 0.0, 1.0)
