@@ -155,10 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(argv: list[str]) -> list[str]:
     """Expand --config FILE or --config=FILE into flags inserted before the
-    explicit ones."""
+    explicit ones.  Any prefix from --c on counts, as argparse reads it."""
     for i, arg in enumerate(argv):
         flag, eq, path = arg.partition("=")
-        if flag == "--config":
+        if len(flag) > 2 and "--config".startswith(flag):
             break
     else:
         return argv

@@ -12,6 +12,12 @@ hermiticity.  The Gibbs state is annihilated by construction: the downward
 and upward fluxes between neighbouring levels balance because the level
 spacing E_{n+1}-E_n equals the transition frequency omega_n.
 
+The generator never mixes coherence bands: rho_{i,i+k} is fed only by
+rho_{i+1,i+k+1} and rho_{i-1,i+k-1}, so each band k evolves under its own
+real tridiagonal matrix, the populations (k = 0) as a birth-death chain.
+The integrator advances every band with exact RK4 step maps and fills the
+lower triangle as the conjugate of the upper one.
+
 Complete positivity is not assumed anywhere: the minimum eigenvalue is
 recorded as a diagnostic along every trajectory rather than enforced.
 """
@@ -46,7 +52,7 @@ __all__ = [
     "default_step",
 ]
 
-# dense (N+1)^2 states; the correlator engine covers larger ensembles
+# the step maps cost O(N^4 log(steps)); the correlator engine covers larger ensembles
 MAX_DYNAMICS_ATOMS = 200
 
 INITIAL_STATE_KINDS = ("ground", "inverted", "equal", "gibbs")
@@ -111,28 +117,43 @@ class Trajectory:
         return float(self.trace_dist_to_gibbs[-1])
 
 
-def _ladder_matrices(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    lowering = ladder_coefficients(n_atoms).lowering
-    sm = np.zeros((n_atoms + 1, n_atoms + 1))
-    for k in range(1, n_atoms + 1):
-        sm[k - 1, k] = lowering[k]
-    return sm, sm.T.copy()
-
-
 class ThermalLiouvillian:
-    """Right-hand side of the thermal master equation, precomputed once."""
+    """Right-hand side of the thermal master equation, precomputed once.
+
+    With l_n the lowering coefficients (l_0 = l_{N+1} = 0), d1_n and d2_n
+    the rates of the n <-> n+1 transition and
+    r_i = d1_{i-1} l_i^2 + d2_i l_{i+1}^2, the equation reads, for hermitian
+    rho,
+
+        L(rho)_ij = -(r_i + r_j) rho_ij
+                    + (d1_i + d1_j) l_{i+1} l_{j+1} rho_{i+1,j+1}
+                    + (d2_{i-1} + d2_{j-1}) l_i l_j rho_{i-1,j-1}.
+
+    The three coefficient arrays are symmetric, so the result is hermitian
+    exactly when rho is, and each coherence band rho_{i,i+k} evolves on its
+    own under a real tridiagonal generator (see `band`).
+    """
 
     def __init__(self, params: EnsembleParams, rates: RateModel | None = None):
         self.params = params
         self.rates = RateModel.for_params(params) if rates is None else rates
         self.dim = params.n_atoms + 1
-        spectrum = build_spectrum(params)
-        omega = spectrum.frequencies
+        # omega_n drives the n <-> n+1 transition, n = 0..N-1
+        omega = build_spectrum(params).frequencies[:-1]
         gamma = self.rates.decay_rate(omega)
         nbar = self.rates.thermal_occupation(omega)
-        self._d1 = (0.5 * gamma * (1.0 + nbar))[:, None]
-        self._d2 = (0.5 * gamma * nbar)[:, None]
-        self._sm, self._sp = _ladder_matrices(params.n_atoms)
+        d1 = 0.5 * gamma * (1.0 + nbar)
+        d2 = 0.5 * gamma * nbar
+        lo = ladder_coefficients(params.n_atoms).lowering[1:]  # l_{n+1}
+        r = np.zeros(self.dim)
+        r[1:] += d1 * lo**2
+        r[:-1] += d2 * lo**2
+        ll = np.outer(lo, lo)
+        self._loss = -(r[:, None] + r[None, :])
+        # _gain_down[i, j] feeds rho_ij from rho_{i+1,j+1}; _gain_up[i, j]
+        # feeds rho_{i+1,j+1} from rho_ij
+        self._gain_down = (d1[:, None] + d1[None, :]) * ll
+        self._gain_up = (d2[:, None] + d2[None, :]) * ll
 
     def _check(self, rho: np.ndarray) -> None:
         if rho.shape != (self.dim, self.dim):
@@ -141,14 +162,21 @@ class ThermalLiouvillian:
             )
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """drho/dt; exactly traceless, hermitian for hermitian input."""
+        """drho/dt for hermitian rho: traceless and hermitian."""
         self._check(rho)
-        a = self._d1 * (self._sm @ rho)
-        t1 = self._sp @ a - a @ self._sp
-        b = self._sp @ (self._d2 * rho)
-        t2 = self._sm @ b - b @ self._sm
-        m = -(t1 + t2)
-        return m + m.conj().T
+        out = self._loss * rho
+        out[:-1, :-1] += self._gain_down * rho[1:, 1:]
+        out[1:, 1:] += self._gain_up * rho[:-1, :-1]
+        return out
+
+    def band(self, k: int) -> np.ndarray:
+        """Generator of the coherence band v_i = rho_{i,i+k}, i = 0..N-k:
+        dv/dt = A_k v with A_k real tridiagonal."""
+        return (
+            np.diag(np.diagonal(self._loss, k))
+            + np.diag(np.diagonal(self._gain_down, k), 1)
+            + np.diag(np.diagonal(self._gain_up, k), -1)
+        )
 
 
 def liouvillian_apply(
@@ -206,12 +234,80 @@ def _check_density_matrix(rho: np.ndarray, dim: int) -> None:
         raise ValueError("initial state trace differs from 1 by more than 1e-12")
 
 
-def _rk4_step(apply_rhs, rho: np.ndarray, h: float) -> np.ndarray:
-    k1 = apply_rhs(rho)
-    k2 = apply_rhs(rho + (0.5 * h) * k1)
-    k3 = apply_rhs(rho + (0.5 * h) * k2)
-    k4 = apply_rhs(rho + h * k3)
-    return rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def _rk4_gain(z):
+    """RK4 stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    return 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+
+
+def _rk4_increment(a: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of dv/dt = a v as the increment R(ha) - I."""
+    x = h * a
+    eye = np.eye(len(a))
+    t = eye + x / 4.0
+    t = eye + (x / 3.0) @ t
+    t = eye + (x / 2.0) @ t
+    return x @ t
+
+
+def _power_increment(e: np.ndarray, steps: int) -> np.ndarray:
+    """(I + e)^steps - I by binary powering.
+
+    I + e is never formed: near a fixed point it would round the increment
+    away, so the composition rules E_2m = 2E_m + E_m^2 and
+    E_a o E_b = E_a + E_b + E_a E_b act on increments only.
+    """
+    out = None
+    while True:
+        if steps & 1:
+            out = e if out is None else out + e + out @ e
+        steps >>= 1
+        if not steps:
+            return out
+        e = 2.0 * e + e @ e
+
+
+def _eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real tridiagonal matrix whose off-diagonal products
+    are nonnegative: the characteristic polynomial depends only on those
+    products, so they are those of the symmetric matrix with off-diagonals
+    sqrt(super_i * sub_{i+1})."""
+    off = np.sqrt(np.diag(a, 1) * np.diag(a, -1))
+    return np.linalg.eigvalsh(np.diag(np.diag(a)) + np.diag(off, 1) + np.diag(off, -1))
+
+
+def _check_step(generators: list[np.ndarray], hs: set, max_drift: float) -> None:
+    """Raise StepTooLarge before any step if RK4 amplifies an eigenmode
+    (|R(h*lambda)| > 1) or drifts the trace by more than max_drift per step."""
+    # the generator is dissipative: a positive eigenvalue is rounding of
+    # the conserved trace mode
+    lam = np.minimum(np.concatenate([_eigenvalues(a) for a in generators]), 0.0)
+    for h in hs:
+        gain = float(np.max(np.abs(_rk4_gain(h * lam))))
+        if gain > 1.0:
+            raise StepTooLarge(
+                f"RK4 is unstable at h={h:g}: |R(h*lambda)| reaches {gain:.3e} > 1; "
+                "reduce the step"
+            )
+        # trace change of one step from unit populations: column sums
+        drift = float(np.max(np.abs(_rk4_increment(generators[0], h).sum(axis=0))))
+        if drift > max_drift:
+            raise StepTooLarge(
+                f"trace drift {drift:.3e} per step exceeds {max_drift:.3e}; "
+                f"reduce the step below h={h:g}"
+            )
+
+
+def _band_history(a: np.ndarray, v0: np.ndarray, intervals: list) -> np.ndarray:
+    """Band vector at every sample: each interval of `steps` RK4 steps of
+    size h is one exact map, shared by the intervals with the same (h, steps)."""
+    hist = np.empty((len(intervals) + 1, v0.size), dtype=complex)
+    hist[0] = v0
+    maps: dict = {}
+    for i, key in enumerate(intervals):
+        if key not in maps:
+            maps[key] = _power_increment(_rk4_increment(a, key[0]), key[1])
+        hist[i + 1] = hist[i] + maps[key] @ hist[i]
+    return hist
 
 
 def integrate(
@@ -226,9 +322,16 @@ def integrate(
 
     Samples (with diagnostics) are recorded at n_samples evenly spaced
     times from 0 to t_end; every sample time is hit exactly by shortening
-    the step inside each interval.  Raises StepTooLarge when the per-step
-    trace drift exceeds the configured bound and NonFiniteState when the
-    state blows up.
+    the step inside each interval.  Each coherence band rho_{i,i+k} evolves
+    under its own generator A_k (`ThermalLiouvillian.band`), so the RK4
+    steps of one interval collapse into one map R(hA_k)^steps, built by
+    binary powering: the work grows with log(steps), not steps.  The lower
+    triangle is the conjugate of the upper one.
+
+    Raises StepTooLarge before any step when RK4 at the step is unstable
+    for some A_k or its one-step trace drift exceeds ctrl.max_trace_drift,
+    and when an interval's trace changes by more than steps times that
+    bound; raises NonFiniteState when the state blows up.
     """
     if params.n_atoms > MAX_DYNAMICS_ATOMS:
         raise ValueError(
@@ -249,28 +352,39 @@ def integrate(
 
     gibbs = np.diag(thermal_state(params).populations).astype(complex)
     times = np.linspace(0.0, t_end, n_samples)
-    states = np.empty((n_samples, liou.dim, liou.dim), dtype=complex)
-    diag = {k: np.empty(n_samples) for k in ("drift", "herm", "mineig", "dist")}
-
-    rho = np.array(rho0, dtype=complex)
-    _record(states, diag, 0, rho, gibbs)
-    for i in range(1, n_samples):
-        span = times[i] - times[i - 1]
+    intervals = []
+    for span in np.diff(times):
         steps = max(1, math.ceil(span / h_max))
-        h = span / steps
-        for _ in range(steps):
-            trace_before = np.trace(rho).real
-            rho = _rk4_step(liou.apply, rho, h)
-            if not np.all(np.isfinite(rho)):
-                raise NonFiniteState(f"state became non-finite near t={times[i]:g}")
-            drift = abs(np.trace(rho).real - trace_before)
-            if drift > ctrl.max_trace_drift:
-                raise StepTooLarge(
-                    f"trace drift {drift:.3e} per step exceeds {ctrl.max_trace_drift:.3e}; "
-                    f"reduce the step below h={h:g}"
-                )
-        _record(states, diag, i, rho, gibbs)
+        intervals.append((span / steps, steps))
+    generators = [liou.band(k) for k in range(liou.dim)]
+    _check_step(generators, {h for h, _ in intervals}, ctrl.max_trace_drift)
 
+    herm = 0.5 * (rho0 + rho0.conj().T)
+    states = np.empty((n_samples, liou.dim, liou.dim), dtype=complex)
+    states[0] = rho0
+    idx = np.arange(liou.dim)
+    for k, a in enumerate(generators):
+        rows, cols = idx[: liou.dim - k], idx[k:]
+        hist = _band_history(a, herm[rows, cols], intervals)
+        blown = ~np.all(np.isfinite(hist), axis=1)
+        if blown.any():
+            raise NonFiniteState(f"state became non-finite near t={times[np.argmax(blown)]:g}")
+        if k == 0:
+            change = np.abs(np.diff(hist.sum(axis=1).real))
+            over = change > ctrl.max_trace_drift * np.array([n for _, n in intervals])
+            if over.any():
+                i = int(np.argmax(over))
+                h, n = intervals[i]
+                raise StepTooLarge(
+                    f"trace drift {change[i]:.3e} over {n} steps exceeds "
+                    f"{ctrl.max_trace_drift:.3e} per step; reduce the step below h={h:g}"
+                )
+        states[1:, cols, rows] = hist[1:].conj()
+        states[1:, rows, cols] = hist[1:]
+
+    diag = {k: np.empty(n_samples) for k in ("drift", "herm", "mineig", "dist")}
+    for i, rho in enumerate(states):
+        _record(diag, i, rho, gibbs)
     return Trajectory(
         times=times,
         states=states,
@@ -281,8 +395,7 @@ def integrate(
     )
 
 
-def _record(states, diag, i, rho, gibbs) -> None:
-    states[i] = rho
+def _record(diag, i, rho, gibbs) -> None:
     diag["drift"][i] = abs(np.trace(rho).real - 1.0)
     diag["herm"][i] = float(np.max(np.abs(rho - rho.conj().T)))
     herm = 0.5 * (rho + rho.conj().T)

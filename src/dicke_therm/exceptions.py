@@ -55,7 +55,8 @@ class IntegrationError(DickeError, RuntimeError):
 
 
 class StepTooLarge(IntegrationError):
-    """Per-step trace drift exceeded the configured bound."""
+    """The RK4 step is unstable for the generator, or its trace drift
+    exceeds the configured bound."""
 
 
 class NonFiniteState(IntegrationError):

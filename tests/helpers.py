@@ -1,12 +1,16 @@
-"""Shared test helpers: brute-force matrix-product correlator oracle and
-the scalar-rate Dicke-limit master equation.
+"""Shared test helpers: brute-force matrix-product correlator oracle, the
+dense master equation with its step-by-step RK4 integrator, and the
+scalar-rate Dicke-limit master equation.
 
-Deliberately independent of the indexed-sum path in the package: ladder
-operators are materialized as dense matrices and the correlators come out
-of explicit operator products traced against the Gibbs state.  The
-Dicke-limit equation uses scalar rates at omega0 = 1 instead of the
-package's level-resolved rate operators.
+Deliberately independent of the indexed-sum and banded paths in the
+package: ladder operators are materialized as dense matrices, the
+correlators come out of explicit operator products traced against the
+Gibbs state, and the master equation is applied as the operator products
+it is written in.  The Dicke-limit equation uses scalar rates at
+omega0 = 1 instead of the package's level-resolved rate operators.
 """
+
+import math
 
 import numpy as np
 
@@ -54,6 +58,51 @@ def dicke_limit_liouvillian(rho, params):
     t2 = g2 * (sm @ pr - pr @ sm)
     m = -(t1 + t2)
     return m + m.conj().T
+
+
+def dense_liouvillian_apply(rho, params, rates=None):
+    """Reference master equation as dense operator products:
+
+        drho/dt = -[S+, D1 S- rho] - [S-, S+ D2 rho] + h.c.
+    """
+    rates = RateModel.for_params(params) if rates is None else rates
+    dim = params.n_atoms + 1
+    if rho.shape != (dim, dim):
+        raise DimensionMismatch(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
+    omega = build_spectrum(params).frequencies
+    gamma = rates.decay_rate(omega)
+    nbar = rates.thermal_occupation(omega)
+    d1 = (0.5 * gamma * (1.0 + nbar))[:, None]
+    d2 = (0.5 * gamma * nbar)[:, None]
+    sm, sp = ladder_matrices(params.n_atoms)
+    a = d1 * (sm @ rho)
+    t1 = sp @ a - a @ sp
+    b = sp @ (d2 * rho)
+    t2 = sm @ b - b @ sm
+    m = -(t1 + t2)
+    return m + m.conj().T
+
+
+def rk4_step(apply_rhs, rho, h):
+    k1 = apply_rhs(rho)
+    k2 = apply_rhs(rho + (0.5 * h) * k1)
+    k3 = apply_rhs(rho + (0.5 * h) * k2)
+    k4 = apply_rhs(rho + h * k3)
+    return rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def rk4_trajectory(rho0, t_end, params, h_max, n_samples):
+    """States at n_samples evenly spaced times, stepping the dense equation
+    one RK4 step at a time with the step shortened to hit every sample."""
+    times = np.linspace(0.0, t_end, n_samples)
+    states = [np.array(rho0, dtype=complex)]
+    for span in np.diff(times):
+        steps = max(1, math.ceil(span / h_max))
+        rho = states[-1]
+        for _ in range(steps):
+            rho = rk4_step(lambda r: dense_liouvillian_apply(r, params), rho, span / steps)
+        states.append(rho)
+    return np.array(states)
 
 
 def random_valid_params(rng, n_max=6, x_lo=1e-4, x_hi=50.0):

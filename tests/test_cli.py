@@ -187,6 +187,17 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out)["eta"] == 0.1
 
+    @pytest.mark.parametrize("flag", ["--c", "--conf", "--confi"])
+    @pytest.mark.parametrize("equals", [False, True])
+    def test_abbreviated_flag_is_read(self, capsys, tmp_path, flag, equals):
+        # argparse takes any unique prefix of --config as --config
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text("eta = 0.1\n")
+        args = [f"{flag}={cfg}"] if equals else [flag, str(cfg)]
+        code, out, _ = run(capsys, "point", "--n", "2", "--x", "10", *args)
+        assert code == 0
+        assert json.loads(out)["eta"] == 0.1
+
     def test_missing_config_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "point", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2

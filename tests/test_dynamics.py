@@ -25,7 +25,7 @@ from dicke_therm import (
     thermal_state,
     trace_distance,
 )
-from helpers import dicke_limit_liouvillian
+from helpers import dense_liouvillian_apply, dicke_limit_liouvillian, rk4_trajectory
 
 
 def random_hermitian_unit_trace(rng, dim):
@@ -91,6 +91,16 @@ class TestLiouvillian:
                 norm = np.linalg.norm(out)
                 assert abs(np.trace(out)) <= 1e-14 * norm
                 assert np.max(np.abs(out - out.conj().T)) <= 1e-13 * norm
+
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, 11):
+            params = EnsembleParams(n, -0.2 if n > 1 else 0.0, 0.3)
+            liou = ThermalLiouvillian(params)
+            for _ in range(5):
+                rho = random_hermitian_unit_trace(rng, n + 1)
+                ref = dense_liouvillian_apply(rho, params)
+                assert np.max(np.abs(liou.apply(rho) - ref)) <= 1e-13 * np.linalg.norm(ref)
 
     def test_matches_dicke_limit_at_zero_coupling(self):
         rng = np.random.default_rng(8)
@@ -195,6 +205,51 @@ class TestIntegration:
         for k in range(n):
             ratio = pops[k + 1] / pops[k]
             assert ratio == pytest.approx(math.exp(-params.x * gaps[k]), abs=1e-6)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_step_by_step_dense_rk4(self, n):
+        # a random full-rank start puts weight on every coherence band
+        rng = np.random.default_rng(40 + n)
+        params = EnsembleParams(n, 0.15 if n > 1 else 0.0, 2.0)
+        rho0 = random_hermitian_unit_trace(rng, n + 1)
+        traj = integrate(rho0, 1.0, params, ctrl=StepControl(h=0.013), n_samples=7)
+        ref = rk4_trajectory(rho0, 1.0, params, 0.013, 7)
+        assert np.max(np.abs(traj.states - ref)) <= 1e-12
+        assert np.all(traj.herm_defect[1:] == 0.0)
+
+    def test_large_cold_ensemble_stays_finite(self):
+        # the regime where a sqrt(population) similarity transform underflows
+        params = EnsembleParams(200, 0.0, 50.0)
+        traj = integrate(
+            initial_state(params, "inverted"),
+            0.01,
+            params,
+            ctrl=StepControl(h=1e-4),
+            n_samples=3,
+        )
+        assert np.all(np.isfinite(traj.states))
+        assert np.all(traj.trace_drift <= 1e-12)
+
+    def test_unstable_step_is_refused_before_stepping(self):
+        # h = 0.35 lies outside the RK4 stability interval of the fastest
+        # mode, yet the trace stays put: stepping on would return a
+        # trajectory with min_eig near -400 and no error
+        params = EnsembleParams(5, 0.1, 10.0)
+        with pytest.raises(StepTooLarge):
+            integrate(
+                initial_state(params, "inverted"),
+                3.5,
+                params,
+                ctrl=StepControl(h=0.35),
+                n_samples=11,
+            )
+
+    def test_tiny_default_step_completes(self):
+        # default step 4e-7: 2.5e7 RK4 steps, collapsed into one map per
+        # distinct sample interval
+        params = EnsembleParams(5, 0.0, 1e-3)
+        traj = integrate(initial_state(params, "inverted"), 10.0, params, n_samples=201)
+        assert traj.final_trace_distance <= 1e-8
 
     def test_default_step_heuristic(self):
         params = EnsembleParams(2, 0.1, 10.0)
