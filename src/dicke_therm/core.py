@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -151,6 +152,22 @@ def ladder_coefficients(n_atoms: int) -> LadderCoeffs:
     return LadderCoeffs(lowering=lowering, raising=raising)
 
 
+def logsumexp_rows(terms: np.ndarray) -> np.ndarray:
+    """log(sum(exp(t))) of every row t of a 2-D array; -inf for empty rows.
+
+    Each row is shifted by its maximum, so every exponential lies in
+    (0, 1] and the largest is exactly 1.  np.sum adds the positive terms of
+    a row pairwise, so the relative error of each sum grows like
+    eps*log2(length), and a row's result does not depend on the other rows.
+    """
+    if terms.shape[1] == 0:
+        return np.full(terms.shape[0], -math.inf)
+    top = terms.max(axis=1)
+    shifted = terms - top[:, None]
+    np.exp(shifted, out=shifted)
+    return top + np.log(shifted.sum(axis=1))
+
+
 @dataclass(frozen=True)
 class ThermalState:
     """Gibbs populations over the Dicke ladder, kept in the log domain.
@@ -162,12 +179,18 @@ class ThermalState:
     """
 
     log_weights: np.ndarray
-    populations: np.ndarray
     log_z: float
+
+    @cached_property
+    def populations(self) -> np.ndarray:
+        """p_n = exp(log_weights[n] - log_z), computed on first access."""
+        pops = np.exp(self.log_weights - self.log_z)
+        pops.setflags(write=False)
+        return pops
 
     @property
     def dim(self) -> int:
-        return self.populations.size
+        return self.log_weights.size
 
 
 def thermal_state(params: EnsembleParams, spectrum: DickeSpectrum | None = None) -> ThermalState:
@@ -175,16 +198,13 @@ def thermal_state(params: EnsembleParams, spectrum: DickeSpectrum | None = None)
 
     The weights are shifted by the ground-level weight before
     exponentiation, so arbitrarily cold ensembles stay representable;
-    normalization uses compensated summation.  Detailed balance
-    p_{n+1}/p_n = exp(-x*(E_{n+1}-E_n)) holds at the level of the stored
-    log weights.
+    log_z is the single-row case of logsumexp_rows, the sum every
+    correlator path uses.  Detailed balance p_{n+1}/p_n =
+    exp(-x*(E_{n+1}-E_n)) holds at the level of the stored log weights.
     """
     spec = build_spectrum(params) if spectrum is None else spectrum
     energies = spec.energies
     log_weights = -params.x * (energies - energies.min())
-    weights = np.exp(log_weights)
-    z = math.fsum(weights)
-    populations = weights / z
     log_weights.setflags(write=False)
-    populations.setflags(write=False)
-    return ThermalState(log_weights=log_weights, populations=populations, log_z=math.log(z))
+    log_z = float(logsumexp_rows(log_weights[None, :])[0])
+    return ThermalState(log_weights=log_weights, log_z=log_z)

@@ -14,14 +14,17 @@ In cold regimes the populations span hundreds of orders of magnitude, so
 G1 and g2(0) are assembled from log-domain partial sums over the stored
 log weights instead of ratios of underflowing floats: log G1 = log S1 -
 log Z and log g2 = log S2 + log Z - 2 log S1, with the shared weight shift
-cancelling exactly and log Z taken from the thermal state.
+cancelling exactly.  One kernel, ladder_log_sums, takes these sums for a
+whole x grid at fixed (N, eta); every single-point function is its one-x
+case, and log Z is the same row sum as ThermalState.log_z.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +35,8 @@ from .core import (
     ThermalState,
     build_spectrum,
     ladder_coefficients,
-    thermal_state,
+    logsumexp_rows,
+    validate_params,
 )
 from .exceptions import DimensionMismatch, ZeroIntensity
 
@@ -40,6 +44,10 @@ __all__ = [
     "PhotonStatistics",
     "CorrelatorResult",
     "FarFieldGeometry",
+    "LadderLogSums",
+    "ladder_log_sums",
+    "correlators_from_log_sums",
+    "ratio_from_log_g1",
     "g1_intensity",
     "g2_zero",
     "intensity_ratio",
@@ -50,6 +58,9 @@ __all__ = [
 
 # exp() overflows just above this; beyond it the ratio is reported as inf
 _EXP_MAX = 709.0
+# ladder terms summed per block of x rows: one row at N = 1e5, about 1 MB
+# per temporary
+_BLOCK_TERMS = 1 << 17
 
 
 class PhotonStatistics(enum.Enum):
@@ -99,43 +110,118 @@ def _check_dimensions(state: ThermalState, spectrum: DickeSpectrum, coeffs: Ladd
         )
 
 
-def _logsumexp(terms: np.ndarray) -> float:
-    if terms.size == 0:
-        return -math.inf
-    m = float(np.max(terms))
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum(np.exp(terms - m)))
-
-
 def _exp(v: float) -> float:
     if v > _EXP_MAX:
         return math.inf
     return math.exp(v)
 
 
-def _ensemble(params: EnsembleParams) -> tuple[ThermalState, DickeSpectrum, LadderCoeffs]:
-    spectrum = build_spectrum(params)
-    return thermal_state(params, spectrum), spectrum, ladder_coefficients(params.n_atoms)
+class LadderLogSums(NamedTuple):
+    """log Z, log S1 and log S2 of one (N, eta) at each x of a grid.
+
+    All three use the shifted log weights, so log G1 = log S1 - log Z.
+    log S2 is -inf where it was not requested and for N = 1.
+    """
+
+    log_z: list[float]
+    log_s1: list[float]
+    log_s2: list[float]
+
+
+def _ladder_logs(
+    spectrum: DickeSpectrum, coeffs: LadderCoeffs
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x-independent parts of the ladder terms: 4 log omega_n and the
+    log ladder products of the G1 and G2 sums."""
+    log_w4 = 4.0 * np.log(spectrum.frequencies)
+    c2 = coeffs.lowering**2
+    return log_w4, np.log(c2[1:]), np.log(c2[2:] * c2[1:-1])
 
 
 def _log_sums(
-    state: ThermalState, spectrum: DickeSpectrum, coeffs: LadderCoeffs, pairs: bool
-) -> tuple[float, float]:
-    """Log of the unnormalized G1 sum and, when pairs is set, of the G2 sum.
+    log_weights: np.ndarray, ladder_logs: tuple, pairs: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log of the unnormalized G1 sum and, when pairs is set, of the G2 sum,
+    for every row of log weights (one row per x)."""
+    log_w4, log_c1, log_c2 = ladder_logs
+    terms = log_weights[:, 1:] + log_c1
+    terms += log_w4[:-1]
+    log_s1 = logsumexp_rows(terms)
+    if not pairs:
+        return log_s1, np.full(log_s1.size, -math.inf)
+    terms = log_weights[:, 2:] + log_c2
+    terms += log_w4[1:-1]
+    terms += log_w4[:-2]
+    return log_s1, logsumexp_rows(terms)
 
-    The G2 sum is -inf when not requested and for N = 1.  Both sums use the
-    shifted weights, so the normalization is the stored state.log_z.
+
+def ladder_log_sums(n_atoms: int, eta: float, xs, pairs: bool = True) -> LadderLogSums:
+    """log Z, log S1 and (with pairs) log S2 at every x in xs.
+
+    The spectrum and ladder coefficients are built once; the log-weight
+    rows -x*(E - min E) are summed in blocks of at most _BLOCK_TERMS
+    ladder terms, so memory stays bounded at any N.  Every single-point
+    function of this module is the one-x case of this kernel, so all
+    paths agree bitwise.
     """
-    _check_dimensions(state, spectrum, coeffs)
-    lw = state.log_weights
-    log_w4 = 4.0 * np.log(spectrum.frequencies)
-    c2 = coeffs.lowering**2
-    log_s1 = _logsumexp(lw[1:] + np.log(c2[1:]) + log_w4[:-1])
-    log_s2 = -math.inf
-    if pairs and lw.size >= 3:
-        log_s2 = _logsumexp(lw[2:] + np.log(c2[2:] * c2[1:-1]) + log_w4[1:-1] + log_w4[:-2])
-    return log_s1, log_s2
+    params = validate_params(n_atoms, eta)
+    xs = np.asarray(xs, dtype=float).ravel()
+    for x in xs[~(np.isfinite(xs) & (xs > 0.0))]:
+        validate_params(n_atoms, eta, x)
+    spectrum = build_spectrum(params)
+    logs = _ladder_logs(spectrum, ladder_coefficients(params.n_atoms))
+    gaps = spectrum.energies - spectrum.energies.min()
+    sums: list[np.ndarray] = [np.empty(xs.size) for _ in range(3)]
+    rows = max(1, _BLOCK_TERMS // gaps.size)
+    for lo in range(0, xs.size, rows):
+        block = slice(lo, lo + rows)
+        log_weights = -xs[block, None] * gaps
+        sums[0][block] = logsumexp_rows(log_weights)
+        sums[1][block], sums[2][block] = _log_sums(log_weights, logs, pairs)
+    return LadderLogSums(*(s.tolist() for s in sums))
+
+
+def correlators_from_log_sums(
+    log_z: float, log_s1: float, log_s2: float, tol: float = 1e-9
+) -> CorrelatorResult:
+    """G1, G2 and g2(0) from one x of the ladder log sums.
+
+    Raises ZeroIntensity when the intensity underflows to zero at double
+    precision; for N = 1 the result is exactly 0 (a single emitter never
+    yields a photon pair).
+    """
+    g1 = _exp(log_s1 - log_z)
+    if g1 == 0.0:
+        raise ZeroIntensity(
+            "intensity underflows at double precision; the exact sums carry no "
+            "information here, use the closed-form asymptotics"
+        )
+    if log_s2 == -math.inf:
+        g2_raw = 0.0
+        g2_norm = 0.0
+    else:
+        g2_raw = _exp(log_s2 - log_z)
+        g2_norm = _exp(log_s2 + log_z - 2.0 * log_s1)
+    return CorrelatorResult(
+        g1=g1,
+        g2_raw=g2_raw,
+        g2_norm=g2_norm,
+        classification=classify_statistics(g2_norm, tol),
+    )
+
+
+def ratio_from_log_g1(log_g1: float, log_g1_ref: float) -> float:
+    """G1/G1_ref from the two log intensities (log S1 - log Z of each).
+
+    Raises ZeroIntensity when either intensity underflows; a quotient
+    beyond the double range is inf.
+    """
+    if _exp(log_g1) == 0.0 or _exp(log_g1_ref) == 0.0:
+        raise ZeroIntensity(
+            "intensity underflows at double precision; the ratio carries no "
+            "information here, use the closed-form asymptotics"
+        )
+    return _exp(log_g1 - log_g1_ref)
 
 
 def g1_intensity(state: ThermalState, spectrum: DickeSpectrum, coeffs: LadderCoeffs) -> float:
@@ -144,8 +230,9 @@ def g1_intensity(state: ThermalState, spectrum: DickeSpectrum, coeffs: LadderCoe
     The same log-domain ladder sum as g2_zero, so the two agree bitwise;
     returns 0.0 where the intensity underflows at double precision.
     """
-    log_s1, _ = _log_sums(state, spectrum, coeffs, pairs=False)
-    return _exp(log_s1 - state.log_z)
+    _check_dimensions(state, spectrum, coeffs)
+    log_s1, _ = _log_sums(state.log_weights[None, :], _ladder_logs(spectrum, coeffs), False)
+    return _exp(float(log_s1[0]) - state.log_z)
 
 
 def classify_statistics(g2_norm: float, tol: float = 1e-9) -> PhotonStatistics:
@@ -174,43 +261,15 @@ def g2_zero(
     precision; for N = 1 the result is exactly 0 (a single emitter never
     yields a photon pair).
     """
-    log_s1, log_s2 = _log_sums(state, spectrum, coeffs, pairs=True)
-    log_z = state.log_z
-    g1 = _exp(log_s1 - log_z)
-    if g1 == 0.0:
-        raise ZeroIntensity(
-            "intensity underflows at double precision; the exact sums carry no "
-            "information here, use the closed-form asymptotics"
-        )
-    if log_s2 == -math.inf:
-        g2_raw = 0.0
-        g2_norm = 0.0
-    else:
-        g2_raw = _exp(log_s2 - log_z)
-        g2_norm = _exp(log_s2 + log_z - 2.0 * log_s1)
-    return CorrelatorResult(
-        g1=g1,
-        g2_raw=g2_raw,
-        g2_norm=g2_norm,
-        classification=classify_statistics(g2_norm, tol),
-    )
+    _check_dimensions(state, spectrum, coeffs)
+    log_s1, log_s2 = _log_sums(state.log_weights[None, :], _ladder_logs(spectrum, coeffs), True)
+    return correlators_from_log_sums(state.log_z, float(log_s1[0]), float(log_s2[0]), tol)
 
 
 def steady_state_correlators(params: EnsembleParams, tol: float = 1e-9) -> CorrelatorResult:
-    """Convenience wrapper: build the Gibbs state and evaluate g2_zero."""
-    return g2_zero(*_ensemble(params), tol)
-
-
-def _log_g1(params: EnsembleParams) -> float:
-    state, spectrum, coeffs = _ensemble(params)
-    log_s1, _ = _log_sums(state, spectrum, coeffs, pairs=False)
-    log_g1 = log_s1 - state.log_z
-    if _exp(log_g1) == 0.0:
-        raise ZeroIntensity(
-            f"intensity underflows at double precision for N={params.n_atoms}, "
-            f"eta={params.eta}, x={params.x}"
-        )
-    return log_g1
+    """Correlators at one point: the one-x case of ladder_log_sums."""
+    sums = ladder_log_sums(params.n_atoms, params.eta, [params.x])
+    return correlators_from_log_sums(*(s[0] for s in sums), tol)
 
 
 def intensity_ratio(params: EnsembleParams) -> float:
@@ -221,9 +280,16 @@ def intensity_ratio(params: EnsembleParams) -> float:
     """
     if params.eta == 0.0:
         raise ValueError("intensity_ratio requires eta != 0 (the reference is eta = 0)")
-    log_num = _log_g1(params)
-    log_den = _log_g1(replace(params, eta=0.0))
-    return _exp(log_num - log_den)
+    log_g1 = []
+    for eta in (params.eta, 0.0):
+        sums = ladder_log_sums(params.n_atoms, eta, [params.x], pairs=False)
+        log_g1.append(sums.log_s1[0] - sums.log_z[0])
+        if _exp(log_g1[-1]) == 0.0:
+            raise ZeroIntensity(
+                f"intensity underflows at double precision for N={params.n_atoms}, "
+                f"eta={eta}, x={params.x}"
+            )
+    return ratio_from_log_g1(*log_g1)
 
 
 def far_field_prefactor(geometry: FarFieldGeometry) -> float:

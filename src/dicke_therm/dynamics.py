@@ -275,38 +275,37 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.diag(np.diag(a)) + np.diag(off, 1) + np.diag(off, -1))
 
 
-def _check_step(generators: list[np.ndarray], hs: set, max_drift: float) -> None:
+def _check_step(generators: list[np.ndarray], h: float, max_drift: float) -> None:
     """Raise StepTooLarge before any step if RK4 amplifies an eigenmode
     (|R(h*lambda)| > 1) or drifts the trace by more than max_drift per step."""
     # the generator is dissipative: a positive eigenvalue is rounding of
     # the conserved trace mode
     lam = np.minimum(np.concatenate([_eigenvalues(a) for a in generators]), 0.0)
-    for h in hs:
-        gain = float(np.max(np.abs(_rk4_gain(h * lam))))
-        if gain > 1.0:
-            raise StepTooLarge(
-                f"RK4 is unstable at h={h:g}: |R(h*lambda)| reaches {gain:.3e} > 1; "
-                "reduce the step"
-            )
-        # trace change of one step from unit populations: column sums
-        drift = float(np.max(np.abs(_rk4_increment(generators[0], h).sum(axis=0))))
-        if drift > max_drift:
-            raise StepTooLarge(
-                f"trace drift {drift:.3e} per step exceeds {max_drift:.3e}; "
-                f"reduce the step below h={h:g}"
-            )
+    gain = float(np.max(np.abs(_rk4_gain(h * lam))))
+    if gain > 1.0:
+        raise StepTooLarge(
+            f"RK4 is unstable at h={h:g}: |R(h*lambda)| reaches {gain:.3e} > 1; "
+            "reduce the step"
+        )
+    # trace change of one step from unit populations: column sums
+    drift = float(np.max(np.abs(_rk4_increment(generators[0], h).sum(axis=0))))
+    if drift > max_drift:
+        raise StepTooLarge(
+            f"trace drift {drift:.3e} per step exceeds {max_drift:.3e}; "
+            f"reduce the step below h={h:g}"
+        )
 
 
-def _band_history(a: np.ndarray, v0: np.ndarray, intervals: list) -> np.ndarray:
-    """Band vector at every sample: each interval of `steps` RK4 steps of
-    size h is one exact map, shared by the intervals with the same (h, steps)."""
-    hist = np.empty((len(intervals) + 1, v0.size), dtype=complex)
+def _band_history(
+    a: np.ndarray, v0: np.ndarray, h: float, steps: int, intervals: int
+) -> np.ndarray:
+    """Band vector at every sample: each of the equal sample intervals is
+    `steps` RK4 steps of size h, applied as one exact map."""
+    hist = np.empty((intervals + 1, v0.size), dtype=complex)
     hist[0] = v0
-    maps: dict = {}
-    for i, key in enumerate(intervals):
-        if key not in maps:
-            maps[key] = _power_increment(_rk4_increment(a, key[0]), key[1])
-        hist[i + 1] = hist[i] + maps[key] @ hist[i]
+    step_map = _power_increment(_rk4_increment(a, h), steps)
+    for i in range(intervals):
+        hist[i + 1] = hist[i] + step_map @ hist[i]
     return hist
 
 
@@ -321,10 +320,11 @@ def integrate(
     """Classical fixed-step RK4 evolution of the master equation.
 
     Samples (with diagnostics) are recorded at n_samples evenly spaced
-    times from 0 to t_end; every sample time is hit exactly by shortening
-    the step inside each interval.  Each coherence band rho_{i,i+k} evolves
-    under its own generator A_k (`ThermalLiouvillian.band`), so the RK4
-    steps of one interval collapse into one map R(hA_k)^steps, built by
+    times from 0 to t_end.  The step is shortened to h = dt/steps, with
+    dt = t_end/(n_samples - 1), so every interval is the same whole number
+    of steps.  Each coherence band rho_{i,i+k} evolves under its own
+    generator A_k (`ThermalLiouvillian.band`), so the RK4 steps of an
+    interval collapse into one map R(hA_k)^steps, built once per band by
     binary powering: the work grows with log(steps), not steps.  The lower
     triangle is the conjugate of the upper one.
 
@@ -352,12 +352,13 @@ def integrate(
 
     gibbs = np.diag(thermal_state(params).populations).astype(complex)
     times = np.linspace(0.0, t_end, n_samples)
-    intervals = []
-    for span in np.diff(times):
-        steps = max(1, math.ceil(span / h_max))
-        intervals.append((span / steps, steps))
+    # every sample interval is the same span, so one (h, steps) pair and one
+    # map per band serve the whole trajectory
+    span = t_end / (n_samples - 1)
+    steps = max(1, math.ceil(span / h_max))
+    h = span / steps
     generators = [liou.band(k) for k in range(liou.dim)]
-    _check_step(generators, {h for h, _ in intervals}, ctrl.max_trace_drift)
+    _check_step(generators, h, ctrl.max_trace_drift)
 
     herm = 0.5 * (rho0 + rho0.conj().T)
     states = np.empty((n_samples, liou.dim, liou.dim), dtype=complex)
@@ -365,18 +366,15 @@ def integrate(
     idx = np.arange(liou.dim)
     for k, a in enumerate(generators):
         rows, cols = idx[: liou.dim - k], idx[k:]
-        hist = _band_history(a, herm[rows, cols], intervals)
+        hist = _band_history(a, herm[rows, cols], h, steps, n_samples - 1)
         blown = ~np.all(np.isfinite(hist), axis=1)
         if blown.any():
             raise NonFiniteState(f"state became non-finite near t={times[np.argmax(blown)]:g}")
         if k == 0:
             change = np.abs(np.diff(hist.sum(axis=1).real))
-            over = change > ctrl.max_trace_drift * np.array([n for _, n in intervals])
-            if over.any():
-                i = int(np.argmax(over))
-                h, n = intervals[i]
+            if np.max(change) > ctrl.max_trace_drift * steps:
                 raise StepTooLarge(
-                    f"trace drift {change[i]:.3e} over {n} steps exceeds "
+                    f"trace drift {np.max(change):.3e} over {steps} steps exceeds "
                     f"{ctrl.max_trace_drift:.3e} per step; reduce the step below h={h:g}"
                 )
         states[1:, cols, rows] = hist[1:].conj()

@@ -15,13 +15,19 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .asymptotics import AsymptoticReport
-from .correlators import intensity_ratio, steady_state_correlators
+from .correlators import (
+    LadderLogSums,
+    correlators_from_log_sums,
+    ladder_log_sums,
+    ratio_from_log_g1,
+)
 from .core import validate_params
 from .exceptions import ZeroIntensity
 
@@ -34,6 +40,7 @@ __all__ = [
     "render_json",
     "x_grid",
     "sweep_points",
+    "evaluate_rows",
     "evaluate_point",
     "run_sweep",
     "read_sweep_csv",
@@ -113,43 +120,94 @@ def sweep_points(config: SweepConfig) -> list[tuple[int, float, float]]:
     ]
 
 
+def _sum_tasks(n_values, eta_values, outputs) -> list[tuple[int, float, bool]]:
+    """The (N, eta, pairs) ladder_log_sums calls behind a sweep: one per
+    (N, eta) group that needs sums, with the G2 sum only when a correlator
+    column is requested, plus the eta = 0 intensity reference once per N."""
+    pairs = not {"g1", "g2", "classification"}.isdisjoint(outputs)
+    ratio = "ratio" in outputs
+    tasks: dict[tuple[int, float], bool] = {}
+    for n in n_values:
+        for eta in eta_values:
+            if pairs or (ratio and eta != 0.0):
+                tasks[(n, eta)] = pairs
+        if ratio and any(eta != 0.0 for eta in eta_values):
+            tasks.setdefault((n, 0.0), False)
+    return [(n, eta, p) for (n, eta), p in tasks.items()]
+
+
+def _group_rows(
+    eta: float,
+    sums: LadderLogSums | None,
+    ref: LadderLogSums | None,
+    size: int,
+    outputs: tuple[str, ...],
+) -> list[dict[str, object]]:
+    """Sweep rows of one (N, eta) group from its ladder log sums and those
+    of the eta = 0 reference."""
+    columns = [k for k in ("g1", "g2", "classification") if k in outputs]
+    rows = []
+    for i in range(size):
+        row: dict[str, object] = dict.fromkeys(("g1", "g2", "ratio", "classification"))
+        reason = ""
+        if columns:
+            try:
+                res = correlators_from_log_sums(sums.log_z[i], sums.log_s1[i], sums.log_s2[i])
+                values = {"g1": res.g1, "g2": res.g2_norm,
+                          "classification": res.classification.value}
+            except ZeroIntensity:
+                reason = "ZeroIntensity"
+                values = dict.fromkeys(columns, "NA")
+            row.update((k, values[k]) for k in columns)
+        if "ratio" in outputs:
+            if eta == 0.0:
+                row["ratio"] = 1.0
+            else:
+                try:
+                    row["ratio"] = ratio_from_log_g1(
+                        sums.log_s1[i] - sums.log_z[i], ref.log_s1[i] - ref.log_z[i]
+                    )
+                except ZeroIntensity:
+                    reason = "ZeroIntensity"
+                    row["ratio"] = "NA"
+        row["reason"] = reason
+        rows.append(row)
+    return rows
+
+
+def evaluate_rows(
+    n_values, eta_values, xs, outputs: tuple[str, ...], jobs: int = 1
+) -> list[dict[str, object]]:
+    """Raw values for the sweep rows over n_values x eta_values x xs in that
+    nesting order; None marks a column left empty and the string 'NA' a
+    column lost to intensity underflow.
+
+    Each (N, eta) group is one ladder_log_sums call over the whole x grid,
+    and the eta = 0 reference of the ratio column one call per N.  With
+    jobs > 1 worker processes make these calls; the rows are built here.
+    """
+    tasks = _sum_tasks(n_values, eta_values, outputs)
+    calls = [[task[i] for task in tasks] for i in range(3)]  # N, eta and pairs columns
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results = list(pool.map(ladder_log_sums, calls[0], calls[1], repeat(xs), calls[2]))
+    else:
+        results = list(map(ladder_log_sums, calls[0], calls[1], repeat(xs), calls[2]))
+    sums = {(n, eta): res for (n, eta, _), res in zip(tasks, results)}
+    return [
+        row
+        for n in n_values
+        for eta in eta_values
+        for row in _group_rows(eta, sums.get((n, eta)), sums.get((n, 0.0)), len(xs), outputs)
+    ]
+
+
 def evaluate_point(
     n_atoms: int, eta: float, x: float, outputs: tuple[str, ...]
 ) -> dict[str, object]:
-    """Raw values for one sweep row; None marks a column left empty and the
-    string 'NA' a column lost to intensity underflow."""
-    params = validate_params(n_atoms, eta, x)
-    row: dict[str, object] = {k: None for k in ("g1", "g2", "ratio", "classification")}
-    reason = ""
-    if "g1" in outputs or "g2" in outputs or "classification" in outputs:
-        try:
-            res = steady_state_correlators(params)
-            if "g1" in outputs:
-                row["g1"] = res.g1
-            if "g2" in outputs:
-                row["g2"] = res.g2_norm
-            if "classification" in outputs:
-                row["classification"] = res.classification.value
-        except ZeroIntensity:
-            reason = "ZeroIntensity"
-            for key in ("g1", "g2", "classification"):
-                if key in outputs:
-                    row[key] = "NA"
-    if "ratio" in outputs:
-        if eta == 0.0:
-            row["ratio"] = 1.0
-        else:
-            try:
-                row["ratio"] = intensity_ratio(params)
-            except ZeroIntensity:
-                reason = "ZeroIntensity"
-                row["ratio"] = "NA"
-    row["reason"] = reason
-    return row
-
-
-def _evaluate_for_pool(task: tuple[int, float, float, tuple[str, ...]]) -> dict[str, object]:
-    return evaluate_point(*task)
+    """Raw values for one sweep row: the one-point case of evaluate_rows."""
+    validate_params(n_atoms, eta, x)
+    return evaluate_rows([n_atoms], [eta], [x], outputs)[0]
 
 
 def format_number(value, precision: int) -> str:
@@ -180,18 +238,18 @@ def _sweep_row_line(point, row, outputs, precision: int) -> str:
 def run_sweep(config: SweepConfig, out_path: str | Path, jobs: int = 1) -> int:
     """Evaluate the sweep and write the CSV; returns the number of rows.
 
-    Worker processes evaluate points over immutable inputs; the rows are
-    written in input order by this single writer, so the file content does
-    not depend on the level of parallelism.
+    The rows come from evaluate_rows (worker processes with jobs > 1) and
+    are written in (N, eta, x) order by this single writer, so the file
+    content does not depend on the level of parallelism.
     """
+    rows = evaluate_rows(
+        sorted(config.n_values),
+        sorted(config.eta_values),
+        x_grid(config).tolist(),
+        config.outputs,
+        jobs,
+    )
     points = sweep_points(config)
-    tasks = [(n, eta, x, config.outputs) for (n, eta, x) in points]
-    if jobs > 1:
-        chunk = max(1, len(tasks) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_evaluate_for_pool, tasks, chunksize=chunk))
-    else:
-        rows = [evaluate_point(*task) for task in tasks]
     lines = [",".join(SWEEP_HEADER)]
     lines.extend(
         _sweep_row_line(point, row, config.outputs, config.precision)

@@ -1,6 +1,7 @@
-"""Shared test helpers: brute-force matrix-product correlator oracle, the
-dense master equation with its step-by-step RK4 integrator, and the
-scalar-rate Dicke-limit master equation.
+"""Shared test helpers: brute-force matrix-product correlator oracle, a
+log-domain ladder-sum oracle added with math.fsum, the dense master
+equation with its step-by-step RK4 integrator, and the scalar-rate
+Dicke-limit master equation.
 
 Deliberately independent of the indexed-sum and banded paths in the
 package: ladder operators are materialized as dense matrices, the
@@ -35,6 +36,29 @@ def matrix_correlators(params):
     g1 = float(np.trace(rho @ sp @ w4 @ sm))
     g2 = float(np.trace(rho @ sp @ w2 @ sp @ w4 @ sm @ w2 @ sm))
     return g1, g2
+
+
+def _fsum_logsumexp(terms):
+    if terms.size == 0:
+        return -math.inf
+    top = float(np.max(terms))
+    return top + math.log(math.fsum(np.exp(terms - top)))
+
+
+def fsum_log_sums(params):
+    """(log Z, log S1, log S2) of the shifted Gibbs weights, each a
+    max-shifted sum added with correctly rounded math.fsum.  The ladder
+    products n*(N-n+1) are exact integers here, not squared square roots."""
+    spec = build_spectrum(params)
+    n = np.arange(params.n_atoms + 1, dtype=float)
+    c2 = n * (params.n_atoms - n + 1.0)
+    lw = -params.x * (spec.energies - spec.energies.min())
+    log_w4 = 4.0 * np.log(spec.frequencies)
+    return (
+        _fsum_logsumexp(lw),
+        _fsum_logsumexp(lw[1:] + np.log(c2[1:]) + log_w4[:-1]),
+        _fsum_logsumexp(lw[2:] + np.log(c2[2:] * c2[1:-1]) + log_w4[1:-1] + log_w4[:-2]),
+    )
 
 
 def dicke_limit_liouvillian(rho, params):

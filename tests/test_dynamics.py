@@ -25,6 +25,7 @@ from dicke_therm import (
     thermal_state,
     trace_distance,
 )
+from dicke_therm import dynamics
 from helpers import dense_liouvillian_apply, dicke_limit_liouvillian, rk4_trajectory
 
 
@@ -246,10 +247,25 @@ class TestIntegration:
 
     def test_tiny_default_step_completes(self):
         # default step 4e-7: 2.5e7 RK4 steps, collapsed into one map per
-        # distinct sample interval
+        # band
         params = EnsembleParams(5, 0.0, 1e-3)
         traj = integrate(initial_state(params, "inverted"), 10.0, params, n_samples=201)
         assert traj.final_trace_distance <= 1e-8
+
+    def test_one_step_map_per_band(self, monkeypatch):
+        # the linspace sample spans differ in their last bits; all intervals
+        # must still share one (h, steps) pair, so one map per band is built
+        calls = []
+
+        def counting(e, steps):
+            calls.append(steps)
+            return power_increment(e, steps)
+
+        power_increment = dynamics._power_increment
+        monkeypatch.setattr(dynamics, "_power_increment", counting)
+        params = EnsembleParams(20, 0.1, 1.0)
+        integrate(initial_state(params, "inverted"), 0.2, params, n_samples=201)
+        assert len(calls) == params.n_atoms + 1
 
     def test_default_step_heuristic(self):
         params = EnsembleParams(2, 0.1, 10.0)

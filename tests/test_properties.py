@@ -26,6 +26,8 @@ from dicke_therm import (
     thermal_state,
 )
 
+from helpers import fsum_log_sums
+
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # each example sums ladders of up to 1e5 levels; this keeps the module
@@ -90,3 +92,33 @@ def test_intensity_ratio_matches_g1_quotient(params):
     assume(g1 >= sys.float_info.min and g1_ref >= sys.float_info.min)
     assume(sys.float_info.min <= g1 / g1_ref < math.inf)
     assert intensity_ratio(params) == pytest.approx(g1 / g1_ref, rel=1e-12)
+
+
+def _normal(v):
+    """exp(v) when it is a normal double, else None (no relative precision)."""
+    if v > 709.0:
+        return None
+    e = math.exp(v)
+    return e if e >= sys.float_info.min else None
+
+
+@PROPERTY_SETTINGS
+@given(ensembles())
+def test_pairwise_sums_match_fsum_oracle(params):
+    log_z, log_s1, log_s2 = fsum_log_sums(params)
+    g1 = _normal(log_s1 - log_z)
+    assume(g1 is not None)
+    res = steady_state_correlators(params)
+    assert res.g1 == pytest.approx(g1, rel=1e-13)
+    if params.n_atoms == 1:
+        assert res.g2_raw == res.g2_norm == 0.0
+    g2s = ((res.g2_raw, log_s2 - log_z), (res.g2_norm, log_s2 + log_z - 2.0 * log_s1))
+    for got, log_want in g2s:
+        want = _normal(log_want) if params.n_atoms > 1 else None
+        if want is not None:
+            assert got == pytest.approx(want, rel=1e-13)
+    if params.eta != 0.0:
+        ref_z, ref_s1, _ = fsum_log_sums(replace(params, eta=0.0))
+        ratio = _normal((log_s1 - log_z) - (ref_s1 - ref_z))
+        if _normal(ref_s1 - ref_z) is not None and ratio is not None:
+            assert intensity_ratio(params) == pytest.approx(ratio, rel=1e-13)

@@ -1,0 +1,114 @@
+"""Group evaluation of sweeps: one ladder kernel call per (N, eta) x grid
+must give the per-point library values bit for bit."""
+
+import json
+
+import numpy as np
+import pytest
+
+from dicke_therm import (
+    EnsembleParams,
+    ZeroIntensity,
+    build_spectrum,
+    correlators,
+    g2_zero,
+    intensity_ratio,
+    ladder_coefficients,
+    steady_state_correlators,
+    thermal_state,
+)
+from dicke_therm.cli import main
+from dicke_therm.correlators import ladder_log_sums
+from dicke_therm.sweep import (
+    VALID_OUTPUTS,
+    SweepConfig,
+    evaluate_rows,
+    format_number,
+    read_sweep_csv,
+    run_sweep,
+    x_grid,
+)
+
+# N = 50,000 with 5 x values spans several kernel blocks
+BIG_N = 50_000
+GROUPS = [
+    (1, 0.0, np.geomspace(1e-3, 3e3, 25)),
+    (2, 0.1, np.geomspace(1e-3, 3e3, 40)),
+    (7, -0.5, np.linspace(0.01, 60.0, 30)),
+    (300, 0.9, np.geomspace(1e-8, 1e6, 20)),
+    (BIG_N, 0.3, np.geomspace(1e-4, 1e4, 5)),
+]
+
+
+def point_row(n, eta, x):
+    """The sweep row at one point from the per-point library functions."""
+    params = EnsembleParams(n, eta, x)
+    row, reason = {}, ""
+    try:
+        res = steady_state_correlators(params)
+        row.update(g1=res.g1, g2=res.g2_norm, classification=res.classification.value)
+    except ZeroIntensity:
+        reason = "ZeroIntensity"
+        row.update(g1="NA", g2="NA", classification="NA")
+    if eta == 0.0:
+        row["ratio"] = 1.0
+    else:
+        try:
+            row["ratio"] = intensity_ratio(params)
+        except ZeroIntensity:
+            reason = "ZeroIntensity"
+            row["ratio"] = "NA"
+    row["reason"] = reason
+    return row
+
+
+def test_big_group_spans_several_blocks():
+    rows_per_block = correlators._BLOCK_TERMS // (BIG_N + 1)
+    assert 1 < rows_per_block < 5
+
+
+@pytest.mark.parametrize("n, eta, xs", GROUPS, ids=[f"N{g[0]}" for g in GROUPS])
+def test_group_rows_equal_point_values(n, eta, xs):
+    rows = evaluate_rows([n], [eta], xs.tolist(), VALID_OUTPUTS)
+    assert len(rows) == len(xs)
+    for x, row in zip(xs.tolist(), rows):
+        assert row == point_row(n, eta, x)
+    if n in (2, BIG_N):
+        assert any(row["reason"] == "ZeroIntensity" for row in rows)
+
+
+@pytest.mark.parametrize("n, eta, xs", GROUPS, ids=[f"N{g[0]}" for g in GROUPS])
+def test_state_and_tables_share_the_kernel(n, eta, xs):
+    sums = ladder_log_sums(n, eta, xs)
+    coeffs = ladder_coefficients(n)
+    for i, x in enumerate(xs.tolist()):
+        params = EnsembleParams(n, eta, x)
+        spec = build_spectrum(params)
+        state = thermal_state(params, spec)
+        assert state.log_z == sums.log_z[i]
+        try:
+            res = g2_zero(state, spec, coeffs)
+        except ZeroIntensity:
+            with pytest.raises(ZeroIntensity):
+                steady_state_correlators(params)
+            continue
+        assert res == steady_state_correlators(params)
+
+
+def test_sweep_cells_equal_point_values(tmp_path, capsys):
+    config = SweepConfig((BIG_N,), (0.3,), 1e-4, 1e4, 5, "log")
+    out = tmp_path / "big.csv"
+    run_sweep(config, out)
+    lines = out.read_text(encoding="ascii").splitlines()[1:]
+    rows = read_sweep_csv(out)
+    assert [r["reason"] for r in rows].count("ZeroIntensity") == 1
+    for x, line, rec in zip(x_grid(config).tolist(), lines, rows):
+        want = point_row(BIG_N, 0.3, x)
+        cells = [format_number(want[k], 12) for k in ("g1", "g2", "ratio", "classification")]
+        assert line.split(",")[3:] == cells + [want["reason"]]
+        assert main(["point", "--n", str(BIG_N), "--eta", "0.3", "--x", repr(x)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        if rec["reason"]:
+            assert doc["reason"] == "ZeroIntensity"
+        else:
+            assert (doc["g1"], doc["g2"]) == (rec["g1"], rec["g2"])
