@@ -41,7 +41,6 @@ from .correlators import (
     PhotonStatistics,
     classify_statistics,
     far_field_prefactor,
-    g1_intensity,
     g2_zero,
     intensity_ratio,
     steady_state_correlators,
@@ -55,7 +54,6 @@ from .dynamics import (
     default_step,
     initial_state,
     integrate,
-    liouvillian_apply,
     steady_state_residual,
     trace_distance,
 )
@@ -64,7 +62,6 @@ from .exceptions import (
     DimensionMismatch,
     EtaOutOfRange,
     IntegrationError,
-    MismatchedDimensions,
     NonFiniteState,
     NonPositiveFrequency,
     NonPositiveX,
@@ -90,7 +87,6 @@ __all__ = [
     "CorrelatorResult",
     "FarFieldGeometry",
     "PhotonStatistics",
-    "g1_intensity",
     "g2_zero",
     "intensity_ratio",
     "classify_statistics",
@@ -115,7 +111,6 @@ __all__ = [
     "StepControl",
     "ThermalLiouvillian",
     "Trajectory",
-    "liouvillian_apply",
     "integrate",
     "steady_state_residual",
     "initial_state",
@@ -128,7 +123,6 @@ __all__ = [
     "NonPositiveX",
     "EtaOutOfRange",
     "SingleAtomWithCoupling",
-    "MismatchedDimensions",
     "ZeroIntensity",
     "DimensionMismatch",
     "NonPositiveFrequency",

@@ -7,9 +7,9 @@ equation trajectory), figures (preset sweep files fig1.csv..fig4.csv).
 Exit codes: 0 success, 2 invalid input, 3 validation tolerance exceeded,
 4 integrator failure.  Errors carry the exception class name on stderr as
 a machine-readable token.  The environment variable DICKE_THERM_JOBS sets
-the default worker count; a configuration file of flat `key = value` lines
-mirroring the long flags can be passed with --config, with explicit flags
-taking precedence.
+the default worker count, a positive integer; a configuration file of flat
+`key = value` lines mirroring the long flags can be passed with --config,
+with explicit flags taking precedence.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .core import EnsembleParams, validate_params
 from .correlators import steady_state_correlators
 from .dynamics import (
     INITIAL_STATE_KINDS,
-    MAX_DYNAMICS_ATOMS,
     StepControl,
     initial_state,
     integrate,
@@ -76,14 +75,6 @@ def _float_list(text: str) -> tuple[float, ...]:
     if not items:
         raise ValueError("empty list")
     return items
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,8 +213,17 @@ def _cmd_point(args) -> int:
     return 0
 
 
-def _resolve_jobs(args) -> int:
-    return args.jobs if args.jobs else _default_jobs()
+def _jobs(args) -> int:
+    """Worker processes: --jobs, else $DICKE_THERM_JOBS (unset or empty
+    means 1); anything but a positive integer is refused."""
+    raw = args.jobs if args.jobs is not None else os.environ.get(JOBS_ENV) or "1"
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"--jobs and ${JOBS_ENV} take a positive integer, got {raw!r}")
+    return jobs
 
 
 def _cmd_sweep(args) -> int:
@@ -238,7 +238,7 @@ def _cmd_sweep(args) -> int:
         outputs=outputs,
         precision=args.precision,
     )
-    rows = run_sweep(config, args.out, jobs=_resolve_jobs(args))
+    rows = run_sweep(config, args.out, jobs=_jobs(args))
     write_sidecar(args.out, {"command": "sweep", "config": config.as_dict()})
     print(f"wrote {rows} rows to {args.out}")
     return 0
@@ -250,9 +250,6 @@ def _cmd_validate(args) -> int:
     x_values = args.x if args.x is not None else DEFAULT_VALIDATION_X
     grid = [(n, eta, x) for n in sorted(n_values) for eta in sorted(eta_values)
             for x in sorted(x_values)]
-    if not grid:
-        print("EmptyGrid: the validation grid has no points", file=sys.stderr)
-        return 2
     report = validate_asymptotics(grid)
     Path(args.out).write_text(report_to_csv(report, args.precision), encoding="ascii")
     write_sidecar(args.out, {
@@ -290,9 +287,6 @@ def _print_validation_summary(report) -> None:
 
 def _cmd_evolve(args) -> int:
     params = validate_params(args.n, args.eta, args.x)
-    if params.n_atoms > MAX_DYNAMICS_ATOMS:
-        print(f"ValueError: dynamics is capped at N <= {MAX_DYNAMICS_ATOMS}", file=sys.stderr)
-        return 2
     rho0 = initial_state(params, args.init)
     traj = integrate(
         rho0,
@@ -335,9 +329,9 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_figures(args) -> int:
+    jobs = _jobs(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = _resolve_jobs(args)
     for name, preset in FIGURE_PRESETS.items():
         config = replace(preset, precision=args.precision)
         path = out_dir / f"{name}.csv"

@@ -48,7 +48,6 @@ __all__ = [
     "ladder_log_sums",
     "correlators_from_log_sums",
     "ratio_from_log_g1",
-    "g1_intensity",
     "g2_zero",
     "intensity_ratio",
     "classify_statistics",
@@ -222,17 +221,6 @@ def ratio_from_log_g1(log_g1: float, log_g1_ref: float) -> float:
             "information here, use the closed-form asymptotics"
         )
     return _exp(log_g1 - log_g1_ref)
-
-
-def g1_intensity(state: ThermalState, spectrum: DickeSpectrum, coeffs: LadderCoeffs) -> float:
-    """Psi-normalized mean intensity <S+ omega^4 S->.
-
-    The same log-domain ladder sum as g2_zero, so the two agree bitwise;
-    returns 0.0 where the intensity underflows at double precision.
-    """
-    _check_dimensions(state, spectrum, coeffs)
-    log_s1, _ = _log_sums(state.log_weights[None, :], _ladder_logs(spectrum, coeffs), False)
-    return _exp(float(log_s1[0]) - state.log_z)
 
 
 def classify_statistics(g2_norm: float, tol: float = 1e-9) -> PhotonStatistics:

@@ -44,7 +44,6 @@ __all__ = [
     "ThermalLiouvillian",
     "MAX_DYNAMICS_ATOMS",
     "INITIAL_STATE_KINDS",
-    "liouvillian_apply",
     "integrate",
     "steady_state_residual",
     "initial_state",
@@ -68,10 +67,6 @@ class RateModel:
 
     x: float
     gamma0: float = 1.0
-
-    @classmethod
-    def for_params(cls, params: EnsembleParams, gamma0: float = 1.0) -> "RateModel":
-        return cls(x=params.x, gamma0=gamma0)
 
     def decay_rate(self, omega):
         """Gamma(omega) = gamma0 * omega^3."""
@@ -136,7 +131,7 @@ class ThermalLiouvillian:
 
     def __init__(self, params: EnsembleParams, rates: RateModel | None = None):
         self.params = params
-        self.rates = RateModel.for_params(params) if rates is None else rates
+        self.rates = RateModel(params.x) if rates is None else rates
         self.dim = params.n_atoms + 1
         # omega_n drives the n <-> n+1 transition, n = 0..N-1
         omega = build_spectrum(params).frequencies[:-1]
@@ -179,13 +174,6 @@ class ThermalLiouvillian:
         )
 
 
-def liouvillian_apply(
-    rho: np.ndarray, params: EnsembleParams, rates: RateModel | None = None
-) -> np.ndarray:
-    """Apply the full level-resolved master equation to rho."""
-    return ThermalLiouvillian(params, rates).apply(rho)
-
-
 def default_step(params: EnsembleParams, rates: RateModel) -> float:
     """Conservative fixed step: 0.01/(gamma0*(1+nbar_max)*N^2)."""
     omega = build_spectrum(params).frequencies
@@ -200,6 +188,13 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
+def _check_atom_cap(params: EnsembleParams) -> None:
+    if params.n_atoms > MAX_DYNAMICS_ATOMS:
+        raise ValueError(
+            f"dynamics is capped at N <= {MAX_DYNAMICS_ATOMS}, got N={params.n_atoms}"
+        )
+
+
 def initial_state(params: EnsembleParams, kind: str) -> np.ndarray:
     """Standard initial density matrices in the Dicke basis.
 
@@ -207,7 +202,11 @@ def initial_state(params: EnsembleParams, kind: str) -> np.ndarray:
     inverted : all emitters excited, |N><N|
     equal    : uniform diagonal mixture over the ladder
     gibbs    : thermal steady state for the given parameters
+
+    Raises ValueError above MAX_DYNAMICS_ATOMS, before the matrix is
+    allocated.
     """
+    _check_atom_cap(params)
     dim = params.n_atoms + 1
     rho = np.zeros((dim, dim), dtype=complex)
     if kind == "ground":
@@ -333,16 +332,13 @@ def integrate(
     and when an interval's trace changes by more than steps times that
     bound; raises NonFiniteState when the state blows up.
     """
-    if params.n_atoms > MAX_DYNAMICS_ATOMS:
-        raise ValueError(
-            f"dynamics is capped at N <= {MAX_DYNAMICS_ATOMS}, got N={params.n_atoms}"
-        )
-    if not t_end > 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    _check_atom_cap(params)
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     ctrl = ctrl or StepControl()
-    rates = RateModel.for_params(params) if rates is None else rates
+    rates = RateModel(params.x) if rates is None else rates
     liou = ThermalLiouvillian(params, rates)
     _check_density_matrix(rho0, liou.dim)
 
@@ -405,7 +401,7 @@ def steady_state_residual(params: EnsembleParams, rates: RateModel | None = None
     """Max-norm of the master equation applied to the Gibbs state, per
     gamma0.  The headline stationarity check: should sit at rounding level.
     """
-    rates = RateModel.for_params(params) if rates is None else rates
+    rates = RateModel(params.x) if rates is None else rates
     rho_s = np.diag(thermal_state(params).populations).astype(complex)
-    out = liouvillian_apply(rho_s, params, rates)
+    out = ThermalLiouvillian(params, rates).apply(rho_s)
     return float(np.max(np.abs(out))) / rates.gamma0

@@ -42,10 +42,6 @@ class DimensionMismatch(DickeError, ValueError):
     ensemble size, or correlator inputs built from different ensembles."""
 
 
-# both names import and catch the same class; its error token is DimensionMismatch
-MismatchedDimensions = DimensionMismatch
-
-
 class NonPositiveFrequency(DickeError, ValueError):
     """Decay rates and occupations are defined for omega > 0 only."""
 

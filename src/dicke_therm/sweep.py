@@ -29,7 +29,7 @@ from .correlators import (
     ratio_from_log_g1,
 )
 from .core import validate_params
-from .exceptions import ZeroIntensity
+from .exceptions import NonPositiveX, ZeroIntensity
 
 __all__ = [
     "SWEEP_HEADER",
@@ -44,7 +44,6 @@ __all__ = [
     "evaluate_point",
     "run_sweep",
     "read_sweep_csv",
-    "read_report_csv",
     "report_to_csv",
     "write_sidecar",
     "parse_config_file",
@@ -77,6 +76,8 @@ class SweepConfig:
             raise ValueError(f"x scale must be 'linear' or 'log', got {self.x_scale!r}")
         if self.x_count < 1:
             raise ValueError(f"x grid needs at least one point, got {self.x_count}")
+        if not math.isfinite(self.x_stop):
+            raise NonPositiveX(f"x must be positive and finite, got x_stop={self.x_stop}")
         if not 0.0 < self.x_start <= self.x_stop:
             raise ValueError(
                 f"x grid must satisfy 0 < start <= stop, got [{self.x_start}, {self.x_stop}]"
@@ -283,31 +284,6 @@ def read_sweep_csv(path: str | Path) -> list[dict[str, object]]:
                     rec[key] = float(cell)
             rec["reason"] = raw[7]
             rows.append(rec)
-    return rows
-
-
-def read_report_csv(path: str | Path) -> list[dict[str, object]]:
-    """Parse a validation-report CSV back into typed rows."""
-    rows: list[dict[str, object]] = []
-    with open(path, newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != REPORT_HEADER:
-            raise ValueError(f"unexpected report header {header!r}")
-        for raw in reader:
-            rows.append(
-                {
-                    "formula": raw[0],
-                    "N": int(raw[1]),
-                    "eta": float(raw[2]),
-                    "x": float(raw[3]),
-                    "exact": float(raw[4]) if raw[4] else None,
-                    "approx": float(raw[5]) if raw[5] else None,
-                    "rel_dev": float(raw[6]) if raw[6] else None,
-                    "status": raw[7],
-                    "note": raw[8],
-                }
-            )
     return rows
 
 

@@ -69,7 +69,7 @@ def dicke_limit_liouvillian(rho, params):
     with g1 = Gamma(1)/2*(1+nbar(1)) and g2 = Gamma(1)/2*nbar(1).  Equals
     the full equation evaluated at eta = 0; params.eta is ignored.
     """
-    rates = RateModel.for_params(params)
+    rates = RateModel(params.x)
     dim = params.n_atoms + 1
     if rho.shape != (dim, dim):
         raise DimensionMismatch(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
@@ -89,7 +89,7 @@ def dense_liouvillian_apply(rho, params, rates=None):
 
         drho/dt = -[S+, D1 S- rho] - [S-, S+ D2 rho] + h.c.
     """
-    rates = RateModel.for_params(params) if rates is None else rates
+    rates = RateModel(params.x) if rates is None else rates
     dim = params.n_atoms + 1
     if rho.shape != (dim, dim):
         raise DimensionMismatch(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")

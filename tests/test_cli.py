@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, serialization."""
 
+import csv
 import json
 import math
 
@@ -7,10 +8,10 @@ import pytest
 
 from dicke_therm.cli import main
 from dicke_therm.sweep import (
+    REPORT_HEADER,
     SWEEP_HEADER,
     SweepConfig,
     format_number,
-    read_report_csv,
     read_sweep_csv,
     render_json,
     sweep_points,
@@ -159,6 +160,31 @@ class TestSweep:
         run(capsys, *self.sweep_args(ref))
         assert out.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_exit_2(self, capsys, tmp_path, jobs):
+        out = tmp_path / "j.csv"
+        code, _, err = run(capsys, *self.sweep_args(out, ("--jobs", jobs)))
+        assert code == 2
+        assert "ValueError" in err
+        assert not out.exists()
+
+    def test_malformed_jobs_env_var_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("DICKE_THERM_JOBS", "abc")
+        code, _, err = run(capsys, *self.sweep_args(tmp_path / "j.csv"))
+        assert code == 2
+        assert "ValueError" in err and "DICKE_THERM_JOBS" in err
+
+    def test_infinite_x_stop_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "inf.csv"
+        code, _, err = run(
+            capsys, "sweep", "--n", "2", "--eta", "0",
+            "--x-start", "1", "--x-stop", "inf", "--x-count", "3",
+            "--outputs", "ratio", "--out", str(out),
+        )
+        assert code == 2
+        assert "NonPositiveX" in err
+        assert not out.exists()
+
     def test_log_grid(self):
         cfg = SweepConfig((2,), (0.0,), 0.01, 100.0, 5, "log", ("g2",))
         assert x_grid(cfg) == pytest.approx([0.01, 0.1, 1.0, 10.0, 100.0], rel=1e-12)
@@ -214,11 +240,14 @@ class TestValidate:
         code, text, _ = run(capsys, "validate", "--out", str(out))
         assert code == 0
         assert "overall: PASS" in text
-        rows = read_report_csv(out)
-        info = [r for r in rows if r["formula"] == "eq20" and r["N"] == 2]
+        with open(out, newline="", encoding="ascii") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert tuple(reader.fieldnames) == REPORT_HEADER
+        info = [r for r in rows if r["formula"] == "eq20" and int(r["N"]) == 2]
         assert info and info[0]["status"] == "info"
-        assert info[0]["exact"] == pytest.approx(1.06010, abs=1e-4)
-        assert info[0]["approx"] == pytest.approx(1.74949, abs=1e-4)
+        assert float(info[0]["exact"]) == pytest.approx(1.06010, abs=1e-4)
+        assert float(info[0]["approx"]) == pytest.approx(1.74949, abs=1e-4)
         assert all(r["status"] in ("ok", "info", "skipped") for r in rows)
 
     def test_single_point_grid(self, capsys, tmp_path):
@@ -301,6 +330,13 @@ class TestEvolve:
             capsys, "evolve", "--n", "300", "--x", "1", "--t-end", "1"
         )
         assert code == 2
+        assert "ValueError" in err
+
+    def test_infinite_t_end_exits_2(self, capsys):
+        code, out, err = run(capsys, "evolve", "--n", "2", "--x", "1", "--t-end", "inf")
+        assert code == 2
+        assert "ValueError" in err and "t_end" in err
+        assert out == ""
 
     def test_integrator_failure_exits_4(self, capsys, tmp_path):
         # two samples leave the span as five giant steps; the state blows

@@ -7,15 +7,14 @@ import pytest
 
 from dicke_therm import (
     DickeSpectrum,
+    DimensionMismatch,
     EnsembleParams,
-    MismatchedDimensions,
     PhotonStatistics,
     FarFieldGeometry,
     ZeroIntensity,
     build_spectrum,
     classify_statistics,
     far_field_prefactor,
-    g1_intensity,
     g2_zero,
     intensity_ratio,
     ladder_coefficients,
@@ -44,32 +43,32 @@ def tables(n, eta, x):
     return thermal_state(p, spec), spec, ladder_coefficients(n)
 
 
+def g1(n, eta, x):
+    return steady_state_correlators(EnsembleParams(n, eta, x)).g1
+
+
 class TestIntensity:
     def test_hot_uncoupled_pair(self):
-        st, spec, c = tables(2, 0.0, 1e-9)
-        assert g1_intensity(st, spec, c) == pytest.approx(4.0 / 3.0, abs=1e-8)
+        assert g1(2, 0.0, 1e-9) == pytest.approx(4.0 / 3.0, abs=1e-8)
 
     def test_hot_coupled_pair(self):
-        st, spec, c = tables(2, 0.1, 1e-6)
-        assert g1_intensity(st, spec, c) == pytest.approx(G1_2_01_1E6, rel=1e-12)
+        assert g1(2, 0.1, 1e-6) == pytest.approx(G1_2_01_1E6, rel=1e-12)
         # equal-population limit (2*0.9^4 + 2*1.1^4)/3
         limit = (2 * 0.9**4 + 2 * 1.1**4) / 3
-        assert g1_intensity(st, spec, c) == pytest.approx(limit, abs=2e-6)
+        assert g1(2, 0.1, 1e-6) == pytest.approx(limit, abs=2e-6)
 
     def test_cold_coupled_pair(self):
-        st, spec, c = tables(2, 0.1, 10.0)
-        assert g1_intensity(st, spec, c) == pytest.approx(G1_2_01_10, rel=1e-12)
+        assert g1(2, 0.1, 10.0) == pytest.approx(G1_2_01_10, rel=1e-12)
 
     def test_matches_log_domain_path(self):
         for (n, eta, x) in [(2, 0.1, 10.0), (5, -0.2, 3.0), (9, 0.3, 0.2)]:
-            st, spec, c = tables(n, eta, x)
             g1_ref, _ = matrix_correlators(EnsembleParams(n, eta, x))
-            assert g1_intensity(st, spec, c) == pytest.approx(g1_ref, rel=1e-12)
+            assert g1(n, eta, x) == pytest.approx(g1_ref, rel=1e-12)
 
     def test_dimension_mismatch(self):
         st, spec, _ = tables(2, 0.0, 1.0)
-        with pytest.raises(MismatchedDimensions):
-            g1_intensity(st, spec, ladder_coefficients(3))
+        with pytest.raises(DimensionMismatch):
+            g2_zero(st, spec, ladder_coefficients(3))
 
 
 class TestG2:

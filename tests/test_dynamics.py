@@ -20,7 +20,6 @@ from dicke_therm import (
     default_step,
     initial_state,
     integrate,
-    liouvillian_apply,
     steady_state_residual,
     thermal_state,
     trace_distance,
@@ -76,7 +75,7 @@ class TestLiouvillian:
         params = EnsembleParams(1, 0.0, 1.3)
         nbar = 1.0 / math.expm1(1.3)
         rho = np.diag([0.3, 0.7]).astype(complex)
-        out = liouvillian_apply(rho, params)
+        out = ThermalLiouvillian(params).apply(rho)
         assert out[1, 1].real == pytest.approx(-(1 + nbar) * 0.7 + nbar * 0.3, rel=1e-12)
         assert out[0, 0].real == pytest.approx((1 + nbar) * 0.7 - nbar * 0.3, rel=1e-12)
         assert abs(np.trace(out)) < 1e-16
@@ -109,14 +108,14 @@ class TestLiouvillian:
             params = EnsembleParams(n, 0.0, 1.4)
             for _ in range(5):
                 rho = random_hermitian_unit_trace(rng, n + 1)
-                a = liouvillian_apply(rho, params)
+                a = ThermalLiouvillian(params).apply(rho)
                 b = dicke_limit_liouvillian(rho, params)
                 assert np.max(np.abs(a - b)) <= 1e-13
 
     def test_continuity_in_eta(self):
         rng = np.random.default_rng(9)
         rho = random_hermitian_unit_trace(rng, 3)
-        a = liouvillian_apply(rho, EnsembleParams(2, 1e-14, 1.0))
+        a = ThermalLiouvillian(EnsembleParams(2, 1e-14, 1.0)).apply(rho)
         b = dicke_limit_liouvillian(rho, EnsembleParams(2, 0.0, 1.0))
         assert np.max(np.abs(a - b)) <= 1e-10
 
@@ -129,7 +128,7 @@ class TestLiouvillian:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            liouvillian_apply(np.eye(4, dtype=complex) / 4, EnsembleParams(2, 0.0, 1.0))
+            ThermalLiouvillian(EnsembleParams(2, 0.0, 1.0)).apply(np.eye(4, dtype=complex) / 4)
         with pytest.raises(DimensionMismatch):
             dicke_limit_liouvillian(np.eye(4, dtype=complex) / 4, EnsembleParams(2, 0.0, 1.0))
 
@@ -269,7 +268,7 @@ class TestIntegration:
 
     def test_default_step_heuristic(self):
         params = EnsembleParams(2, 0.1, 10.0)
-        rates = RateModel.for_params(params)
+        rates = RateModel(params.x)
         nbar_max = float(np.max(rates.thermal_occupation(build_spectrum(params).frequencies)))
         assert default_step(params, rates) == pytest.approx(
             0.01 / (4 * (1 + nbar_max)), rel=1e-12
@@ -323,8 +322,18 @@ class TestIntegration:
 
     def test_atom_cap(self):
         params = EnsembleParams(300, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            integrate(initial_state(params, "ground"), 1.0, params, n_samples=3)
+        with pytest.raises(ValueError, match="capped"):
+            initial_state(params, "ground")
+        rho0 = np.zeros((301, 301), dtype=complex)
+        rho0[0, 0] = 1.0
+        with pytest.raises(ValueError, match="capped"):
+            integrate(rho0, 1.0, params, n_samples=3)
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_t_end(self, t_end):
+        params = EnsembleParams(2, 0.0, 1.0)
+        with pytest.raises(ValueError, match="t_end"):
+            integrate(initial_state(params, "ground"), t_end, params, n_samples=3)
 
     def test_trace_distance_basics(self):
         a = np.diag([1.0, 0.0]).astype(complex)
