@@ -130,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, required=True, help="final time in units 1/Gamma0")
     p.add_argument("--samples", type=int, default=201, help="number of recorded samples")
     p.add_argument("--step", type=float, default=None,
-                   help="fixed RK4 step (default: conservative heuristic)")
+                   help="fixed RK4 step, positive and finite "
+                   "(default: conservative heuristic)")
     p.add_argument("--out", default=None, help="trajectory CSV path (default stdout)")
     common(p)
     p.set_defaults(handler=_cmd_evolve)
@@ -300,16 +301,15 @@ def _cmd_evolve(args) -> int:
     header += [f"p_{k}" for k in range(dim)]
     lines = [",".join(header)]
     prec = args.precision
-    for i, t in enumerate(traj.times):
-        rho = traj.states[i]
+    for i, (t, pops) in enumerate(zip(traj.times, traj.populations)):
         cells = [
             format_number(t, prec),
-            format_number(float(rho.trace().real), prec),
+            format_number(pops.sum(), prec),
             format_number(traj.herm_defect[i], prec),
             format_number(traj.min_eigenvalue[i], prec),
             format_number(traj.trace_dist_to_gibbs[i], prec),
         ]
-        cells += [format_number(float(rho[k, k].real), prec) for k in range(dim)]
+        cells += [format_number(p, prec) for p in pops]
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     summary = f"final trace_dist_to_gibbs = {traj.final_trace_distance:.6e}"

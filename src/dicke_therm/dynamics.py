@@ -15,8 +15,11 @@ spacing E_{n+1}-E_n equals the transition frequency omega_n.
 The generator never mixes coherence bands: rho_{i,i+k} is fed only by
 rho_{i+1,i+k+1} and rho_{i-1,i+k-1}, so each band k evolves under its own
 real tridiagonal matrix, the populations (k = 0) as a birth-death chain.
-The integrator advances every band with exact RK4 step maps and fills the
-lower triangle as the conjugate of the upper one.
+The integrator advances each band with an exact RK4 step map; a band that
+starts at zero stays exactly zero, so it is skipped.  Every initial-state
+kind is diagonal, so these trajectories build the population map alone and
+take their diagnostics from the populations in O(N) per sample.  Dense
+density matrices are assembled only on request (`Trajectory.states`).
 
 Complete positivity is not assumed anywhere: the minimum eigenvalue is
 recorded as a diagnostic along every trajectory rather than enforced.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +55,10 @@ __all__ = [
     "default_step",
 ]
 
-# the step maps cost O(N^4 log(steps)); the correlator engine covers larger ensembles
+# a diagonal start builds one (N+1)^2 step map, O(N^3 log(steps)); a start
+# with coherences builds one per band, O(N^4 log(steps)), and its dense
+# per-sample diagnostics cost O(N^3) each.  The correlator engine covers
+# larger ensembles.
 MAX_DYNAMICS_ATOMS = 200
 
 INITIAL_STATE_KINDS = ("ground", "inverted", "equal", "gibbs")
@@ -98,14 +105,37 @@ class StepControl:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled density matrices with per-sample health diagnostics."""
+    """Sampled populations and nonzero coherence bands, with per-sample
+    health diagnostics.
+
+    populations[i] is the diagonal of the state at times[i];
+    coherences[k][i] is its band rho_{j,j+k}, j = 0..N-k, kept only for the
+    bands k >= 1 that start nonzero (the others stay exactly zero).
+    """
 
     times: np.ndarray
-    states: np.ndarray  # (n_samples, dim, dim) complex
+    populations: np.ndarray  # (n_samples, dim) real
+    coherences: dict[int, np.ndarray]  # k -> (n_samples, dim - k) complex
+    rho0: np.ndarray
     trace_drift: np.ndarray
     herm_defect: np.ndarray
     min_eigenvalue: np.ndarray
     trace_dist_to_gibbs: np.ndarray
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """Dense density matrices (n_samples, dim, dim), states[0] = rho0,
+        assembled on first access."""
+        n_samples, dim = self.populations.shape
+        states = np.zeros((n_samples, dim, dim), dtype=complex)
+        states[0] = self.rho0
+        idx = np.arange(dim)
+        states[1:, idx, idx] = self.populations[1:]
+        for k, band in self.coherences.items():
+            rows, cols = idx[: dim - k], idx[k:]
+            states[1:, cols, rows] = band[1:].conj()
+            states[1:, rows, cols] = band[1:]
+        return states
 
     @property
     def final_trace_distance(self) -> float:
@@ -324,13 +354,19 @@ def integrate(
     of steps.  Each coherence band rho_{i,i+k} evolves under its own
     generator A_k (`ThermalLiouvillian.band`), so the RK4 steps of an
     interval collapse into one map R(hA_k)^steps, built once per band by
-    binary powering: the work grows with log(steps), not steps.  The lower
-    triangle is the conjugate of the upper one.
+    binary powering: the work grows with log(steps), not steps.  A band
+    that starts at zero stays zero and gets no map.
 
-    Raises StepTooLarge before any step when RK4 at the step is unstable
-    for some A_k or its one-step trace drift exceeds ctrl.max_trace_drift,
-    and when an interval's trace changes by more than steps times that
-    bound; raises NonFiniteState when the state blows up.
+    When every coherence band starts at zero, the samples after the first
+    take their diagnostics from the populations p: min_eig = min(p),
+    trace_dist_to_gibbs = sum|p - pi|/2 and herm_defect = 0.  Otherwise,
+    and always for the first sample, they come from the dense state.
+
+    Raises ValueError for a step that is not positive and finite, and
+    StepTooLarge before any step when RK4 at the step is unstable for some
+    A_k (zero bands included) or its one-step trace drift exceeds
+    ctrl.max_trace_drift, and when an interval's trace changes by more than
+    steps times that bound; raises NonFiniteState when the state blows up.
     """
     _check_atom_cap(params)
     if not 0.0 < t_end < math.inf:
@@ -343,10 +379,9 @@ def integrate(
     _check_density_matrix(rho0, liou.dim)
 
     h_max = ctrl.h if ctrl.h is not None else default_step(params, rates)
-    if not h_max > 0.0:
-        raise ValueError(f"step must be positive, got {h_max}")
+    if not 0.0 < h_max < math.inf:
+        raise ValueError(f"step must be positive and finite, got {h_max}")
 
-    gibbs = np.diag(thermal_state(params).populations).astype(complex)
     times = np.linspace(0.0, t_end, n_samples)
     # every sample interval is the same span, so one (h, steps) pair and one
     # map per band serve the whole trajectory
@@ -357,12 +392,12 @@ def integrate(
     _check_step(generators, h, ctrl.max_trace_drift)
 
     herm = 0.5 * (rho0 + rho0.conj().T)
-    states = np.empty((n_samples, liou.dim, liou.dim), dtype=complex)
-    states[0] = rho0
-    idx = np.arange(liou.dim)
+    bands = {}
     for k, a in enumerate(generators):
-        rows, cols = idx[: liou.dim - k], idx[k:]
-        hist = _band_history(a, herm[rows, cols], h, steps, n_samples - 1)
+        v0 = np.diagonal(herm, k)
+        if k and not v0.any():
+            continue
+        hist = _band_history(a, v0, h, steps, n_samples - 1)
         blown = ~np.all(np.isfinite(hist), axis=1)
         if blown.any():
             raise NonFiniteState(f"state became non-finite near t={times[np.argmax(blown)]:g}")
@@ -373,20 +408,32 @@ def integrate(
                     f"trace drift {np.max(change):.3e} over {steps} steps exceeds "
                     f"{ctrl.max_trace_drift:.3e} per step; reduce the step below h={h:g}"
                 )
-        states[1:, cols, rows] = hist[1:].conj()
-        states[1:, rows, cols] = hist[1:]
+        bands[k] = hist
 
     diag = {k: np.empty(n_samples) for k in ("drift", "herm", "mineig", "dist")}
-    for i, rho in enumerate(states):
-        _record(diag, i, rho, gibbs)
-    return Trajectory(
+    traj = Trajectory(
         times=times,
-        states=states,
+        populations=bands.pop(0).real.copy(),
+        coherences=bands,
+        rho0=np.array(rho0, dtype=complex),
         trace_drift=diag["drift"],
         herm_defect=diag["herm"],
         min_eigenvalue=diag["mineig"],
         trace_dist_to_gibbs=diag["dist"],
     )
+    pi = thermal_state(params).populations
+    gibbs = np.diag(pi).astype(complex)
+    if bands:
+        for i, rho in enumerate(traj.states):
+            _record(diag, i, rho, gibbs)
+    else:
+        _record(diag, 0, traj.rho0, gibbs)
+        p = traj.populations[1:]
+        diag["drift"][1:] = np.abs(p.sum(axis=1) - 1.0)
+        diag["herm"][1:] = 0.0
+        diag["mineig"][1:] = p.min(axis=1)
+        diag["dist"][1:] = 0.5 * np.abs(p - pi).sum(axis=1)
+    return traj
 
 
 def _record(diag, i, rho, gibbs) -> None:

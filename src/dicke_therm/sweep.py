@@ -334,11 +334,13 @@ def render_json(obj, precision: int = DEFAULT_PRECISION) -> str:
 
 
 def write_sidecar(data_path: str | Path, payload: dict) -> Path:
-    """Run metadata lives next to the data file, never inside it."""
+    """Run metadata lives next to the data file, never inside it.  The JSON
+    is strict: a non-finite number raises ValueError instead of being
+    written as NaN or Infinity."""
     side = Path(str(data_path) + ".meta.json")
     doc = {"tool": "dicke-therm", "version": __version__}
     doc.update(payload)
-    side.write_text(json.dumps(doc, indent=2) + "\n", encoding="ascii")
+    side.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="ascii")
     return side
 
 

@@ -338,6 +338,17 @@ class TestEvolve:
         assert "ValueError" in err and "t_end" in err
         assert out == ""
 
+    def test_infinite_step_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        code, _, err = run(
+            capsys, "evolve", "--n", "2", "--x", "1", "--t-end", "1",
+            "--step", "inf", "--out", str(out),
+        )
+        assert code == 2
+        assert "ValueError" in err and "step" in err
+        assert not out.exists()
+        assert not (tmp_path / "t.csv.meta.json").exists()
+
     def test_integrator_failure_exits_4(self, capsys, tmp_path):
         # two samples leave the span as five giant steps; the state blows
         # up and the per-step trace-drift bound trips
@@ -359,6 +370,52 @@ class TestFigures:
             assert path.exists()
             assert len(path.read_text().splitlines()) == rows + 1
             assert (tmp_path / f"{name}.csv.meta.json").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestSidecars:
+    @pytest.mark.parametrize("argv,data", [
+        (("sweep", "--n", "2,3", "--eta", "0,0.1", "--x-start", "0.01", "--x-stop", "2000",
+          "--x-count", "4", "--x-scale", "log", "--out", "{dir}/s.csv"), "s.csv"),
+        (("validate", "--out", "{dir}/v.csv"), "v.csv"),
+        (("evolve", "--n", "2", "--eta", "0.1", "--x", "10", "--t-end", "1",
+          "--samples", "3", "--out", "{dir}/e.csv"), "e.csv"),
+        (("evolve", "--n", "2", "--x", "1", "--t-end", "1", "--samples", "3",
+          "--step", "0.01", "--out", "{dir}/e.csv"), "e.csv"),
+        (("figures", "--out-dir", "{dir}"), "fig4.csv"),
+    ])
+    def test_sidecar_is_strict_json(self, capsys, tmp_path, argv, data):
+        code, _, _ = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+        assert code == 0
+        sides = sorted(tmp_path.glob("*.meta.json"))
+        assert tmp_path / f"{data}.meta.json" in sides
+        for side in sides:
+            doc = json.loads(side.read_text(), parse_constant=_reject_constant)
+            assert doc["command"] == argv[0]
+
+
+class TestColdStart:
+    def test_cli_import_leaves_scipy_out(self):
+        # the CLI cold start imports numpy and the package only
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import dicke_therm
+
+        src = str(Path(dicke_therm.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, dicke_therm.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestConsoleScript:

@@ -25,7 +25,21 @@ from dicke_therm import (
     trace_distance,
 )
 from dicke_therm import dynamics
+from dicke_therm.dynamics import INITIAL_STATE_KINDS
 from helpers import dense_liouvillian_apply, dicke_limit_liouvillian, rk4_trajectory
+
+
+def count_maps(monkeypatch):
+    """Record the step count of every band map `integrate` builds."""
+    calls = []
+    power_increment = dynamics._power_increment
+
+    def counting(e, steps):
+        calls.append(steps)
+        return power_increment(e, steps)
+
+    monkeypatch.setattr(dynamics, "_power_increment", counting)
+    return calls
 
 
 def random_hermitian_unit_trace(rng, dim):
@@ -253,18 +267,28 @@ class TestIntegration:
 
     def test_one_step_map_per_band(self, monkeypatch):
         # the linspace sample spans differ in their last bits; all intervals
-        # must still share one (h, steps) pair, so one map per band is built
-        calls = []
-
-        def counting(e, steps):
-            calls.append(steps)
-            return power_increment(e, steps)
-
-        power_increment = dynamics._power_increment
-        monkeypatch.setattr(dynamics, "_power_increment", counting)
+        # must still share one (h, steps) pair, so one map per band is built.
+        # A random full-rank start puts weight on every coherence band.
+        calls = count_maps(monkeypatch)
         params = EnsembleParams(20, 0.1, 1.0)
-        integrate(initial_state(params, "inverted"), 0.2, params, n_samples=201)
+        rho0 = random_hermitian_unit_trace(np.random.default_rng(20), 21)
+        integrate(rho0, 0.2, params, n_samples=201)
         assert len(calls) == params.n_atoms + 1
+
+    @pytest.mark.parametrize("kind", INITIAL_STATE_KINDS)
+    def test_diagonal_start_builds_one_map(self, monkeypatch, kind):
+        calls = count_maps(monkeypatch)
+        params = EnsembleParams(20, 0.1, 1.0)
+        traj = integrate(initial_state(params, kind), 0.2, params, n_samples=201)
+        assert len(calls) == 1
+        assert traj.coherences == {}
+
+    @pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -0.01])
+    def test_rejects_bad_step(self, h):
+        params = EnsembleParams(2, 0.0, 1.0)
+        with pytest.raises(ValueError, match="step"):
+            integrate(initial_state(params, "ground"), 1.0, params,
+                      ctrl=StepControl(h=h), n_samples=3)
 
     def test_default_step_heuristic(self):
         params = EnsembleParams(2, 0.1, 10.0)
@@ -340,3 +364,64 @@ class TestIntegration:
         b = np.diag([0.0, 1.0]).astype(complex)
         assert trace_distance(a, a) == 0.0
         assert trace_distance(a, b) == pytest.approx(1.0, rel=1e-15)
+
+
+def small_coherence(rng, dim, bands):
+    """Hermitian perturbation, 1e-3 in size, with zero diagonal and nonzero
+    entries on the given coherence bands."""
+    c = np.zeros((dim, dim), dtype=complex)
+    for k in bands:
+        v = 1e-3 * (rng.uniform(0.5, 1.0, dim - k) + 1j * rng.uniform(0.5, 1.0, dim - k))
+        c += np.diag(v, k) + np.diag(v.conj(), -k)
+    return c
+
+
+class TestPopulationOnly:
+    """A diagonal start advances the populations alone; its diagnostics come
+    from the populations and `states` is assembled on request."""
+
+    CASES = [(n, kind) for n in range(1, 11) for kind in INITIAL_STATE_KINDS]
+
+    @staticmethod
+    def _run(rho0, params):
+        return integrate(rho0, 2.0, params, n_samples=11)
+
+    @pytest.mark.parametrize("n,kind", CASES)
+    def test_populations_match_the_all_bands_path(self, n, kind):
+        params = EnsembleParams(n, 0.1 if n > 1 else 0.0, 1.0)
+        rho0 = initial_state(params, kind)
+        coherent = rho0 + small_coherence(np.random.default_rng(n), n + 1, range(1, n + 1))
+        diag = self._run(rho0, params)
+        dense = self._run(coherent, params)
+        assert diag.coherences == {}
+        assert sorted(dense.coherences) == list(range(1, n + 1))
+        assert np.array_equal(diag.populations, dense.populations)
+
+    @pytest.mark.parametrize("n,kind", CASES)
+    def test_diagnostics_match_dense_formulas(self, n, kind):
+        params = EnsembleParams(n, 0.1 if n > 1 else 0.0, 1.0)
+        rho0 = initial_state(params, kind)
+        traj = self._run(rho0, params)
+        states = traj.states
+        gibbs = np.diag(thermal_state(params).populations).astype(complex)
+        assert states.shape == (11, n + 1, n + 1)
+        assert np.array_equal(states[0], rho0)
+        assert np.array_equal(states, np.array([np.diag(p) for p in traj.populations]))
+        for i, rho in enumerate(states):
+            assert traj.min_eigenvalue[i] == np.min(np.linalg.eigvalsh(rho))
+            assert abs(traj.trace_dist_to_gibbs[i] - trace_distance(rho, gibbs)) <= 1e-15
+            assert traj.trace_drift[i] == pytest.approx(abs(np.trace(rho).real - 1.0),
+                                                        abs=1e-15)
+            assert traj.herm_defect[i] == 0.0
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_zero_band_stays_zero_between_nonzero_bands(self, n):
+        params = EnsembleParams(n, 0.1, 1.0)
+        rng = np.random.default_rng(100 + n)
+        rho0 = initial_state(params, "equal") + small_coherence(rng, n + 1, [2])
+        traj = self._run(rho0, params)
+        assert sorted(traj.coherences) == [2]
+        idx = np.arange(n)
+        for states in (traj.states, traj.states.transpose(0, 2, 1)):
+            assert np.all(states[:, idx, idx + 1] == 0.0)
+        assert np.all(traj.states[1:, 0, 2] != 0.0)
