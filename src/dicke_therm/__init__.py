@@ -47,7 +47,6 @@ from .correlators import (
 )
 from .dynamics import (
     MAX_DYNAMICS_ATOMS,
-    RateModel,
     StepControl,
     ThermalLiouvillian,
     Trajectory,
@@ -63,7 +62,6 @@ from .exceptions import (
     EtaOutOfRange,
     IntegrationError,
     NonFiniteState,
-    NonPositiveFrequency,
     NonPositiveX,
     ParameterError,
     SingleAtomWithCoupling,
@@ -107,7 +105,6 @@ __all__ = [
     "default_validation_grid",
     # dynamics
     "MAX_DYNAMICS_ATOMS",
-    "RateModel",
     "StepControl",
     "ThermalLiouvillian",
     "Trajectory",
@@ -125,7 +122,6 @@ __all__ = [
     "SingleAtomWithCoupling",
     "ZeroIntensity",
     "DimensionMismatch",
-    "NonPositiveFrequency",
     "IntegrationError",
     "StepTooLarge",
     "NonFiniteState",

@@ -77,6 +77,13 @@ def _float_list(text: str) -> tuple[float, ...]:
     return items
 
 
+def _precision(text: str) -> int:
+    digits = int(text)
+    if digits < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {digits}")
+    return digits
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dicke-therm",
@@ -86,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+        p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION,
                        help="significant digits in emitted numbers")
         p.add_argument("--config", default=None,
                        help="flat key = value file mirroring the long flags")

@@ -47,6 +47,10 @@ class EnsembleParams:
     The admissible coupling window -(N-1)/(N+1) < eta < 1 keeps every
     collective transition frequency positive; for N = 1 the per-pair
     coupling eta/(N-1) is undefined, so only eta = 0 is accepted.
+    Rounding rule: the end frequencies omega_0 = 1 - eta and
+    omega_N = 1 + eta*(N+1)/(N-1) are evaluated with build_spectrum's
+    float expression, and an eta inside the window for which either rounds
+    to zero or below is refused too (EtaOutOfRange).
     """
 
     n_atoms: int
@@ -71,6 +75,13 @@ class EnsembleParams:
         if abs(self.eta) >= 1.0 or self.eta <= lower:
             raise EtaOutOfRange(
                 f"eta must satisfy {lower:.6g} < eta < 1 for N={n}, got {self.eta}"
+            )
+        # omega_0 and omega_N exactly as build_spectrum rounds them
+        ends = [self.omega_bar + 2.0 * self.delta_tilde * (m - n / 2.0) for m in (0.0, n)]
+        if min(ends) <= 0.0:
+            raise EtaOutOfRange(
+                f"eta={self.eta} rounds a transition frequency of N={n} to {min(ends)}; "
+                "every omega_n must stay positive"
             )
 
     @property
@@ -193,7 +204,7 @@ class ThermalState:
         return self.log_weights.size
 
 
-def thermal_state(params: EnsembleParams, spectrum: DickeSpectrum | None = None) -> ThermalState:
+def thermal_state(params: EnsembleParams) -> ThermalState:
     """Gibbs steady state p_n proportional to exp(-x*E_n).
 
     The weights are shifted by the ground-level weight before
@@ -202,8 +213,7 @@ def thermal_state(params: EnsembleParams, spectrum: DickeSpectrum | None = None)
     correlator path uses.  Detailed balance p_{n+1}/p_n =
     exp(-x*(E_{n+1}-E_n)) holds at the level of the stored log weights.
     """
-    spec = build_spectrum(params) if spectrum is None else spectrum
-    energies = spec.energies
+    energies = build_spectrum(params).energies
     log_weights = -params.x * (energies - energies.min())
     log_weights.setflags(write=False)
     log_z = float(logsumexp_rows(log_weights[None, :])[0])

@@ -57,6 +57,8 @@ __all__ = [
 
 # exp() overflows just above this; beyond it the ratio is reported as inf
 _EXP_MAX = 709.0
+# half-width of the band around g2(0) = 1 classified as Poissonian
+_POISSONIAN_TOL = 1e-9
 # ladder terms summed per block of x rows: one row at N = 1e5, about 1 MB
 # per temporary
 _BLOCK_TERMS = 1 << 17
@@ -180,9 +182,7 @@ def ladder_log_sums(n_atoms: int, eta: float, xs, pairs: bool = True) -> LadderL
     return LadderLogSums(*(s.tolist() for s in sums))
 
 
-def correlators_from_log_sums(
-    log_z: float, log_s1: float, log_s2: float, tol: float = 1e-9
-) -> CorrelatorResult:
+def correlators_from_log_sums(log_z: float, log_s1: float, log_s2: float) -> CorrelatorResult:
     """G1, G2 and g2(0) from one x of the ladder log sums.
 
     Raises ZeroIntensity when the intensity underflows to zero at double
@@ -205,7 +205,7 @@ def correlators_from_log_sums(
         g1=g1,
         g2_raw=g2_raw,
         g2_norm=g2_norm,
-        classification=classify_statistics(g2_norm, tol),
+        classification=classify_statistics(g2_norm),
     )
 
 
@@ -223,25 +223,20 @@ def ratio_from_log_g1(log_g1: float, log_g1_ref: float) -> float:
     return _exp(log_g1 - log_g1_ref)
 
 
-def classify_statistics(g2_norm: float, tol: float = 1e-9) -> PhotonStatistics:
+def classify_statistics(g2_norm: float) -> PhotonStatistics:
     """Photon statistics verdict: g2(0) below 1 is sub-Poissonian, above
-    super-Poissonian, equal (within tol) Poissonian."""
-    if tol < 0.0:
-        raise ValueError(f"tolerance must be non-negative, got {tol}")
+    super-Poissonian, equal (within _POISSONIAN_TOL = 1e-9) Poissonian."""
     if not g2_norm >= 0.0:
         raise ValueError(f"g2(0) must be non-negative, got {g2_norm}")
-    if g2_norm < 1.0 - tol:
+    if g2_norm < 1.0 - _POISSONIAN_TOL:
         return PhotonStatistics.SUB_POISSONIAN
-    if g2_norm > 1.0 + tol:
+    if g2_norm > 1.0 + _POISSONIAN_TOL:
         return PhotonStatistics.SUPER_POISSONIAN
     return PhotonStatistics.POISSONIAN
 
 
 def g2_zero(
-    state: ThermalState,
-    spectrum: DickeSpectrum,
-    coeffs: LadderCoeffs,
-    tol: float = 1e-9,
+    state: ThermalState, spectrum: DickeSpectrum, coeffs: LadderCoeffs
 ) -> CorrelatorResult:
     """Zero-delay second-order correlation of the scattered field.
 
@@ -251,13 +246,13 @@ def g2_zero(
     """
     _check_dimensions(state, spectrum, coeffs)
     log_s1, log_s2 = _log_sums(state.log_weights[None, :], _ladder_logs(spectrum, coeffs), True)
-    return correlators_from_log_sums(state.log_z, float(log_s1[0]), float(log_s2[0]), tol)
+    return correlators_from_log_sums(state.log_z, float(log_s1[0]), float(log_s2[0]))
 
 
-def steady_state_correlators(params: EnsembleParams, tol: float = 1e-9) -> CorrelatorResult:
+def steady_state_correlators(params: EnsembleParams) -> CorrelatorResult:
     """Correlators at one point: the one-x case of ladder_log_sums."""
     sums = ladder_log_sums(params.n_atoms, params.eta, [params.x])
-    return correlators_from_log_sums(*(s[0] for s in sums), tol)
+    return correlators_from_log_sums(*(s[0] for s in sums))
 
 
 def intensity_ratio(params: EnsembleParams) -> float:

@@ -1,8 +1,11 @@
 """Master-equation dynamics on the symmetric-subspace density matrix.
 
 The dissipator couples the collective ladder operators to a thermal bath
-through level-dependent rates: with D1 = Gamma(w)/2*(1+nbar(w)) and
-D2 = Gamma(w)/2*nbar(w) diagonal in the Dicke basis,
+through level-dependent rates: with the cubic decay rate Gamma(w) = w^3
+(Gamma(omega0) = 1 in code units), the Bose-Einstein occupation
+nbar(w) = 1/(exp(x*w) - 1) at the ensemble's own inverse temperature x,
+and D1 = Gamma(w)/2*(1+nbar(w)) and D2 = Gamma(w)/2*nbar(w) diagonal in the
+Dicke basis,
 
     drho/dt = -[S+, D1 S- rho] - [S-, S+ D2 rho] + h.c.
 
@@ -34,15 +37,9 @@ from functools import cached_property
 import numpy as np
 
 from .core import EnsembleParams, build_spectrum, ladder_coefficients, thermal_state
-from .exceptions import (
-    DimensionMismatch,
-    NonFiniteState,
-    NonPositiveFrequency,
-    StepTooLarge,
-)
+from .exceptions import DimensionMismatch, NonFiniteState, StepTooLarge
 
 __all__ = [
-    "RateModel",
     "StepControl",
     "Trajectory",
     "ThermalLiouvillian",
@@ -65,38 +62,12 @@ INITIAL_STATE_KINDS = ("ground", "inverted", "equal", "gibbs")
 
 
 @dataclass(frozen=True)
-class RateModel:
-    """Bath coupling: cubic decay rate and Bose-Einstein occupation.
-
-    gamma0 scales the spontaneous decay so that Gamma(omega0=1) = gamma0;
-    x is the inverse temperature entering the occupation.
-    """
-
-    x: float
-    gamma0: float = 1.0
-
-    def decay_rate(self, omega):
-        """Gamma(omega) = gamma0 * omega^3."""
-        self._require_positive(omega)
-        return self.gamma0 * np.asarray(omega, dtype=float) ** 3
-
-    def thermal_occupation(self, omega):
-        """nbar(omega) = 1/(exp(x*omega) - 1), via expm1 for small x*omega."""
-        self._require_positive(omega)
-        return 1.0 / np.expm1(self.x * np.asarray(omega, dtype=float))
-
-    @staticmethod
-    def _require_positive(omega) -> None:
-        if np.any(np.asarray(omega) <= 0.0):
-            raise NonPositiveFrequency(f"omega must be positive, got {omega}")
-
-
-@dataclass(frozen=True)
 class StepControl:
     """Fixed-step integrator settings.
 
-    h = None picks the conservative default step.  The trace is never
-    renormalized, so trace drift stays visible as a diagnostic.
+    h is the RK4 step in the time unit 1/Gamma(omega0); None picks the
+    conservative `default_step`.  The trace is never renormalized, so trace
+    drift stays visible as a diagnostic.
     """
 
     h: float | None = None
@@ -159,14 +130,11 @@ class ThermalLiouvillian:
     own under a real tridiagonal generator (see `band`).
     """
 
-    def __init__(self, params: EnsembleParams, rates: RateModel | None = None):
+    def __init__(self, params: EnsembleParams):
         self.params = params
-        self.rates = RateModel(params.x) if rates is None else rates
         self.dim = params.n_atoms + 1
         # omega_n drives the n <-> n+1 transition, n = 0..N-1
-        omega = build_spectrum(params).frequencies[:-1]
-        gamma = self.rates.decay_rate(omega)
-        nbar = self.rates.thermal_occupation(omega)
+        gamma, nbar = _bath_rates(build_spectrum(params).frequencies[:-1], params.x)
         d1 = 0.5 * gamma * (1.0 + nbar)
         d2 = 0.5 * gamma * nbar
         lo = ladder_coefficients(params.n_atoms).lowering[1:]  # l_{n+1}
@@ -204,11 +172,18 @@ class ThermalLiouvillian:
         )
 
 
-def default_step(params: EnsembleParams, rates: RateModel) -> float:
-    """Conservative fixed step: 0.01/(gamma0*(1+nbar_max)*N^2)."""
-    omega = build_spectrum(params).frequencies
-    nbar_max = float(np.max(rates.thermal_occupation(omega)))
-    return 0.01 / (rates.gamma0 * (1.0 + nbar_max) * params.n_atoms**2)
+def _bath_rates(omega: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cubic decay rate Gamma = omega^3 and Bose-Einstein occupation
+    nbar = 1/(exp(x*omega) - 1) at the frequencies omega; expm1 keeps nbar
+    accurate for small x*omega."""
+    return omega**3, 1.0 / np.expm1(x * omega)
+
+
+def default_step(params: EnsembleParams) -> float:
+    """Conservative fixed step: 0.01/((1+nbar_max)*N^2), nbar_max over
+    every transition frequency."""
+    nbar_max = float(np.max(_bath_rates(build_spectrum(params).frequencies, params.x)[1]))
+    return 0.01 / ((1.0 + nbar_max) * params.n_atoms**2)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -342,7 +317,6 @@ def integrate(
     rho0: np.ndarray,
     t_end: float,
     params: EnsembleParams,
-    rates: RateModel | None = None,
     ctrl: StepControl | None = None,
     n_samples: int = 101,
 ) -> Trajectory:
@@ -374,11 +348,10 @@ def integrate(
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     ctrl = ctrl or StepControl()
-    rates = RateModel(params.x) if rates is None else rates
-    liou = ThermalLiouvillian(params, rates)
+    liou = ThermalLiouvillian(params)
     _check_density_matrix(rho0, liou.dim)
 
-    h_max = ctrl.h if ctrl.h is not None else default_step(params, rates)
+    h_max = ctrl.h if ctrl.h is not None else default_step(params)
     if not 0.0 < h_max < math.inf:
         raise ValueError(f"step must be positive and finite, got {h_max}")
 
@@ -444,11 +417,11 @@ def _record(diag, i, rho, gibbs) -> None:
     diag["dist"][i] = trace_distance(rho, gibbs)
 
 
-def steady_state_residual(params: EnsembleParams, rates: RateModel | None = None) -> float:
-    """Max-norm of the master equation applied to the Gibbs state, per
-    gamma0.  The headline stationarity check: should sit at rounding level.
+def steady_state_residual(params: EnsembleParams) -> float:
+    """Max-norm of the master equation applied to the Gibbs state, in units
+    of Gamma(omega0) = 1.  The headline stationarity check: should sit at
+    rounding level.
     """
-    rates = RateModel(params.x) if rates is None else rates
     rho_s = np.diag(thermal_state(params).populations).astype(complex)
-    out = ThermalLiouvillian(params, rates).apply(rho_s)
-    return float(np.max(np.abs(out))) / rates.gamma0
+    out = ThermalLiouvillian(params).apply(rho_s)
+    return float(np.max(np.abs(out)))

@@ -42,10 +42,6 @@ class DimensionMismatch(DickeError, ValueError):
     ensemble size, or correlator inputs built from different ensembles."""
 
 
-class NonPositiveFrequency(DickeError, ValueError):
-    """Decay rates and occupations are defined for omega > 0 only."""
-
-
 class IntegrationError(DickeError, RuntimeError):
     """Time integration failed."""
 

@@ -82,6 +82,8 @@ class SweepConfig:
             raise ValueError(
                 f"x grid must satisfy 0 < start <= stop, got [{self.x_start}, {self.x_stop}]"
             )
+        if not isinstance(self.precision, int) or self.precision < 0:
+            raise ValueError(f"precision must be a non-negative integer, got {self.precision!r}")
         unknown = set(self.outputs) - set(VALID_OUTPUTS)
         if unknown:
             raise ValueError(f"unknown outputs {sorted(unknown)}; valid: {VALID_OUTPUTS}")

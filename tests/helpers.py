@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from dicke_therm import DimensionMismatch, RateModel, build_spectrum, thermal_state
+from dicke_therm import DimensionMismatch, build_spectrum, thermal_state
 
 
 def ladder_matrices(n_atoms):
@@ -66,15 +66,16 @@ def dicke_limit_liouvillian(rho, params):
 
         drho/dt = -g1*[S+, S- rho] - g2*[S-, S+ rho] + h.c.
 
-    with g1 = Gamma(1)/2*(1+nbar(1)) and g2 = Gamma(1)/2*nbar(1).  Equals
-    the full equation evaluated at eta = 0; params.eta is ignored.
+    with g1 = Gamma(1)/2*(1+nbar(1)) and g2 = Gamma(1)/2*nbar(1), where
+    Gamma(1) = 1 and nbar(1) = 1/(exp(x) - 1).  Equals the full equation
+    evaluated at eta = 0; params.eta is ignored.
     """
-    rates = RateModel(params.x)
     dim = params.n_atoms + 1
     if rho.shape != (dim, dim):
         raise DimensionMismatch(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
-    g1 = 0.5 * float(rates.decay_rate(1.0)) * (1.0 + float(rates.thermal_occupation(1.0)))
-    g2 = 0.5 * float(rates.decay_rate(1.0)) * float(rates.thermal_occupation(1.0))
+    nbar = 1.0 / np.expm1(params.x)
+    g1 = 0.5 * (1.0 + nbar)
+    g2 = 0.5 * nbar
     sm, sp = ladder_matrices(params.n_atoms)
     sr = sm @ rho
     t1 = g1 * (sp @ sr - sr @ sp)
@@ -84,18 +85,20 @@ def dicke_limit_liouvillian(rho, params):
     return m + m.conj().T
 
 
-def dense_liouvillian_apply(rho, params, rates=None):
+def dense_liouvillian_apply(rho, params):
     """Reference master equation as dense operator products:
 
         drho/dt = -[S+, D1 S- rho] - [S-, S+ D2 rho] + h.c.
+
+    with D1 = Gamma/2*(1+nbar) and D2 = Gamma/2*nbar at each omega_n,
+    Gamma = omega^3 and nbar = 1/(exp(x*omega) - 1).
     """
-    rates = RateModel(params.x) if rates is None else rates
     dim = params.n_atoms + 1
     if rho.shape != (dim, dim):
         raise DimensionMismatch(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
     omega = build_spectrum(params).frequencies
-    gamma = rates.decay_rate(omega)
-    nbar = rates.thermal_occupation(omega)
+    gamma = omega**3
+    nbar = 1.0 / np.expm1(params.x * omega)
     d1 = (0.5 * gamma * (1.0 + nbar))[:, None]
     d2 = (0.5 * gamma * nbar)[:, None]
     sm, sp = ladder_matrices(params.n_atoms)

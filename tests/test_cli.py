@@ -73,6 +73,38 @@ class TestPoint:
         assert doc["reason"] == "ZeroIntensity"
 
 
+class TestRefusedBeforeWork:
+    @pytest.mark.parametrize(
+        "n, eta", [("11", "-0.8333333333333333"), ("4", "0.9999999999999999")]
+    )
+    def test_rounded_end_frequency_exits_2(self, capsys, n, eta):
+        # eta inside the window, but omega_N (resp. omega_0) rounds to 0
+        for command in ("point", "evolve"):
+            argv = [command, "--n", n, f"--eta={eta}", "--x", "1"]
+            if command == "evolve":
+                argv += ["--t-end", "1", "--step", "0.001"]
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert "EtaOutOfRange" in err
+            assert out == ""
+
+    @pytest.mark.parametrize("command", ["point", "sweep", "validate", "evolve", "figures"])
+    def test_negative_precision_exits_2(self, capsys, tmp_path, command):
+        argv = {
+            "point": ["--n", "2", "--x", "1"],
+            "sweep": ["--n", "2", "--eta", "0", "--x-start", "1", "--x-stop", "2",
+                      "--x-count", "2", "--out", str(tmp_path / "out")],
+            "validate": ["--out", str(tmp_path / "out")],
+            "evolve": ["--n", "2", "--x", "1", "--t-end", "1", "--out", str(tmp_path / "out")],
+            "figures": ["--out-dir", str(tmp_path / "out")],
+        }[command]
+        code, out, err = run(capsys, command, *argv, "--precision", "-1")
+        assert code == 2
+        assert "--precision" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSweep:
     def sweep_args(self, out, extra=()):
         return (

@@ -1,6 +1,7 @@
 """Parameter validation, spectrum, ladder coefficients, and Gibbs state."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,6 +59,24 @@ class TestValidation:
     def test_rejects(self, n, eta, x, exc):
         with pytest.raises(exc):
             validate_params(n, eta, x)
+
+    def test_window_edges_keep_every_frequency_positive(self):
+        # at the last floats inside the window, build_spectrum's rounding can
+        # still make omega_0 or omega_N zero; exactly those eta are refused
+        refused = 0
+        for n in range(2, 3001):
+            for eta in (math.nextafter(-(n - 1) / (n + 1), 1.0), math.nextafter(1.0, 0.0)):
+                dt = eta / (n - 1)
+                raw = SimpleNamespace(n_atoms=n, delta_tilde=dt, omega_bar=1.0 + dt)
+                positive = bool(np.all(build_spectrum(raw).frequencies > 0.0))
+                try:
+                    EnsembleParams(n, eta, 1.0)
+                except EtaOutOfRange:
+                    refused += 1
+                    assert not positive, (n, eta)
+                else:
+                    assert positive, (n, eta)
+        assert refused == 2188
 
     def test_rejects_fractional_atom_count(self):
         with pytest.raises(ValueError):
@@ -163,7 +182,7 @@ class TestThermalState:
             x = float(np.exp(rng.uniform(np.log(1e-6), np.log(700.0 * n))))
             p = EnsembleParams(n, eta, x)
             spec = build_spectrum(p)
-            st = thermal_state(p, spec)
+            st = thermal_state(p)
             assert abs(math.fsum(st.populations) - 1.0) <= 1e-14
             assert np.all(st.populations >= 0.0)
             pops = st.populations

@@ -40,7 +40,7 @@ RATIO_3_01_1E6 = 1.03605976548004
 def tables(n, eta, x):
     p = EnsembleParams(n, eta, x)
     spec = build_spectrum(p)
-    return thermal_state(p, spec), spec, ladder_coefficients(n)
+    return thermal_state(p), spec, ladder_coefficients(n)
 
 
 def g1(n, eta, x):
@@ -221,15 +221,12 @@ class TestClassification:
         assert classify_statistics(1.0) is PhotonStatistics.POISSONIAN
         assert classify_statistics(1.0 + 5e-10) is PhotonStatistics.POISSONIAN
         assert classify_statistics(2 - 2 / 3) is PhotonStatistics.SUPER_POISSONIAN
-        assert classify_statistics(0.999, tol=1e-2) is PhotonStatistics.POISSONIAN
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             classify_statistics(-0.1)
         with pytest.raises(ValueError):
             classify_statistics(float("nan"))
-        with pytest.raises(ValueError):
-            classify_statistics(1.0, tol=-1e-3)
 
 
 class TestFarField:

@@ -11,8 +11,6 @@ from dicke_therm import (
     EnsembleParams,
     IntegrationError,
     NonFiniteState,
-    NonPositiveFrequency,
-    RateModel,
     StepControl,
     StepTooLarge,
     ThermalLiouvillian,
@@ -49,27 +47,32 @@ def random_hermitian_unit_trace(rng, dim):
     return h / np.trace(h).real
 
 
-class TestRateModel:
+class TestBathRates:
+    """The rates read off the population generator A = band(0):
+    A[n, n+1] = Gamma(1+nbar)*l_{n+1}^2 feeds level n from n+1 and
+    A[n+1, n] = Gamma*nbar*l_{n+1}^2 the reverse, at omega_n.  For N = 1,
+    l_1 = 1 and omega_0 = 1."""
+
     def test_cubic_decay(self):
-        rm = RateModel(x=1.0, gamma0=1.0)
-        assert float(rm.decay_rate(1.0)) == 1.0
-        assert float(rm.decay_rate(2.0)) == pytest.approx(8.0, rel=1e-15)
+        # a cold bath (nbar ~ 1e-22) leaves the bare decay rate downward
+        a = ThermalLiouvillian(EnsembleParams(1, 0.0, 50.0)).band(0)
+        assert a[0, 1] == 1.0
+        # N = 2, eta = 0.5: omega_0 = 0.5, omega_1 = 1.5 and l_1^2 = l_2^2 = 2
+        a = ThermalLiouvillian(EnsembleParams(2, 0.5, 200.0)).band(0)
+        assert a[1, 2] == pytest.approx(2 * 1.5**3, rel=1e-15)
+        assert a[1, 2] / a[0, 1] == pytest.approx(27.0, rel=1e-15)
 
     def test_occupation_small_argument(self):
         # expm1 keeps nbar accurate where exp(x*w) - 1 would cancel
-        rm = RateModel(x=1e-8)
-        assert float(rm.thermal_occupation(1.0)) == pytest.approx(1e8 - 0.5, rel=1e-6)
+        a = ThermalLiouvillian(EnsembleParams(1, 0.0, 1e-8)).band(0)
+        assert a[1, 0] == pytest.approx(1e8 - 0.5, rel=1e-6)
 
     def test_occupation_decreases_with_x(self):
-        values = [float(RateModel(x=x).thermal_occupation(1.0)) for x in (0.5, 1.0, 2.0, 5.0)]
+        values = [
+            ThermalLiouvillian(EnsembleParams(1, 0.0, x)).band(0)[1, 0]
+            for x in (0.5, 1.0, 2.0, 5.0)
+        ]
         assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_rejects_nonpositive_frequency(self):
-        rm = RateModel(x=1.0)
-        with pytest.raises(NonPositiveFrequency):
-            rm.decay_rate(0.0)
-        with pytest.raises(NonPositiveFrequency):
-            rm.thermal_occupation(np.array([1.0, -0.3]))
 
 
 class TestLiouvillian:
@@ -292,9 +295,8 @@ class TestIntegration:
 
     def test_default_step_heuristic(self):
         params = EnsembleParams(2, 0.1, 10.0)
-        rates = RateModel(params.x)
-        nbar_max = float(np.max(rates.thermal_occupation(build_spectrum(params).frequencies)))
-        assert default_step(params, rates) == pytest.approx(
+        nbar_max = float(np.max(1.0 / np.expm1(params.x * build_spectrum(params).frequencies)))
+        assert default_step(params) == pytest.approx(
             0.01 / (4 * (1 + nbar_max)), rel=1e-12
         )
 

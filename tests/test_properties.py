@@ -52,7 +52,7 @@ def ensembles(draw):
 
 def tables(params):
     spec = build_spectrum(params)
-    return thermal_state(params, spec), spec, ladder_coefficients(params.n_atoms)
+    return thermal_state(params), spec, ladder_coefficients(params.n_atoms)
 
 
 @PROPERTY_SETTINGS

@@ -1,0 +1,66 @@
+"""The public surface: every exported name resolves, retired names stay
+gone, and the physics is configured by EnsembleParams alone."""
+
+import importlib
+import inspect
+
+import pytest
+
+import dicke_therm
+
+# the modules that declare __all__
+MODULES = ["core", "correlators", "asymptotics", "dynamics", "sweep"]
+
+# name -> module it was removed from
+REMOVED = {
+    "g1_intensity": "correlators",
+    "liouvillian_apply": "dynamics",
+    "MismatchedDimensions": "exceptions",
+    "read_report_csv": "sweep",
+    "RateModel": "dynamics",
+    "NonPositiveFrequency": "exceptions",
+}
+
+# (module, function, the retired keyword it no longer takes): separate
+# bath rates, a spectrum apart from the ensemble, a classification tolerance
+RETIRED_KEYWORDS = [
+    ("dynamics", "ThermalLiouvillian", "rates"),
+    ("dynamics", "integrate", "rates"),
+    ("dynamics", "steady_state_residual", "rates"),
+    ("dynamics", "default_step", "rates"),
+    ("correlators", "correlators_from_log_sums", "tol"),
+    ("correlators", "g2_zero", "tol"),
+    ("correlators", "steady_state_correlators", "tol"),
+    ("correlators", "classify_statistics", "tol"),
+    ("core", "thermal_state", "spectrum"),
+]
+
+
+def module(name):
+    return importlib.import_module(f"dicke_therm.{name}")
+
+
+@pytest.mark.parametrize("name", ["", *MODULES])
+def test_all_entries_resolve(name):
+    mod = module(name) if name else dicke_therm
+    assert mod.__all__
+    for entry in mod.__all__:
+        assert hasattr(mod, entry), f"{mod.__name__}.{entry}"
+
+
+@pytest.mark.parametrize("name, home", sorted(REMOVED.items()))
+def test_removed_names_are_gone(name, home):
+    assert not hasattr(module(home), name)
+    assert not hasattr(dicke_therm, name)
+    assert all(name not in module(m).__all__ for m in MODULES)
+
+
+@pytest.mark.parametrize("home, name, keyword", RETIRED_KEYWORDS)
+def test_no_retired_keywords(home, name, keyword):
+    assert keyword not in inspect.signature(getattr(module(home), name)).parameters
+
+
+def test_surviving_signatures():
+    assert list(inspect.signature(dicke_therm.default_step).parameters) == ["params"]
+    assert next(iter(inspect.signature(dicke_therm.g2_zero).parameters)) == "state"
+    assert hasattr(dicke_therm.ThermalLiouvillian(dicke_therm.EnsembleParams(2)), "dim")

@@ -62,6 +62,12 @@ def point_row(n, eta, x):
     return row
 
 
+@pytest.mark.parametrize("precision", [-1, 1.5])
+def test_config_rejects_bad_precision(precision):
+    with pytest.raises(ValueError, match="precision"):
+        SweepConfig((2,), (0.0,), 1.0, 2.0, 2, precision=precision)
+
+
 def test_big_group_spans_several_blocks():
     rows_per_block = correlators._BLOCK_TERMS // (BIG_N + 1)
     assert 1 < rows_per_block < 5
@@ -84,7 +90,7 @@ def test_state_and_tables_share_the_kernel(n, eta, xs):
     for i, x in enumerate(xs.tolist()):
         params = EnsembleParams(n, eta, x)
         spec = build_spectrum(params)
-        state = thermal_state(params, spec)
+        state = thermal_state(params)
         assert state.log_z == sums.log_z[i]
         try:
             res = g2_zero(state, spec, coeffs)
