@@ -21,10 +21,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from .asymptotics import (
+    DEFAULT_TOLERANCES,
     DEFAULT_VALIDATION_ETA,
     DEFAULT_VALIDATION_N,
     DEFAULT_VALIDATION_X,
     BathRegime,
+    default_validation_grid,
     eta_threshold,
     g1_weak_bath,
     g2_limit_eta0,
@@ -122,9 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("validate", help="compare closed forms against the exact engine")
-    p.add_argument("--n", type=_int_list, default=None, help="comma list of atom counts")
-    p.add_argument("--eta", type=_float_list, default=None, help="comma list of couplings")
-    p.add_argument("--x", type=_float_list, default=None, help="comma list of x values")
+    p.add_argument("--n", type=_int_list, default=DEFAULT_VALIDATION_N,
+                   help="comma list of atom counts")
+    p.add_argument("--eta", type=_float_list, default=DEFAULT_VALIDATION_ETA,
+                   help="comma list of couplings")
+    p.add_argument("--x", type=_float_list, default=DEFAULT_VALIDATION_X,
+                   help="comma list of x values")
     p.add_argument("--out", default="validation_report.csv", help="report CSV path")
     common(p)
     p.set_defaults(handler=_cmd_validate)
@@ -253,16 +258,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    n_values = args.n if args.n is not None else DEFAULT_VALIDATION_N
-    eta_values = args.eta if args.eta is not None else DEFAULT_VALIDATION_ETA
-    x_values = args.x if args.x is not None else DEFAULT_VALIDATION_X
-    grid = [(n, eta, x) for n in sorted(n_values) for eta in sorted(eta_values)
-            for x in sorted(x_values)]
+    grid = default_validation_grid(n_values=args.n, eta_values=args.eta, x_values=args.x)
     report = validate_asymptotics(grid)
     Path(args.out).write_text(report_to_csv(report, args.precision), encoding="ascii")
     write_sidecar(args.out, {
         "command": "validate",
-        "grid": {"n": list(n_values), "eta": list(eta_values), "x": list(x_values)},
+        "grid": {"n": list(args.n), "eta": list(args.eta), "x": list(args.x)},
     })
     _print_validation_summary(report)
     return 0 if report.passed else 3
@@ -278,7 +279,7 @@ def _print_validation_summary(report) -> None:
         w = worst.get(formula)
         at = f"({w.n_atoms}, {w.eta:g}, {w.x:g})" if w else "-"
         dev = format_number(w.rel_dev, 3) if w else "-"
-        tol = report.tolerances.get(formula)
+        tol = DEFAULT_TOLERANCES.get(formula)
         if all(c.status == "info" for c in rows):
             status = "INFO"
         elif any(c.status == "fail" for c in rows):

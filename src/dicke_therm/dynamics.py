@@ -60,6 +60,10 @@ MAX_DYNAMICS_ATOMS = 200
 
 INITIAL_STATE_KINDS = ("ground", "inverted", "equal", "gibbs")
 
+# largest trace change one RK4 step may make, checked before the first step
+# and over every sample interval
+_MAX_TRACE_DRIFT = 1e-8
+
 
 @dataclass(frozen=True)
 class StepControl:
@@ -71,7 +75,6 @@ class StepControl:
     """
 
     h: float | None = None
-    max_trace_drift: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -148,15 +151,9 @@ class ThermalLiouvillian:
         self._gain_down = (d1[:, None] + d1[None, :]) * ll
         self._gain_up = (d2[:, None] + d2[None, :]) * ll
 
-    def _check(self, rho: np.ndarray) -> None:
-        if rho.shape != (self.dim, self.dim):
-            raise DimensionMismatch(
-                f"expected a {self.dim}x{self.dim} density matrix, got shape {rho.shape}"
-            )
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """drho/dt for hermitian rho: traceless and hermitian."""
-        self._check(rho)
+        _check_shape(rho, self.dim)
         out = self._loss * rho
         out[:-1, :-1] += self._gain_down * rho[1:, 1:]
         out[1:, 1:] += self._gain_up * rho[:-1, :-1]
@@ -175,8 +172,10 @@ class ThermalLiouvillian:
 def _bath_rates(omega: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
     """Cubic decay rate Gamma = omega^3 and Bose-Einstein occupation
     nbar = 1/(exp(x*omega) - 1) at the frequencies omega; expm1 keeps nbar
-    accurate for small x*omega."""
-    return omega**3, 1.0 / np.expm1(x * omega)
+    accurate for small x*omega, and its overflow at a cold bath gives the
+    right limit nbar = 0."""
+    with np.errstate(over="ignore"):
+        return omega**3, 1.0 / np.expm1(x * omega)
 
 
 def default_step(params: EnsembleParams) -> float:
@@ -227,9 +226,13 @@ def initial_state(params: EnsembleParams, kind: str) -> np.ndarray:
     return rho
 
 
-def _check_density_matrix(rho: np.ndarray, dim: int) -> None:
+def _check_shape(rho: np.ndarray, dim: int) -> None:
     if rho.shape != (dim, dim):
         raise DimensionMismatch(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
+
+
+def _check_density_matrix(rho: np.ndarray, dim: int) -> None:
+    _check_shape(rho, dim)
     if not np.all(np.isfinite(rho)):
         raise NonFiniteState("initial state contains non-finite entries")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
@@ -279,9 +282,10 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.diag(np.diag(a)) + np.diag(off, 1) + np.diag(off, -1))
 
 
-def _check_step(generators: list[np.ndarray], h: float, max_drift: float) -> None:
+def _check_step(generators: list[np.ndarray], h: float) -> None:
     """Raise StepTooLarge before any step if RK4 amplifies an eigenmode
-    (|R(h*lambda)| > 1) or drifts the trace by more than max_drift per step."""
+    (|R(h*lambda)| > 1) or drifts the trace by more than _MAX_TRACE_DRIFT
+    per step."""
     # the generator is dissipative: a positive eigenvalue is rounding of
     # the conserved trace mode
     lam = np.minimum(np.concatenate([_eigenvalues(a) for a in generators]), 0.0)
@@ -293,9 +297,9 @@ def _check_step(generators: list[np.ndarray], h: float, max_drift: float) -> Non
         )
     # trace change of one step from unit populations: column sums
     drift = float(np.max(np.abs(_rk4_increment(generators[0], h).sum(axis=0))))
-    if drift > max_drift:
+    if drift > _MAX_TRACE_DRIFT:
         raise StepTooLarge(
-            f"trace drift {drift:.3e} per step exceeds {max_drift:.3e}; "
+            f"trace drift {drift:.3e} per step exceeds {_MAX_TRACE_DRIFT:.3e}; "
             f"reduce the step below h={h:g}"
         )
 
@@ -338,9 +342,9 @@ def integrate(
 
     Raises ValueError for a step that is not positive and finite, and
     StepTooLarge before any step when RK4 at the step is unstable for some
-    A_k (zero bands included) or its one-step trace drift exceeds
-    ctrl.max_trace_drift, and when an interval's trace changes by more than
-    steps times that bound; raises NonFiniteState when the state blows up.
+    A_k (zero bands included) or its one-step trace drift exceeds 1e-8,
+    and when an interval's trace changes by more than steps times that
+    bound; raises NonFiniteState when the state blows up.
     """
     _check_atom_cap(params)
     if not 0.0 < t_end < math.inf:
@@ -362,7 +366,7 @@ def integrate(
     steps = max(1, math.ceil(span / h_max))
     h = span / steps
     generators = [liou.band(k) for k in range(liou.dim)]
-    _check_step(generators, h, ctrl.max_trace_drift)
+    _check_step(generators, h)
 
     herm = 0.5 * (rho0 + rho0.conj().T)
     bands = {}
@@ -376,10 +380,10 @@ def integrate(
             raise NonFiniteState(f"state became non-finite near t={times[np.argmax(blown)]:g}")
         if k == 0:
             change = np.abs(np.diff(hist.sum(axis=1).real))
-            if np.max(change) > ctrl.max_trace_drift * steps:
+            if np.max(change) > _MAX_TRACE_DRIFT * steps:
                 raise StepTooLarge(
                     f"trace drift {np.max(change):.3e} over {steps} steps exceeds "
-                    f"{ctrl.max_trace_drift:.3e} per step; reduce the step below h={h:g}"
+                    f"{_MAX_TRACE_DRIFT:.3e} per step; reduce the step below h={h:g}"
                 )
         bands[k] = hist
 

@@ -29,7 +29,7 @@ from dicke_therm import (
     strong_bath_coefficient,
     validate_asymptotics,
 )
-from dicke_therm.asymptotics import default_validation_grid
+from dicke_therm.asymptotics import DEFAULT_TOLERANCES, default_validation_grid
 from dicke_therm.cli import FIGURE_PRESETS
 from dicke_therm.sweep import read_sweep_csv, run_sweep
 from helpers import matrix_correlators, random_valid_params
@@ -204,7 +204,7 @@ def test_criterion_10_strong_bath_ratio_reported_not_asserted():
         and rows[0].status == "info"
         and abs(rows[0].exact - 1.06010) < 1e-4
         and abs(rows[0].approx - 1.74949) < 1e-4
-        and "eq20" not in report_obj.tolerances
+        and "eq20" not in DEFAULT_TOLERANCES
         and report_obj.passed
     )
     report("10", "strong-bath ratio: exact 1.06010 vs formula 1.74949 side by side, INFO only", ok)

@@ -19,6 +19,7 @@ from dicke_therm import (
     strong_bath_coefficient,
     validate_asymptotics,
 )
+from dicke_therm.asymptotics import DEFAULT_TOLERANCES
 
 # frozen against a 50-digit evaluation
 EQ17_2_01_10 = 0.302003335142089
@@ -201,17 +202,44 @@ class TestValidator:
         with pytest.raises(ValueError):
             validate_asymptotics([(1, 0.1, 10.0)])
 
-    def test_tolerance_override_can_fail(self):
-        report = validate_asymptotics([(2, 0.1, 10.0)], tolerances={"eq17": 1e-9})
+    def test_tolerance_override_can_fail(self, monkeypatch):
+        monkeypatch.setitem(DEFAULT_TOLERANCES, "eq17", 1e-9)
+        report = validate_asymptotics([(2, 0.1, 10.0)])
         assert not report.passed
         eq17 = next(c for c in report.checks if c.formula == "eq17")
         assert eq17.status == "fail"
 
-    def test_info_rows_never_fail(self):
+    def test_info_rows_never_fail(self, monkeypatch):
         # the strong-bath ratio formula disagrees with the exact N-dependent
         # ratio by construction; the report must stay green regardless
-        report = validate_asymptotics([(2, 0.1, 1e-6)], tolerances={"eq17": 1e-15})
+        monkeypatch.setitem(DEFAULT_TOLERANCES, "eq17", 1e-15)
+        report = validate_asymptotics([(2, 0.1, 1e-6)])
         eq20 = next(c for c in report.checks if c.formula == "eq20")
         assert eq20.rel_dev > 0.5
         assert eq20.status == "info"
         assert report.passed
+
+    def test_grid_is_the_sorted_product_of_the_axes(self):
+        grid = default_validation_grid(n_values=(7, 2), eta_values=(0.1, -0.1), x_values=(30.0,))
+        assert grid == [(2, -0.1, 30.0), (2, 0.1, 30.0), (7, -0.1, 30.0), (7, 0.1, 30.0)]
+        assert default_validation_grid(n_values=(3,))[0] == (3, 0.0, 1e-6)
+        assert len(default_validation_grid()) == 36
+
+    @pytest.mark.parametrize(
+        "n,eta,x",
+        [(2, -0.1, 4000.0), (2, 0.1, 745.25), (2, 0.1, 741.25), (2, -0.2, 618.25)],
+    )
+    def test_cold_bath_rows_pass_or_skip(self, n, eta, x):
+        # the closed forms stay finite, or inf, where exp(-x) and
+        # exp(-2*eta*x/(N-1)) leave the double range
+        report = validate_asymptotics([(n, eta, x)])
+        assert [c.formula for c in report.checks] == ["eq17", "eq18_ratio"]
+        assert {c.status for c in report.checks} <= {"ok", "skipped"}
+        # the cancelled eq18 ratio matches the exact one to rounding
+        assert all(c.rel_dev < 1e-12 for c in report.checks if c.status == "ok")
+
+
+class TestColdBathClosedForms:
+    def test_weak_bath_g2_overflows_to_inf(self):
+        assert g2_weak_bath(2, -0.3, 2000.0) == math.inf
+        assert g2_weak_bath(2, 0.3, 2000.0) == 0.0

@@ -65,6 +65,11 @@ class TestPoint:
         assert code == 0
         assert json.loads(target.read_text())["N"] == 3
 
+    def test_cold_bath_prediction_overflows_to_inf(self, capsys):
+        code, out, _ = run(capsys, "point", "--n", "2", "--eta", "-0.3", "--x", "2000")
+        assert code == 0
+        assert json.loads(out)["asymptotic_predictions"]["eq17"] == "inf"
+
     def test_underflow_point_reports_reason(self, capsys):
         code, out, _ = run(capsys, "point", "--n", "2", "--eta", "0", "--x", "2000")
         assert code == 0
@@ -302,6 +307,18 @@ class TestValidate:
             capsys, "validate", "--x", ",", "--out", str(tmp_path / "r.csv")
         )
         assert code == 2
+
+    @pytest.mark.parametrize("eta, x", [("-0.1", "4000"), ("0.1", "745.25"),
+                                        ("0.1", "741.25"), ("-0.2", "618.25")])
+    def test_cold_bath_grid_passes(self, capsys, tmp_path, eta, x):
+        out = tmp_path / "report.csv"
+        code, _, err = run(capsys, "validate", "--n", "2", f"--eta={eta}", "--x", x,
+                              "--out", str(out))
+        assert code == 0, err
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["formula"] for r in rows] == ["eq17", "eq18_ratio"]
+        assert all(r["status"] in ("ok", "skipped") for r in rows)
 
     def test_tight_tolerance_not_configurable_via_cli(self, capsys, tmp_path):
         # tolerances are fixed contract values; the CLI only reports them

@@ -67,6 +67,16 @@ class TestBathRates:
         a = ThermalLiouvillian(EnsembleParams(1, 0.0, 1e-8)).band(0)
         assert a[1, 0] == pytest.approx(1e8 - 0.5, rel=1e-6)
 
+    def test_cold_bath_occupation_is_zero_without_warning(self):
+        # expm1(x*omega) overflows above x*omega ~ 709.78; the suite turns
+        # the RuntimeWarning numpy would print into an error
+        params = EnsembleParams(2, 0.1, 800.0)
+        assert ThermalLiouvillian(params).band(0)[1, 0] == 0.0
+        assert steady_state_residual(params) < 1e-15
+        traj = integrate(initial_state(params, "inverted"), 1.0, params,
+                         ctrl=StepControl(h=0.01), n_samples=3)
+        assert np.all(np.isfinite(traj.populations))
+
     def test_occupation_decreases_with_x(self):
         values = [
             ThermalLiouvillian(EnsembleParams(1, 0.0, x)).band(0)[1, 0]
@@ -316,14 +326,15 @@ class TestIntegration:
                 n_samples=3,
             )
 
-    def test_absurd_drift_bound_trips_step_too_large(self):
+    def test_absurd_drift_bound_trips_step_too_large(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_TRACE_DRIFT", 1e-18)
         params = EnsembleParams(3, 0.1, 1.0)
         with pytest.raises(StepTooLarge):
             integrate(
                 initial_state(params, "inverted"),
                 1.0,
                 params,
-                ctrl=StepControl(h=0.01, max_trace_drift=1e-18),
+                ctrl=StepControl(h=0.01),
                 n_samples=3,
             )
 

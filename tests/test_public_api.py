@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, retired names stay
 gone, and the physics is configured by EnsembleParams alone."""
 
+import dataclasses
 import importlib
 import inspect
 
@@ -22,7 +23,8 @@ REMOVED = {
 }
 
 # (module, function, the retired keyword it no longer takes): separate
-# bath rates, a spectrum apart from the ensemble, a classification tolerance
+# bath rates, a spectrum apart from the ensemble, a classification
+# tolerance, validation tolerances
 RETIRED_KEYWORDS = [
     ("dynamics", "ThermalLiouvillian", "rates"),
     ("dynamics", "integrate", "rates"),
@@ -33,6 +35,7 @@ RETIRED_KEYWORDS = [
     ("correlators", "steady_state_correlators", "tol"),
     ("correlators", "classify_statistics", "tol"),
     ("core", "thermal_state", "spectrum"),
+    ("asymptotics", "validate_asymptotics", "tolerances"),
 ]
 
 
@@ -64,3 +67,11 @@ def test_surviving_signatures():
     assert list(inspect.signature(dicke_therm.default_step).parameters) == ["params"]
     assert next(iter(inspect.signature(dicke_therm.g2_zero).parameters)) == "state"
     assert hasattr(dicke_therm.ThermalLiouvillian(dicke_therm.EnsembleParams(2)), "dim")
+
+
+@pytest.mark.parametrize(
+    "cls, field",
+    [(dicke_therm.StepControl, "max_trace_drift"), (dicke_therm.AsymptoticReport, "tolerances")],
+)
+def test_retired_fields(cls, field):
+    assert field not in {f.name for f in dataclasses.fields(cls)}
