@@ -18,12 +18,13 @@ the exact value as an informational row and never asserts agreement.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 from .core import EnsembleParams, validate_params
-from .correlators import intensity_ratio, steady_state_correlators
+from .correlators import _exp, intensity_ratio, steady_state_correlators
 from .exceptions import ZeroAtoms, ZeroIntensity
 
 __all__ = [
@@ -70,14 +71,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 class BathRegime(Enum):
     STRONG = "strong"  # x -> 0, hot bath
     WEAK = "weak"  # x >> 1, cold bath
-
-
-def _exp(v: float) -> float:
-    """exp(v), or inf beyond the double range."""
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
 
 
 def _require_atoms(n_atoms: int, minimum: int) -> None:
@@ -236,6 +229,15 @@ def _g2_coefficient(probe: EnsembleParams) -> float:
     return (_g2(probe) - _g2(base)) / probe.eta**2
 
 
+def _check_distinct(**axes) -> None:
+    """Refuse an axis that repeats a value: each copy would be computed
+    and written again."""
+    for name, values in axes.items():
+        repeated = [v for v, count in Counter(values).items() if count > 1]
+        if repeated:
+            raise ValueError(f"the {name} axis repeats {repeated}; each value may appear once")
+
+
 def default_validation_grid(
     *,
     n_values=DEFAULT_VALIDATION_N,
@@ -243,7 +245,9 @@ def default_validation_grid(
     x_values=DEFAULT_VALIDATION_X,
 ) -> list[tuple[int, float, float]]:
     """Sorted (N, eta, x) product of the axes; the default axes cover both
-    bath regimes for a few ensemble sizes."""
+    bath regimes for a few ensemble sizes.  An axis that repeats a value
+    is refused (ValueError)."""
+    _check_distinct(N=n_values, eta=eta_values, x=x_values)
     return [(n, eta, x) for n in sorted(n_values) for eta in sorted(eta_values)
             for x in sorted(x_values)]
 

@@ -17,8 +17,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
 
 from .asymptotics import (
     DEFAULT_TOLERANCES,
@@ -47,6 +49,7 @@ from .exceptions import DickeError, IntegrationError, ZeroIntensity
 from .sweep import (
     DEFAULT_PRECISION,
     SweepConfig,
+    csv_text,
     format_number,
     parse_config_file,
     render_json,
@@ -252,7 +255,7 @@ def _cmd_sweep(args) -> int:
         precision=args.precision,
     )
     rows = run_sweep(config, args.out, jobs=_jobs(args))
-    write_sidecar(args.out, {"command": "sweep", "config": config.as_dict()})
+    write_sidecar(args.out, {"command": "sweep", "config": asdict(config)})
     print(f"wrote {rows} rows to {args.out}")
     return 0
 
@@ -304,22 +307,12 @@ def _cmd_evolve(args) -> int:
         ctrl=StepControl(h=args.step),
         n_samples=args.samples,
     )
-    dim = params.n_atoms + 1
     header = ["t", "trace", "herm_defect", "min_eig", "trace_dist_to_gibbs"]
-    header += [f"p_{k}" for k in range(dim)]
-    lines = [",".join(header)]
-    prec = args.precision
-    for i, (t, pops) in enumerate(zip(traj.times, traj.populations)):
-        cells = [
-            format_number(t, prec),
-            format_number(pops.sum(), prec),
-            format_number(traj.herm_defect[i], prec),
-            format_number(traj.min_eigenvalue[i], prec),
-            format_number(traj.trace_dist_to_gibbs[i], prec),
-        ]
-        cells += [format_number(p, prec) for p in pops]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
+    header += [f"p_{k}" for k in range(params.n_atoms + 1)]
+    pops = traj.populations
+    table = np.column_stack([traj.times, pops.sum(axis=1), traj.herm_defect,
+                             traj.min_eigenvalue, traj.trace_dist_to_gibbs, pops])
+    text = csv_text(header, table.tolist(), args.precision)
     summary = f"final trace_dist_to_gibbs = {traj.final_trace_distance:.6e}"
     if args.out:
         Path(args.out).write_text(text, encoding="ascii")
@@ -344,7 +337,7 @@ def _cmd_figures(args) -> int:
         config = replace(preset, precision=args.precision)
         path = out_dir / f"{name}.csv"
         rows = run_sweep(config, path, jobs=jobs)
-        write_sidecar(path, {"command": "figures", "figure": name, "config": config.as_dict()})
+        write_sidecar(path, {"command": "figures", "figure": name, "config": asdict(config)})
         print(f"wrote {rows} rows to {path}")
     return 0
 

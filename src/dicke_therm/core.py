@@ -164,7 +164,8 @@ def ladder_coefficients(n_atoms: int) -> LadderCoeffs:
 
 
 def logsumexp_rows(terms: np.ndarray) -> np.ndarray:
-    """log(sum(exp(t))) of every row t of a 2-D array; -inf for empty rows.
+    """log(sum(exp(t))) of every row t of a 2-D array; -inf for empty rows
+    and for rows whose terms are all -inf.
 
     Each row is shifted by its maximum, so every exponential lies in
     (0, 1] and the largest is exactly 1.  np.sum adds the positive terms of
@@ -174,9 +175,11 @@ def logsumexp_rows(terms: np.ndarray) -> np.ndarray:
     if terms.shape[1] == 0:
         return np.full(terms.shape[0], -math.inf)
     top = terms.max(axis=1)
+    top[top == -math.inf] = 0.0  # such a row sums to 0, whose log is -inf
     shifted = terms - top[:, None]
     np.exp(shifted, out=shifted)
-    return top + np.log(shifted.sum(axis=1))
+    with np.errstate(divide="ignore"):
+        return top + np.log(shifted.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,8 @@ def thermal_state(params: EnsembleParams) -> ThermalState:
     exp(-x*(E_{n+1}-E_n)) holds at the level of the stored log weights.
     """
     energies = build_spectrum(params).energies
-    log_weights = -params.x * (energies - energies.min())
+    with np.errstate(over="ignore"):  # a weight beyond the double range is -inf
+        log_weights = -params.x * (energies - energies.min())
     log_weights.setflags(write=False)
     log_z = float(logsumexp_rows(log_weights[None, :])[0])
     return ThermalState(log_weights=log_weights, log_z=log_z)

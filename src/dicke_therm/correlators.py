@@ -55,8 +55,6 @@ __all__ = [
     "steady_state_correlators",
 ]
 
-# exp() overflows just above this; beyond it the ratio is reported as inf
-_EXP_MAX = 709.0
 # half-width of the band around g2(0) = 1 classified as Poissonian
 _POISSONIAN_TOL = 1e-9
 # ladder terms summed per block of x rows: one row at N = 1e5, about 1 MB
@@ -112,9 +110,11 @@ def _check_dimensions(state: ThermalState, spectrum: DickeSpectrum, coeffs: Ladd
 
 
 def _exp(v: float) -> float:
-    if v > _EXP_MAX:
+    """exp(v), or inf beyond the double range."""
+    try:
+        return math.exp(v)
+    except OverflowError:
         return math.inf
-    return math.exp(v)
 
 
 class LadderLogSums(NamedTuple):
@@ -176,7 +176,8 @@ def ladder_log_sums(n_atoms: int, eta: float, xs, pairs: bool = True) -> LadderL
     rows = max(1, _BLOCK_TERMS // gaps.size)
     for lo in range(0, xs.size, rows):
         block = slice(lo, lo + rows)
-        log_weights = -xs[block, None] * gaps
+        with np.errstate(over="ignore"):  # a weight beyond the double range is -inf
+            log_weights = -xs[block, None] * gaps
         sums[0][block] = logsumexp_rows(log_weights)
         sums[1][block], sums[2][block] = _log_sums(log_weights, logs, pairs)
     return LadderLogSums(*(s.tolist() for s in sums))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotics import AsymptoticReport
+from .asymptotics import AsymptoticReport, _check_distinct
 from .correlators import (
     LadderLogSums,
     correlators_from_log_sums,
@@ -37,9 +37,9 @@ __all__ = [
     "VALID_OUTPUTS",
     "SweepConfig",
     "format_number",
+    "csv_text",
     "render_json",
     "x_grid",
-    "sweep_points",
     "evaluate_rows",
     "evaluate_point",
     "run_sweep",
@@ -58,7 +58,8 @@ DEFAULT_PRECISION = 12
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A rectangular (N, eta, x) sweep with requested output columns."""
+    """A rectangular (N, eta, x) sweep with requested output columns; the
+    N and eta axes may not repeat a value, nor may the x grid (run_sweep)."""
 
     n_values: tuple[int, ...]
     eta_values: tuple[float, ...]
@@ -90,37 +91,12 @@ class SweepConfig:
         for n in self.n_values:
             for eta in self.eta_values:
                 validate_params(n, eta, self.x_start)
-
-    def as_dict(self) -> dict:
-        return {
-            "n_values": list(self.n_values),
-            "eta_values": list(self.eta_values),
-            "x_start": self.x_start,
-            "x_stop": self.x_stop,
-            "x_count": self.x_count,
-            "x_scale": self.x_scale,
-            "outputs": list(self.outputs),
-            "precision": self.precision,
-        }
+        _check_distinct(N=self.n_values, eta=self.eta_values)
 
 
 def x_grid(config: SweepConfig) -> np.ndarray:
-    if config.x_count == 1:
-        return np.array([config.x_start])
-    if config.x_scale == "log":
-        return np.geomspace(config.x_start, config.x_stop, config.x_count)
-    return np.linspace(config.x_start, config.x_stop, config.x_count)
-
-
-def sweep_points(config: SweepConfig) -> list[tuple[int, float, float]]:
-    """Grid points in (N, eta, x) lexicographic order."""
-    xs = x_grid(config)
-    return [
-        (n, eta, float(x))
-        for n in sorted(config.n_values)
-        for eta in sorted(config.eta_values)
-        for x in xs
-    ]
+    space = np.geomspace if config.x_scale == "log" else np.linspace
+    return space(config.x_start, config.x_stop, config.x_count)
 
 
 def _sum_tasks(n_values, eta_values, outputs) -> list[tuple[int, float, bool]]:
@@ -214,28 +190,25 @@ def evaluate_point(
 
 
 def format_number(value, precision: int) -> str:
+    """One CSV cell: a float as printf "%.<precision>g" (NaN as NA), an
+    integer in full, a string as is and None as empty."""
+    if isinstance(value, float):
+        return "%.*g" % (precision, value) if value == value else "NA"
     if value is None:
         return ""
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "NA"
-    return format(v, f".{precision}g")
+    return format_number(float(value), precision)
 
 
-def _sweep_row_line(point, row, outputs, precision: int) -> str:
-    n, eta, x = point
-    cells = [str(n), format_number(eta, precision), format_number(x, precision)]
-    for key in ("g1", "g2", "ratio", "classification"):
-        if key in outputs:
-            cells.append(format_number(row[key], precision))
-        else:
-            cells.append("")
-    cells.append(row["reason"] or "")
-    return ",".join(cells)
+def csv_text(header, rows, precision: int) -> str:
+    """CSV text: the header line, then one line per row of plain values,
+    each rendered by format_number; every line ends in a newline."""
+    lines = [",".join(header)]
+    lines.extend([",".join([format_number(v, precision) for v in row]) for row in rows])
+    return "\n".join(lines) + "\n"
 
 
 def run_sweep(config: SweepConfig, out_path: str | Path, jobs: int = 1) -> int:
@@ -245,22 +218,15 @@ def run_sweep(config: SweepConfig, out_path: str | Path, jobs: int = 1) -> int:
     are written in (N, eta, x) order by this single writer, so the file
     content does not depend on the level of parallelism.
     """
-    rows = evaluate_rows(
-        sorted(config.n_values),
-        sorted(config.eta_values),
-        x_grid(config).tolist(),
-        config.outputs,
-        jobs,
-    )
-    points = sweep_points(config)
-    lines = [",".join(SWEEP_HEADER)]
-    lines.extend(
-        _sweep_row_line(point, row, config.outputs, config.precision)
-        for point, row in zip(points, rows)
-    )
-    path = Path(out_path)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    return len(points)
+    n_values, eta_values = sorted(config.n_values), sorted(config.eta_values)
+    xs = x_grid(config).tolist()
+    _check_distinct(x=xs)
+    rows = evaluate_rows(n_values, eta_values, xs, config.outputs, jobs)
+    points = [(n, eta, x) for n in n_values for eta in eta_values for x in xs]
+    table = [[*point, r["g1"], r["g2"], r["ratio"], r["classification"], r["reason"]]
+             for point, r in zip(points, rows)]
+    Path(out_path).write_text(csv_text(SWEEP_HEADER, table, config.precision), encoding="ascii")
+    return len(table)
 
 
 def read_sweep_csv(path: str | Path) -> list[dict[str, object]]:
@@ -291,21 +257,12 @@ def read_sweep_csv(path: str | Path) -> list[dict[str, object]]:
 
 def report_to_csv(report: AsymptoticReport, precision: int = DEFAULT_PRECISION) -> str:
     """Render a validation report as CSV text."""
-    lines = [",".join(REPORT_HEADER)]
-    for c in report.checks:
-        cells = [
-            c.formula,
-            str(c.n_atoms),
-            format_number(c.eta, precision),
-            format_number(c.x, precision),
-            format_number(c.exact, precision),
-            format_number(c.approx, precision),
-            format_number(c.rel_dev, precision),
-            c.status,
-            c.note.replace(",", ";"),
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    rows = [
+        [c.formula, c.n_atoms, c.eta, c.x, c.exact, c.approx, c.rel_dev, c.status,
+         c.note.replace(",", ";")]
+        for c in report.checks
+    ]
+    return csv_text(REPORT_HEADER, rows, precision)
 
 
 def render_json(obj, precision: int = DEFAULT_PRECISION) -> str:

@@ -14,7 +14,6 @@ from dicke_therm.sweep import (
     format_number,
     read_sweep_csv,
     render_json,
-    sweep_points,
     x_grid,
 )
 
@@ -222,10 +221,20 @@ class TestSweep:
         assert "NonPositiveX" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, eta, x_stop", [("2,3,2", "0", "10"), ("2", "0,0.1,0.1", "10"),
+                                                ("2", "0", "1")])
+    def test_repeated_axis_value_exits_2(self, capsys, tmp_path, n, eta, x_stop):
+        out = tmp_path / "rep.csv"
+        code, _, err = run(capsys, "sweep", "--n", n, "--eta", eta, "--x-start", "1",
+                           "--x-stop", x_stop, "--x-count", "3", "--out", str(out))
+        assert code == 2
+        assert "ValueError" in err and "repeats" in err
+        assert not out.exists()
+
     def test_log_grid(self):
         cfg = SweepConfig((2,), (0.0,), 0.01, 100.0, 5, "log", ("g2",))
         assert x_grid(cfg) == pytest.approx([0.01, 0.1, 1.0, 10.0, 100.0], rel=1e-12)
-        assert len(sweep_points(cfg)) == 5
+        assert len(x_grid(cfg)) == 5
 
 
 class TestConfigFile:
@@ -272,6 +281,16 @@ class TestConfigFile:
 
 
 class TestValidate:
+    @pytest.mark.parametrize("flag, values", [
+        ("--n", "2,2"), ("--eta", "0.1,0.1"), ("--x", "10,15,10"),
+    ])
+    def test_repeated_axis_value_exits_2(self, capsys, tmp_path, flag, values):
+        out = tmp_path / "rep.csv"
+        code, _, err = run(capsys, "validate", flag, values, "--out", str(out))
+        assert code == 2
+        assert "ValueError" in err and "repeats" in err
+        assert not out.exists()
+
     def test_default_grid_passes(self, capsys, tmp_path):
         out = tmp_path / "report.csv"
         code, text, _ = run(capsys, "validate", "--out", str(out))
@@ -408,6 +427,36 @@ class TestEvolve:
         )
         assert code == 4
         assert "StepTooLarge" in err or "NonFiniteState" in err
+
+
+class TestDoubleLimitOfX:
+    """At x = 1e308 the product -x*gap overflows to -inf, the right log
+    weight; the suite turns any RuntimeWarning into an error."""
+
+    def test_point(self, capsys):
+        code, out, _ = run(capsys, "point", "--n", "2", "--eta", "0.2", "--x", "1e308")
+        assert code == 0
+        assert json.loads(out)["reason"] == "ZeroIntensity"
+
+    def test_validate(self, capsys, tmp_path):
+        out = tmp_path / "v.csv"
+        code, _, _ = run(capsys, "validate", "--n", "2", "--eta", "0.2", "--x", "1e308",
+                         "--out", str(out))
+        assert code == 0
+        with open(out, newline="", encoding="ascii") as fh:
+            assert {r["status"] for r in csv.DictReader(fh)} == {"skipped"}
+
+    def test_sweep(self, capsys, tmp_path):
+        out = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "sweep", "--n", "2", "--eta", "0,0.2", "--x-start", "1e308",
+                         "--x-stop", "1e308", "--x-count", "1", "--out", str(out))
+        assert code == 0
+        assert [r["reason"] for r in read_sweep_csv(out)] == ["ZeroIntensity"] * 2
+
+    def test_evolve(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "evolve", "--n", "2", "--x", "1e308", "--t-end", "1",
+                         "--out", str(tmp_path / "e.csv"))
+        assert code == 0
 
 
 class TestFigures:

@@ -193,6 +193,12 @@ class TestThermalState:
                         math.exp(-x * gaps[k]), rel=1e-12
                     )
 
+    def test_weights_beyond_the_double_range_are_zero_without_warning(self):
+        # -x*gap overflows to -inf at x = 1e308; the suite turns warnings into errors
+        st = thermal_state(EnsembleParams(2, 0.2, 1e308))
+        assert st.log_z == 0.0
+        assert list(st.populations) == [1.0, 0.0, 0.0]
+
     def test_ground_state_dominates_when_cold(self):
         for n in (2, 5, 30):
             for eta in (0.0, 0.1, 0.4):

@@ -21,6 +21,7 @@ from dicke_therm import (
     steady_state_correlators,
     thermal_state,
 )
+from dicke_therm.correlators import correlators_from_log_sums, ratio_from_log_g1
 from helpers import matrix_correlators, random_valid_params
 
 # frozen against a 50-digit evaluation of the closed-form sums
@@ -190,6 +191,12 @@ class TestIntensityRatio:
     def test_propagates_zero_intensity(self):
         with pytest.raises(ZeroIntensity):
             intensity_ratio(EnsembleParams(2, 0.1, 2000.0))
+
+    def test_finite_up_to_the_double_limit(self):
+        # exp overflows only above log(DBL_MAX) = 709.78
+        assert ratio_from_log_g1(709.5, 0.0) == math.exp(709.5)
+        assert correlators_from_log_sums(0.0, 0.0, 709.5).g2_norm == math.exp(709.5)
+        assert ratio_from_log_g1(710.0, 0.0) == math.inf
 
 
 class TestSignFlip:

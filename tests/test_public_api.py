@@ -20,6 +20,7 @@ REMOVED = {
     "read_report_csv": "sweep",
     "RateModel": "dynamics",
     "NonPositiveFrequency": "exceptions",
+    "sweep_points": "sweep",
 }
 
 # (module, function, the retired keyword it no longer takes): separate
@@ -75,3 +76,8 @@ def test_surviving_signatures():
 )
 def test_retired_fields(cls, field):
     assert field not in {f.name for f in dataclasses.fields(cls)}
+
+
+def test_sweep_config_has_no_as_dict():
+    # sidecars serialise the config with dataclasses.asdict
+    assert not hasattr(dicke_therm.sweep.SweepConfig, "as_dict")

@@ -2,6 +2,7 @@
 must give the per-point library values bit for bit."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -99,6 +100,20 @@ def test_state_and_tables_share_the_kernel(n, eta, xs):
                 steady_state_correlators(params)
             continue
         assert res == steady_state_correlators(params)
+
+
+def test_ratio_stays_finite_to_the_double_limit(tmp_path):
+    # log ratio 709.23 lies between 709 and the overflow of exp at 709.78
+    out = tmp_path / "ratio.csv"
+    argv = ["sweep", "--n", "2", "--eta", "0.99", "--x-start", "735", "--x-stop", "735",
+            "--x-count", "1", "--outputs", "ratio", "--precision", "17", "--out", str(out)]
+    assert main(argv) == 0
+    log_g1 = [s.log_s1[0] - s.log_z[0]
+              for s in (ladder_log_sums(2, eta, [735.0], pairs=False) for eta in (0.99, 0.0))]
+    assert log_g1[0] - log_g1[1] > 709.0
+    assert read_sweep_csv(out)[0]["ratio"] == pytest.approx(
+        math.exp(log_g1[0] - log_g1[1]), rel=1e-12
+    )
 
 
 def test_sweep_cells_equal_point_values(tmp_path, capsys):
