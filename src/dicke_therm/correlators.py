@@ -17,6 +17,16 @@ log Z and log g2 = log S2 + log Z - 2 log S1, with the shared weight shift
 cancelling exactly.  One kernel, ladder_log_sums, takes these sums for a
 whole x grid at fixed (N, eta); every single-point function is its one-x
 case, and log Z is the same row sum as ThermalState.log_z.
+
+In a cold bath most of a row is dead weight: the gaps E_n - E_0 grow with
+n (every omega_n > 0), so beyond some level every term lies more than
+about 746 below the row's maximum, and np.exp of the shifted term is
+exactly 0.0.  The kernel exponentiates only the live prefix of each row,
+min(N+1, ~(746 + spread)/(x*omega_0)) terms, where the spread bounds the
+x-independent ladder logs log n(N-n+1) and 4 log omega_n; the width comes
+from the closed-form gaps in O(1).  The rest of the row is filled with the
+zeros np.exp would have returned and summed at full length, so every
+result is bit-identical to exponentiating the whole row.
 """
 
 from __future__ import annotations
@@ -57,9 +67,17 @@ __all__ = [
 
 # half-width of the band around g2(0) = 1 classified as Poissonian
 _POISSONIAN_TOL = 1e-9
-# ladder terms summed per block of x rows: one row at N = 1e5, about 1 MB
-# per temporary
+# ladder terms summed per block of x rows; a block is never smaller than
+# one row of N + 1 terms, so a temporary takes max(1 MB, 8*(N+1) bytes)
 _BLOCK_TERMS = 1 << 17
+# np.exp(t) is exactly 0.0 for t < -745.14; a term this far below another
+# of its row adds an exact zero, with one unit left for the rounding of
+# the ladder logs
+_DEAD_DROP = 747.0
+# absolute rounding of a stored gap E_n - min E, per level of the ladder,
+# and relative rounding of the products x*gap, both with wide margins
+_GAP_SLACK = 1e-13
+_REL_SLACK = 1e-9
 
 
 class PhotonStatistics(enum.Enum):
@@ -140,20 +158,65 @@ def _ladder_logs(
 
 
 def _log_sums(
-    log_weights: np.ndarray, ladder_logs: tuple, pairs: bool
+    log_weights: np.ndarray, ladder_logs: tuple, pairs: bool, levels: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log of the unnormalized G1 sum and, when pairs is set, of the G2 sum,
-    for every row of log weights (one row per x)."""
+    for every row of log weights (one row per x) of a ladder of `levels`
+    levels.  The rows may hold only its leading levels when the terms of
+    the others exponentiate to exactly 0.0 (see _live_levels).
+    """
     log_w4, log_c1, log_c2 = ladder_logs
-    terms = log_weights[:, 1:] + log_c1
-    terms += log_w4[:-1]
-    log_s1 = logsumexp_rows(terms)
+    live = log_weights.shape[1]
+    terms = log_weights[:, 1:] + log_c1[: live - 1]
+    terms += log_w4[: live - 1]
+    log_s1 = logsumexp_rows(terms, levels - 1)
     if not pairs:
         return log_s1, np.full(log_s1.size, -math.inf)
-    terms = log_weights[:, 2:] + log_c2
-    terms += log_w4[1:-1]
-    terms += log_w4[:-2]
-    return log_s1, logsumexp_rows(terms)
+    terms = log_weights[:, 2:] + log_c2[: live - 2]
+    terms += log_w4[1 : live - 1]
+    terms += log_w4[: live - 2]
+    return log_s1, logsumexp_rows(terms, levels - 2)
+
+
+def _live_levels(params: EnsembleParams, spectrum: DickeSpectrum, x: float) -> int:
+    """How many leading levels of the ladder can add a nonzero term to the
+    Z, S1 or S2 row at inverse temperature x, or at any larger x: N + 1, or
+    a W beyond which every term lies more than _DEAD_DROP + spread below
+    the row's term at level 2, so np.exp of its shifted value is 0.0.
+
+    O(1): the closed-form gaps h(n) = E_n - E_0 = n*omega_0 + dt*n*(n-1)
+    increase with n, and the spread bounds how far the x-independent logs
+    can lift a later term over the level-2 one: log n(N-n+1) lies in
+    [0, 2 log(N+1)], 4 log omega_n between its values at the ends of the
+    ladder, and an S2 term holds two of each.
+    """
+    n = params.n_atoms
+    if n < 3:
+        return n + 1
+    omega_0, dt = float(spectrum.frequencies[0]), params.delta_tilde
+    spread = 4.0 * math.log(n + 1.0) + 8.0 * abs(
+        math.log(spectrum.frequencies[-1]) - math.log(omega_0)
+    )
+    slack = _GAP_SLACK * (n + 1)
+
+    def gap(m: int) -> float:
+        return m * omega_0 + dt * m * (m - 1)
+
+    # the gap a dead level needs, widened for the rounding of the stored
+    # gaps and of the products with x
+    need = ((_DEAD_DROP + spread) / x + (gap(2) + slack) * (1.0 + _REL_SLACK)) / (
+        1.0 - _REL_SLACK
+    ) + slack
+    if gap(n) < need:
+        return n + 1
+    # smallest root of dt*m^2 + b*m = need, then step past its rounding
+    b = omega_0 - dt
+    root_disc = math.sqrt(max(0.0, b * b + 4.0 * dt * need))
+    root = 2.0 * need / (b + root_disc) if b > 0.0 else (root_disc - b) / (2.0 * dt)
+    w = min(max(3, math.ceil(root)), n)
+    while gap(w) < need:
+        w += 1
+    return w
 
 
 def ladder_log_sums(n_atoms: int, eta: float, xs, pairs: bool = True) -> LadderLogSums:
@@ -161,9 +224,12 @@ def ladder_log_sums(n_atoms: int, eta: float, xs, pairs: bool = True) -> LadderL
 
     The spectrum and ladder coefficients are built once; the log-weight
     rows -x*(E - min E) are summed in blocks of at most _BLOCK_TERMS
-    ladder terms, so memory stays bounded at any N.  Every single-point
-    function of this module is the one-x case of this kernel, so all
-    paths agree bitwise.
+    ladder terms, or of one row of N + 1 terms when N + 1 exceeds that.
+    Each block computes only the live prefix set by its smallest x
+    (_live_levels) and pads the rest with the exact zeros np.exp would
+    return; a block whose every level is live runs the full rows with no
+    padding.  Every single-point function of this module is the one-x case
+    of this kernel, so all paths agree bitwise.
     """
     params = validate_params(n_atoms, eta)
     xs = np.asarray(xs, dtype=float).ravel()
@@ -176,10 +242,11 @@ def ladder_log_sums(n_atoms: int, eta: float, xs, pairs: bool = True) -> LadderL
     rows = max(1, _BLOCK_TERMS // gaps.size)
     for lo in range(0, xs.size, rows):
         block = slice(lo, lo + rows)
+        live = _live_levels(params, spectrum, float(xs[block].min()))
         with np.errstate(over="ignore"):  # a weight beyond the double range is -inf
-            log_weights = -xs[block, None] * gaps
-        sums[0][block] = logsumexp_rows(log_weights)
-        sums[1][block], sums[2][block] = _log_sums(log_weights, logs, pairs)
+            log_weights = -xs[block, None] * gaps[:live]
+        sums[0][block] = logsumexp_rows(log_weights, gaps.size)
+        sums[1][block], sums[2][block] = _log_sums(log_weights, logs, pairs, gaps.size)
     return LadderLogSums(*(s.tolist() for s in sums))
 
 
@@ -246,7 +313,9 @@ def g2_zero(
     yields a photon pair).
     """
     _check_dimensions(state, spectrum, coeffs)
-    log_s1, log_s2 = _log_sums(state.log_weights[None, :], _ladder_logs(spectrum, coeffs), True)
+    log_s1, log_s2 = _log_sums(
+        state.log_weights[None, :], _ladder_logs(spectrum, coeffs), True, state.dim
+    )
     return correlators_from_log_sums(state.log_z, float(log_s1[0]), float(log_s2[0]))
 
 

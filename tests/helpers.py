@@ -1,21 +1,30 @@
 """Shared test helpers: brute-force matrix-product correlator oracle, a
 log-domain ladder-sum oracle added with math.fsum, the dense master
 equation with its step-by-step RK4 integrator, and the scalar-rate
-Dicke-limit master equation.
+Dicke-limit master equation, and a frozen copy of the full-row ladder
+kernel.
 
 Deliberately independent of the indexed-sum and banded paths in the
 package: ladder operators are materialized as dense matrices, the
 correlators come out of explicit operator products traced against the
 Gibbs state, and the master equation is applied as the operator products
 it is written in.  The Dicke-limit equation uses scalar rates at
-omega0 = 1 instead of the package's level-resolved rate operators.
+omega0 = 1 instead of the package's level-resolved rate operators.  The
+kernel copy (`full_row_ladder_log_sums`) exponentiates every ladder term
+of every row; the package's kernel must return the same bits.
 """
 
 import math
 
 import numpy as np
 
-from dicke_therm import DimensionMismatch, build_spectrum, thermal_state
+from dicke_therm import (
+    DimensionMismatch,
+    build_spectrum,
+    ladder_coefficients,
+    thermal_state,
+    validate_params,
+)
 
 
 def ladder_matrices(n_atoms):
@@ -144,3 +153,61 @@ def random_valid_params(rng, n_max=6, x_lo=1e-4, x_hi=50.0):
         eta = float(rng.uniform(0.9 * lower, 0.9))
     x = float(np.exp(rng.uniform(np.log(x_lo), np.log(x_hi))))
     return EnsembleParams(n, eta, x)
+
+
+# The full-row ladder kernel as it stood before the cold-tail cut, kept
+# verbatim (names prefixed) as the bit-identity oracle of
+# correlators.ladder_log_sums.
+
+_FULL_BLOCK_TERMS = 1 << 17
+
+
+def _full_logsumexp_rows(terms):
+    if terms.shape[1] == 0:
+        return np.full(terms.shape[0], -math.inf)
+    top = terms.max(axis=1)
+    top[top == -math.inf] = 0.0  # such a row sums to 0, whose log is -inf
+    shifted = terms - top[:, None]
+    np.exp(shifted, out=shifted)
+    with np.errstate(divide="ignore"):
+        return top + np.log(shifted.sum(axis=1))
+
+
+def _full_ladder_logs(spectrum, coeffs):
+    log_w4 = 4.0 * np.log(spectrum.frequencies)
+    c2 = coeffs.lowering**2
+    return log_w4, np.log(c2[1:]), np.log(c2[2:] * c2[1:-1])
+
+
+def _full_log_sums(log_weights, ladder_logs, pairs):
+    log_w4, log_c1, log_c2 = ladder_logs
+    terms = log_weights[:, 1:] + log_c1
+    terms += log_w4[:-1]
+    log_s1 = _full_logsumexp_rows(terms)
+    if not pairs:
+        return log_s1, np.full(log_s1.size, -math.inf)
+    terms = log_weights[:, 2:] + log_c2
+    terms += log_w4[1:-1]
+    terms += log_w4[:-2]
+    return log_s1, _full_logsumexp_rows(terms)
+
+
+def full_row_ladder_log_sums(n_atoms, eta, xs, pairs=True):
+    """(log_z, log_s1, log_s2) lists at every x in xs, every ladder term
+    exponentiated."""
+    params = validate_params(n_atoms, eta)
+    xs = np.asarray(xs, dtype=float).ravel()
+    for x in xs[~(np.isfinite(xs) & (xs > 0.0))]:
+        validate_params(n_atoms, eta, x)
+    spectrum = build_spectrum(params)
+    logs = _full_ladder_logs(spectrum, ladder_coefficients(params.n_atoms))
+    gaps = spectrum.energies - spectrum.energies.min()
+    sums = [np.empty(xs.size) for _ in range(3)]
+    rows = max(1, _FULL_BLOCK_TERMS // gaps.size)
+    for lo in range(0, xs.size, rows):
+        block = slice(lo, lo + rows)
+        with np.errstate(over="ignore"):  # a weight beyond the double range is -inf
+            log_weights = -xs[block, None] * gaps
+        sums[0][block] = _full_logsumexp_rows(log_weights)
+        sums[1][block], sums[2][block] = _full_log_sums(log_weights, logs, pairs)
+    return tuple(s.tolist() for s in sums)

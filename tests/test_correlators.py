@@ -21,6 +21,7 @@ from dicke_therm import (
     steady_state_correlators,
     thermal_state,
 )
+from dicke_therm import correlators
 from dicke_therm.correlators import correlators_from_log_sums, ratio_from_log_g1
 from helpers import matrix_correlators, random_valid_params
 
@@ -123,6 +124,37 @@ class TestG2:
         assert res.g2_norm == pytest.approx(
             (1.1 / 0.9) ** 4 * math.exp(-2 * 0.1 * 400.0), rel=1e-9
         )
+
+
+class TestColdTailCut:
+    """A cold row exponentiates only its live prefix; the bits of the sums
+    are pinned against the full-row kernel in test_properties."""
+
+    N = 100_000
+
+    @pytest.mark.parametrize("eta", [-0.1, 0.0, 0.1])
+    def test_live_prefix_is_short_in_a_cold_bath(self, eta):
+        params = EnsembleParams(self.N, eta)
+        spectrum = build_spectrum(params)
+        for x in (2.0, 10.0, 1e3, 1e308):
+            assert correlators._live_levels(params, spectrum, x) < 0.01 * (self.N + 1)
+        assert correlators._live_levels(params, spectrum, 1e-3) == self.N + 1
+
+    def test_kernel_exponentiates_the_live_prefix_only(self, monkeypatch):
+        widths = []
+        logsumexp_rows = correlators.logsumexp_rows
+
+        def recording(terms, length=None):
+            widths.append((terms.shape[1], length))
+            return logsumexp_rows(terms, length)
+
+        monkeypatch.setattr(correlators, "logsumexp_rows", recording)
+        correlators.ladder_log_sums(self.N, 0.1, [2.0])
+        assert [length for _, length in widths] == [self.N + 1, self.N, self.N - 1]
+        assert all(width < 0.01 * self.N for width, _ in widths)
+        widths.clear()
+        correlators.ladder_log_sums(self.N, 0.1, [1e-3])
+        assert widths == [(self.N + 1,) * 2, (self.N,) * 2, (self.N - 1,) * 2]
 
 
 class TestMatrixOracle:

@@ -1,6 +1,7 @@
 """Master-equation right-hand side, integration, and diagnostics."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -91,6 +92,28 @@ class TestLiouvillian:
     )
     def test_gibbs_state_is_stationary(self, n, eta, x):
         assert steady_state_residual(EnsembleParams(n, eta, x)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n,eta,x",
+        [(1, 0.0, 2.0), (2, 0.1, 10.0), (7, -0.1, 0.1), (30, 0.5, 1e-3), (60, -0.9, 3.0)],
+    )
+    def test_residual_is_the_dense_apply_of_the_gibbs_state(self, n, eta, x):
+        params = EnsembleParams(n, eta, x)
+        gibbs = np.diag(thermal_state(params).populations).astype(complex)
+        dense = np.max(np.abs(ThermalLiouvillian(params).apply(gibbs)))
+        assert steady_state_residual(params) == dense
+
+    @pytest.mark.parametrize("eta", [-0.1, 0.0, 0.1])
+    @pytest.mark.parametrize("x", [1e-3, 1.0, 1e3])
+    def test_residual_at_n_1e5_is_rounding_of_the_largest_rate(self, eta, x):
+        # the dense (N+1)^2 arrays would take about 700 GB here
+        params = EnsembleParams(100_000, eta, x)
+        start = time.perf_counter()
+        residual = steady_state_residual(params)
+        assert time.perf_counter() - start < 1.0
+        # each entry sums three products of at most max|2 r_n| * p_n
+        r = dynamics._level_rates(params)[0]
+        assert residual <= 8 * np.finfo(float).eps * np.max(np.abs(2.0 * r))
 
     def test_dicke_limit_gibbs_stationary(self):
         params = EnsembleParams(3, 0.0, 0.5)

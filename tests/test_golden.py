@@ -38,6 +38,11 @@ CASES = {
                      "--x-stop", "20", "--x-count", "7", "--x-scale", "log",
                      "--outputs", "ratio", "--out", "{dir}/sweep_ratio.csv"],
                     ["sweep_ratio.csv", "sweep_ratio.csv.meta.json"]),
+    # the benchmark's large-N grid: cold rows whose ladder terms underflow
+    "sweep_large": (["sweep", "--n", "10000,100000", "--eta=-0.1,0,0.1", "--x-start",
+                     "0.001", "--x-stop", "1000", "--x-count", "10", "--x-scale", "log",
+                     "--out", "{dir}/sweep_large.csv"],
+                    ["sweep_large.csv", "sweep_large.csv.meta.json"]),
     "evolve": (["evolve", "--n", "3", "--eta", "0.1", "--x", "1", "--t-end", "2",
                 "--samples", "11", "--out", "{dir}/evolve.csv"],
                ["evolve.csv", "evolve.csv.meta.json"]),

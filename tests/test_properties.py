@@ -2,6 +2,8 @@
 
 Points cover eta up to 1e-12 from either bound of -(N-1)/(N+1) < eta < 1,
 x log-distributed over [1e-8, 1e6] and N log-distributed over [1, 1e5].
+The batched kernel, which exponentiates only the live prefix of a cold
+row, returns the same bits as a frozen copy of the full-row kernel.
 Numpy's floating-point warnings are raised as errors, so an overflow, a
 log of zero or an invalid operation anywhere on the path fails the point.
 """
@@ -10,12 +12,14 @@ import math
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from dicke_therm import (
     EnsembleParams,
+    EtaOutOfRange,
     ZeroIntensity,
     build_spectrum,
     g2_zero,
@@ -24,8 +28,9 @@ from dicke_therm import (
     steady_state_correlators,
     thermal_state,
 )
+from dicke_therm.correlators import ladder_log_sums
 
-from helpers import fsum_log_sums
+from helpers import fsum_log_sums, full_row_ladder_log_sums
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -121,3 +126,62 @@ def test_pairwise_sums_match_fsum_oracle(params):
         ratio = _normal((log_s1 - log_z) - (ref_s1 - ref_z))
         if _normal(ref_s1 - ref_z) is not None and ratio is not None:
             assert intensity_ratio(params) == pytest.approx(ratio, rel=1e-13)
+
+
+@st.composite
+def x_grids(draw):
+    """N, eta and an x list for the batched kernel: eta within 1e-9 of a
+    window edge or anywhere in it; xs unsorted, possibly empty or repeated,
+    with the double-range extremes among log-uniform values."""
+    n = round(10.0 ** (draw(st.integers(0, 348)) / 100))  # 1 .. 3000
+    eta = 0.0
+    if n > 1:
+        lower = -(n - 1) / (n + 1)
+        offset = draw(st.floats(1e-13, 1e-9))
+        eta = draw(st.one_of(
+            st.just(lower + offset),
+            st.just(1.0 - offset),
+            st.floats(lower, 1.0, exclude_min=True, exclude_max=True),
+        ))
+    # 1e-2..10 is where a cut row's live prefix holds many comparable terms
+    x = st.one_of(
+        st.sampled_from([5e-324, 1e308]),
+        st.floats(-4.0, 300.0).map(lambda e: 10.0**e),
+        st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+    )
+    xs = draw(st.lists(x, max_size=6))
+    xs += draw(st.lists(st.sampled_from(xs), max_size=2)) if xs else []
+    return n, eta, xs
+
+
+def assert_same_bits(got, want):
+    got = tuple(got)
+    assert got == want
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(x_grids(), st.booleans())
+def test_kernel_matches_the_full_row_kernel_bitwise(grid, pairs):
+    n, eta, xs = grid
+    try:
+        want = full_row_ladder_log_sums(n, eta, xs, pairs)
+    except EtaOutOfRange:
+        reject()
+    assert_same_bits(ladder_log_sums(n, eta, xs, pairs), want)
+    # one x per call: each row is a block of its own, cut at its own x
+    for i, x in enumerate(xs):
+        assert_same_bits(ladder_log_sums(n, eta, [x], pairs), tuple([s[i]] for s in want))
+
+
+# the benchmark's large-N grid, and a dense grid over the x whose live
+# prefixes hold many comparable terms: there a prefix summed without its
+# zero tail would differ in the last bit
+@pytest.mark.parametrize(
+    "xs", [np.geomspace(1e-3, 1e3, 10), np.geomspace(1e-2, 10.0, 40)], ids=["sweep", "dense"]
+)
+@pytest.mark.parametrize("pairs", [True, False])
+@pytest.mark.parametrize("eta", [-0.1, 0.0, 0.1])
+def test_kernel_matches_the_full_row_kernel_at_n_1e5(eta, pairs, xs):
+    want = full_row_ladder_log_sums(100_000, eta, xs, pairs)
+    assert_same_bits(ladder_log_sums(100_000, eta, xs, pairs), want)
