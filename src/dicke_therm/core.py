@@ -163,7 +163,12 @@ def ladder_coefficients(n_atoms: int) -> LadderCoeffs:
     return LadderCoeffs(lowering=lowering, raising=raising)
 
 
-def logsumexp_rows(terms: np.ndarray, length: int | None = None) -> np.ndarray:
+def logsumexp_rows(
+    terms: np.ndarray,
+    length: int | None = None,
+    in_place: bool = False,
+    zeros: np.ndarray | None = None,
+) -> np.ndarray:
     """log(sum(exp(t))) of every row t of a 2-D array; -inf for empty rows
     and for rows whose terms are all -inf.
 
@@ -171,24 +176,37 @@ def logsumexp_rows(terms: np.ndarray, length: int | None = None) -> np.ndarray:
     (0, 1] and the largest is exactly 1.  np.sum adds the positive terms of
     a row pairwise, so the relative error of each sum grows like
     eps*log2(length), and a row's result does not depend on the other rows.
+    With in_place the rows are shifted and exponentiated in the caller's
+    array.
 
     A length beyond the row width sums each row as the leading terms of a
     row of that length whose other exponentials are exactly 0.0: the row is
     padded with zeros, so np.sum keeps the pairwise order, and every bit,
-    of the full row.
+    of the full row.  The padding comes from zeros, a flat array of zeros
+    with room for every padded row, which is all zero again on return; a
+    new one is made when zeros is None.
     """
     if terms.shape[1] == 0:
         return np.full(terms.shape[0], -math.inf)
     top = terms.max(axis=1)
     top[top == -math.inf] = 0.0  # such a row sums to 0, whose log is -inf
-    shifted = terms - top[:, None]
+    if in_place:
+        terms -= top[:, None]
+        shifted = terms
+    else:
+        shifted = terms - top[:, None]
     np.exp(shifted, out=shifted)
-    if length is not None and length != terms.shape[1]:
-        padded = np.zeros((terms.shape[0], length))
-        padded[:, : terms.shape[1]] = shifted
-        shifted = padded
+    rows, width = terms.shape
+    if length is None or length == width:
+        total = shifted.sum(axis=1)
+    else:
+        flat = np.zeros(rows * length) if zeros is None else zeros[: rows * length]
+        padded = flat.reshape(rows, length)
+        padded[:, :width] = shifted
+        total = padded.sum(axis=1)
+        padded[:, :width] = 0.0
     with np.errstate(divide="ignore"):
-        return top + np.log(shifted.sum(axis=1))
+        return top + np.log(total)
 
 
 @dataclass(frozen=True)

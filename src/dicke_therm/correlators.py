@@ -16,7 +16,9 @@ log weights instead of ratios of underflowing floats: log G1 = log S1 -
 log Z and log g2 = log S2 + log Z - 2 log S1, with the shared weight shift
 cancelling exactly.  One kernel, ladder_log_sums, takes these sums for a
 whole x grid at fixed (N, eta); every single-point function is its one-x
-case, and log Z is the same row sum as ThermalState.log_z.
+case, and log Z is the same row sum as ThermalState.log_z.  A sweep takes
+all eta of one N in one _ladder_log_sums_at_n call, which builds the
+N-only ladder logs log n(N-n+1) once for all of them.
 
 In a cold bath most of a row is dead weight: the gaps E_n - E_0 grow with
 n (every omega_n > 0), so beyond some level every term lies more than
@@ -26,7 +28,11 @@ min(N+1, ~(746 + spread)/(x*omega_0)) terms, where the spread bounds the
 x-independent ladder logs log n(N-n+1) and 4 log omega_n; the width comes
 from the closed-form gaps in O(1).  The rest of the row is filled with the
 zeros np.exp would have returned and summed at full length, so every
-result is bit-identical to exponentiating the whole row.
+result is bit-identical to exponentiating the whole row.  A block of rows
+is cut at the width of its hottest row, so rows whose widths differ by
+more than a factor of 2 (above 256 levels) never share one.  The kernel
+shifts and exponentiates its own term arrays in place, and one zero
+padding per (N, eta) serves all of its cut rows.
 """
 
 from __future__ import annotations
@@ -67,9 +73,13 @@ __all__ = [
 
 # half-width of the band around g2(0) = 1 classified as Poissonian
 _POISSONIAN_TOL = 1e-9
-# ladder terms summed per block of x rows; a block is never smaller than
-# one row of N + 1 terms, so a temporary takes max(1 MB, 8*(N+1) bytes)
+# ladder terms summed per block of x rows, counted at the full row length
+# N + 1 of the zero padding; a block is never smaller than one row, so a
+# temporary takes max(1 MB, 8*(N+1) bytes)
 _BLOCK_TERMS = 1 << 17
+# rows whose live widths are at most this many levels may share a block;
+# wider rows share one only with rows at least half as wide
+_SHARED_WIDTH = 256
 # np.exp(t) is exactly 0.0 for t < -745.14; a term this far below another
 # of its row adds an exact zero, with one unit left for the rounding of
 # the ladder logs
@@ -147,35 +157,38 @@ class LadderLogSums(NamedTuple):
     log_s2: list[float]
 
 
-def _ladder_logs(
-    spectrum: DickeSpectrum, coeffs: LadderCoeffs
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The x-independent parts of the ladder terms: 4 log omega_n and the
-    log ladder products of the G1 and G2 sums."""
-    log_w4 = 4.0 * np.log(spectrum.frequencies)
-    c2 = coeffs.lowering**2
-    return log_w4, np.log(c2[1:]), np.log(c2[2:] * c2[1:-1])
+def _c_logs(lowering: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The N-only parts of the ladder terms: the log ladder products of the
+    G1 and G2 sums, log c_n^2 and log c_n^2 c_{n-1}^2 with c = lowering."""
+    c2 = lowering**2
+    return np.log(c2[1:]), np.log(c2[2:] * c2[1:-1])
 
 
 def _log_sums(
-    log_weights: np.ndarray, ladder_logs: tuple, pairs: bool, levels: int
+    log_weights: np.ndarray,
+    ladder_logs: tuple,
+    pairs: bool,
+    levels: int,
+    zeros: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log of the unnormalized G1 sum and, when pairs is set, of the G2 sum,
     for every row of log weights (one row per x) of a ladder of `levels`
     levels.  The rows may hold only its leading levels when the terms of
-    the others exponentiate to exactly 0.0 (see _live_levels).
+    the others exponentiate to exactly 0.0 (see _live_levels); zeros is
+    then the zero padding of logsumexp_rows.  The term arrays are this
+    function's own, so they are shifted and exponentiated in place.
     """
     log_w4, log_c1, log_c2 = ladder_logs
     live = log_weights.shape[1]
     terms = log_weights[:, 1:] + log_c1[: live - 1]
     terms += log_w4[: live - 1]
-    log_s1 = logsumexp_rows(terms, levels - 1)
+    log_s1 = logsumexp_rows(terms, levels - 1, in_place=True, zeros=zeros)
     if not pairs:
         return log_s1, np.full(log_s1.size, -math.inf)
     terms = log_weights[:, 2:] + log_c2[: live - 2]
     terms += log_w4[1 : live - 1]
     terms += log_w4[: live - 2]
-    return log_s1, logsumexp_rows(terms, levels - 2)
+    return log_s1, logsumexp_rows(terms, levels - 2, in_place=True, zeros=zeros)
 
 
 def _live_levels(params: EnsembleParams, spectrum: DickeSpectrum, x: float) -> int:
@@ -219,35 +232,91 @@ def _live_levels(params: EnsembleParams, spectrum: DickeSpectrum, x: float) -> i
     return w
 
 
+def _blocks(
+    params: EnsembleParams, spectrum: DickeSpectrum, xs: np.ndarray
+) -> list[tuple[slice | np.ndarray, int]]:
+    """The blocks of x rows that ladder_log_sums sums together, each with
+    its live width: (rows, width) pairs, rows a slice or index array of xs.
+
+    A block holds at most _BLOCK_TERMS // (N + 1) rows, or one.  When the
+    hottest and coldest rows have the same live width, the blocks run in
+    grid order at that width.  Otherwise the rows run from hot to cold,
+    and a row joins a block only when the block's width, that of its
+    hottest row, is at most twice the row's own or _SHARED_WIDTH.  Either
+    way the last block is the narrowest.
+    """
+    size = spectrum.dim
+    rows = max(1, _BLOCK_TERMS // size)
+    if xs.size == 0:
+        return []
+    width = _live_levels(params, spectrum, float(xs.max()))
+    if width == size or width == _live_levels(params, spectrum, float(xs.min())):
+        return [(slice(lo, lo + rows), width) for lo in range(0, xs.size, rows)]
+    order = np.argsort(xs, kind="stable")
+    hot_to_cold = xs[order].tolist()
+    blocks = []
+    start = 0
+    while start < xs.size:
+        width = _live_levels(params, spectrum, hot_to_cold[start])
+        stop = min(start + rows, xs.size)
+        if width > _SHARED_WIDTH:
+            end = start + 1
+            while end < stop and width <= 2 * _live_levels(params, spectrum, hot_to_cold[end]):
+                end += 1
+            stop = end
+        blocks.append((order[start:stop], width))
+        start = stop
+    return blocks
+
+
+def _eta_log_sums(
+    params: EnsembleParams, xs: np.ndarray, c_logs: tuple, pairs: bool
+) -> LadderLogSums:
+    """ladder_log_sums at one (N, eta), given the N-only ladder logs."""
+    spectrum = build_spectrum(params)
+    logs = (4.0 * np.log(spectrum.frequencies), *c_logs)
+    gaps = spectrum.energies - spectrum.energies.min()
+    sums: list[np.ndarray] = [np.empty(xs.size) for _ in range(3)]
+    blocks = _blocks(params, spectrum, xs)
+    # one zero padding, room for a block of full rows, serves every cut row
+    cut = blocks and blocks[-1][1] < gaps.size
+    zeros = np.zeros(max(_BLOCK_TERMS, gaps.size)) if cut else None
+    for block, live in blocks:
+        with np.errstate(over="ignore"):  # a weight beyond the double range is -inf
+            log_weights = -xs[block, None] * gaps[:live]
+        sums[0][block] = logsumexp_rows(log_weights, gaps.size, zeros=zeros)
+        sums[1][block], sums[2][block] = _log_sums(log_weights, logs, pairs, gaps.size, zeros)
+    return LadderLogSums(*(s.tolist() for s in sums))
+
+
+def _ladder_log_sums_at_n(
+    n_atoms: int, calls: list[tuple[float, bool]], xs
+) -> list[LadderLogSums]:
+    """ladder_log_sums(n_atoms, eta, xs, pairs) for each (eta, pairs) in
+    calls, with the N-only ladder logs built once for all of them."""
+    params = [validate_params(n_atoms, eta) for eta, _ in calls]
+    xs = np.asarray(xs, dtype=float).ravel()
+    for x in xs[~(np.isfinite(xs) & (xs > 0.0))]:
+        validate_params(n_atoms, 0.0, x)
+    c_logs = _c_logs(ladder_coefficients(n_atoms).lowering)
+    return [_eta_log_sums(p, xs, c_logs, pairs) for p, (_, pairs) in zip(params, calls)]
+
+
 def ladder_log_sums(n_atoms: int, eta: float, xs, pairs: bool = True) -> LadderLogSums:
     """log Z, log S1 and (with pairs) log S2 at every x in xs.
 
-    The spectrum and ladder coefficients are built once; the log-weight
-    rows -x*(E - min E) are summed in blocks of at most _BLOCK_TERMS
-    ladder terms, or of one row of N + 1 terms when N + 1 exceeds that.
-    Each block computes only the live prefix set by its smallest x
-    (_live_levels) and pads the rest with the exact zeros np.exp would
-    return; a block whose every level is live runs the full rows with no
-    padding.  Every single-point function of this module is the one-x case
-    of this kernel, so all paths agree bitwise.
+    The spectrum and ladder logs are built once; the log-weight rows
+    -x*(E - min E) are summed in blocks of at most _BLOCK_TERMS ladder
+    terms, or of one row of N + 1 terms when N + 1 exceeds that.  Each
+    block computes only the live prefix set by its hottest x
+    (_live_levels), and rows of very different widths never share a
+    block (_blocks).  The rest of each row is padded with the exact zeros
+    np.exp would return; a block whose every level is live runs the full
+    rows with no padding.  Every single-point function of this module is
+    the one-x case of this kernel, and a sweep takes all eta of one N
+    from _ladder_log_sums_at_n, so all paths agree bitwise.
     """
-    params = validate_params(n_atoms, eta)
-    xs = np.asarray(xs, dtype=float).ravel()
-    for x in xs[~(np.isfinite(xs) & (xs > 0.0))]:
-        validate_params(n_atoms, eta, x)
-    spectrum = build_spectrum(params)
-    logs = _ladder_logs(spectrum, ladder_coefficients(params.n_atoms))
-    gaps = spectrum.energies - spectrum.energies.min()
-    sums: list[np.ndarray] = [np.empty(xs.size) for _ in range(3)]
-    rows = max(1, _BLOCK_TERMS // gaps.size)
-    for lo in range(0, xs.size, rows):
-        block = slice(lo, lo + rows)
-        live = _live_levels(params, spectrum, float(xs[block].min()))
-        with np.errstate(over="ignore"):  # a weight beyond the double range is -inf
-            log_weights = -xs[block, None] * gaps[:live]
-        sums[0][block] = logsumexp_rows(log_weights, gaps.size)
-        sums[1][block], sums[2][block] = _log_sums(log_weights, logs, pairs, gaps.size)
-    return LadderLogSums(*(s.tolist() for s in sums))
+    return _ladder_log_sums_at_n(n_atoms, [(eta, pairs)], xs)[0]
 
 
 def correlators_from_log_sums(log_z: float, log_s1: float, log_s2: float) -> CorrelatorResult:
@@ -313,9 +382,8 @@ def g2_zero(
     yields a photon pair).
     """
     _check_dimensions(state, spectrum, coeffs)
-    log_s1, log_s2 = _log_sums(
-        state.log_weights[None, :], _ladder_logs(spectrum, coeffs), True, state.dim
-    )
+    logs = (4.0 * np.log(spectrum.frequencies), *_c_logs(coeffs.lowering))
+    log_s1, log_s2 = _log_sums(state.log_weights[None, :], logs, True, state.dim)
     return correlators_from_log_sums(state.log_z, float(log_s1[0]), float(log_s2[0]))
 
 
@@ -330,12 +398,13 @@ def intensity_ratio(params: EnsembleParams) -> float:
 
     Evaluated as a difference of log intensities, so the ratio stays
     accurate deep into the cold regime where both intensities are tiny.
+    Both come from one _ladder_log_sums_at_n call, as in a sweep.
     """
     if params.eta == 0.0:
         raise ValueError("intensity_ratio requires eta != 0 (the reference is eta = 0)")
+    calls = [(params.eta, False), (0.0, False)]
     log_g1 = []
-    for eta in (params.eta, 0.0):
-        sums = ladder_log_sums(params.n_atoms, eta, [params.x], pairs=False)
+    for (eta, _), sums in zip(calls, _ladder_log_sums_at_n(params.n_atoms, calls, [params.x])):
         log_g1.append(sums.log_s1[0] - sums.log_z[0])
         if _exp(log_g1[-1]) == 0.0:
             raise ZeroIntensity(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -24,8 +23,8 @@ from . import __version__
 from .asymptotics import AsymptoticReport, _check_distinct
 from .correlators import (
     LadderLogSums,
+    _ladder_log_sums_at_n,
     correlators_from_log_sums,
-    ladder_log_sums,
     ratio_from_log_g1,
 )
 from .core import validate_params
@@ -85,6 +84,8 @@ class SweepConfig:
             )
         if not isinstance(self.precision, int) or self.precision < 0:
             raise ValueError(f"precision must be a non-negative integer, got {self.precision!r}")
+        if not self.outputs:
+            raise ValueError(f"outputs must name at least one of {VALID_OUTPUTS}")
         unknown = set(self.outputs) - set(VALID_OUTPUTS)
         if unknown:
             raise ValueError(f"unknown outputs {sorted(unknown)}; valid: {VALID_OUTPUTS}")
@@ -99,20 +100,21 @@ def x_grid(config: SweepConfig) -> np.ndarray:
     return space(config.x_start, config.x_stop, config.x_count)
 
 
-def _sum_tasks(n_values, eta_values, outputs) -> list[tuple[int, float, bool]]:
-    """The (N, eta, pairs) ladder_log_sums calls behind a sweep: one per
-    (N, eta) group that needs sums, with the G2 sum only when a correlator
-    column is requested, plus the eta = 0 intensity reference once per N."""
+def _sum_tasks(n_values, eta_values, outputs) -> dict[int, list[tuple[float, bool]]]:
+    """The ladder sums behind a sweep, one unit per N that needs any: the
+    (eta, pairs) calls of ladder_log_sums at that N, one per eta group
+    with the G2 sum only when a correlator column is requested, plus the
+    eta = 0 intensity reference."""
     pairs = not {"g1", "g2", "classification"}.isdisjoint(outputs)
     ratio = "ratio" in outputs
-    tasks: dict[tuple[int, float], bool] = {}
+    units = {}
     for n in n_values:
-        for eta in eta_values:
-            if pairs or (ratio and eta != 0.0):
-                tasks[(n, eta)] = pairs
+        calls = {eta: pairs for eta in eta_values if pairs or (ratio and eta != 0.0)}
         if ratio and any(eta != 0.0 for eta in eta_values):
-            tasks.setdefault((n, 0.0), False)
-    return [(n, eta, p) for (n, eta), p in tasks.items()]
+            calls.setdefault(0.0, False)
+        if calls:
+            units[n] = list(calls.items())
+    return units
 
 
 def _group_rows(
@@ -161,18 +163,24 @@ def evaluate_rows(
     nesting order; None marks a column left empty and the string 'NA' a
     column lost to intensity underflow.
 
-    Each (N, eta) group is one ladder_log_sums call over the whole x grid,
-    and the eta = 0 reference of the ratio column one call per N.  With
-    jobs > 1 worker processes make these calls; the rows are built here.
+    The unit of work is one N: the ladder_log_sums calls of all its eta
+    groups and of the eta = 0 reference of the ratio column, which share
+    the N-only ladder logs.  With jobs > 1 worker processes take these
+    units; the rows are built here.
     """
-    tasks = _sum_tasks(n_values, eta_values, outputs)
-    calls = [[task[i] for task in tasks] for i in range(3)]  # N, eta and pairs columns
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(ladder_log_sums, calls[0], calls[1], repeat(xs), calls[2]))
+    units = _sum_tasks(n_values, eta_values, outputs)
+    if jobs > 1 and len(units) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
+            results = list(pool.map(_ladder_log_sums_at_n, units, units.values(), repeat(xs)))
     else:
-        results = list(map(ladder_log_sums, calls[0], calls[1], repeat(xs), calls[2]))
-    sums = {(n, eta): res for (n, eta, _), res in zip(tasks, results)}
+        results = list(map(_ladder_log_sums_at_n, units, units.values(), repeat(xs)))
+    sums = {
+        (n, eta): res
+        for (n, calls), unit_sums in zip(units.items(), results)
+        for (eta, _), res in zip(calls, unit_sums)
+    }
     return [
         row
         for n in n_values

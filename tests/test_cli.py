@@ -180,6 +180,28 @@ class TestSweep:
         code, _, err = run(capsys, *self.sweep_args(tmp_path / "x.csv", ("--outputs", "g9")))
         assert code == 2
 
+    def test_empty_output_list_exits_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(capsys, *self.sweep_args(out_dir / "x.csv", ("--outputs", ",")))
+        assert code == 2
+        assert "ValueError" in err and "outputs" in err
+        assert out == ""
+        assert list(out_dir.iterdir()) == []
+
+    def test_parallel_equivalent_where_cold_rows_are_cut(self, capsys, tmp_path):
+        # at N = 1e4 and 3e4 the cold rows exponentiate a short live prefix
+        # and rows of different widths share no block
+        files = [tmp_path / "j1.csv", tmp_path / "j2.csv"]
+        for path, jobs in zip(files, ("1", "2")):
+            code, _, _ = run(
+                capsys, "sweep", "--n", "10000,30000", "--eta=-0.1,0,0.1",
+                "--x-start", "1e-3", "--x-stop", "1e3", "--x-count", "10",
+                "--x-scale", "log", "--out", str(path), "--jobs", jobs,
+            )
+            assert code == 0
+        assert files[0].read_bytes() == files[1].read_bytes()
+
     def test_sidecar_written(self, capsys, tmp_path):
         out = tmp_path / "s.csv"
         run(capsys, *self.sweep_args(out))

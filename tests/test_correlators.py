@@ -23,6 +23,7 @@ from dicke_therm import (
 )
 from dicke_therm import correlators
 from dicke_therm.correlators import correlators_from_log_sums, ratio_from_log_g1
+from dicke_therm.sweep import VALID_OUTPUTS, evaluate_rows
 from helpers import matrix_correlators, random_valid_params
 
 # frozen against a 50-digit evaluation of the closed-form sums
@@ -144,9 +145,9 @@ class TestColdTailCut:
         widths = []
         logsumexp_rows = correlators.logsumexp_rows
 
-        def recording(terms, length=None):
+        def recording(terms, length=None, **kwargs):
             widths.append((terms.shape[1], length))
-            return logsumexp_rows(terms, length)
+            return logsumexp_rows(terms, length, **kwargs)
 
         monkeypatch.setattr(correlators, "logsumexp_rows", recording)
         correlators.ladder_log_sums(self.N, 0.1, [2.0])
@@ -155,6 +156,51 @@ class TestColdTailCut:
         widths.clear()
         correlators.ladder_log_sums(self.N, 0.1, [1e-3])
         assert widths == [(self.N + 1,) * 2, (self.N,) * 2, (self.N - 1,) * 2]
+
+
+class TestWidthGroups:
+    """Rows of very different live widths get blocks of their own, and a
+    sweep builds the N-only ladder logs once per N."""
+
+    N = 10_000
+
+    @pytest.mark.parametrize("eta", [-0.1, 0.0, 0.1])
+    def test_no_row_is_exponentiated_far_beyond_its_live_width(self, eta, monkeypatch):
+        xs = np.geomspace(1e-3, 1e3, 10)
+        params = EnsembleParams(self.N, eta)
+        spectrum = build_spectrum(params)
+        gaps = spectrum.energies - spectrum.energies.min()
+        # a Z row -x*gaps[:width] is known by its level-1 term
+        row_of = {v: i for i, v in enumerate((-xs * gaps[1]).tolist())}
+        widths = {}
+        logsumexp_rows = correlators.logsumexp_rows
+
+        def recording(terms, length=None, **kwargs):
+            if length == self.N + 1:
+                for v in terms[:, 1].tolist():
+                    widths[row_of[v]] = terms.shape[1]
+            return logsumexp_rows(terms, length, **kwargs)
+
+        monkeypatch.setattr(correlators, "logsumexp_rows", recording)
+        correlators.ladder_log_sums(self.N, eta, xs)
+        assert sorted(widths) == list(range(xs.size))
+        for i, x in enumerate(xs.tolist()):
+            own = correlators._live_levels(params, spectrum, x)
+            assert own <= widths[i] <= max(2 * own, 256)
+        assert sum(widths.values()) <= 0.45 * xs.size * (self.N + 1)
+
+    def test_sweep_builds_the_n_only_ladder_logs_once_per_n(self, monkeypatch):
+        built = []
+        c_logs = correlators._c_logs
+
+        def recording(lowering):
+            built.append(lowering.size - 1)
+            return c_logs(lowering)
+
+        monkeypatch.setattr(correlators, "_c_logs", recording)
+        rows = evaluate_rows([20, 300], [-0.1, 0.0, 0.1], [0.01, 1.0, 30.0], VALID_OUTPUTS)
+        assert len(rows) == 2 * 3 * 3
+        assert built == [20, 300]
 
 
 class TestMatrixOracle:

@@ -185,3 +185,17 @@ def test_kernel_matches_the_full_row_kernel_bitwise(grid, pairs):
 def test_kernel_matches_the_full_row_kernel_at_n_1e5(eta, pairs, xs):
     want = full_row_ladder_log_sums(100_000, eta, xs, pairs)
     assert_same_bits(ladder_log_sums(100_000, eta, xs, pairs), want)
+
+
+# N = 1e4 spans widths from 3 to N + 1 in one call, so rows are regrouped
+# by live width; the unsorted grid puts hot and cold x side by side
+@pytest.mark.parametrize(
+    "xs",
+    [np.geomspace(1e-3, 1e3, 10), [10.0, 1e-3, 1e3, 0.05, 2.0, 1e-2, 300.0, 0.3]],
+    ids=["sweep", "unsorted"],
+)
+@pytest.mark.parametrize("pairs", [True, False])
+@pytest.mark.parametrize("eta", [-0.1, 0.0, 0.1])
+def test_kernel_matches_the_full_row_kernel_at_n_1e4(eta, pairs, xs):
+    want = full_row_ladder_log_sums(10_000, eta, xs, pairs)
+    assert_same_bits(ladder_log_sums(10_000, eta, xs, pairs), want)
