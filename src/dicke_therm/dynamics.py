@@ -52,10 +52,10 @@ __all__ = [
     "default_step",
 ]
 
-# a diagonal start builds one (N+1)^2 step map, O(N^3 log(steps)); a start
-# with coherences builds one per band, O(N^4 log(steps)), and its dense
-# per-sample diagnostics cost O(N^3) each.  The correlator engine covers
-# larger ensembles.
+# a diagonal start builds and guards one (N+1)^2 step map, O(N^3 log(steps));
+# a start with coherences does so for each nonzero band, up to
+# O(N^4 log(steps)), and its dense per-sample diagnostics cost O(N^3) each.
+# The correlator engine covers larger ensembles.
 MAX_DYNAMICS_ATOMS = 200
 
 INITIAL_STATE_KINDS = ("ground", "inverted", "equal", "gibbs")
@@ -290,8 +290,8 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:
 
 def _check_step(generators: list[np.ndarray], h: float) -> None:
     """Raise StepTooLarge before any step if RK4 amplifies an eigenmode
-    (|R(h*lambda)| > 1) or drifts the trace by more than _MAX_TRACE_DRIFT
-    per step."""
+    of the advanced bands' generators, band 0 first (|R(h*lambda)| > 1),
+    or drifts the trace by more than _MAX_TRACE_DRIFT per step."""
     # the generator is dissipative: a positive eigenvalue is rounding of
     # the conserved trace mode
     lam = np.minimum(np.concatenate([_eigenvalues(a) for a in generators]), 0.0)
@@ -317,7 +317,8 @@ def _band_history(
     `steps` RK4 steps of size h, applied as one exact map."""
     hist = np.empty((intervals + 1, v0.size), dtype=complex)
     hist[0] = v0
-    step_map = _power_increment(_rk4_increment(a, h), steps)
+    # cast once: the loop's complex products are those of the real map
+    step_map = _power_increment(_rk4_increment(a, h), steps).astype(complex)
     for i in range(intervals):
         hist[i + 1] = hist[i] + step_map @ hist[i]
     return hist
@@ -347,8 +348,8 @@ def integrate(
     and always for the first sample, they come from the dense state.
 
     Raises ValueError for a step that is not positive and finite, and
-    StepTooLarge before any step when RK4 at the step is unstable for some
-    A_k (zero bands included) or its one-step trace drift exceeds 1e-8,
+    StepTooLarge before any step when RK4 at the step is unstable for the
+    A_k of some band it advances or its one-step trace drift exceeds 1e-8,
     and when an interval's trace changes by more than steps times that
     bound; raises NonFiniteState when the state blows up.
     """
@@ -371,16 +372,15 @@ def integrate(
     span = t_end / (n_samples - 1)
     steps = max(1, math.ceil(span / h_max))
     h = span / steps
-    generators = [liou.band(k) for k in range(liou.dim)]
-    _check_step(generators, h)
-
+    # a band that starts at zero stays zero: it gets no map and no guard
     herm = 0.5 * (rho0 + rho0.conj().T)
+    starts = {k: np.diagonal(herm, k) for k in range(liou.dim)}
+    generators = {k: liou.band(k) for k, v0 in starts.items() if k == 0 or v0.any()}
+    _check_step(list(generators.values()), h)
+
     bands = {}
-    for k, a in enumerate(generators):
-        v0 = np.diagonal(herm, k)
-        if k and not v0.any():
-            continue
-        hist = _band_history(a, v0, h, steps, n_samples - 1)
+    for k, a in generators.items():
+        hist = _band_history(a, starts[k], h, steps, n_samples - 1)
         blown = ~np.all(np.isfinite(hist), axis=1)
         if blown.any():
             raise NonFiniteState(f"state became non-finite near t={times[np.argmax(blown)]:g}")

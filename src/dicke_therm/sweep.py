@@ -126,33 +126,38 @@ def _group_rows(
 ) -> list[dict[str, object]]:
     """Sweep rows of one (N, eta) group from its ladder log sums and those
     of the eta = 0 reference."""
-    columns = [k for k in ("g1", "g2", "classification") if k in outputs]
+    want_g1, want_g2, want_class, want_ratio = (
+        k in outputs for k in ("g1", "g2", "classification", "ratio")
+    )
     rows = []
     for i in range(size):
-        row: dict[str, object] = dict.fromkeys(("g1", "g2", "ratio", "classification"))
+        g1 = g2 = ratio = classification = None
         reason = ""
-        if columns:
+        if want_g1 or want_g2 or want_class:
             try:
                 res = correlators_from_log_sums(sums.log_z[i], sums.log_s1[i], sums.log_s2[i])
-                values = {"g1": res.g1, "g2": res.g2_norm,
-                          "classification": res.classification.value}
+                g1, g2, classification = res.g1, res.g2_norm, res.classification.value
             except ZeroIntensity:
                 reason = "ZeroIntensity"
-                values = dict.fromkeys(columns, "NA")
-            row.update((k, values[k]) for k in columns)
-        if "ratio" in outputs:
+                g1 = g2 = classification = "NA"
+        if want_ratio:
             if eta == 0.0:
-                row["ratio"] = 1.0
+                ratio = 1.0
             else:
                 try:
-                    row["ratio"] = ratio_from_log_g1(
+                    ratio = ratio_from_log_g1(
                         sums.log_s1[i] - sums.log_z[i], ref.log_s1[i] - ref.log_z[i]
                     )
                 except ZeroIntensity:
                     reason = "ZeroIntensity"
-                    row["ratio"] = "NA"
-        row["reason"] = reason
-        rows.append(row)
+                    ratio = "NA"
+        rows.append({
+            "g1": g1 if want_g1 else None,
+            "g2": g2 if want_g2 else None,
+            "ratio": ratio,
+            "classification": classification if want_class else None,
+            "reason": reason,
+        })
     return rows
 
 
@@ -213,9 +218,24 @@ def format_number(value, precision: int) -> str:
 
 def csv_text(header, rows, precision: int) -> str:
     """CSV text: the header line, then one line per row of plain values,
-    each rendered by format_number; every line ends in a newline."""
+    each rendered by format_number; every line ends in a newline.
+
+    A row whose cells are all float, int, str or None is rendered by one
+    printf format, looked up by its tuple of cell types; other rows, and
+    lines where a NaN printed as nan, take the per-cell join."""
+    # "%.0s" prints None as an empty cell
+    cell = {float: f"%.{precision}g", int: "%d", str: "%s", type(None): "%.0s"}
+    formats: dict[tuple[type, ...], str | None] = {}
     lines = [",".join(header)]
-    lines.extend([",".join([format_number(v, precision) for v in row]) for row in rows])
+    for row in rows:
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            formats[kinds] = ",".join(map(cell.get, kinds)) if cell.keys() >= set(kinds) else None
+        fmt = formats[kinds]
+        line = None if fmt is None else fmt % tuple(row)
+        if line is None or "nan" in line:
+            line = ",".join([format_number(v, precision) for v in row])
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

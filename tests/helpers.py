@@ -1,8 +1,8 @@
 """Shared test helpers: brute-force matrix-product correlator oracle, a
 log-domain ladder-sum oracle added with math.fsum, the dense master
 equation with its step-by-step RK4 integrator, and the scalar-rate
-Dicke-limit master equation, and a frozen copy of the full-row ladder
-kernel.
+Dicke-limit master equation, a frozen copy of the full-row ladder
+kernel, and a frozen copy of the all-band RK4 step guard.
 
 Deliberately independent of the indexed-sum and banded paths in the
 package: ladder operators are materialized as dense matrices, the
@@ -11,7 +11,10 @@ Gibbs state, and the master equation is applied as the operator products
 it is written in.  The Dicke-limit equation uses scalar rates at
 omega0 = 1 instead of the package's level-resolved rate operators.  The
 kernel copy (`full_row_ladder_log_sums`) exponentiates every ladder term
-of every row; the package's kernel must return the same bits.
+of every row; the package's kernel must return the same bits.  The guard
+copy (`all_band_step_verdict`) checks every coherence band, zero bands
+included; the integrator's guard, which checks the bands it advances,
+must never refuse a step that copy accepts.
 """
 
 import math
@@ -20,7 +23,11 @@ import numpy as np
 
 from dicke_therm import (
     DimensionMismatch,
+    StepControl,
+    StepTooLarge,
+    ThermalLiouvillian,
     build_spectrum,
+    integrate,
     ladder_coefficients,
     thermal_state,
     validate_params,
@@ -211,3 +218,49 @@ def full_row_ladder_log_sums(n_atoms, eta, xs, pairs=True):
         sums[0][block] = _full_logsumexp_rows(log_weights)
         sums[1][block], sums[2][block] = _full_log_sums(log_weights, logs, pairs)
     return tuple(s.tolist() for s in sums)
+
+
+# The RK4 step guard as it stood before zero bands were skipped: every
+# band generator's spectrum and band 0's one-step trace drift.
+
+ALL_BAND_MAX_TRACE_DRIFT = 1e-8
+
+# nonzero real root of R(z) = 1: RK4 is stable on the negative axis down
+# to it (-2.785...)
+RK4_EDGE = next(r.real for r in np.roots([1 / 24, 1 / 6, 1 / 2, 1]) if abs(r.imag) < 1e-9)
+
+
+def _band_spectrum(a):
+    """Eigenvalues of a real tridiagonal band generator, whose off-diagonal
+    products are nonnegative, from its symmetric form."""
+    off = np.sqrt(np.diag(a, 1) * np.diag(a, -1))
+    return np.linalg.eigvalsh(np.diag(np.diag(a)) + np.diag(off, 1) + np.diag(off, -1))
+
+
+def band0_step_limit(params):
+    """The largest RK4 step at which band 0 amplifies no eigenmode."""
+    return RK4_EDGE / float(np.min(_band_spectrum(ThermalLiouvillian(params).band(0))))
+
+
+def all_band_step_verdict(params, h):
+    """True when RK4 at step h amplifies no eigenmode of any coherence
+    band's generator, zero bands included (|R(h*lambda)| <= 1), and one
+    step changes the trace of unit populations by at most 1e-8."""
+    liou = ThermalLiouvillian(params)
+    generators = [liou.band(k) for k in range(liou.dim)]
+    z = h * np.minimum(np.concatenate([_band_spectrum(a) for a in generators]), 0.0)
+    gain = np.max(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))))
+    x = h * generators[0]
+    eye = np.eye(len(x))
+    increment = x @ (eye + (x / 2.0) @ (eye + (x / 3.0) @ (eye + x / 4.0)))
+    drift = np.max(np.abs(increment.sum(axis=0)))
+    return bool(gain <= 1.0 and drift <= ALL_BAND_MAX_TRACE_DRIFT)
+
+
+def guard_accepts(rho0, params, h):
+    """Whether integrate takes one RK4 step of exactly h from rho0."""
+    try:
+        integrate(rho0, h, params, ctrl=StepControl(h=h), n_samples=2)
+    except StepTooLarge:
+        return False
+    return True

@@ -492,6 +492,38 @@ class TestFigures:
             assert (tmp_path / f"{name}.csv.meta.json").exists()
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 with the error's type
+    name as the token, not a traceback, and writes nothing."""
+
+    @pytest.mark.parametrize("command", ["point", "sweep", "validate", "evolve"])
+    def test_missing_directory_exits_2(self, capsys, tmp_path, command):
+        out = str(tmp_path / "missing" / "out")
+        argv = {
+            "point": ["--n", "2", "--x", "1", "--out", out],
+            "sweep": ["--n", "2", "--eta", "0", "--x-start", "1", "--x-stop", "2",
+                      "--x-count", "2", "--out", out],
+            "validate": ["--n", "2", "--eta", "0", "--x", "1", "--out", out],
+            "evolve": ["--n", "2", "--x", "1", "--t-end", "1", "--out", out],
+        }[command]
+        code, text, err = run(capsys, command, *argv)
+        assert code == 2
+        assert err.startswith("FileNotFoundError: ")
+        assert "Traceback" not in err
+        assert text == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_figures_directory_under_a_file_exits_2(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, text, err = run(capsys, "figures", "--out-dir", str(blocker / "figs"))
+        assert code == 2
+        assert err.startswith("NotADirectoryError: ")
+        assert "Traceback" not in err
+        assert text == ""
+        assert list(tmp_path.iterdir()) == [blocker]
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -25,7 +25,14 @@ from dicke_therm import (
 )
 from dicke_therm import dynamics
 from dicke_therm.dynamics import INITIAL_STATE_KINDS
-from helpers import dense_liouvillian_apply, dicke_limit_liouvillian, rk4_trajectory
+from helpers import (
+    all_band_step_verdict,
+    band0_step_limit,
+    dense_liouvillian_apply,
+    dicke_limit_liouvillian,
+    guard_accepts,
+    rk4_trajectory,
+)
 
 
 def count_maps(monkeypatch):
@@ -461,3 +468,66 @@ class TestPopulationOnly:
         for states in (traj.states, traj.states.transpose(0, 2, 1)):
             assert np.all(states[:, idx, idx + 1] == 0.0)
         assert np.all(traj.states[1:, 0, 2] != 0.0)
+
+
+def checked_bands(monkeypatch):
+    """Record, per `integrate` call, the bands whose generators the step
+    guard checks (band k's generator has N + 1 - k rows)."""
+    calls = []
+    check_step = dynamics._check_step
+
+    def recording(generators, h):
+        dim = len(generators[0])
+        calls.append([dim - len(a) for a in generators])
+        return check_step(generators, h)
+
+    monkeypatch.setattr(dynamics, "_check_step", recording)
+    return calls
+
+
+# N x 6 couplings across the admissible window x 5 baths from 1e-3 to 100
+GUARD_N = (2, 3, 5, 10, 30, 60)
+
+
+def guard_grid(n):
+    lower = -(n - 1) / (n + 1)
+    etas = (0.99 * lower, 0.5 * lower, 0.0, 0.1, 0.5, 0.99)
+    return [EnsembleParams(n, eta, x) for eta in etas for x in np.geomspace(1e-3, 100.0, 5)]
+
+
+class TestStepGuard:
+    """The RK4 guard checks the bands integrate advances: band 0 and every
+    coherence band that starts nonzero."""
+
+    @pytest.mark.parametrize("kind", INITIAL_STATE_KINDS)
+    def test_diagonal_start_checks_band_0_only(self, monkeypatch, kind):
+        calls = checked_bands(monkeypatch)
+        params = EnsembleParams(20, 0.1, 1.0)
+        integrate(initial_state(params, kind), 0.2, params, n_samples=11)
+        assert calls == [[0]]
+
+    def test_coherent_start_checks_its_bands(self, monkeypatch):
+        calls = checked_bands(monkeypatch)
+        params = EnsembleParams(10, 0.1, 1.0)
+        rng = np.random.default_rng(25)
+        rho0 = initial_state(params, "equal") + small_coherence(rng, 11, [2, 5])
+        traj = integrate(rho0, 0.2, params, n_samples=11)
+        assert calls == [[0, 2, 5]]
+        assert sorted(traj.coherences) == [2, 5]
+
+    @pytest.mark.parametrize("n", GUARD_N)
+    def test_same_verdict_as_the_all_band_guard(self, n):
+        # at the default step and 1e-6 on either side of band 0's stability
+        # limit; below it the step is accepted, so a stiffer zero band
+        # would show as a verdict the all-band guard does not share
+        below, above = [], []
+        for params in guard_grid(n):
+            rho0 = initial_state(params, "inverted")
+            limit = band0_step_limit(params)
+            steps = {"default": default_step(params),
+                     "below": limit * (1 - 1e-6), "above": limit * (1 + 1e-6)}
+            got = {k: guard_accepts(rho0, params, h) for k, h in steps.items()}
+            assert got == {k: all_band_step_verdict(params, h) for k, h in steps.items()}, params
+            below.append(got["below"])
+            above.append(got["above"])
+        assert all(below) and not any(above)

@@ -46,6 +46,10 @@ CASES = {
     "evolve": (["evolve", "--n", "3", "--eta", "0.1", "--x", "1", "--t-end", "2",
                 "--samples", "11", "--out", "{dir}/evolve.csv"],
                ["evolve.csv", "evolve.csv.meta.json"]),
+    # the benchmark's evolve command: 201 rows of 26 cells, default step
+    "evolve_n20": (["evolve", "--n", "20", "--eta", "0.1", "--x", "1", "--t-end", "0.2",
+                    "--samples", "201", "--out", "{dir}/evolve_n20.csv"],
+                   ["evolve_n20.csv", "evolve_n20.csv.meta.json"]),
     "point": (["point", "--n", "2", "--eta", "0.1", "--x", "10"], []),
 }
 

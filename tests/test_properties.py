@@ -1,4 +1,5 @@
-"""Property tests of the correlator engine over the whole admissible window.
+"""Property tests of the correlator engine over the whole admissible window,
+of the CSV writer and of the integrator's step guard.
 
 Points cover eta up to 1e-12 from either bound of -(N-1)/(N+1) < eta < 1,
 x log-distributed over [1e-8, 1e6] and N log-distributed over [1, 1e5].
@@ -6,6 +7,8 @@ The batched kernel, which exponentiates only the live prefix of a cold
 row, returns the same bits as a frozen copy of the full-row kernel.
 Numpy's floating-point warnings are raised as errors, so an overflow, a
 log of zero or an invalid operation anywhere on the path fails the point.
+The CSV writer renders every table as the per-cell format_number join, and
+the step guard never refuses a step that the all-band guard accepts.
 """
 
 import math
@@ -23,14 +26,22 @@ from dicke_therm import (
     ZeroIntensity,
     build_spectrum,
     g2_zero,
+    initial_state,
     intensity_ratio,
     ladder_coefficients,
     steady_state_correlators,
     thermal_state,
 )
 from dicke_therm.correlators import ladder_log_sums
+from dicke_therm.sweep import csv_text, format_number
 
-from helpers import fsum_log_sums, full_row_ladder_log_sums
+from helpers import (
+    all_band_step_verdict,
+    band0_step_limit,
+    fsum_log_sums,
+    full_row_ladder_log_sums,
+    guard_accepts,
+)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -199,3 +210,60 @@ def test_kernel_matches_the_full_row_kernel_at_n_1e5(eta, pairs, xs):
 def test_kernel_matches_the_full_row_kernel_at_n_1e4(eta, pairs, xs):
     want = full_row_ladder_log_sums(10_000, eta, xs, pairs)
     assert_same_bits(ladder_log_sums(10_000, eta, xs, pairs), want)
+
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308]
+
+CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(),
+    st.booleans(),
+    st.text(),
+    st.sampled_from(["nan", "NA", ""]),
+    st.none(),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    rows=st.lists(st.lists(CELLS, max_size=6), max_size=8),
+    precision=st.integers(0, 25),
+    data=st.data(),
+)
+def test_csv_text_is_the_per_cell_join(rows, precision, data):
+    # rows of several kinds in one table, each kind more than once, so the
+    # writer reuses a row format with other values
+    floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+    table = rows + data.draw(st.permutations(rows)) + [
+        [data.draw(floats) if type(v) is float else v for v in row] for row in rows
+    ]
+    want = ["a,b"] + [",".join([format_number(v, precision) for v in row]) for row in table]
+    assert csv_text(["a", "b"], table, precision) == "\n".join(want) + "\n"
+
+
+@st.composite
+def coherent_starts(draw):
+    """Ensemble parameters and an equal-mixture start with coherence 1e-3
+    on a drawn set of bands."""
+    n = draw(st.integers(1, 12))
+    x = 10.0 ** draw(st.floats(-3.0, 2.0))
+    lower = -(n - 1) / (n + 1)
+    eta = draw(st.floats(0.99 * lower, 0.99)) if n > 1 else 0.0
+    params = EnsembleParams(n, eta, x)
+    rho0 = initial_state(params, "equal")
+    for k in draw(st.sets(st.integers(1, n))):
+        rho0 += np.diag(np.full(n + 1 - k, 1e-3 + 1e-3j), k)
+        rho0 += np.diag(np.full(n + 1 - k, 1e-3 - 1e-3j), -k)
+    return params, rho0
+
+
+@PROPERTY_SETTINGS
+@given(coherent_starts(), st.floats(0.5, 1.5))
+def test_step_guard_never_refuses_what_the_all_band_guard_accepts(start, factor):
+    params, rho0 = start
+    h = factor * band0_step_limit(params)
+    if all_band_step_verdict(params, h):
+        assert guard_accepts(rho0, params, h)
