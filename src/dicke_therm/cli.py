@@ -343,6 +343,14 @@ def _cmd_figures(args) -> int:
     return 0
 
 
+def _check_out_dir(out: str) -> None:
+    """Refuse an output path in a missing directory or a non-directory."""
+    parent = Path(out).parent
+    if not parent.is_dir():
+        parent.stat()  # raises for a missing directory or one under a file
+        raise NotADirectoryError(f"not a directory: {str(parent)!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     try:
@@ -356,6 +364,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "out", None):
+            _check_out_dir(args.out)
         return args.handler(args)
     except IntegrationError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

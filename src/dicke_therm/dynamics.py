@@ -117,7 +117,7 @@ class Trajectory:
 
 
 class ThermalLiouvillian:
-    """Right-hand side of the thermal master equation, precomputed once.
+    """Right-hand side of the thermal master equation, from O(N) vectors.
 
     With l_n the lowering coefficients (l_0 = l_{N+1} = 0), d1_n and d2_n
     the rates of the n <-> n+1 transition and
@@ -128,51 +128,50 @@ class ThermalLiouvillian:
                     + (d1_i + d1_j) l_{i+1} l_{j+1} rho_{i+1,j+1}
                     + (d2_{i-1} + d2_{j-1}) l_i l_j rho_{i-1,j-1}.
 
-    The three coefficient arrays are symmetric, so the result is hermitian
-    exactly when rho is, and each coherence band rho_{i,i+k} evolves on its
-    own under a real tridiagonal generator (see `band`).
+    The three coefficients are symmetric in i and j, so the result is
+    hermitian exactly when rho is, and each coherence band rho_{i,i+k}
+    evolves on its own under a real tridiagonal generator (see `band`)
+    whose diagonals are slices of the vectors r, d1, d2 and l.
     """
 
     def __init__(self, params: EnsembleParams):
         self.params = params
         self.dim = params.n_atoms + 1
-        r, d1, d2, lo = _level_rates(params)
-        ll = np.outer(lo, lo)
-        self._loss = -(r[:, None] + r[None, :])
-        # _gain_down[i, j] feeds rho_ij from rho_{i+1,j+1}; _gain_up[i, j]
-        # feeds rho_{i+1,j+1} from rho_ij
-        self._gain_down = (d1[:, None] + d1[None, :]) * ll
-        self._gain_up = (d2[:, None] + d2[None, :]) * ll
+        # omega_n drives the n <-> n+1 transition, n = 0..N-1
+        gamma, nbar = _bath_rates(build_spectrum(params).frequencies[:-1], params.x)
+        self._d1 = 0.5 * gamma * (1.0 + nbar)
+        self._d2 = 0.5 * gamma * nbar
+        self._lo = ladder_coefficients(params.n_atoms).lowering[1:]  # l_{n+1}
+        self._r = np.zeros(self.dim)
+        self._r[1:] += self._d1 * self._lo**2
+        self._r[:-1] += self._d2 * self._lo**2
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """drho/dt for hermitian rho: traceless and hermitian."""
         _check_shape(rho, self.dim)
-        out = self._loss * rho
-        out[:-1, :-1] += self._gain_down * rho[1:, 1:]
-        out[1:, 1:] += self._gain_up * rho[:-1, :-1]
+        r, d1, d2, lo = self._r, self._d1, self._d2, self._lo
+        ll = lo[:, None] * lo[None, :]
+        out = -(r[:, None] + r[None, :]) * rho
+        out[:-1, :-1] += (d1[:, None] + d1[None, :]) * ll * rho[1:, 1:]
+        out[1:, 1:] += (d2[:, None] + d2[None, :]) * ll * rho[:-1, :-1]
         return out
+
+    def _band_diagonals(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Band k's diagonal, superdiagonal (feeding v_i from v_{i+1}) and
+        subdiagonal (feeding v_{i+1} from v_i)."""
+        n = self.dim - 1
+        ll = self._lo[: n - k] * self._lo[k:]
+        return (
+            -(self._r[: n + 1 - k] + self._r[k:]),
+            (self._d1[: n - k] + self._d1[k:]) * ll,
+            (self._d2[: n - k] + self._d2[k:]) * ll,
+        )
 
     def band(self, k: int) -> np.ndarray:
         """Generator of the coherence band v_i = rho_{i,i+k}, i = 0..N-k:
         dv/dt = A_k v with A_k real tridiagonal."""
-        return (
-            np.diag(np.diagonal(self._loss, k))
-            + np.diag(np.diagonal(self._gain_down, k), 1)
-            + np.diag(np.diagonal(self._gain_up, k), -1)
-        )
-
-
-def _level_rates(params: EnsembleParams) -> tuple[np.ndarray, ...]:
-    """The O(N) vectors of ThermalLiouvillian: r_i, d1_n, d2_n and
-    l_{n+1}, n = 0..N-1 (omega_n drives the n <-> n+1 transition)."""
-    gamma, nbar = _bath_rates(build_spectrum(params).frequencies[:-1], params.x)
-    d1 = 0.5 * gamma * (1.0 + nbar)
-    d2 = 0.5 * gamma * nbar
-    lo = ladder_coefficients(params.n_atoms).lowering[1:]
-    r = np.zeros(params.n_atoms + 1)
-    r[1:] += d1 * lo**2
-    r[:-1] += d2 * lo**2
-    return r, d1, d2, lo
+        loss, down, up = self._band_diagonals(k)
+        return np.diag(loss) + np.diag(down, 1) + np.diag(up, -1)
 
 
 def _bath_rates(omega: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +185,8 @@ def _bath_rates(omega: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
 
 def default_step(params: EnsembleParams) -> float:
     """Conservative fixed step: 0.01/((1+nbar_max)*N^2), nbar_max over
-    every transition frequency."""
+    all N+1 frequencies omega_0..omega_N, omega_N included although it
+    drives no transition."""
     nbar_max = float(np.max(_bath_rates(build_spectrum(params).frequencies, params.x)[1]))
     return 0.01 / ((1.0 + nbar_max) * params.n_atoms**2)
 
@@ -247,11 +247,6 @@ def _check_density_matrix(rho: np.ndarray, dim: int) -> None:
         raise ValueError("initial state trace differs from 1 by more than 1e-12")
 
 
-def _rk4_gain(z):
-    """RK4 stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
-    return 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
-
-
 def _rk4_increment(a: np.ndarray, h: float) -> np.ndarray:
     """One classical RK4 step of dv/dt = a v as the increment R(ha) - I."""
     x = h * a
@@ -294,8 +289,9 @@ def _check_step(generators: list[np.ndarray], h: float) -> None:
     or drifts the trace by more than _MAX_TRACE_DRIFT per step."""
     # the generator is dissipative: a positive eigenvalue is rounding of
     # the conserved trace mode
-    lam = np.minimum(np.concatenate([_eigenvalues(a) for a in generators]), 0.0)
-    gain = float(np.max(np.abs(_rk4_gain(h * lam))))
+    z = h * np.minimum(np.concatenate([_eigenvalues(a) for a in generators]), 0.0)
+    # RK4 stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
+    gain = float(np.max(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))))
     if gain > 1.0:
         raise StepTooLarge(
             f"RK4 is unstable at h={h:g}: |R(h*lambda)| reaches {gain:.3e} > 1; "
@@ -342,10 +338,11 @@ def integrate(
     binary powering: the work grows with log(steps), not steps.  A band
     that starts at zero stays zero and gets no map.
 
-    When every coherence band starts at zero, the samples after the first
-    take their diagnostics from the populations p: min_eig = min(p),
-    trace_dist_to_gibbs = sum|p - pi|/2 and herm_defect = 0.  Otherwise,
-    and always for the first sample, they come from the dense state.
+    When every coherence band starts at zero, every sample takes its
+    diagnostics from the populations p: min_eig = min(p),
+    trace_dist_to_gibbs = sum|p - pi|/2 and herm_defect = 0, apart from
+    the first sample's herm_defect, max|rho0 - rho0^H|.  A start with
+    coherences takes them from the dense state at every sample.
 
     Raises ValueError for a step that is not positive and finite, and
     StepTooLarge before any step when RK4 at the step is unstable for the
@@ -358,11 +355,10 @@ def integrate(
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
-    ctrl = ctrl or StepControl()
     liou = ThermalLiouvillian(params)
     _check_density_matrix(rho0, liou.dim)
 
-    h_max = ctrl.h if ctrl.h is not None else default_step(params)
+    h_max = default_step(params) if ctrl is None or ctrl.h is None else ctrl.h
     if not 0.0 < h_max < math.inf:
         raise ValueError(f"step must be positive and finite, got {h_max}")
 
@@ -393,38 +389,34 @@ def integrate(
                 )
         bands[k] = hist
 
-    diag = {k: np.empty(n_samples) for k in ("drift", "herm", "mineig", "dist")}
+    p = bands.pop(0).real.copy()
+    pi = thermal_state(params).populations
+    herm_defect = np.zeros(n_samples)
+    herm_defect[0] = np.max(np.abs(rho0 - rho0.conj().T))
     traj = Trajectory(
         times=times,
-        populations=bands.pop(0).real.copy(),
+        populations=p,
         coherences=bands,
         rho0=np.array(rho0, dtype=complex),
-        trace_drift=diag["drift"],
-        herm_defect=diag["herm"],
-        min_eigenvalue=diag["mineig"],
-        trace_dist_to_gibbs=diag["dist"],
+        trace_drift=np.abs(p.sum(axis=1) - 1.0),
+        herm_defect=herm_defect,
+        min_eigenvalue=p.min(axis=1),
+        trace_dist_to_gibbs=0.5 * np.abs(p - pi).sum(axis=1),
     )
-    pi = thermal_state(params).populations
-    gibbs = np.diag(pi).astype(complex)
     if bands:
+        # the population formulas hold for a diagonal state only
+        gibbs = np.diag(pi).astype(complex)
         for i, rho in enumerate(traj.states):
-            _record(diag, i, rho, gibbs)
-    else:
-        _record(diag, 0, traj.rho0, gibbs)
-        p = traj.populations[1:]
-        diag["drift"][1:] = np.abs(p.sum(axis=1) - 1.0)
-        diag["herm"][1:] = 0.0
-        diag["mineig"][1:] = p.min(axis=1)
-        diag["dist"][1:] = 0.5 * np.abs(p - pi).sum(axis=1)
+            _record(traj, i, rho, gibbs)
     return traj
 
 
-def _record(diag, i, rho, gibbs) -> None:
-    diag["drift"][i] = abs(np.trace(rho).real - 1.0)
-    diag["herm"][i] = float(np.max(np.abs(rho - rho.conj().T)))
+def _record(traj: Trajectory, i: int, rho: np.ndarray, gibbs: np.ndarray) -> None:
+    traj.trace_drift[i] = abs(np.trace(rho).real - 1.0)
+    traj.herm_defect[i] = float(np.max(np.abs(rho - rho.conj().T)))
     herm = 0.5 * (rho + rho.conj().T)
-    diag["mineig"][i] = float(np.min(np.linalg.eigvalsh(herm)))
-    diag["dist"][i] = trace_distance(rho, gibbs)
+    traj.min_eigenvalue[i] = float(np.min(np.linalg.eigvalsh(herm)))
+    traj.trace_dist_to_gibbs[i] = trace_distance(rho, gibbs)
 
 
 def steady_state_residual(params: EnsembleParams) -> float:
@@ -433,14 +425,11 @@ def steady_state_residual(params: EnsembleParams) -> float:
     rounding level.
 
     The Gibbs state is diagonal, and so is its image: band 0 of the
-    equation, applied to the populations from the O(N) rate vectors with
-    the products of ThermalLiouvillian.apply in the same order, gives the
-    same value in O(N) time and memory at any N.
+    generator applied to the populations, in O(N) time and memory at any N.
     """
     p = thermal_state(params).populations
-    r, d1, d2, lo = _level_rates(params)
-    ll = lo * lo
-    out = -(r + r) * p
-    out[:-1] += (d1 + d1) * ll * p[1:]
-    out[1:] += (d2 + d2) * ll * p[:-1]
+    loss, down, up = ThermalLiouvillian(params)._band_diagonals(0)
+    out = loss * p
+    out[:-1] += down * p[1:]
+    out[1:] += up * p[:-1]
     return float(np.max(np.abs(out)))

@@ -2,7 +2,8 @@
 log-domain ladder-sum oracle added with math.fsum, the dense master
 equation with its step-by-step RK4 integrator, and the scalar-rate
 Dicke-limit master equation, a frozen copy of the full-row ladder
-kernel, and a frozen copy of the all-band RK4 step guard.
+kernel, a frozen copy of the all-band RK4 step guard, and a frozen copy
+of the dense (N+1)^2 coefficient arrays of the master equation.
 
 Deliberately independent of the indexed-sum and banded paths in the
 package: ladder operators are materialized as dense matrices, the
@@ -14,7 +15,10 @@ kernel copy (`full_row_ladder_log_sums`) exponentiates every ladder term
 of every row; the package's kernel must return the same bits.  The guard
 copy (`all_band_step_verdict`) checks every coherence band, zero bands
 included; the integrator's guard, which checks the bands it advances,
-must never refuse a step that copy accepts.
+must never refuse a step that copy accepts.  The coefficient copy
+(`dense_band`, `dense_coefficient_apply`) builds the arrays that
+ThermalLiouvillian held before it kept only O(N) vectors; its bands and
+apply must return the same bits.
 """
 
 import math
@@ -264,3 +268,50 @@ def guard_accepts(rho0, params, h):
     except StepTooLarge:
         return False
     return True
+
+
+# The master equation's coefficient arrays as ThermalLiouvillian built them
+# before its band diagonals were sliced from O(N) vectors, kept verbatim
+# (names prefixed) as the bit-identity oracle of `band` and `apply`.
+
+def _dense_level_rates(params):
+    omega = build_spectrum(params).frequencies[:-1]
+    with np.errstate(over="ignore"):
+        gamma, nbar = omega**3, 1.0 / np.expm1(params.x * omega)
+    d1 = 0.5 * gamma * (1.0 + nbar)
+    d2 = 0.5 * gamma * nbar
+    lo = ladder_coefficients(params.n_atoms).lowering[1:]
+    r = np.zeros(params.n_atoms + 1)
+    r[1:] += d1 * lo**2
+    r[:-1] += d2 * lo**2
+    return r, d1, d2, lo
+
+
+def _dense_coefficients(params):
+    """(loss, gain_down, gain_up): gain_down[i, j] feeds rho_ij from
+    rho_{i+1,j+1}; gain_up[i, j] feeds rho_{i+1,j+1} from rho_ij."""
+    r, d1, d2, lo = _dense_level_rates(params)
+    ll = np.outer(lo, lo)
+    loss = -(r[:, None] + r[None, :])
+    gain_down = (d1[:, None] + d1[None, :]) * ll
+    gain_up = (d2[:, None] + d2[None, :]) * ll
+    return loss, gain_down, gain_up
+
+
+def dense_band(params, k):
+    """Band k's tridiagonal generator read off the dense arrays."""
+    loss, gain_down, gain_up = _dense_coefficients(params)
+    return (
+        np.diag(np.diagonal(loss, k))
+        + np.diag(np.diagonal(gain_down, k), 1)
+        + np.diag(np.diagonal(gain_up, k), -1)
+    )
+
+
+def dense_coefficient_apply(rho, params):
+    """drho/dt from the dense arrays."""
+    loss, gain_down, gain_up = _dense_coefficients(params)
+    out = loss * rho
+    out[:-1, :-1] += gain_down * rho[1:, 1:]
+    out[1:, 1:] += gain_up * rho[:-1, :-1]
+    return out

@@ -524,6 +524,40 @@ class TestUnwritableOutput:
         assert list(tmp_path.iterdir()) == [blocker]
 
 
+class TestOutputCheckedFirst:
+    """An unwritable output path is refused before any computation."""
+
+    ARGV = {
+        "point": ["--n", "2", "--x", "1"],
+        "sweep": ["--n", "2", "--eta", "0", "--x-start", "1", "--x-stop", "2",
+                  "--x-count", "2"],
+        "validate": ["--n", "2", "--eta", "0", "--x", "1"],
+        "evolve": ["--n", "2", "--x", "1", "--t-end", "1"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    @pytest.mark.parametrize("where,token", [
+        ("missing/out", "FileNotFoundError"),
+        ("file/out", "NotADirectoryError"),
+        ("file/sub/out", "NotADirectoryError"),
+    ])
+    def test_no_work_before_the_refusal(self, capsys, tmp_path, monkeypatch,
+                                        command, where, token):
+        from dicke_therm import cli
+
+        calls = []
+        for name in ("integrate", "run_sweep", "validate_asymptotics", "point_document"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+        (tmp_path / "file").write_text("")
+        code, text, err = run(capsys, command, *self.ARGV[command],
+                              "--out", str(tmp_path / where))
+        assert code == 2
+        assert err.startswith(f"{token}: ")
+        assert text == ""
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 from dicke_therm import (
     DimensionMismatch,
     EnsembleParams,
+    EtaOutOfRange,
     IntegrationError,
     NonFiniteState,
     StepControl,
@@ -28,6 +30,8 @@ from dicke_therm.dynamics import INITIAL_STATE_KINDS
 from helpers import (
     all_band_step_verdict,
     band0_step_limit,
+    dense_band,
+    dense_coefficient_apply,
     dense_liouvillian_apply,
     dicke_limit_liouvillian,
     guard_accepts,
@@ -119,7 +123,7 @@ class TestLiouvillian:
         residual = steady_state_residual(params)
         assert time.perf_counter() - start < 1.0
         # each entry sums three products of at most max|2 r_n| * p_n
-        r = dynamics._level_rates(params)[0]
+        r = ThermalLiouvillian(params)._r
         assert residual <= 8 * np.finfo(float).eps * np.max(np.abs(2.0 * r))
 
     def test_dicke_limit_gibbs_stationary(self):
@@ -188,6 +192,55 @@ class TestLiouvillian:
             ThermalLiouvillian(EnsembleParams(2, 0.0, 1.0)).apply(np.eye(4, dtype=complex) / 4)
         with pytest.raises(DimensionMismatch):
             dicke_limit_liouvillian(np.eye(4, dtype=complex) / 4, EnsembleParams(2, 0.0, 1.0))
+
+
+def window_edge_etas(n):
+    """The admissible couplings closest to either end of the window."""
+    etas = []
+    for eta in (-(n - 1) / (n + 1), 1.0):
+        while True:
+            eta = math.nextafter(eta, 0.0)
+            try:
+                EnsembleParams(n, eta)
+            except EtaOutOfRange:
+                continue
+            etas.append(eta)
+            break
+    return etas
+
+
+class TestDenseOracle:
+    """Bands and apply from the O(N) vectors equal, bit for bit, those of
+    the dense (N+1)^2 coefficient arrays they replace."""
+
+    @pytest.mark.parametrize("edge", [0, 1])
+    @pytest.mark.parametrize("x", [1e-3, 1.0, 800.0])
+    def test_every_band_at_the_window_edges(self, edge, x):
+        for n in range(1, 51):
+            eta = window_edge_etas(n)[edge] if n > 1 else 0.0
+            params = EnsembleParams(n, eta, x)
+            liou = ThermalLiouvillian(params)
+            for k in range(n + 1):
+                assert np.array_equal(liou.band(k), dense_band(params, k)), (n, eta, x, k)
+
+    def test_apply_on_random_hermitian_states(self):
+        rng = np.random.default_rng(14)
+        for n in range(1, 21):
+            for eta in ([0.0] if n == 1 else [*window_edge_etas(n), 0.2]):
+                params = EnsembleParams(n, eta, float(rng.uniform(0.1, 5.0)))
+                rho = random_hermitian_unit_trace(rng, n + 1)
+                got = ThermalLiouvillian(params).apply(rho)
+                assert np.array_equal(got, dense_coefficient_apply(rho, params)), (n, eta)
+
+    def test_band_memory_is_linear_in_n(self):
+        # the dense arrays peaked at 122 MB here
+        tracemalloc.start()
+        try:
+            ThermalLiouvillian(EnsembleParams(2000, 0.1, 1.0)).band(1997)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestInitialStates:
@@ -456,6 +509,47 @@ class TestPopulationOnly:
             assert traj.trace_drift[i] == pytest.approx(abs(np.trace(rho).real - 1.0),
                                                         abs=1e-15)
             assert traj.herm_defect[i] == 0.0
+
+    @pytest.mark.parametrize("kind", INITIAL_STATE_KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 200])
+    def test_first_sample_diagnostics_match_dense_formulas(self, n, kind):
+        lower = -(n - 1) / (n + 1)
+        for eta in ([0.0] if n == 1 else [0.9 * lower, 0.0, 0.5]):
+            for x in (1e-2, 1.0, 100.0):
+                params = EnsembleParams(n, eta, x)
+                rho0 = initial_state(params, kind)
+                traj = integrate(rho0, 1e-3, params, n_samples=2)
+                gibbs = np.diag(thermal_state(params).populations).astype(complex)
+                assert traj.min_eigenvalue[0] == np.min(np.linalg.eigvalsh(rho0))
+                assert abs(traj.trace_dist_to_gibbs[0] - trace_distance(rho0, gibbs)) <= 1e-15
+                assert traj.herm_defect[0] == 0.0
+
+    def test_first_sample_herm_defect_of_an_anti_hermitian_pair(self):
+        # the pair cancels in the hermitian part, so the start is diagonal,
+        # yet rho0 itself is not hermitian
+        params = EnsembleParams(5, 0.1, 1.0)
+        rho0 = initial_state(params, "equal")
+        rho0[0, 1], rho0[1, 0] = 1e-13, -1e-13
+        traj = self._run(rho0, params)
+        assert traj.coherences == {}
+        assert traj.herm_defect[0] == np.max(np.abs(rho0 - rho0.conj().T)) == 2e-13
+        assert np.all(traj.herm_defect[1:] == 0.0)
+
+    @pytest.mark.parametrize("kind", INITIAL_STATE_KINDS)
+    def test_diagonal_start_skips_the_dense_diagnostics(self, monkeypatch, kind):
+        calls = []
+        for name in ("_record", "trace_distance"):
+            wrapped = getattr(dynamics, name)
+            monkeypatch.setattr(dynamics, name, lambda *a, _f=wrapped, _name=name:
+                                calls.append(_name) or _f(*a))
+        params = EnsembleParams(5, 0.1, 1.0)
+        self._run(initial_state(params, kind), params)
+        assert calls == []
+        # a start with coherences still takes them from the dense state
+        coherent = initial_state(params, kind) + small_coherence(
+            np.random.default_rng(3), 6, [1])
+        self._run(coherent, params)
+        assert calls.count("_record") == calls.count("trace_distance") == 11
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_zero_band_stays_zero_between_nonzero_bands(self, n):

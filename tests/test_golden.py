@@ -50,6 +50,10 @@ CASES = {
     "evolve_n20": (["evolve", "--n", "20", "--eta", "0.1", "--x", "1", "--t-end", "0.2",
                     "--samples", "201", "--out", "{dir}/evolve_n20.csv"],
                    ["evolve_n20.csv", "evolve_n20.csv.meta.json"]),
+    # a non-default start: pins the first sample's diagnostics
+    "evolve_equal": (["evolve", "--n", "5", "--eta=-0.1", "--x", "10", "--t-end", "2",
+                      "--samples", "11", "--init", "equal", "--out", "{dir}/evolve_equal.csv"],
+                     ["evolve_equal.csv", "evolve_equal.csv.meta.json"]),
     "point": (["point", "--n", "2", "--eta", "0.1", "--x", "10"], []),
 }
 
