@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma subset of g1,g2,ratio,classification")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--jobs", type=int, default=None,
-                   help=f"worker processes (default ${JOBS_ENV} or 1)")
+                   help=f"worker processes (default ${JOBS_ENV} or 1), at most one per CPU")
     common(p)
     p.set_defaults(handler=_cmd_sweep)
 
@@ -154,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="write the preset sweep files fig1..fig4")
     p.add_argument("--out-dir", default=".", help="directory for figN.csv files")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None,
+                   help=f"worker processes (default ${JOBS_ENV} or 1), at most one per CPU")
     common(p)
     p.set_defaults(handler=_cmd_figures)
 

@@ -148,7 +148,15 @@ class LadderCoeffs:
     """
 
     lowering: np.ndarray
-    raising: np.ndarray
+
+    @cached_property
+    def raising(self) -> np.ndarray:
+        """raising[n] = lowering[n+1], 0 at the top level, built on first
+        access; lowering[n+1] takes sqrt of (n+1)*(N-n), the product of
+        the closed form with its factors swapped, so every bit agrees."""
+        raising = np.append(self.lowering[1:], 0.0)
+        raising.setflags(write=False)
+        return raising
 
 
 def ladder_coefficients(n_atoms: int) -> LadderCoeffs:
@@ -157,10 +165,8 @@ def ladder_coefficients(n_atoms: int) -> LadderCoeffs:
         raise ZeroAtoms(f"atom count must be at least 1, got {n_atoms}")
     n = np.arange(n_atoms + 1, dtype=float)
     lowering = np.sqrt(n * (n_atoms - n + 1.0))
-    raising = np.sqrt((n_atoms - n) * (n + 1.0))
     lowering.setflags(write=False)
-    raising.setflags(write=False)
-    return LadderCoeffs(lowering=lowering, raising=raising)
+    return LadderCoeffs(lowering=lowering)
 
 
 def logsumexp_rows(

@@ -25,14 +25,15 @@ n (every omega_n > 0), so beyond some level every term lies more than
 about 746 below the row's maximum, and np.exp of the shifted term is
 exactly 0.0.  The kernel exponentiates only the live prefix of each row,
 min(N+1, ~(746 + spread)/(x*omega_0)) terms, where the spread bounds the
-x-independent ladder logs log n(N-n+1) and 4 log omega_n; the width comes
-from the closed-form gaps in O(1).  The rest of the row is filled with the
-zeros np.exp would have returned and summed at full length, so every
-result is bit-identical to exponentiating the whole row.  A block of rows
-is cut at the width of its hottest row, so rows whose widths differ by
-more than a factor of 2 (above 256 levels) never share one.  The kernel
-shifts and exponentiates its own term arrays in place, and one zero
-padding per (N, eta) serves all of its cut rows.
+x-independent ladder logs log n(N-n+1) and 4 log omega_n; one searchsorted
+over the very gaps the kernel multiplies by x gives the widths of the whole
+x grid.  The rest of the row is filled with the zeros np.exp would have
+returned and summed at full length, so every result is bit-identical to
+exponentiating the whole row.  A block of rows is cut at the width of its
+widest row, so rows whose widths differ by more than a factor of 2 (above
+256 levels) never share one.  The kernel shifts and exponentiates its own
+term arrays in place, and one zero padding per (N, eta) serves all of its
+cut rows.
 """
 
 from __future__ import annotations
@@ -84,9 +85,7 @@ _SHARED_WIDTH = 256
 # of its row adds an exact zero, with one unit left for the rounding of
 # the ladder logs
 _DEAD_DROP = 747.0
-# absolute rounding of a stored gap E_n - min E, per level of the ladder,
-# and relative rounding of the products x*gap, both with wide margins
-_GAP_SLACK = 1e-13
+# relative rounding of the products x*gap, with a wide margin
 _REL_SLACK = 1e-9
 
 
@@ -174,7 +173,7 @@ def _log_sums(
     """Log of the unnormalized G1 sum and, when pairs is set, of the G2 sum,
     for every row of log weights (one row per x) of a ladder of `levels`
     levels.  The rows may hold only its leading levels when the terms of
-    the others exponentiate to exactly 0.0 (see _live_levels); zeros is
+    the others exponentiate to exactly 0.0 (see _live_widths); zeros is
     then the zero padding of logsumexp_rows.  The term arrays are this
     function's own, so they are shifted and exponentiated in place.
     """
@@ -191,79 +190,56 @@ def _log_sums(
     return log_s1, logsumexp_rows(terms, levels - 2, in_place=True, zeros=zeros)
 
 
-def _live_levels(params: EnsembleParams, spectrum: DickeSpectrum, x: float) -> int:
+def _live_widths(gaps: np.ndarray, frequencies: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """How many leading levels of the ladder can add a nonzero term to the
-    Z, S1 or S2 row at inverse temperature x, or at any larger x: N + 1, or
-    a W beyond which every term lies more than _DEAD_DROP + spread below
-    the row's term at level 2, so np.exp of its shifted value is 0.0.
+    Z, S1 or S2 row at each inverse temperature x in xs: N + 1, or the
+    first level beyond which every term lies more than _DEAD_DROP + spread
+    below the row's term at level 2, so np.exp of its shifted value is 0.0.
 
-    O(1): the closed-form gaps h(n) = E_n - E_0 = n*omega_0 + dt*n*(n-1)
-    increase with n, and the spread bounds how far the x-independent logs
-    can lift a later term over the level-2 one: log n(N-n+1) lies in
+    gaps are the stored gaps E_n - min E that the kernel multiplies by x;
+    they increase with n because every omega_n > 0, so one searchsorted
+    finds each width.  The spread bounds how far the x-independent logs can
+    lift a later term over the level-2 one: log n(N-n+1) lies in
     [0, 2 log(N+1)], 4 log omega_n between its values at the ends of the
-    ladder, and an S2 term holds two of each.
+    ladder, and an S2 term holds two of each.  Every level n >= width has
+    gaps[n] > need = ((_DEAD_DROP + spread)/x + gaps[2]*(1 + _REL_SLACK))
+    / (1 - _REL_SLACK), so fl(x*gaps[n]) - fl(x*gaps[2]) > _DEAD_DROP +
+    spread, _REL_SLACK covering the rounding of the products and of need:
+    the shifted term lies below -745.14 and np.exp returns exactly 0.0.
+    A subnormal x overflows need to inf and keeps the full width.
     """
-    n = params.n_atoms
+    n = gaps.size - 1
     if n < 3:
-        return n + 1
-    omega_0, dt = float(spectrum.frequencies[0]), params.delta_tilde
+        return np.full(xs.size, n + 1)
     spread = 4.0 * math.log(n + 1.0) + 8.0 * abs(
-        math.log(spectrum.frequencies[-1]) - math.log(omega_0)
+        math.log(frequencies[-1]) - math.log(frequencies[0])
     )
-    slack = _GAP_SLACK * (n + 1)
-
-    def gap(m: int) -> float:
-        return m * omega_0 + dt * m * (m - 1)
-
-    # the gap a dead level needs, widened for the rounding of the stored
-    # gaps and of the products with x
-    need = ((_DEAD_DROP + spread) / x + (gap(2) + slack) * (1.0 + _REL_SLACK)) / (
-        1.0 - _REL_SLACK
-    ) + slack
-    if gap(n) < need:
-        return n + 1
-    # smallest root of dt*m^2 + b*m = need, then step past its rounding
-    b = omega_0 - dt
-    root_disc = math.sqrt(max(0.0, b * b + 4.0 * dt * need))
-    root = 2.0 * need / (b + root_disc) if b > 0.0 else (root_disc - b) / (2.0 * dt)
-    w = min(max(3, math.ceil(root)), n)
-    while gap(w) < need:
-        w += 1
-    return w
+    with np.errstate(over="ignore"):
+        need = ((_DEAD_DROP + spread) / xs + gaps[2] * (1.0 + _REL_SLACK)) / (1.0 - _REL_SLACK)
+    return np.maximum(3, np.searchsorted(gaps, need, side="right"))
 
 
-def _blocks(
-    params: EnsembleParams, spectrum: DickeSpectrum, xs: np.ndarray
-) -> list[tuple[slice | np.ndarray, int]]:
+def _blocks(widths: np.ndarray, size: int) -> list[tuple[np.ndarray, int]]:
     """The blocks of x rows that ladder_log_sums sums together, each with
-    its live width: (rows, width) pairs, rows a slice or index array of xs.
+    its width, that of its widest row: (rows, width) pairs, rows an index
+    array into widths.
 
-    A block holds at most _BLOCK_TERMS // (N + 1) rows, or one.  When the
-    hottest and coldest rows have the same live width, the blocks run in
-    grid order at that width.  Otherwise the rows run from hot to cold,
-    and a row joins a block only when the block's width, that of its
-    hottest row, is at most twice the row's own or _SHARED_WIDTH.  Either
-    way the last block is the narrowest.
+    The rows run widest first, in grid order among equal widths, at most
+    _BLOCK_TERMS // size of them to a block, or one.  A row joins a block
+    while its width is at least half the block's, or while the block is at
+    most _SHARED_WIDTH wide; the last block is the narrowest.
     """
-    size = spectrum.dim
-    rows = max(1, _BLOCK_TERMS // size)
-    if xs.size == 0:
-        return []
-    width = _live_levels(params, spectrum, float(xs.max()))
-    if width == size or width == _live_levels(params, spectrum, float(xs.min())):
-        return [(slice(lo, lo + rows), width) for lo in range(0, xs.size, rows)]
-    order = np.argsort(xs, kind="stable")
-    hot_to_cold = xs[order].tolist()
+    cap = max(1, _BLOCK_TERMS // size)
+    order = np.argsort(-widths, kind="stable")
+    negated = -widths[order]  # ascending, for searchsorted
     blocks = []
     start = 0
-    while start < xs.size:
-        width = _live_levels(params, spectrum, hot_to_cold[start])
-        stop = min(start + rows, xs.size)
+    while start < order.size:
+        width = -int(negated[start])
+        stop = min(start + cap, order.size)
         if width > _SHARED_WIDTH:
-            end = start + 1
-            while end < stop and width <= 2 * _live_levels(params, spectrum, hot_to_cold[end]):
-                end += 1
-            stop = end
+            # the rows at least half as wide: -w <= -ceil(width/2)
+            stop = min(stop, int(np.searchsorted(negated, -((width + 1) // 2), side="right")))
         blocks.append((order[start:stop], width))
         start = stop
     return blocks
@@ -272,12 +248,14 @@ def _blocks(
 def _eta_log_sums(
     params: EnsembleParams, xs: np.ndarray, c_logs: tuple, pairs: bool
 ) -> LadderLogSums:
-    """ladder_log_sums at one (N, eta), given the N-only ladder logs."""
+    """ladder_log_sums at one (N, eta), given the N-only ladder logs: the
+    live widths of all rows from one _live_widths call, then one pass per
+    block of _blocks."""
     spectrum = build_spectrum(params)
     logs = (4.0 * np.log(spectrum.frequencies), *c_logs)
     gaps = spectrum.energies - spectrum.energies.min()
     sums: list[np.ndarray] = [np.empty(xs.size) for _ in range(3)]
-    blocks = _blocks(params, spectrum, xs)
+    blocks = _blocks(_live_widths(gaps, spectrum.frequencies, xs), gaps.size)
     # one zero padding, room for a block of full rows, serves every cut row
     cut = blocks and blocks[-1][1] < gaps.size
     zeros = np.zeros(max(_BLOCK_TERMS, gaps.size)) if cut else None
@@ -308,13 +286,13 @@ def ladder_log_sums(n_atoms: int, eta: float, xs, pairs: bool = True) -> LadderL
     The spectrum and ladder logs are built once; the log-weight rows
     -x*(E - min E) are summed in blocks of at most _BLOCK_TERMS ladder
     terms, or of one row of N + 1 terms when N + 1 exceeds that.  Each
-    block computes only the live prefix set by its hottest x
-    (_live_levels), and rows of very different widths never share a
-    block (_blocks).  The rest of each row is padded with the exact zeros
-    np.exp would return; a block whose every level is live runs the full
-    rows with no padding.  Every single-point function of this module is
-    the one-x case of this kernel, and a sweep takes all eta of one N
-    from _ladder_log_sums_at_n, so all paths agree bitwise.
+    block computes only the live prefix of its widest row (_live_widths),
+    and rows of very different widths never share a block (_blocks).  The
+    rest of each row is padded with the exact zeros np.exp would return; a
+    block whose every level is live runs the full rows with no padding.
+    Every single-point function of this module is the one-x case of this
+    kernel, and a sweep takes all eta of one N from _ladder_log_sums_at_n,
+    so all paths agree bitwise.
     """
     return _ladder_log_sums_at_n(n_atoms, [(eta, pairs)], xs)[0]
 

@@ -10,9 +10,9 @@ columns plus the error name in the trailing reason column.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -42,7 +42,6 @@ __all__ = [
     "evaluate_rows",
     "evaluate_point",
     "run_sweep",
-    "read_sweep_csv",
     "report_to_csv",
     "write_sidecar",
     "parse_config_file",
@@ -171,13 +170,15 @@ def evaluate_rows(
     The unit of work is one N: the ladder_log_sums calls of all its eta
     groups and of the eta = 0 reference of the ratio column, which share
     the N-only ladder logs.  With jobs > 1 worker processes take these
-    units; the rows are built here.
+    units, one process per unit at most and one per CPU at most, since a
+    forked pool starts all of its workers at once; the rows are built here.
     """
     units = _sum_tasks(n_values, eta_values, outputs)
-    if jobs > 1 and len(units) > 1:
+    workers = min(jobs, len(units), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_ladder_log_sums_at_n, units, units.values(), repeat(xs)))
     else:
         results = list(map(_ladder_log_sums_at_n, units, units.values(), repeat(xs)))
@@ -255,32 +256,6 @@ def run_sweep(config: SweepConfig, out_path: str | Path, jobs: int = 1) -> int:
              for point, r in zip(points, rows)]
     Path(out_path).write_text(csv_text(SWEEP_HEADER, table, config.precision), encoding="ascii")
     return len(table)
-
-
-def read_sweep_csv(path: str | Path) -> list[dict[str, object]]:
-    """Parse a sweep CSV back into typed rows.
-
-    Empty cells come back as None and NA sentinels as the string 'NA', so a
-    re-emission at the same precision reproduces the file byte for byte.
-    """
-    rows: list[dict[str, object]] = []
-    with open(path, newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != SWEEP_HEADER:
-            raise ValueError(f"unexpected sweep header {header!r}")
-        for raw in reader:
-            rec: dict[str, object] = {"N": int(raw[0]), "eta": float(raw[1]), "x": float(raw[2])}
-            for key, cell in zip(SWEEP_HEADER[3:7], raw[3:7]):
-                if cell == "":
-                    rec[key] = None
-                elif cell == "NA" or key == "classification":
-                    rec[key] = cell
-                else:
-                    rec[key] = float(cell)
-            rec["reason"] = raw[7]
-            rows.append(rec)
-    return rows
 
 
 def report_to_csv(report: AsymptoticReport, precision: int = DEFAULT_PRECISION) -> str:

@@ -18,9 +18,11 @@ included; the integrator's guard, which checks the bands it advances,
 must never refuse a step that copy accepts.  The coefficient copy
 (`dense_band`, `dense_coefficient_apply`) builds the arrays that
 ThermalLiouvillian held before it kept only O(N) vectors; its bands and
-apply must return the same bits.
+apply must return the same bits.  `read_sweep_csv` parses the CLI's sweep
+CSV back into typed rows.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -36,6 +38,7 @@ from dicke_therm import (
     thermal_state,
     validate_params,
 )
+from dicke_therm.sweep import SWEEP_HEADER
 
 
 def ladder_matrices(n_atoms):
@@ -315,3 +318,29 @@ def dense_coefficient_apply(rho, params):
     out[:-1, :-1] += gain_down * rho[1:, 1:]
     out[1:, 1:] += gain_up * rho[:-1, :-1]
     return out
+
+
+def read_sweep_csv(path):
+    """Parse a sweep CSV back into typed rows.
+
+    Empty cells come back as None and NA sentinels as the string 'NA', so a
+    re-emission at the same precision reproduces the file byte for byte.
+    """
+    rows = []
+    with open(path, newline="", encoding="ascii") as fh:
+        reader = csv.reader(fh)
+        header = tuple(next(reader))
+        if header != SWEEP_HEADER:
+            raise ValueError(f"unexpected sweep header {header!r}")
+        for raw in reader:
+            rec = {"N": int(raw[0]), "eta": float(raw[1]), "x": float(raw[2])}
+            for key, cell in zip(SWEEP_HEADER[3:7], raw[3:7]):
+                if cell == "":
+                    rec[key] = None
+                elif cell == "NA" or key == "classification":
+                    rec[key] = cell
+                else:
+                    rec[key] = float(cell)
+            rec["reason"] = raw[7]
+            rows.append(rec)
+    return rows

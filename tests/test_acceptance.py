@@ -31,8 +31,8 @@ from dicke_therm import (
 )
 from dicke_therm.asymptotics import DEFAULT_TOLERANCES, default_validation_grid
 from dicke_therm.cli import FIGURE_PRESETS
-from dicke_therm.sweep import read_sweep_csv, run_sweep
-from helpers import matrix_correlators, random_valid_params
+from dicke_therm.sweep import run_sweep
+from helpers import matrix_correlators, random_valid_params, read_sweep_csv
 
 
 def report(label, description, ok):

@@ -12,10 +12,10 @@ from dicke_therm.sweep import (
     SWEEP_HEADER,
     SweepConfig,
     format_number,
-    read_sweep_csv,
     render_json,
     x_grid,
 )
+from helpers import read_sweep_csv
 
 
 def run(capsys, *argv):

@@ -148,6 +148,15 @@ class TestLadder:
         assert c.raising[n] == 0.0
         assert np.array_equal(c.raising[:-1], c.lowering[1:])
 
+    def test_raising_is_built_on_first_read(self):
+        n = 137
+        c = ladder_coefficients(n)
+        assert "raising" not in vars(c)
+        k = np.arange(n + 1, dtype=float)
+        assert np.array_equal(c.raising, np.sqrt((n - k) * (k + 1.0)))
+        assert "raising" in vars(c)
+        assert not c.raising.flags.writeable
+
     def test_rejects_zero_atoms(self):
         with pytest.raises(ZeroAtoms):
             ladder_coefficients(0)

@@ -127,6 +127,13 @@ class TestG2:
         )
 
 
+def live_widths(n, eta, xs):
+    """The kernel's live widths of the rows at xs for one (N, eta)."""
+    spectrum = build_spectrum(EnsembleParams(n, eta))
+    gaps = spectrum.energies - spectrum.energies.min()
+    return correlators._live_widths(gaps, spectrum.frequencies, np.asarray(xs, dtype=float))
+
+
 class TestColdTailCut:
     """A cold row exponentiates only its live prefix; the bits of the sums
     are pinned against the full-row kernel in test_properties."""
@@ -135,11 +142,9 @@ class TestColdTailCut:
 
     @pytest.mark.parametrize("eta", [-0.1, 0.0, 0.1])
     def test_live_prefix_is_short_in_a_cold_bath(self, eta):
-        params = EnsembleParams(self.N, eta)
-        spectrum = build_spectrum(params)
-        for x in (2.0, 10.0, 1e3, 1e308):
-            assert correlators._live_levels(params, spectrum, x) < 0.01 * (self.N + 1)
-        assert correlators._live_levels(params, spectrum, 1e-3) == self.N + 1
+        widths = live_widths(self.N, eta, [2.0, 10.0, 1e3, 1e308, 1e-3]).tolist()
+        assert all(w < 0.01 * (self.N + 1) for w in widths[:4])
+        assert widths[4] == self.N + 1
 
     def test_kernel_exponentiates_the_live_prefix_only(self, monkeypatch):
         widths = []
@@ -167,8 +172,7 @@ class TestWidthGroups:
     @pytest.mark.parametrize("eta", [-0.1, 0.0, 0.1])
     def test_no_row_is_exponentiated_far_beyond_its_live_width(self, eta, monkeypatch):
         xs = np.geomspace(1e-3, 1e3, 10)
-        params = EnsembleParams(self.N, eta)
-        spectrum = build_spectrum(params)
+        spectrum = build_spectrum(EnsembleParams(self.N, eta))
         gaps = spectrum.energies - spectrum.energies.min()
         # a Z row -x*gaps[:width] is known by its level-1 term
         row_of = {v: i for i, v in enumerate((-xs * gaps[1]).tolist())}
@@ -184,8 +188,7 @@ class TestWidthGroups:
         monkeypatch.setattr(correlators, "logsumexp_rows", recording)
         correlators.ladder_log_sums(self.N, eta, xs)
         assert sorted(widths) == list(range(xs.size))
-        for i, x in enumerate(xs.tolist()):
-            own = correlators._live_levels(params, spectrum, x)
+        for i, own in enumerate(live_widths(self.N, eta, xs).tolist()):
             assert own <= widths[i] <= max(2 * own, 256)
         assert sum(widths.values()) <= 0.45 * xs.size * (self.N + 1)
 

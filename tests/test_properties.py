@@ -4,7 +4,9 @@ of the CSV writer and of the integrator's step guard.
 Points cover eta up to 1e-12 from either bound of -(N-1)/(N+1) < eta < 1,
 x log-distributed over [1e-8, 1e6] and N log-distributed over [1, 1e5].
 The batched kernel, which exponentiates only the live prefix of a cold
-row, returns the same bits as a frozen copy of the full-row kernel.
+row, returns the same bits as a frozen copy of the full-row kernel; each
+live width holds every level whose term exponentiates to a nonzero, and
+the blocks take every row once, widest first.
 Numpy's floating-point warnings are raised as errors, so an overflow, a
 log of zero or an invalid operation anywhere on the path fails the point.
 The CSV writer renders every table as the per-cell format_number join, and
@@ -32,7 +34,13 @@ from dicke_therm import (
     steady_state_correlators,
     thermal_state,
 )
-from dicke_therm.correlators import ladder_log_sums
+from dicke_therm.correlators import (
+    _BLOCK_TERMS,
+    _SHARED_WIDTH,
+    _blocks,
+    _live_widths,
+    ladder_log_sums,
+)
 from dicke_therm.sweep import csv_text, format_number
 
 from helpers import (
@@ -183,6 +191,57 @@ def test_kernel_matches_the_full_row_kernel_bitwise(grid, pairs):
     # one x per call: each row is a block of its own, cut at its own x
     for i, x in enumerate(xs):
         assert_same_bits(ladder_log_sums(n, eta, [x], pairs), tuple([s[i]] for s in want))
+
+
+@PROPERTY_SETTINGS
+@given(x_grids())
+def test_live_width_holds_every_nonzero_term(grid):
+    n, eta, xs = grid
+    try:
+        spectrum = build_spectrum(EnsembleParams(n, eta))
+    except EtaOutOfRange:
+        reject()
+    gaps = spectrum.energies - spectrum.energies.min()
+    log_w4 = 4.0 * np.log(spectrum.frequencies)
+    c2 = ladder_coefficients(n).lowering ** 2
+    widths = _live_widths(gaps, spectrum.frequencies, np.array(xs, dtype=float))
+    for x, width in zip(xs, widths.tolist()):
+        with np.errstate(over="ignore"):
+            z = -x * gaps
+        # the full Z, S1 and S2 rows, each with the level of its first term
+        rows = [
+            (z, 0),
+            (z[1:] + np.log(c2[1:]) + log_w4[:-1], 1),
+            (z[2:] + np.log(c2[2:] * c2[1:-1]) + log_w4[1:-1] + log_w4[:-2], 2),
+        ]
+        for row, first in rows:
+            if row.size and row.max() > -math.inf:
+                last = first + np.flatnonzero(np.exp(row - row.max()))[-1]
+                assert last < width
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.one_of(st.integers(1, 2000), st.sampled_from([3, 256, 257, 512, 513])),
+             max_size=40),
+    st.integers(0, 300_000),
+)
+def test_blocks_order_rows_widest_first(widths, extra):
+    widths = np.array(widths, dtype=int)
+    size = max(widths.tolist(), default=1) + extra
+    cap = max(1, _BLOCK_TERMS // size)
+    blocks = _blocks(widths, size)
+    rows = [r.tolist() for r, _ in blocks]
+    flat = [i for r in rows for i in r]
+    assert sorted(flat) == list(range(widths.size))
+    assert all(i < j for i, j in zip(flat, flat[1:]) if widths[i] == widths[j])
+    block_widths = [w for _, w in blocks]
+    assert block_widths == sorted(block_widths, reverse=True)
+    for r, w in zip(rows, block_widths):
+        assert 1 <= len(r) <= cap
+        assert w == max(widths[r].tolist())
+        if w > _SHARED_WIDTH:
+            assert all(2 * v >= w for v in widths[r].tolist())
 
 
 # the benchmark's large-N grid, and a dense grid over the x whose live

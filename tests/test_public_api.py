@@ -18,6 +18,7 @@ REMOVED = {
     "liouvillian_apply": "dynamics",
     "MismatchedDimensions": "exceptions",
     "read_report_csv": "sweep",
+    "read_sweep_csv": "sweep",
     "RateModel": "dynamics",
     "NonPositiveFrequency": "exceptions",
     "sweep_points": "sweep",

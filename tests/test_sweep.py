@@ -1,8 +1,11 @@
 """Group evaluation of sweeps: one ladder kernel call per (N, eta) x grid
-must give the per-point library values bit for bit."""
+must give the per-point library values bit for bit, and the worker pool
+never outnumbers the CPUs."""
 
+import concurrent.futures
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -25,10 +28,10 @@ from dicke_therm.sweep import (
     SweepConfig,
     evaluate_rows,
     format_number,
-    read_sweep_csv,
     run_sweep,
     x_grid,
 )
+from helpers import read_sweep_csv
 
 # N = 50,000 with 5 x values spans several kernel blocks
 BIG_N = 50_000
@@ -133,3 +136,33 @@ def test_sweep_cells_equal_point_values(tmp_path, capsys):
             assert doc["reason"] == "ZeroIntensity"
         else:
             assert (doc["g1"], doc["g2"]) == (rec["g1"], rec["g2"])
+
+
+@pytest.mark.parametrize(
+    "cpus, jobs, pools",
+    [(2, 500, [2]), (2, 2, [2]), (8, 3, [3]), (8, 500, [8]), (16, 500, [10]), (1, 500, []), (None, 500, [])],
+)
+def test_pool_never_outnumbers_the_cpus(monkeypatch, cpus, jobs, pools):
+    made = []
+
+    class RecordingPool:
+        """Records its worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    args = (list(range(2, 12)), [0.0, 0.1], [0.5, 2.0], VALID_OUTPUTS)
+    rows = evaluate_rows(*args, jobs=jobs)
+    assert made == pools
+    assert rows == evaluate_rows(*args)
