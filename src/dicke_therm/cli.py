@@ -4,8 +4,8 @@ Subcommands: point (single evaluation, JSON), sweep (CSV over a parameter
 grid), validate (closed forms against the exact engine), evolve (master
 equation trajectory), figures (preset sweep files fig1.csv..fig4.csv).
 
-Exit codes: 0 success, 2 invalid input (an unwritable output path
-included), 3 validation tolerance exceeded, 4 integrator failure.  Errors
+Exit codes: 0 success, 2 invalid input (an unwritable output path or a
+failed allocation), 3 validation tolerance exceeded, 4 integrator failure.  Errors
 carry the exception class name on stderr as a machine-readable token.  The
 environment variable DICKE_THERM_JOBS sets the default worker count, a
 positive integer; a configuration file of flat `key = value` lines
@@ -371,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrationError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    except (DickeError, ValueError, OSError) as exc:
+    except (DickeError, ValueError, OSError, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -18,11 +18,12 @@ spacing E_{n+1}-E_n equals the transition frequency omega_n.
 The generator never mixes coherence bands: rho_{i,i+k} is fed only by
 rho_{i+1,i+k+1} and rho_{i-1,i+k-1}, so each band k evolves under its own
 real tridiagonal matrix, the populations (k = 0) as a birth-death chain.
-The integrator advances each band with an exact RK4 step map; a band that
-starts at zero stays exactly zero, so it is skipped.  Every initial-state
-kind is diagonal, so these trajectories build the population map alone and
-take their diagnostics from the populations in O(N) per sample.  Dense
-density matrices are assembled only on request (`Trajectory.states`).
+The integrator powers one RK4 increment per band into an exact step map;
+a band that starts at zero stays exactly zero, so it is skipped.  Every
+initial-state kind is diagonal, so these trajectories build the population
+map alone and take their diagnostics from the populations in O(N) per
+sample.  Dense density matrices (`Trajectory.states`) are assembled on
+request, or for a start with coherences, in one stacked pass.
 
 Complete positivity is not assumed anywhere: the minimum eigenvalue is
 recorded as a diagnostic along every trajectory rather than enforced.
@@ -191,11 +192,15 @@ def default_step(params: EnsembleParams) -> float:
     return 0.01 / ((1.0 + nbar_max) * params.n_atoms**2)
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance 0.5*||a - b||_1 of the hermitian parts."""
-    diff = a - b
-    diff = 0.5 * (diff + diff.conj().T)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """0.5*(m + m^H) of a matrix or of each matrix in a stack."""
+    h = m.conj().swapaxes(-1, -2)  # a new array: the sum and the scaling reuse it
+    return np.multiply(0.5, np.add(m, h, out=h), out=h)
+
+
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Trace distance 0.5*||a - b||_1 of the hermitian parts, per matrix of a stack."""
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(_hermitian_part(a - b))), axis=-1)
 
 
 def _check_atom_cap(params: EnsembleParams) -> None:
@@ -237,14 +242,17 @@ def _check_shape(rho: np.ndarray, dim: int) -> None:
         raise DimensionMismatch(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
 
 
-def _check_density_matrix(rho: np.ndarray, dim: int) -> None:
+def _check_density_matrix(rho: np.ndarray, dim: int) -> float:
+    """Refuse an invalid start; return its hermiticity defect max|rho - rho^H|."""
     _check_shape(rho, dim)
     if not np.all(np.isfinite(rho)):
         raise NonFiniteState("initial state contains non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+    defect = float(np.max(np.abs(rho - rho.conj().T)))
+    if defect > 1e-12:
         raise ValueError("initial state is not hermitian within 1e-12")
     if abs(np.trace(rho) - 1.0) > 1e-12:
         raise ValueError("initial state trace differs from 1 by more than 1e-12")
+    return defect
 
 
 def _rk4_increment(a: np.ndarray, h: float) -> np.ndarray:
@@ -283,10 +291,11 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.diag(np.diag(a)) + np.diag(off, 1) + np.diag(off, -1))
 
 
-def _check_step(generators: list[np.ndarray], h: float) -> None:
+def _check_step(generators: list[np.ndarray], increment0: np.ndarray, h: float) -> None:
     """Raise StepTooLarge before any step if RK4 amplifies an eigenmode
     of the advanced bands' generators, band 0 first (|R(h*lambda)| > 1),
-    or drifts the trace by more than _MAX_TRACE_DRIFT per step."""
+    or band 0's increment R(h*A_0) - I drifts the trace by more than
+    _MAX_TRACE_DRIFT per step."""
     # the generator is dissipative: a positive eigenvalue is rounding of
     # the conserved trace mode
     z = h * np.minimum(np.concatenate([_eigenvalues(a) for a in generators]), 0.0)
@@ -298,7 +307,7 @@ def _check_step(generators: list[np.ndarray], h: float) -> None:
             "reduce the step"
         )
     # trace change of one step from unit populations: column sums
-    drift = float(np.max(np.abs(_rk4_increment(generators[0], h).sum(axis=0))))
+    drift = float(np.max(np.abs(increment0.sum(axis=0))))
     if drift > _MAX_TRACE_DRIFT:
         raise StepTooLarge(
             f"trace drift {drift:.3e} per step exceeds {_MAX_TRACE_DRIFT:.3e}; "
@@ -306,17 +315,20 @@ def _check_step(generators: list[np.ndarray], h: float) -> None:
         )
 
 
-def _band_history(
-    a: np.ndarray, v0: np.ndarray, h: float, steps: int, intervals: int
-) -> np.ndarray:
-    """Band vector at every sample: each of the equal sample intervals is
-    `steps` RK4 steps of size h, applied as one exact map."""
-    hist = np.empty((intervals + 1, v0.size), dtype=complex)
+def _band_history(e: np.ndarray, v0: np.ndarray, steps: int, times: np.ndarray) -> np.ndarray:
+    """Band vector at the sample times from any start v0 (complex, not
+    normalised), each interval `steps` RK4 steps I + e = R(hA) as one exact
+    map; raises NonFiniteState at the first blown sample."""
+    hist = np.empty((len(times), v0.size), dtype=complex)
     hist[0] = v0
     # cast once: the loop's complex products are those of the real map
-    step_map = _power_increment(_rk4_increment(a, h), steps).astype(complex)
-    for i in range(intervals):
-        hist[i + 1] = hist[i] + step_map @ hist[i]
+    step_map = _power_increment(e, steps).astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(times) - 1):
+            hist[i + 1] = hist[i] + step_map @ hist[i]
+    blown = ~np.all(np.isfinite(hist), axis=1)
+    if blown.any():
+        raise NonFiniteState(f"state became non-finite near t={times[np.argmax(blown)]:g}")
     return hist
 
 
@@ -334,15 +346,15 @@ def integrate(
     dt = t_end/(n_samples - 1), so every interval is the same whole number
     of steps.  Each coherence band rho_{i,i+k} evolves under its own
     generator A_k (`ThermalLiouvillian.band`), so the RK4 steps of an
-    interval collapse into one map R(hA_k)^steps, built once per band by
-    binary powering: the work grows with log(steps), not steps.  A band
-    that starts at zero stays zero and gets no map.
+    interval collapse into one map R(hA_k)^steps, powered from the band's
+    one RK4 increment (`_band_history`): the work grows with log(steps),
+    not steps.  A band that starts at zero stays zero and gets no map.
 
-    When every coherence band starts at zero, every sample takes its
-    diagnostics from the populations p: min_eig = min(p),
-    trace_dist_to_gibbs = sum|p - pi|/2 and herm_defect = 0, apart from
-    the first sample's herm_defect, max|rho0 - rho0^H|.  A start with
-    coherences takes them from the dense state at every sample.
+    Each state after rho0 is hermitian by construction with trace sum(p),
+    so herm_defect is 0 past the first sample (max|rho0 - rho0^H|) and
+    trace_drift = |sum(p) - 1| at every sample.  A diagonal start takes
+    min_eig = min(p) and trace_dist_to_gibbs = sum|p - pi|/2; a start with
+    coherences takes both from one stacked eigvalsh over `states`.
 
     Raises ValueError for a step that is not positive and finite, and
     StepTooLarge before any step when RK4 at the step is unstable for the
@@ -356,7 +368,8 @@ def integrate(
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     liou = ThermalLiouvillian(params)
-    _check_density_matrix(rho0, liou.dim)
+    herm_defect = np.zeros(n_samples)
+    herm_defect[0] = _check_density_matrix(rho0, liou.dim)
 
     h_max = default_step(params) if ctrl is None or ctrl.h is None else ctrl.h
     if not 0.0 < h_max < math.inf:
@@ -369,30 +382,22 @@ def integrate(
     steps = max(1, math.ceil(span / h_max))
     h = span / steps
     # a band that starts at zero stays zero: it gets no map and no guard
-    herm = 0.5 * (rho0 + rho0.conj().T)
+    herm = _hermitian_part(rho0)
     starts = {k: np.diagonal(herm, k) for k in range(liou.dim)}
     generators = {k: liou.band(k) for k, v0 in starts.items() if k == 0 or v0.any()}
-    _check_step(list(generators.values()), h)
-
-    bands = {}
-    for k, a in generators.items():
-        hist = _band_history(a, starts[k], h, steps, n_samples - 1)
-        blown = ~np.all(np.isfinite(hist), axis=1)
-        if blown.any():
-            raise NonFiniteState(f"state became non-finite near t={times[np.argmax(blown)]:g}")
-        if k == 0:
-            change = np.abs(np.diff(hist.sum(axis=1).real))
-            if np.max(change) > _MAX_TRACE_DRIFT * steps:
-                raise StepTooLarge(
-                    f"trace drift {np.max(change):.3e} over {steps} steps exceeds "
-                    f"{_MAX_TRACE_DRIFT:.3e} per step; reduce the step below h={h:g}"
-                )
-        bands[k] = hist
-
-    p = bands.pop(0).real.copy()
+    e0 = _rk4_increment(generators[0], h)
+    _check_step(list(generators.values()), e0, h)
+    hist = _band_history(e0, starts[0], steps, times)
+    change = float(np.max(np.abs(np.diff(hist.sum(axis=1).real))))
+    if change > _MAX_TRACE_DRIFT * steps:
+        raise StepTooLarge(
+            f"trace drift {change:.3e} over {steps} steps exceeds "
+            f"{_MAX_TRACE_DRIFT:.3e} per step; reduce the step below h={h:g}"
+        )
+    bands = {k: _band_history(_rk4_increment(a, h), starts[k], steps, times)
+             for k, a in generators.items() if k}
+    p = hist.real.copy()
     pi = thermal_state(params).populations
-    herm_defect = np.zeros(n_samples)
-    herm_defect[0] = np.max(np.abs(rho0 - rho0.conj().T))
     traj = Trajectory(
         times=times,
         populations=p,
@@ -400,23 +405,16 @@ def integrate(
         rho0=np.array(rho0, dtype=complex),
         trace_drift=np.abs(p.sum(axis=1) - 1.0),
         herm_defect=herm_defect,
-        min_eigenvalue=p.min(axis=1),
-        trace_dist_to_gibbs=0.5 * np.abs(p - pi).sum(axis=1),
+        min_eigenvalue=np.empty(n_samples),
+        trace_dist_to_gibbs=np.empty(n_samples),
     )
-    if bands:
-        # the population formulas hold for a diagonal state only
-        gibbs = np.diag(pi).astype(complex)
-        for i, rho in enumerate(traj.states):
-            _record(traj, i, rho, gibbs)
+    if bands:  # the spectral formulas, in one stacked pass over the states
+        traj.min_eigenvalue[:] = np.linalg.eigvalsh(_hermitian_part(traj.states)).min(axis=1)
+        traj.trace_dist_to_gibbs[:] = trace_distance(traj.states, np.diag(pi))
+    else:
+        traj.min_eigenvalue[:] = p.min(axis=1)
+        traj.trace_dist_to_gibbs[:] = 0.5 * np.abs(p - pi).sum(axis=1)
     return traj
-
-
-def _record(traj: Trajectory, i: int, rho: np.ndarray, gibbs: np.ndarray) -> None:
-    traj.trace_drift[i] = abs(np.trace(rho).real - 1.0)
-    traj.herm_defect[i] = float(np.max(np.abs(rho - rho.conj().T)))
-    herm = 0.5 * (rho + rho.conj().T)
-    traj.min_eigenvalue[i] = float(np.min(np.linalg.eigvalsh(herm)))
-    traj.trace_dist_to_gibbs[i] = trace_distance(rho, gibbs)
 
 
 def steady_state_residual(params: EnsembleParams) -> float:

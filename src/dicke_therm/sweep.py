@@ -56,8 +56,8 @@ DEFAULT_PRECISION = 12
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A rectangular (N, eta, x) sweep with requested output columns; the
-    N and eta axes may not repeat a value, nor may the x grid (run_sweep)."""
+    """A rectangular (N, eta, x) sweep; no axis, output or built x value
+    (run_sweep) may repeat, and a one-point x grid has equal ends."""
 
     n_values: tuple[int, ...]
     eta_values: tuple[float, ...]
@@ -81,6 +81,8 @@ class SweepConfig:
             raise ValueError(
                 f"x grid must satisfy 0 < start <= stop, got [{self.x_start}, {self.x_stop}]"
             )
+        if self.x_count == 1 and self.x_start != self.x_stop:
+            raise ValueError(f"one x point needs start == stop: [{self.x_start}, {self.x_stop}]")
         if not isinstance(self.precision, int) or self.precision < 0:
             raise ValueError(f"precision must be a non-negative integer, got {self.precision!r}")
         if not self.outputs:
@@ -91,7 +93,7 @@ class SweepConfig:
         for n in self.n_values:
             for eta in self.eta_values:
                 validate_params(n, eta, self.x_start)
-        _check_distinct(N=self.n_values, eta=self.eta_values)
+        _check_distinct(N=self.n_values, eta=self.eta_values, outputs=self.outputs)
 
 
 def x_grid(config: SweepConfig) -> np.ndarray:

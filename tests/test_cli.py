@@ -189,6 +189,23 @@ class TestSweep:
         assert out == ""
         assert list(out_dir.iterdir()) == []
 
+    def test_repeated_output_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, text, err = run(capsys, *self.sweep_args(out, ("--outputs", "g2,ratio,g2")))
+        assert code == 2
+        assert "ValueError" in err and "outputs axis repeats ['g2']" in err
+        assert text == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_point_grid_with_unequal_ends_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, text, err = run(capsys, "sweep", "--n", "2", "--eta", "0.1", "--x-start", "1",
+                              "--x-stop", "5", "--x-count", "1", "--out", str(out))
+        assert code == 2
+        assert "ValueError" in err and "one x point needs start == stop" in err
+        assert text == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_parallel_equivalent_where_cold_rows_are_cut(self, capsys, tmp_path):
         # at N = 1e4 and 3e4 the cold rows exponentiate a short live prefix
         # and rows of different widths share no block
@@ -556,6 +573,27 @@ class TestOutputCheckedFirst:
         assert text == ""
         assert calls == []
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+class TestMemoryError:
+    """A failed allocation exits 2 with the `MemoryError` token, not a
+    traceback; the callee is made to raise, so no large array is asked for."""
+
+    @pytest.mark.parametrize("command,callee", [
+        ("sweep", "run_sweep"), ("evolve", "integrate"), ("validate", "validate_asymptotics"),
+    ])
+    def test_exits_2(self, capsys, tmp_path, monkeypatch, command, callee):
+        from dicke_therm import cli
+
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 TiB")
+
+        monkeypatch.setattr(cli, callee, fail)
+        code, text, err = run(capsys, command, *TestOutputCheckedFirst.ARGV[command],
+                              "--out", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert err == "MemoryError: Unable to allocate 74.5 TiB\n"
+        assert text == ""
 
 
 def _reject_constant(name):

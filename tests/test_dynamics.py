@@ -461,6 +461,14 @@ class TestIntegration:
         assert trace_distance(a, a) == 0.0
         assert trace_distance(a, b) == pytest.approx(1.0, rel=1e-15)
 
+    def test_trace_distance_of_a_stack_is_the_per_matrix_distance(self):
+        rng = np.random.default_rng(11)
+        stack = np.array([random_hermitian_unit_trace(rng, 4) for _ in range(5)])
+        b = random_hermitian_unit_trace(rng, 4)
+        got = trace_distance(stack, b)
+        assert got.shape == (5,)
+        assert all(got[i] == trace_distance(a, b) for i, a in enumerate(stack))
+
 
 def small_coherence(rng, dim, bands):
     """Hermitian perturbation, 1e-3 in size, with zero diagonal and nonzero
@@ -538,18 +546,41 @@ class TestPopulationOnly:
     @pytest.mark.parametrize("kind", INITIAL_STATE_KINDS)
     def test_diagonal_start_skips_the_dense_diagnostics(self, monkeypatch, kind):
         calls = []
-        for name in ("_record", "trace_distance"):
-            wrapped = getattr(dynamics, name)
-            monkeypatch.setattr(dynamics, name, lambda *a, _f=wrapped, _name=name:
-                                calls.append(_name) or _f(*a))
+        trace_dist, eigvalsh = dynamics.trace_distance, np.linalg.eigvalsh
+        monkeypatch.setattr(dynamics, "trace_distance", lambda *a: calls.append(
+            ("trace_distance", a[0].shape)) or trace_dist(*a))
+        # the step guard's band spectra are 2-D: record the stacked calls only
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: (
+            a.ndim == 3 and calls.append(("eigvalsh", a.shape))) or eigvalsh(a))
         params = EnsembleParams(5, 0.1, 1.0)
-        self._run(initial_state(params, kind), params)
+        traj = self._run(initial_state(params, kind), params)
         assert calls == []
-        # a start with coherences still takes them from the dense state
+        assert "states" not in vars(traj)
+        # a start with coherences takes them from the dense states, each
+        # sample's spectra once
         coherent = initial_state(params, kind) + small_coherence(
             np.random.default_rng(3), 6, [1])
-        self._run(coherent, params)
-        assert calls.count("_record") == calls.count("trace_distance") == 11
+        traj = self._run(coherent, params)
+        assert calls == [("eigvalsh", (11, 6, 6)), ("trace_distance", (11, 6, 6)),
+                         ("eigvalsh", (11, 6, 6))]
+        assert "states" in vars(traj)
+
+    @pytest.mark.parametrize("kind", INITIAL_STATE_KINDS)
+    @pytest.mark.parametrize("n", [2, 5, 12, 40])
+    def test_coherent_diagnostics_equal_the_per_sample_formulas(self, n, kind):
+        params = EnsembleParams(n, 0.1, 1.0)
+        gibbs = np.diag(thermal_state(params).populations).astype(complex)
+        for bands in ([1], [k for k in (2, 5) if k <= n]):
+            rho0 = initial_state(params, kind) + small_coherence(
+                np.random.default_rng(n), n + 1, bands)
+            traj = self._run(rho0, params)
+            assert sorted(traj.coherences) == bands
+            for i, rho in enumerate(traj.states):
+                herm = 0.5 * (rho + rho.conj().T)
+                assert traj.min_eigenvalue[i] == np.min(np.linalg.eigvalsh(herm))
+                assert traj.trace_dist_to_gibbs[i] == trace_distance(rho, gibbs)
+            assert np.all(traj.herm_defect[1:] == 0.0)
+            assert np.all(traj.trace_drift == np.abs(traj.populations.sum(axis=1) - 1.0))
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_zero_band_stays_zero_between_nonzero_bands(self, n):
@@ -570,10 +601,10 @@ def checked_bands(monkeypatch):
     calls = []
     check_step = dynamics._check_step
 
-    def recording(generators, h):
+    def recording(generators, increment0, h):
         dim = len(generators[0])
         calls.append([dim - len(a) for a in generators])
-        return check_step(generators, h)
+        return check_step(generators, increment0, h)
 
     monkeypatch.setattr(dynamics, "_check_step", recording)
     return calls
@@ -609,6 +640,30 @@ class TestStepGuard:
         assert calls == [[0, 2, 5]]
         assert sorted(traj.coherences) == [2, 5]
 
+    @pytest.mark.parametrize("bands", [[], [2, 5]])
+    def test_one_rk4_increment_per_advanced_band(self, monkeypatch, bands):
+        sizes = []
+        rk4_increment = dynamics._rk4_increment
+        monkeypatch.setattr(dynamics, "_rk4_increment", lambda a, h: sizes.append(len(a))
+                            or rk4_increment(a, h))
+        params = EnsembleParams(10, 0.1, 1.0)
+        rho0 = initial_state(params, "equal") + small_coherence(
+            np.random.default_rng(25), 11, bands)
+        integrate(rho0, 0.2, params, n_samples=11)
+        assert sizes == [11 - k for k in [0] + bands]
+
+    @pytest.mark.parametrize("drift_bound", [False, True])
+    def test_step_too_large_before_any_map(self, monkeypatch, drift_bound):
+        # refused by the gain check, or by the one-step drift check
+        if drift_bound:
+            monkeypatch.setattr(dynamics, "_MAX_TRACE_DRIFT", 1e-18)
+        maps = count_maps(monkeypatch)
+        params = EnsembleParams(3, 0.1, 1.0)
+        with pytest.raises(StepTooLarge, match="per step" if drift_bound else "unstable"):
+            integrate(initial_state(params, "inverted"), 10.0, params,
+                      ctrl=StepControl(h=0.01 if drift_bound else 1000.0), n_samples=3)
+        assert maps == []
+
     @pytest.mark.parametrize("n", GUARD_N)
     def test_same_verdict_as_the_all_band_guard(self, n):
         # at the default step and 1e-6 on either side of band 0's stability
@@ -625,3 +680,30 @@ class TestStepGuard:
             below.append(got["below"])
             above.append(got["above"])
         assert all(below) and not any(above)
+
+
+class TestBandPropagator:
+    """`_band_history` advances any start vector of a band, complex and
+    unnormalised, and checks its own samples."""
+
+    @staticmethod
+    def _setup(k):
+        params = EnsembleParams(8, 0.1, 1.0)
+        a = ThermalLiouvillian(params).band(k)
+        rng = np.random.default_rng(k)
+        v0 = rng.normal(size=len(a)) + 1j * rng.normal(size=len(a))
+        return dynamics._rk4_increment(a, 0.01), v0, np.linspace(0.0, 2.0, 11)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_linear_in_an_unnormalised_start(self, k):
+        e, v0, times = self._setup(k)
+        scale = 2.0**-40
+        hist = dynamics._band_history(e, v0, 20, times)
+        assert np.array_equal(dynamics._band_history(e, scale * v0, 20, times), scale * hist)
+        assert np.array_equal(hist[0], v0)
+
+    def test_nonfinite_start_raises(self):
+        e, v0, times = self._setup(1)
+        v0[2] = np.inf
+        with pytest.raises(NonFiniteState, match="t=0"):
+            dynamics._band_history(e, v0, 20, times)

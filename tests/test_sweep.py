@@ -72,6 +72,17 @@ def test_config_rejects_bad_precision(precision):
         SweepConfig((2,), (0.0,), 1.0, 2.0, 2, precision=precision)
 
 
+def test_config_rejects_a_one_point_grid_with_unequal_ends():
+    with pytest.raises(ValueError, match="one x point needs start == stop"):
+        SweepConfig((2,), (0.1,), 1.0, 5.0, 1)
+    assert x_grid(SweepConfig((2,), (0.1,), 5.0, 5.0, 1)).tolist() == [5.0]
+
+
+def test_config_rejects_a_repeated_output():
+    with pytest.raises(ValueError, match=r"outputs axis repeats \['g2'\]"):
+        SweepConfig((2,), (0.1,), 1.0, 5.0, 3, outputs=("g2", "g1", "g2"))
+
+
 def test_big_group_spans_several_blocks():
     rows_per_block = correlators._BLOCK_TERMS // (BIG_N + 1)
     assert 1 < rows_per_block < 5
