@@ -22,8 +22,8 @@ The integrator powers one RK4 increment per band into an exact step map;
 a band that starts at zero stays exactly zero, so it is skipped.  Every
 initial-state kind is diagonal, so these trajectories build the population
 map alone and take their diagnostics from the populations in O(N) per
-sample.  Dense density matrices (`Trajectory.states`) are assembled on
-request, or for a start with coherences, in one stacked pass.
+sample; a start with coherences takes them from the dense density
+matrices (`Trajectory.states`), which are otherwise built only on request.
 
 Complete positivity is not assumed anywhere: the minimum eigenvalue is
 recorded as a diagnostic along every trajectory rather than enforced.
@@ -194,13 +194,14 @@ def default_step(params: EnsembleParams) -> float:
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     """0.5*(m + m^H) of a matrix or of each matrix in a stack."""
-    h = m.conj().swapaxes(-1, -2)  # a new array: the sum and the scaling reuse it
-    return np.multiply(0.5, np.add(m, h, out=h), out=h)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """Trace distance 0.5*||a - b||_1 of the hermitian parts, per matrix of a stack."""
-    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(_hermitian_part(a - b))), axis=-1)
+    """Trace distance 0.5*||a - b||_1 of the hermitian parts: a float for
+    two matrices, an array with one distance per matrix for a stack."""
+    d = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(_hermitian_part(a - b))), axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 def _check_atom_cap(params: EnsembleParams) -> None:
@@ -354,7 +355,7 @@ def integrate(
     so herm_defect is 0 past the first sample (max|rho0 - rho0^H|) and
     trace_drift = |sum(p) - 1| at every sample.  A diagonal start takes
     min_eig = min(p) and trace_dist_to_gibbs = sum|p - pi|/2; a start with
-    coherences takes both from one stacked eigvalsh over `states`.
+    coherences takes both from eigvalsh over `states`, ~1 MB at a time.
 
     Raises ValueError for a step that is not positive and finite, and
     StepTooLarge before any step when RK4 at the step is unstable for the
@@ -368,8 +369,7 @@ def integrate(
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     liou = ThermalLiouvillian(params)
-    herm_defect = np.zeros(n_samples)
-    herm_defect[0] = _check_density_matrix(rho0, liou.dim)
+    defect0 = _check_density_matrix(rho0, liou.dim)
 
     h_max = default_step(params) if ctrl is None or ctrl.h is None else ctrl.h
     if not 0.0 < h_max < math.inf:
@@ -381,39 +381,39 @@ def integrate(
     span = t_end / (n_samples - 1)
     steps = max(1, math.ceil(span / h_max))
     h = span / steps
+    rho0 = np.array(rho0, dtype=complex)  # a copy: the caller's array is never written
     # a band that starts at zero stays zero: it gets no map and no guard
     herm = _hermitian_part(rho0)
     starts = {k: np.diagonal(herm, k) for k in range(liou.dim)}
     generators = {k: liou.band(k) for k, v0 in starts.items() if k == 0 or v0.any()}
-    e0 = _rk4_increment(generators[0], h)
-    _check_step(list(generators.values()), e0, h)
-    hist = _band_history(e0, starts[0], steps, times)
+    increments = {k: _rk4_increment(a, h) for k, a in generators.items()}
+    _check_step(list(generators.values()), increments[0], h)
+    hist = _band_history(increments.pop(0), starts[0], steps, times)
     change = float(np.max(np.abs(np.diff(hist.sum(axis=1).real))))
     if change > _MAX_TRACE_DRIFT * steps:
         raise StepTooLarge(
             f"trace drift {change:.3e} over {steps} steps exceeds "
             f"{_MAX_TRACE_DRIFT:.3e} per step; reduce the step below h={h:g}"
         )
-    bands = {k: _band_history(_rk4_increment(a, h), starts[k], steps, times)
-             for k, a in generators.items() if k}
+    bands = {k: _band_history(e, starts[k], steps, times) for k, e in increments.items()}
     p = hist.real.copy()
     pi = thermal_state(params).populations
     traj = Trajectory(
         times=times,
         populations=p,
         coherences=bands,
-        rho0=np.array(rho0, dtype=complex),
+        rho0=rho0,
         trace_drift=np.abs(p.sum(axis=1) - 1.0),
-        herm_defect=herm_defect,
-        min_eigenvalue=np.empty(n_samples),
-        trace_dist_to_gibbs=np.empty(n_samples),
+        herm_defect=np.concatenate(([defect0], np.zeros(n_samples - 1))),
+        min_eigenvalue=np.empty(n_samples) if bands else p.min(axis=1),
+        trace_dist_to_gibbs=np.empty(n_samples) if bands else 0.5 * np.abs(p - pi).sum(axis=1),
     )
-    if bands:  # the spectral formulas, in one stacked pass over the states
-        traj.min_eigenvalue[:] = np.linalg.eigvalsh(_hermitian_part(traj.states)).min(axis=1)
-        traj.trace_dist_to_gibbs[:] = trace_distance(traj.states, np.diag(pi))
-    else:
-        traj.min_eigenvalue[:] = p.min(axis=1)
-        traj.trace_dist_to_gibbs[:] = 0.5 * np.abs(p - pi).sum(axis=1)
+    if bands:  # the spectral formulas over stacks of states, ~1 MB at a time
+        chunk = max(1, 2**16 // liou.dim**2)
+        for i in range(0, n_samples, chunk):
+            block = _hermitian_part(traj.states[i : i + chunk])
+            traj.min_eigenvalue[i : i + chunk] = np.linalg.eigvalsh(block).min(axis=1)
+            traj.trace_dist_to_gibbs[i : i + chunk] = trace_distance(block, np.diag(pi))
     return traj
 
 
