@@ -39,18 +39,18 @@ from .asymptotics import (
     validate_asymptotics,
 )
 from .core import EnsembleParams, validate_params
-from .correlators import steady_state_correlators
 from .dynamics import (
     INITIAL_STATE_KINDS,
     StepControl,
     initial_state,
     integrate,
 )
-from .exceptions import DickeError, IntegrationError, ZeroIntensity
+from .exceptions import DickeError, IntegrationError
 from .sweep import (
     DEFAULT_PRECISION,
     SweepConfig,
     csv_text,
+    evaluate_point,
     format_number,
     parse_config_file,
     render_json,
@@ -189,21 +189,14 @@ def _apply_config(argv: list[str]) -> list[str]:
 def point_document(params: EnsembleParams) -> dict:
     """JSON payload for a single point, predictions included."""
     n, eta, x = params.n_atoms, params.eta, params.x
-    try:
-        res = steady_state_correlators(params)
-        g1, g2 = res.g1, res.g2_norm
-        classification = res.classification.value
-        reason = None
-    except ZeroIntensity:
-        g1 = g2 = classification = None
-        reason = "ZeroIntensity"
+    cells = ("g1", "g2", "classification")
+    row = evaluate_point(n, eta, x, cells)
     doc = {
         "N": n,
         "eta": eta,
         "x": x,
-        "g1": g1,
-        "g2": g2,
-        "classification": classification,
+        # an underflowed cell ("NA" in a sweep) is null, with the reason below
+        **{k: None if row[k] == "NA" else row[k] for k in cells},
         "asymptotic_predictions": {
             "eq15": {
                 "strong_bath": g2_limit_eta0(n, BathRegime.STRONG),
@@ -216,8 +209,8 @@ def point_document(params: EnsembleParams) -> dict:
             "eq20": intensity_ratio_strong_bath(eta),
         },
     }
-    if reason:
-        doc["reason"] = reason
+    if row["reason"]:
+        doc["reason"] = row["reason"]
     return doc
 
 

@@ -357,7 +357,8 @@ def integrate(
     min_eig = min(p) and trace_dist_to_gibbs = sum|p - pi|/2; a start with
     coherences takes both from eigvalsh over `states`, ~1 MB at a time.
 
-    Raises ValueError for a step that is not positive and finite, and
+    Raises ValueError for a step that is not positive and finite or whose
+    step count over one sample interval overflows a float, and
     StepTooLarge before any step when RK4 at the step is unstable for the
     A_k of some band it advances or its one-step trace drift exceeds 1e-8,
     and when an interval's trace changes by more than steps times that
@@ -369,6 +370,7 @@ def integrate(
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     liou = ThermalLiouvillian(params)
+    rho0 = np.array(rho0, dtype=complex)  # a copy: the caller's array is never written
     defect0 = _check_density_matrix(rho0, liou.dim)
 
     h_max = default_step(params) if ctrl is None or ctrl.h is None else ctrl.h
@@ -379,9 +381,12 @@ def integrate(
     # every sample interval is the same span, so one (h, steps) pair and one
     # map per band serve the whole trajectory
     span = t_end / (n_samples - 1)
+    if not span / h_max < math.inf:
+        raise ValueError(
+            f"a sample interval of {span:g} takes more steps of h={h_max:g} than a float holds"
+        )
     steps = max(1, math.ceil(span / h_max))
     h = span / steps
-    rho0 = np.array(rho0, dtype=complex)  # a copy: the caller's array is never written
     # a band that starts at zero stays zero: it gets no map and no guard
     herm = _hermitian_part(rho0)
     starts = {k: np.diagonal(herm, k) for k in range(liou.dim)}

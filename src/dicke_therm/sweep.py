@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .asymptotics import AsymptoticReport, _check_distinct
 from .correlators import (
-    LadderLogSums,
     _ladder_log_sums_at_n,
     correlators_from_log_sums,
     ratio_from_log_g1,
@@ -52,6 +51,15 @@ SWEEP_HEADER = ("N", "eta", "x", "g1", "g2", "ratio", "classification", "reason"
 REPORT_HEADER = ("formula", "N", "eta", "x", "exact", "approx", "rel_dev", "status", "note")
 
 DEFAULT_PRECISION = 12
+
+
+def _check_outputs(outputs) -> None:
+    """Refuse an empty outputs list or one naming a column not in VALID_OUTPUTS."""
+    if not outputs:
+        raise ValueError(f"outputs must name at least one of {VALID_OUTPUTS}")
+    unknown = set(outputs) - set(VALID_OUTPUTS)
+    if unknown:
+        raise ValueError(f"unknown outputs {sorted(unknown)}; valid: {VALID_OUTPUTS}")
 
 
 @dataclass(frozen=True)
@@ -85,11 +93,7 @@ class SweepConfig:
             raise ValueError(f"one x point needs start == stop: [{self.x_start}, {self.x_stop}]")
         if not isinstance(self.precision, int) or self.precision < 0:
             raise ValueError(f"precision must be a non-negative integer, got {self.precision!r}")
-        if not self.outputs:
-            raise ValueError(f"outputs must name at least one of {VALID_OUTPUTS}")
-        unknown = set(self.outputs) - set(VALID_OUTPUTS)
-        if unknown:
-            raise ValueError(f"unknown outputs {sorted(unknown)}; valid: {VALID_OUTPUTS}")
+        _check_outputs(self.outputs)
         for n in self.n_values:
             for eta in self.eta_values:
                 validate_params(n, eta, self.x_start)
@@ -101,100 +105,69 @@ def x_grid(config: SweepConfig) -> np.ndarray:
     return space(config.x_start, config.x_stop, config.x_count)
 
 
-def _sum_tasks(n_values, eta_values, outputs) -> dict[int, list[tuple[float, bool]]]:
-    """The ladder sums behind a sweep, one unit per N that needs any: the
-    (eta, pairs) calls of ladder_log_sums at that N, one per eta group
-    with the G2 sum only when a correlator column is requested, plus the
-    eta = 0 intensity reference."""
-    pairs = not {"g1", "g2", "classification"}.isdisjoint(outputs)
-    ratio = "ratio" in outputs
-    units = {}
-    for n in n_values:
-        calls = {eta: pairs for eta in eta_values if pairs or (ratio and eta != 0.0)}
-        if ratio and any(eta != 0.0 for eta in eta_values):
-            calls.setdefault(0.0, False)
-        if calls:
-            units[n] = list(calls.items())
-    return units
-
-
-def _group_rows(
-    eta: float,
-    sums: LadderLogSums | None,
-    ref: LadderLogSums | None,
-    size: int,
-    outputs: tuple[str, ...],
-) -> list[dict[str, object]]:
-    """Sweep rows of one (N, eta) group from its ladder log sums and those
-    of the eta = 0 reference."""
-    want_g1, want_g2, want_class, want_ratio = (
-        k in outputs for k in ("g1", "g2", "classification", "ratio")
-    )
-    rows = []
-    for i in range(size):
-        g1 = g2 = ratio = classification = None
-        reason = ""
-        if want_g1 or want_g2 or want_class:
-            try:
-                res = correlators_from_log_sums(sums.log_z[i], sums.log_s1[i], sums.log_s2[i])
-                g1, g2, classification = res.g1, res.g2_norm, res.classification.value
-            except ZeroIntensity:
-                reason = "ZeroIntensity"
-                g1 = g2 = classification = "NA"
-        if want_ratio:
-            if eta == 0.0:
-                ratio = 1.0
-            else:
-                try:
-                    ratio = ratio_from_log_g1(
-                        sums.log_s1[i] - sums.log_z[i], ref.log_s1[i] - ref.log_z[i]
-                    )
-                except ZeroIntensity:
-                    reason = "ZeroIntensity"
-                    ratio = "NA"
-        rows.append({
-            "g1": g1 if want_g1 else None,
-            "g2": g2 if want_g2 else None,
-            "ratio": ratio,
-            "classification": classification if want_class else None,
-            "reason": reason,
-        })
-    return rows
-
-
 def evaluate_rows(
     n_values, eta_values, xs, outputs: tuple[str, ...], jobs: int = 1
 ) -> list[dict[str, object]]:
     """Raw values for the sweep rows over n_values x eta_values x xs in that
-    nesting order; None marks a column left empty and the string 'NA' a
+    nesting order; None marks a column not requested and the string 'NA' a
     column lost to intensity underflow.
 
-    The unit of work is one N: the ladder_log_sums calls of all its eta
-    groups and of the eta = 0 reference of the ratio column, which share
-    the N-only ladder logs.  With jobs > 1 worker processes take these
-    units, one process per unit at most and one per CPU at most, since a
-    forked pool starts all of its workers at once; the rows are built here.
+    Every N takes the same ladder_log_sums calls over xs: one per eta group
+    whose columns need its sums and one for the eta = 0 reference of the
+    ratio column, with the G2 sum only for g2 or classification (g1 reads
+    log Z and log S1 alone).  One N is one unit of work, its calls sharing
+    the N-only ladder logs.  With jobs > 1 worker processes take the units,
+    at most one per unit and one per CPU, since a forked pool starts all of
+    its workers at once; the rows are built here.
     """
-    units = _sum_tasks(n_values, eta_values, outputs)
+    _check_outputs(outputs)
+    want_g1, want_g2, want_ratio, want_class = (k in outputs for k in VALID_OUTPUTS)
+    want_corr = want_g1 or want_g2 or want_class
+    pairs = want_g2 or want_class
+    calls = {eta: pairs for eta in eta_values if want_corr or (want_ratio and eta != 0.0)}
+    if want_ratio and any(eta != 0.0 for eta in eta_values):
+        calls.setdefault(0.0, False)
+    calls = list(calls.items())
+    units = list(n_values) if calls else []
     workers = min(jobs, len(units), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_ladder_log_sums_at_n, units, units.values(), repeat(xs)))
+            results = list(pool.map(_ladder_log_sums_at_n, units, repeat(calls), repeat(xs)))
     else:
-        results = list(map(_ladder_log_sums_at_n, units, units.values(), repeat(xs)))
-    sums = {
-        (n, eta): res
-        for (n, calls), unit_sums in zip(units.items(), results)
-        for (eta, _), res in zip(calls, unit_sums)
-    }
-    return [
-        row
-        for n in n_values
-        for eta in eta_values
-        for row in _group_rows(eta, sums.get((n, eta)), sums.get((n, 0.0)), len(xs), outputs)
-    ]
+        results = list(map(_ladder_log_sums_at_n, units, repeat(calls), repeat(xs)))
+    sums = {(n, eta): res for n, unit_sums in zip(units, results)
+            for (eta, _), res in zip(calls, unit_sums)}
+    rows = []
+    for n in n_values:
+        ref = sums.get((n, 0.0))
+        for eta in eta_values:
+            s = sums.get((n, eta))
+            for i in range(len(xs)):
+                g1 = g2 = ratio = classification = None
+                reason = ""
+                if want_corr:
+                    try:
+                        res = correlators_from_log_sums(s.log_z[i], s.log_s1[i], s.log_s2[i])
+                        g1, g2, classification = res.g1, res.g2_norm, res.classification.value
+                    except ZeroIntensity:
+                        reason = "ZeroIntensity"
+                        g1 = g2 = classification = "NA"
+                if want_ratio and eta == 0.0:
+                    ratio = 1.0
+                elif want_ratio:
+                    try:
+                        ratio = ratio_from_log_g1(s.log_s1[i] - s.log_z[i],
+                                                  ref.log_s1[i] - ref.log_z[i])
+                    except ZeroIntensity:
+                        reason = "ZeroIntensity"
+                        ratio = "NA"
+                rows.append({"g1": g1 if want_g1 else None, "g2": g2 if want_g2 else None,
+                             "ratio": ratio,
+                             "classification": classification if want_class else None,
+                             "reason": reason})
+    return rows
 
 
 def evaluate_point(

@@ -456,6 +456,18 @@ class TestEvolve:
         assert not out.exists()
         assert not (tmp_path / "t.csv.meta.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--x", "1", "--t-end", "1e308", "--samples", "2"],
+        ["--eta", "0.1", "--x", "1", "--t-end", "1", "--step", "1e-320", "--samples", "3"],
+    ])
+    def test_step_count_beyond_the_float_range_exits_2(self, capsys, tmp_path, argv):
+        out = tmp_path / "t.csv"
+        code, _, err = run(capsys, "evolve", "--n", "2", *argv, "--out", str(out))
+        assert code == 2
+        assert err.startswith("ValueError: ") and "steps" in err
+        assert not out.exists()
+        assert not (tmp_path / "t.csv.meta.json").exists()
+
     def test_integrator_failure_exits_4(self, capsys, tmp_path):
         # two samples leave the span as five giant steps; the state blows
         # up and the per-step trace-drift bound trips

@@ -455,6 +455,31 @@ class TestIntegration:
         with pytest.raises(ValueError, match="t_end"):
             integrate(initial_state(params, "ground"), t_end, params, n_samples=3)
 
+    @pytest.mark.parametrize("t_end, h, n_samples", [(1e308, None, 2), (1.0, 1e-320, 3)])
+    def test_rejects_a_step_count_beyond_the_float_range(self, monkeypatch, t_end, h, n_samples):
+        # span/h overflows to inf, which has no whole step count
+        built = []
+        band = dynamics.ThermalLiouvillian.band
+        monkeypatch.setattr(dynamics.ThermalLiouvillian, "band",
+                            lambda self, k: built.append(k) or band(self, k))
+        params = EnsembleParams(2, 0.1, 1.0)
+        with pytest.raises(ValueError, match="steps"):
+            integrate(initial_state(params, "inverted"), t_end, params,
+                      ctrl=StepControl(h=h), n_samples=n_samples)
+        assert built == []
+
+    def test_nested_list_start_runs_as_its_array(self):
+        params = EnsembleParams(3, 0.1, 1.0)
+        rho0 = initial_state(params, "equal") + small_coherence(
+            np.random.default_rng(6), 4, [1, 2])
+        from_list = integrate(rho0.tolist(), 1.0, params, n_samples=5)
+        from_array = integrate(rho0, 1.0, params, n_samples=5)
+        for name in ("rho0", "populations", "states", "trace_drift", "herm_defect",
+                     "min_eigenvalue", "trace_dist_to_gibbs"):
+            assert np.array_equal(getattr(from_list, name), getattr(from_array, name)), name
+        with pytest.raises(DimensionMismatch):
+            integrate((np.eye(5) / 5).tolist(), 1.0, params, n_samples=3)
+
     def test_trace_distance_basics(self):
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([0.0, 1.0]).astype(complex)

@@ -1,8 +1,10 @@
 """Group evaluation of sweeps: one ladder kernel call per (N, eta) x grid
-must give the per-point library values bit for bit, and the worker pool
-never outnumbers the CPUs."""
+must give the per-point library values bit for bit, any subset of the
+outputs the matching cells of the full rows, and the worker pool never
+outnumbers the CPUs."""
 
 import concurrent.futures
+import itertools
 import json
 import math
 import os
@@ -21,11 +23,13 @@ from dicke_therm import (
     steady_state_correlators,
     thermal_state,
 )
-from dicke_therm.cli import main
+from dicke_therm import sweep
+from dicke_therm.cli import main, point_document
 from dicke_therm.correlators import ladder_log_sums
 from dicke_therm.sweep import (
     VALID_OUTPUTS,
     SweepConfig,
+    evaluate_point,
     evaluate_rows,
     format_number,
     run_sweep,
@@ -42,6 +46,12 @@ GROUPS = [
     (300, 0.9, np.geomspace(1e-8, 1e6, 20)),
     (BIG_N, 0.3, np.geomspace(1e-4, 1e4, 5)),
 ]
+
+SUBSETS = [s for r in range(1, 5) for s in itertools.combinations(VALID_OUTPUTS, r)]
+CORRELATOR_CELLS = ("g1", "g2", "classification")
+# N = 1 takes eta = 0 only; the x grid runs into intensity underflow
+SUBSET_GROUPS = [([1], [0.0]), ([2, 7, 300], [-0.1, 0.0, 0.1])]
+SUBSET_XS = np.geomspace(1e-3, 900.0, 20).tolist()
 
 
 def point_row(n, eta, x):
@@ -147,6 +157,65 @@ def test_sweep_cells_equal_point_values(tmp_path, capsys):
             assert doc["reason"] == "ZeroIntensity"
         else:
             assert (doc["g1"], doc["g2"]) == (rec["g1"], rec["g2"])
+
+
+@pytest.mark.parametrize("outputs", SUBSETS, ids=",".join)
+def test_any_outputs_give_the_cells_of_the_full_rows(outputs):
+    for n_values, eta_values in SUBSET_GROUPS:
+        full = evaluate_rows(n_values, eta_values, SUBSET_XS, VALID_OUTPUTS)
+        assert any(row["reason"] == "ZeroIntensity" for row in full)
+        want = []
+        for row in full:
+            cells = {k: row[k] if k in outputs else None for k in VALID_OUTPUTS}
+            cells["reason"] = "ZeroIntensity" if "NA" in cells.values() else ""
+            want.append(cells)
+        assert evaluate_rows(n_values, eta_values, SUBSET_XS, outputs) == want
+
+
+@pytest.mark.parametrize("outputs", SUBSETS, ids=",".join)
+def test_pair_sums_only_for_g2_or_classification(monkeypatch, outputs):
+    seen = []
+    kernel = sweep._ladder_log_sums_at_n
+    monkeypatch.setattr(sweep, "_ladder_log_sums_at_n",
+                        lambda n, calls, xs: seen.append((n, calls)) or kernel(n, calls, xs))
+    eta_values = [-0.1, 0.0, 0.1]
+    evaluate_rows([2, 7], eta_values, [0.5, 2.0], outputs)
+    correlators = not set(CORRELATOR_CELLS).isdisjoint(outputs)
+    pairs = "g2" in outputs or "classification" in outputs
+    # every group a correlator column needs, else the ratio's groups and
+    # their eta = 0 reference
+    want = [(eta, pairs) for eta in eta_values if correlators or eta != 0.0]
+    if not correlators:
+        want.append((0.0, False))
+    assert seen == [(2, want), (7, want)]
+
+
+@pytest.mark.parametrize("n, eta, x, underflows", [
+    (2, 0.1, 900.0, True),
+    (7, -0.3, 2.0, False),
+    (100_000, 0.5, 1e-3, False),
+    (1, 0.0, 3.0, False),
+    (300, 0.9, 1e6, True),
+])
+def test_point_is_the_one_point_row(n, eta, x, underflows):
+    for outputs in (VALID_OUTPUTS, CORRELATOR_CELLS):
+        row = evaluate_point(n, eta, x, outputs)
+        assert row == evaluate_rows([n], [eta], [x], outputs)[0]
+    assert (row["reason"] == "ZeroIntensity") == underflows
+    doc = point_document(EnsembleParams(n, eta, x))
+    assert {k: doc[k] for k in CORRELATOR_CELLS} == {
+        k: None if underflows else row[k] for k in CORRELATOR_CELLS
+    }
+    assert doc.get("reason", "") == row["reason"]
+
+
+@pytest.mark.parametrize("outputs", [("G2",), ("g2", "ratioo"), "g2", "classification", ()],
+                         ids=repr)
+def test_unknown_or_no_outputs_are_refused(outputs):
+    with pytest.raises(ValueError, match="outputs"):
+        evaluate_point(2, 0.1, 1.0, outputs)
+    with pytest.raises(ValueError, match="outputs"):
+        evaluate_rows([2], [0.1], [1.0], outputs)
 
 
 @pytest.mark.parametrize(
