@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 from .core import EnsembleParams, validate_params
-from .correlators import _exp, intensity_ratio, steady_state_correlators
+from .correlators import _exp, _ladder_log_sums_at_n, _ratio_at, correlators_from_log_sums
 from .exceptions import ZeroAtoms, ZeroIntensity
 
 __all__ = [
@@ -191,15 +190,27 @@ class AsymptoticReport:
         return out
 
 
+def _exact(kind: str, params: EnsembleParams, cells: dict) -> float:
+    """The exact side of a report row at params from the kernel cells
+    (N, eta, x) -> (log Z, log S1, log S2), through the scalar steps of the
+    per-point path: kind "g2" is steady_state_correlators(params).g2_norm,
+    "ratio" is intensity_ratio(params), and "coeff" the finite-difference
+    quadratic coefficient of g2(0) at the probe coupling params.eta.
+    Raises ZeroIntensity as those calls do."""
+    n, x = params.n_atoms, params.x
+    if kind == "ratio":
+        return _ratio_at(params, cells[n, params.eta, x], cells[n, 0.0, x])
+    g2 = correlators_from_log_sums(*cells[n, params.eta, x]).g2_norm
+    if kind == "g2":
+        return g2
+    return (g2 - correlators_from_log_sums(*cells[n, 0.0, x]).g2_norm) / params.eta**2
+
+
 def _row(
-    formula: str,
-    params: EnsembleParams,
-    exact: Callable[[EnsembleParams], float],
-    approx: float,
-    note: str = "",
+    formula: str, params: EnsembleParams, kind: str, approx: float, note: str, cells: dict
 ) -> FormulaCheck:
-    """One report row: the exact quantity exact(params) against its closed
-    form approx.
+    """One report row: the exact quantity _exact(kind, params, cells)
+    against its closed form approx.
 
     The row is graded against DEFAULT_TOLERANCES, read at call time; a
     formula without an entry there is informational.  An exact side that
@@ -207,7 +218,7 @@ def _row(
     """
     point = (params.n_atoms, params.eta, params.x)
     try:
-        value = exact(params)
+        value = _exact(kind, params, cells)
     except ZeroIntensity as exc:
         return FormulaCheck(formula, *point, None, None, None, "skipped", str(exc))
     dev = abs(approx - value) / max(abs(value), 1e-300)
@@ -217,16 +228,6 @@ def _row(
     else:
         status = "ok" if dev <= tol else "fail"
     return FormulaCheck(formula, *point, value, approx, dev, status, note)
-
-
-def _g2(params: EnsembleParams) -> float:
-    return steady_state_correlators(params).g2_norm
-
-
-def _g2_coefficient(probe: EnsembleParams) -> float:
-    """Finite-difference quadratic coefficient of g2(0) at the probe coupling."""
-    base = EnsembleParams(probe.n_atoms, 0.0, probe.x)
-    return (_g2(probe) - _g2(base)) / probe.eta**2
 
 
 def _check_distinct(**axes) -> None:
@@ -257,39 +258,61 @@ def validate_asymptotics(grid: list[tuple[int, float, float]]) -> AsymptoticRepo
 
     Each grid point contributes rows for the formulas whose validity
     window it falls in; the quadratic-coefficient check is evaluated once
-    per ensemble size via a finite difference at the probe coupling.
-    Points whose exact correlators underflow become skipped rows.  The
+    per (N, x) via a finite difference at the probe coupling.  Points
+    whose exact correlators underflow become skipped rows.  The
     strong-bath intensity ratio rows are informational and never graded.
+
+    The exact side comes from one _ladder_log_sums_at_n call per N.  It
+    sums each eta that the rows of that N read (a grid eta, the eta = 0
+    reference of the ratios and of the finite difference, PROBE_ETA) over
+    the x values read at that eta alone, so a grid that is not a product
+    sums no cell it never reads.  Each row then takes its cells through
+    the scalar steps of the per-point path (_exact), so every value and
+    every skipped note equals that of steady_state_correlators and
+    intensity_ratio at the point.
     """
     points = [validate_params(*pt) for pt in grid]
-    checks: list[FormulaCheck] = []
-    coeff_done: set[tuple[int, float]] = set()
+    planned: list[tuple[str, EnsembleParams, str, float, str]] = []
+    # N -> eta -> the x values read there, in first-read order; and the
+    # (N, eta) whose cells some row reads g2 from
+    reads: dict[int, dict[float, dict[float, None]]] = {}
+    pairs: set[tuple[int, float]] = set()
 
+    def plan(formula, prm, kind, approx, note=""):
+        planned.append((formula, prm, kind, approx, note))
+        for eta in (prm.eta,) if kind == "g2" else (prm.eta, 0.0):
+            reads.setdefault(prm.n_atoms, {}).setdefault(eta, {})[prm.x] = None
+            if kind != "ratio":
+                pairs.add((prm.n_atoms, eta))
+
+    coeff_done: set[tuple[int, float]] = set()
     for prm in points:
         n, eta, x = prm.n_atoms, prm.eta, prm.x
         if eta == 0.0:
             if x <= STRONG_BATH_X:
-                checks.append(_row("eq15_strong", prm, _g2, g2_limit_eta0(n, BathRegime.STRONG)))
+                plan("eq15_strong", prm, "g2", g2_limit_eta0(n, BathRegime.STRONG))
             if x >= WEAK_BATH_X_ETA0 and n >= 2:
-                checks.append(_row("eq15_weak", prm, _g2, g2_limit_eta0(n, BathRegime.WEAK)))
+                plan("eq15_weak", prm, "g2", g2_limit_eta0(n, BathRegime.WEAK))
             continue
         if x <= STRONG_BATH_X:
             if n >= 2 and (n, x) not in coeff_done:
                 coeff_done.add((n, x))
-                checks.append(_row(
-                    "eq16_coeff", EnsembleParams(n, PROBE_ETA, x), _g2_coefficient,
-                    strong_bath_coefficient(n), f"finite-difference probe at eta={PROBE_ETA:g}",
-                ))
-            checks.append(_row(
-                "eq20", prm, intensity_ratio, intensity_ratio_strong_bath(eta),
-                "informational: the exact strong-bath ratio is N-dependent",
-            ))
+                plan("eq16_coeff", EnsembleParams(n, PROBE_ETA, x), "coeff",
+                     strong_bath_coefficient(n), f"finite-difference probe at eta={PROBE_ETA:g}")
+            plan("eq20", prm, "ratio", intensity_ratio_strong_bath(eta),
+                 "informational: the exact strong-bath ratio is N-dependent")
         if x >= WEAK_BATH_X and n >= 2 and abs(eta) <= QUADRATIC_ETA_MAX:
-            checks.append(_row("eq17", prm, _g2, g2_weak_bath(n, eta, x)))
+            plan("eq17", prm, "g2", g2_weak_bath(n, eta, x))
             # g1_weak_bath(n, eta, x) / g1_weak_bath(n, 0, x), cancelled: the
             # denominator N*exp(-x) underflows from x ~ 708
-            ratio = (1.0 - eta) ** 4 * _exp(eta * x)
-            checks.append(_row("eq18_ratio", prm, intensity_ratio, ratio))
+            plan("eq18_ratio", prm, "ratio", (1.0 - eta) ** 4 * _exp(eta * x))
+
+    cells: dict[tuple[int, float, float], tuple[float, float, float]] = {}
+    for n, etas in reads.items():
+        calls = [(eta, list(xs), (n, eta) in pairs) for eta, xs in etas.items()]
+        for (eta, xs, _), sums in zip(calls, _ladder_log_sums_at_n(n, calls)):
+            cells.update(((n, eta, x), cell) for x, cell in zip(xs, zip(*sums)))
     return AsymptoticReport(
-        grid=tuple((p.n_atoms, p.eta, p.x) for p in points), checks=tuple(checks)
+        grid=tuple((p.n_atoms, p.eta, p.x) for p in points),
+        checks=tuple(_row(*row, cells) for row in planned),
     )

@@ -16,9 +16,10 @@ log weights instead of ratios of underflowing floats: log G1 = log S1 -
 log Z and log g2 = log S2 + log Z - 2 log S1, with the shared weight shift
 cancelling exactly.  One kernel, ladder_log_sums, takes these sums for a
 whole x grid at fixed (N, eta); every single-point function is its one-x
-case, and log Z is the same row sum as ThermalState.log_z.  A sweep takes
-all eta of one N in one _ladder_log_sums_at_n call, which builds the
-N-only ladder logs log n(N-n+1) once for all of them.
+case, and log Z is the same row sum as ThermalState.log_z.  A sweep, and
+the asymptotic validator, take all eta of one N in one
+_ladder_log_sums_at_n call, which builds the N-only ladder logs
+log n(N-n+1) once for all of them; each eta sums its own x grid.
 
 In a cold bath most of a row is dead weight: the gaps E_n - E_0 grow with
 n (every omega_n > 0), so beyond some level every term lies more than
@@ -268,16 +269,18 @@ def _eta_log_sums(
 
 
 def _ladder_log_sums_at_n(
-    n_atoms: int, calls: list[tuple[float, bool]], xs
+    n_atoms: int, calls: list[tuple[float, object, bool]]
 ) -> list[LadderLogSums]:
-    """ladder_log_sums(n_atoms, eta, xs, pairs) for each (eta, pairs) in
+    """ladder_log_sums(n_atoms, eta, xs, pairs) for each (eta, xs, pairs) in
     calls, with the N-only ladder logs built once for all of them."""
-    params = [validate_params(n_atoms, eta) for eta, _ in calls]
-    xs = np.asarray(xs, dtype=float).ravel()
-    for x in xs[~(np.isfinite(xs) & (xs > 0.0))]:
-        validate_params(n_atoms, 0.0, x)
+    params = [validate_params(n_atoms, eta) for eta, _, _ in calls]
+    grids = [np.asarray(xs, dtype=float).ravel() for _, xs, _ in calls]
+    for xs in grids:
+        for x in xs[~(np.isfinite(xs) & (xs > 0.0))]:
+            validate_params(n_atoms, 0.0, x)
     c_logs = _c_logs(ladder_coefficients(n_atoms).lowering)
-    return [_eta_log_sums(p, xs, c_logs, pairs) for p, (_, pairs) in zip(params, calls)]
+    return [_eta_log_sums(p, xs, c_logs, pairs)
+            for p, xs, (_, _, pairs) in zip(params, grids, calls)]
 
 
 def ladder_log_sums(n_atoms: int, eta: float, xs, pairs: bool = True) -> LadderLogSums:
@@ -294,7 +297,7 @@ def ladder_log_sums(n_atoms: int, eta: float, xs, pairs: bool = True) -> LadderL
     kernel, and a sweep takes all eta of one N from _ladder_log_sums_at_n,
     so all paths agree bitwise.
     """
-    return _ladder_log_sums_at_n(n_atoms, [(eta, pairs)], xs)[0]
+    return _ladder_log_sums_at_n(n_atoms, [(eta, xs, pairs)])[0]
 
 
 def correlators_from_log_sums(log_z: float, log_s1: float, log_s2: float) -> CorrelatorResult:
@@ -371,25 +374,38 @@ def steady_state_correlators(params: EnsembleParams) -> CorrelatorResult:
     return correlators_from_log_sums(*(s[0] for s in sums))
 
 
-def intensity_ratio(params: EnsembleParams) -> float:
-    """Intensity ratio G1(eta)/G1(eta=0) at equal N and x.
+def _ratio_at(params: EnsembleParams, cell, ref_cell) -> float:
+    """intensity_ratio at params from its (log Z, log S1, ...) cell and the
+    cell of the eta = 0 reference at the same N and x.
 
-    Evaluated as a difference of log intensities, so the ratio stays
-    accurate deep into the cold regime where both intensities are tiny.
-    Both come from one _ladder_log_sums_at_n call, as in a sweep.
+    The eta side is tested for underflow first, then the reference, each
+    raising ZeroIntensity that names its point; then ratio_from_log_g1
+    takes the quotient.
     """
-    if params.eta == 0.0:
-        raise ValueError("intensity_ratio requires eta != 0 (the reference is eta = 0)")
-    calls = [(params.eta, False), (0.0, False)]
     log_g1 = []
-    for (eta, _), sums in zip(calls, _ladder_log_sums_at_n(params.n_atoms, calls, [params.x])):
-        log_g1.append(sums.log_s1[0] - sums.log_z[0])
+    for eta, (log_z, log_s1, *_) in ((params.eta, cell), (0.0, ref_cell)):
+        log_g1.append(log_s1 - log_z)
         if _exp(log_g1[-1]) == 0.0:
             raise ZeroIntensity(
                 f"intensity underflows at double precision for N={params.n_atoms}, "
                 f"eta={eta}, x={params.x}"
             )
     return ratio_from_log_g1(*log_g1)
+
+
+def intensity_ratio(params: EnsembleParams) -> float:
+    """Intensity ratio G1(eta)/G1(eta=0) at equal N and x.
+
+    Evaluated as a difference of log intensities, so the ratio stays
+    accurate deep into the cold regime where both intensities are tiny.
+    Both come from one _ladder_log_sums_at_n call, as in a sweep, and
+    _ratio_at reads them, as the asymptotic validator does.
+    """
+    if params.eta == 0.0:
+        raise ValueError("intensity_ratio requires eta != 0 (the reference is eta = 0)")
+    xs = [params.x]
+    sums = _ladder_log_sums_at_n(params.n_atoms, [(params.eta, xs, False), (0.0, xs, False)])
+    return _ratio_at(params, *[(s.log_z[0], s.log_s1[0]) for s in sums])
 
 
 def far_field_prefactor(geometry: FarFieldGeometry) -> float:

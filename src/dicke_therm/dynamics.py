@@ -322,9 +322,9 @@ def _band_history(e: np.ndarray, v0: np.ndarray, steps: int, times: np.ndarray) 
     map; raises NonFiniteState at the first blown sample."""
     hist = np.empty((len(times), v0.size), dtype=complex)
     hist[0] = v0
-    # cast once: the loop's complex products are those of the real map
-    step_map = _power_increment(e, steps).astype(complex)
     with np.errstate(over="ignore", invalid="ignore"):
+        # cast once: the loop's complex products are those of the real map
+        step_map = _power_increment(e, steps).astype(complex)
         for i in range(len(times) - 1):
             hist[i + 1] = hist[i] + step_map @ hist[i]
     blown = ~np.all(np.isfinite(hist), axis=1)

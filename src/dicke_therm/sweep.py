@@ -22,8 +22,9 @@ import numpy as np
 from . import __version__
 from .asymptotics import AsymptoticReport, _check_distinct
 from .correlators import (
+    _exp,
     _ladder_log_sums_at_n,
-    correlators_from_log_sums,
+    classify_statistics,
     ratio_from_log_g1,
 )
 from .core import validate_params
@@ -110,7 +111,8 @@ def evaluate_rows(
 ) -> list[dict[str, object]]:
     """Raw values for the sweep rows over n_values x eta_values x xs in that
     nesting order; None marks a column not requested and the string 'NA' a
-    column lost to intensity underflow.
+    column lost to intensity underflow.  An axis that repeats a value is
+    refused (ValueError).
 
     Every N takes the same ladder_log_sums calls over xs: one per eta group
     whose columns need its sums and one for the eta = 0 reference of the
@@ -119,55 +121,75 @@ def evaluate_rows(
     the N-only ladder logs.  With jobs > 1 worker processes take the units,
     at most one per unit and one per CPU, since a forked pool starts all of
     its workers at once; the rows are built here.
+
+    Each (N, eta) group builds its requested columns a column at a time,
+    with the float steps of correlators_from_log_sums and math.exp: g1 =
+    exp(log S1 - log Z), g2 = exp(log S2 + log Z - 2 log S1) (0 where
+    log S2 is -inf), the classify_statistics verdict and the ratio of
+    ratio_from_log_g1; then the correlator cells of the rows whose g1
+    underflows become NA.
     """
     _check_outputs(outputs)
+    _check_distinct(N=n_values, eta=eta_values, x=xs)
     want_g1, want_g2, want_ratio, want_class = (k in outputs for k in VALID_OUTPUTS)
     want_corr = want_g1 or want_g2 or want_class
     pairs = want_g2 or want_class
     calls = {eta: pairs for eta in eta_values if want_corr or (want_ratio and eta != 0.0)}
     if want_ratio and any(eta != 0.0 for eta in eta_values):
         calls.setdefault(0.0, False)
-    calls = list(calls.items())
+    calls = [(eta, xs, with_pairs) for eta, with_pairs in calls.items()]
     units = list(n_values) if calls else []
     workers = min(jobs, len(units), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_ladder_log_sums_at_n, units, repeat(calls), repeat(xs)))
+            results = list(pool.map(_ladder_log_sums_at_n, units, repeat(calls)))
     else:
-        results = list(map(_ladder_log_sums_at_n, units, repeat(calls), repeat(xs)))
+        results = list(map(_ladder_log_sums_at_n, units, repeat(calls)))
     sums = {(n, eta): res for n, unit_sums in zip(units, results)
-            for (eta, _), res in zip(calls, unit_sums)}
+            for (eta, _, _), res in zip(calls, unit_sums)}
+    none = [None] * len(xs)
     rows = []
     for n in n_values:
         ref = sums.get((n, 0.0))
         for eta in eta_values:
             s = sums.get((n, eta))
-            for i in range(len(xs)):
-                g1 = g2 = ratio = classification = None
-                reason = ""
-                if want_corr:
-                    try:
-                        res = correlators_from_log_sums(s.log_z[i], s.log_s1[i], s.log_s2[i])
-                        g1, g2, classification = res.g1, res.g2_norm, res.classification.value
-                    except ZeroIntensity:
-                        reason = "ZeroIntensity"
-                        g1 = g2 = classification = "NA"
-                if want_ratio and eta == 0.0:
-                    ratio = 1.0
-                elif want_ratio:
-                    try:
-                        ratio = ratio_from_log_g1(s.log_s1[i] - s.log_z[i],
-                                                  ref.log_s1[i] - ref.log_z[i])
-                    except ZeroIntensity:
-                        reason = "ZeroIntensity"
-                        ratio = "NA"
-                rows.append({"g1": g1 if want_g1 else None, "g2": g2 if want_g2 else None,
-                             "ratio": ratio,
-                             "classification": classification if want_class else None,
-                             "reason": reason})
+            g1 = g2 = ratio = classification = none
+            lost = [False] * len(xs)
+            if want_corr:
+                g1 = [_exp(s1 - z) for z, s1 in zip(s.log_z, s.log_s1)]
+                lost = [v == 0.0 for v in g1]
+            if pairs:
+                g2 = [0.0 if s2 == -math.inf else _exp(s2 + z - 2.0 * s1)
+                      for z, s1, s2 in zip(s.log_z, s.log_s1, s.log_s2)]
+            if want_class:
+                classification = ["NA" if gone else classify_statistics(v).value
+                                  for v, gone in zip(g2, lost)]
+            if want_ratio and eta == 0.0:
+                ratio = [1.0] * len(xs)
+            elif want_ratio:
+                ratio = [_ratio_cell(s1 - z, r1 - rz) for z, s1, rz, r1
+                         in zip(s.log_z, s.log_s1, ref.log_z, ref.log_s1)]
+            g1 = _mark_lost(g1, lost) if want_g1 else none
+            g2 = _mark_lost(g2, lost) if want_g2 else none
+            reason = ["ZeroIntensity" if gone or r == "NA" else "" for gone, r in zip(lost, ratio)]
+            rows.extend({"g1": a, "g2": b, "ratio": c, "classification": d, "reason": e}
+                        for a, b, c, d, e in zip(g1, g2, ratio, classification, reason))
     return rows
+
+
+def _mark_lost(column: list, lost: list[bool]) -> list:
+    """column with NA in the rows whose intensity underflows."""
+    return ["NA" if gone else v for v, gone in zip(column, lost)]
+
+
+def _ratio_cell(log_g1: float, log_g1_ref: float) -> float | str:
+    """One ratio cell: ratio_from_log_g1, or NA where an intensity underflows."""
+    try:
+        return ratio_from_log_g1(log_g1, log_g1_ref)
+    except ZeroIntensity:
+        return "NA"
 
 
 def evaluate_point(
@@ -224,7 +246,6 @@ def run_sweep(config: SweepConfig, out_path: str | Path, jobs: int = 1) -> int:
     """
     n_values, eta_values = sorted(config.n_values), sorted(config.eta_values)
     xs = x_grid(config).tolist()
-    _check_distinct(x=xs)
     rows = evaluate_rows(n_values, eta_values, xs, config.outputs, jobs)
     points = [(n, eta, x) for n in n_values for eta in eta_values for x in xs]
     table = [[*point, r["g1"], r["g2"], r["ratio"], r["classification"], r["reason"]]

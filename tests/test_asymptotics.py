@@ -8,12 +8,16 @@ from dicke_therm import (
     BathRegime,
     EnsembleParams,
     ZeroAtoms,
+    ZeroIntensity,
+    asymptotics,
+    correlators,
     default_validation_grid,
     eta_threshold,
     g1_weak_bath,
     g2_limit_eta0,
     g2_strong_bath,
     g2_weak_bath,
+    intensity_ratio,
     intensity_ratio_strong_bath,
     steady_state_correlators,
     strong_bath_coefficient,
@@ -32,6 +36,19 @@ EQ20_005 = 1.18184285714286
 COEFFS = {2: -12.0, 3: -1.152, 4: 1.12, 5: 1.86514285714286, 6: 2.16}
 EQ16_COEFF_FD_2 = -11.9973770564272  # finite difference at eta=1e-3, x=1e-6
 EXACT_RATIO_2_01_HOT = 1.06009979546836
+
+# both bath regimes, both underflow notes and the eq16 probe at several N
+WIDE_GRID = default_validation_grid(
+    n_values=(2, 3, 7, 40, 300), eta_values=(-0.2, -0.1, 0.0, 0.1),
+    x_values=(1e-6, 1e-3, 10.0, 30.0, 745.25, 1500.0, 4000.0),
+)
+# not a product, unsorted, with a repeated point, N = 1, and a reference
+# that underflows where its eta side does not (eta = 0.2 at x = 800)
+PATCHY_GRID = [
+    (7, 0.1, 30.0), (2, 0.0, 1e-6), (300, -0.1, 1e-3), (2, 0.2, 800.0), (1, 0.0, 1e-6),
+    (7, 0.1, 30.0), (3, -0.2, 10.0), (2, 0.1, 1e-6), (1, 0.0, 50.0), (40, 0.0, 30.0),
+    (2, -0.1, 745.25), (3, 0.0, 1500.0),
+]
 
 
 class TestLimits:
@@ -237,6 +254,92 @@ class TestValidator:
         assert {c.status for c in report.checks} <= {"ok", "skipped"}
         # the cancelled eq18 ratio matches the exact one to rounding
         assert all(c.rel_dev < 1e-12 for c in report.checks if c.status == "ok")
+
+
+def per_point_exact(check):
+    """The exact side of a report row from the per-point public path:
+    (value, None), or (None, the ZeroIntensity note)."""
+    def g2(eta):
+        return steady_state_correlators(EnsembleParams(check.n_atoms, eta, check.x)).g2_norm
+
+    try:
+        if check.formula in ("eq18_ratio", "eq20"):
+            return intensity_ratio(EnsembleParams(check.n_atoms, check.eta, check.x)), None
+        if check.formula == "eq16_coeff":
+            return (g2(check.eta) - g2(0.0)) / check.eta**2, None
+        return g2(check.eta), None
+    except ZeroIntensity as exc:
+        return None, str(exc)
+
+
+class TestValidatorAgainstPerPointPath:
+    @pytest.mark.parametrize("grid", [WIDE_GRID, PATCHY_GRID], ids=["wide", "patchy"])
+    def test_every_row_equals_the_per_point_path(self, grid):
+        report = validate_asymptotics(grid)
+        notes = set()
+        for check in report.checks:
+            value, note = per_point_exact(check)
+            if note is None:
+                assert check.exact == value, check
+                assert check.rel_dev == abs(check.approx - value) / max(abs(value), 1e-300)
+                assert check.status in ("ok", "fail", "info")
+            else:
+                assert (check.exact, check.status, check.note) == (None, "skipped", note), check
+                notes.add(note.partition(" for ")[0])
+        # both underflow notes: the correlators' and the ratio's
+        assert len(notes) == 2
+
+    def test_patchy_grid_rows(self):
+        formulas = [(c.formula, c.n_atoms, c.eta, c.x) for c in validate_asymptotics(
+            PATCHY_GRID).checks]
+        assert formulas == [
+            ("eq17", 7, 0.1, 30.0), ("eq18_ratio", 7, 0.1, 30.0),
+            ("eq15_strong", 2, 0.0, 1e-6),
+            ("eq16_coeff", 300, 1e-3, 1e-3), ("eq20", 300, -0.1, 1e-3),
+            ("eq17", 2, 0.2, 800.0), ("eq18_ratio", 2, 0.2, 800.0),
+            ("eq15_strong", 1, 0.0, 1e-6),
+            ("eq17", 7, 0.1, 30.0), ("eq18_ratio", 7, 0.1, 30.0),
+            ("eq17", 3, -0.2, 10.0), ("eq18_ratio", 3, -0.2, 10.0),
+            ("eq16_coeff", 2, 1e-3, 1e-6), ("eq20", 2, 0.1, 1e-6),
+            ("eq15_weak", 40, 0.0, 30.0),
+            ("eq17", 2, -0.1, 745.25), ("eq18_ratio", 2, -0.1, 745.25),
+            ("eq15_weak", 3, 0.0, 1500.0),
+        ]
+        ratio = validate_asymptotics([(2, 0.2, 800.0)]).checks[1]
+        assert ratio.note.endswith("for N=2, eta=0.0, x=800.0")
+
+    @staticmethod
+    def spy_kernel(monkeypatch):
+        """Record (N, [(eta, xs, pairs)]) of every kernel call, wherever
+        the validator looks the kernel up."""
+        seen = []
+        kernel = correlators._ladder_log_sums_at_n
+
+        def spy(n, *args):
+            seen.append((n, *args))
+            return kernel(n, *args)
+
+        monkeypatch.setattr(correlators, "_ladder_log_sums_at_n", spy)
+        monkeypatch.setattr(asymptotics, "_ladder_log_sums_at_n", spy, raising=False)
+        return seen
+
+    def test_default_grid_makes_one_kernel_call_per_n(self, monkeypatch):
+        seen = self.spy_kernel(monkeypatch)
+        validate_asymptotics(default_validation_grid())
+        assert [call[0] for call in seen] == [2, 3, 7]
+
+    def test_each_eta_sums_only_the_x_values_read_there(self, monkeypatch):
+        seen = self.spy_kernel(monkeypatch)
+        validate_asymptotics([(2, 0.1, 10.0), (2, 0.0, 30.0), (2, 0.1, 1e-6), (7, -0.1, 20.0),
+                              (7, 0.0, 15.0)])
+        assert seen == [
+            # eq17 reads g2 at eta = 0.1; eq15_weak and the eq16 base read
+            # g2 at eta = 0, the ratios log S1 at both; the probe reads g2
+            (2, [(0.1, [10.0, 1e-6], True), (0.0, [10.0, 30.0, 1e-6], True),
+                 (1e-3, [1e-6], True)]),
+            # (7, 0, 15) lies in no window and costs nothing
+            (7, [(-0.1, [20.0], True), (0.0, [20.0], False)]),
+        ]
 
 
 class TestColdBathClosedForms:

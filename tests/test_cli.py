@@ -479,6 +479,15 @@ class TestEvolve:
         assert code == 4
         assert "StepTooLarge" in err or "NonFiniteState" in err
 
+    def test_overflowing_map_reports_only_the_token(self, capsys):
+        # the powered step map overflows; numpy's warnings about it stay
+        # out of stderr, which carries the one error line
+        code, out, err = run(capsys, "evolve", "--n", "2", "--x", "1", "--samples", "2",
+                             "--t-end", "1e300")
+        assert code == 4
+        assert out == ""
+        assert err == "NonFiniteState: state became non-finite near t=1e+300\n"
+
 
 class TestDoubleLimitOfX:
     """At x = 1e308 the product -x*gap overflows to -inf, the right log

@@ -7,15 +7,17 @@ and agree to GOLDEN_RTOL relative, and each file must keep its largest
 count of significant digits, so a last-digit flip from another libm or
 BLAS passes while a change of format, order, column or precision fails.
 
-The stored files are the reference; regenerate them (`python
-tests/test_golden.py`) only for a deliberate output change, and list the
-changed cells with it.
+The stored files are the reference; regenerate them only for a
+deliberate output change, and list the changed cells with it.  `python
+tests/test_golden.py NAME ...` rewrites the files of the named cases
+alone, and with no name those of every case; an unknown name is refused.
 """
 
 import contextlib
 import io
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -30,6 +32,11 @@ GOLDEN_RTOL = 1e-11
 CASES = {
     "validate": (["validate", "--out", "{dir}/validate.csv"],
                  ["validate.csv", "validate.csv.meta.json"]),
+    # cold and negative-eta cells: skipped rows of both underflow notes,
+    # finite cold eq17 and eq18_ratio rows and the eq16 probe rows
+    "validate_cold": (["validate", "--n", "2,7", "--eta=-0.1,0,0.1",
+                       "--x", "1e-6,10,745.25,1500", "--out", "{dir}/validate_cold.csv"],
+                      ["validate_cold.csv", "validate_cold.csv.meta.json"]),
     "sweep_all": (["sweep", "--n", "2,3", "--eta", "0,0.1", "--x-start", "1",
                    "--x-stop", "1000", "--x-count", "5", "--x-scale", "log",
                    "--out", "{dir}/sweep_all.csv"],
@@ -122,10 +129,31 @@ def test_comparison_passes_last_digit_flips_only():
             assert_same_text(label, text, want)
 
 
-if __name__ == "__main__":
-    # regenerate the golden files from the package on sys.path
-    GOLDEN.mkdir(exist_ok=True)
-    for case in CASES:
+def regenerate(names, golden=GOLDEN):
+    """Rewrite the golden files of the named cases, every case when names
+    is empty, from the package on sys.path; an unknown name is refused
+    before any file is written."""
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        raise ValueError(f"unknown golden cases {unknown}; known: {sorted(CASES)}")
+    golden.mkdir(exist_ok=True)
+    for case in names or CASES:
         with tempfile.TemporaryDirectory() as tmp:
             for file_name, text in run_case(case, Path(tmp))[1].items():
-                (GOLDEN / file_name).write_text(text, encoding="ascii")
+                (golden / file_name).write_text(text, encoding="ascii")
+
+
+def test_regeneration_writes_the_named_cases_only(tmp_path):
+    with pytest.raises(ValueError, match=r"unknown golden cases \['nope'\]"):
+        regenerate(["point", "nope"], tmp_path)
+    assert not any(tmp_path.iterdir())
+    regenerate(["point", "sweep_all"], tmp_path)
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "point.stdout", "sweep_all.csv", "sweep_all.csv.meta.json", "sweep_all.stdout"]
+
+
+if __name__ == "__main__":
+    try:
+        regenerate(sys.argv[1:])
+    except ValueError as exc:
+        sys.exit(str(exc))

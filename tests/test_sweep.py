@@ -93,6 +93,17 @@ def test_config_rejects_a_repeated_output():
         SweepConfig((2,), (0.1,), 1.0, 5.0, 3, outputs=("g2", "g1", "g2"))
 
 
+@pytest.mark.parametrize("axes, name", [
+    (([2, 2], [0.1], [1.0]), "N"),
+    (([2, 7], [0.1, -0.1, 0.1], [1.0]), "eta"),
+    (([2], [0.1], [1.0, 2.0, 1.0]), "x"),
+])
+def test_evaluate_rows_refuses_a_repeated_axis(axes, name):
+    # a repeated value would compute and return the same rows again
+    with pytest.raises(ValueError, match=rf"the {name} axis repeats"):
+        evaluate_rows(*axes, ("g2",))
+
+
 def test_big_group_spans_several_blocks():
     rows_per_block = correlators._BLOCK_TERMS // (BIG_N + 1)
     assert 1 < rows_per_block < 5
@@ -177,16 +188,16 @@ def test_pair_sums_only_for_g2_or_classification(monkeypatch, outputs):
     seen = []
     kernel = sweep._ladder_log_sums_at_n
     monkeypatch.setattr(sweep, "_ladder_log_sums_at_n",
-                        lambda n, calls, xs: seen.append((n, calls)) or kernel(n, calls, xs))
-    eta_values = [-0.1, 0.0, 0.1]
-    evaluate_rows([2, 7], eta_values, [0.5, 2.0], outputs)
+                        lambda n, calls: seen.append((n, calls)) or kernel(n, calls))
+    eta_values, xs = [-0.1, 0.0, 0.1], [0.5, 2.0]
+    evaluate_rows([2, 7], eta_values, xs, outputs)
     correlators = not set(CORRELATOR_CELLS).isdisjoint(outputs)
     pairs = "g2" in outputs or "classification" in outputs
     # every group a correlator column needs, else the ratio's groups and
-    # their eta = 0 reference
-    want = [(eta, pairs) for eta in eta_values if correlators or eta != 0.0]
+    # their eta = 0 reference, each over the whole x grid
+    want = [(eta, xs, pairs) for eta in eta_values if correlators or eta != 0.0]
     if not correlators:
-        want.append((0.0, False))
+        want.append((0.0, xs, False))
     assert seen == [(2, want), (7, want)]
 
 
