@@ -190,26 +190,32 @@ class AsymptoticReport:
         return out
 
 
-def _exact(kind: str, params: EnsembleParams, cells: dict) -> float:
-    """The exact side of a report row at params from the kernel cells
-    (N, eta, x) -> (log Z, log S1, log S2), through the scalar steps of the
-    per-point path: kind "g2" is steady_state_correlators(params).g2_norm,
-    "ratio" is intensity_ratio(params), and "coeff" the finite-difference
-    quadratic coefficient of g2(0) at the probe coupling params.eta.
-    Raises ZeroIntensity as those calls do."""
-    n, x = params.n_atoms, params.x
+# per kind of report row: whether it also reads the cell of the eta = 0
+# reference at its N and x, and whether it reads g2, so that its cells
+# need the pair sum S2
+_READS = {"g2": (False, True), "ratio": (True, False), "coeff": (True, True)}
+
+
+def _exact(kind: str, params: EnsembleParams, cell, ref_cell=None) -> float:
+    """The exact side of a report row at params from its kernel cell
+    (log Z, log S1, log S2) and, where _READS says so, that of the eta = 0
+    reference, through the scalar steps of the per-point path: kind "g2"
+    is steady_state_correlators(params).g2_norm, "ratio" is
+    intensity_ratio(params), and "coeff" the finite-difference quadratic
+    coefficient of g2(0) at the probe coupling params.eta.  Raises
+    ZeroIntensity as those calls do."""
     if kind == "ratio":
-        return _ratio_at(params, cells[n, params.eta, x], cells[n, 0.0, x])
-    g2 = correlators_from_log_sums(*cells[n, params.eta, x]).g2_norm
+        return _ratio_at(params, cell, ref_cell)
+    g2 = correlators_from_log_sums(*cell).g2_norm
     if kind == "g2":
         return g2
-    return (g2 - correlators_from_log_sums(*cells[n, 0.0, x]).g2_norm) / params.eta**2
+    return (g2 - correlators_from_log_sums(*ref_cell).g2_norm) / params.eta**2
 
 
 def _row(
-    formula: str, params: EnsembleParams, kind: str, approx: float, note: str, cells: dict
+    formula: str, params: EnsembleParams, kind: str, approx: float, note: str, cells: list
 ) -> FormulaCheck:
-    """One report row: the exact quantity _exact(kind, params, cells)
+    """One report row: the exact quantity _exact(kind, params, *cells)
     against its closed form approx.
 
     The row is graded against DEFAULT_TOLERANCES, read at call time; a
@@ -218,7 +224,7 @@ def _row(
     """
     point = (params.n_atoms, params.eta, params.x)
     try:
-        value = _exact(kind, params, cells)
+        value = _exact(kind, params, *cells)
     except ZeroIntensity as exc:
         return FormulaCheck(formula, *point, None, None, None, "skipped", str(exc))
     dev = abs(approx - value) / max(abs(value), 1e-300)
@@ -272,18 +278,22 @@ def validate_asymptotics(grid: list[tuple[int, float, float]]) -> AsymptoticRepo
     intensity_ratio at the point.
     """
     points = [validate_params(*pt) for pt in grid]
-    planned: list[tuple[str, EnsembleParams, str, float, str]] = []
+    # each row with the (N, eta, x) keys of the cells it reads
+    planned: list[tuple[str, EnsembleParams, str, float, str, list]] = []
     # N -> eta -> the x values read there, in first-read order; and the
     # (N, eta) whose cells some row reads g2 from
     reads: dict[int, dict[float, dict[float, None]]] = {}
     pairs: set[tuple[int, float]] = set()
 
     def plan(formula, prm, kind, approx, note=""):
-        planned.append((formula, prm, kind, approx, note))
-        for eta in (prm.eta,) if kind == "g2" else (prm.eta, 0.0):
-            reads.setdefault(prm.n_atoms, {}).setdefault(eta, {})[prm.x] = None
-            if kind != "ratio":
-                pairs.add((prm.n_atoms, eta))
+        with_ref, with_pairs = _READS[kind]
+        n, x = prm.n_atoms, prm.x
+        keys = [(n, eta, x) for eta in ((prm.eta, 0.0) if with_ref else (prm.eta,))]
+        planned.append((formula, prm, kind, approx, note, keys))
+        for _, eta, _ in keys:
+            reads.setdefault(n, {}).setdefault(eta, {})[x] = None
+            if with_pairs:
+                pairs.add((n, eta))
 
     coeff_done: set[tuple[int, float]] = set()
     for prm in points:
@@ -314,5 +324,5 @@ def validate_asymptotics(grid: list[tuple[int, float, float]]) -> AsymptoticRepo
             cells.update(((n, eta, x), cell) for x, cell in zip(xs, zip(*sums)))
     return AsymptoticReport(
         grid=tuple((p.n_atoms, p.eta, p.x) for p in points),
-        checks=tuple(_row(*row, cells) for row in planned),
+        checks=tuple(_row(*row, [cells[k] for k in keys]) for *row, keys in planned),
     )

@@ -300,6 +300,16 @@ def ladder_log_sums(n_atoms: int, eta: float, xs, pairs: bool = True) -> LadderL
     return _ladder_log_sums_at_n(n_atoms, [(eta, xs, pairs)])[0]
 
 
+def _g1_g2(log_z: float, log_s1: float, log_s2: float) -> tuple[float, float] | None:
+    """G1 and g2(0) from one x of the ladder log sums, or None when the
+    intensity underflows to zero at double precision.  g2(0) is 0 where
+    log S2 is -inf (not summed, or N = 1)."""
+    g1 = _exp(log_s1 - log_z)
+    if g1 == 0.0:
+        return None
+    return g1, 0.0 if log_s2 == -math.inf else _exp(log_s2 + log_z - 2.0 * log_s1)
+
+
 def correlators_from_log_sums(log_z: float, log_s1: float, log_s2: float) -> CorrelatorResult:
     """G1, G2 and g2(0) from one x of the ladder log sums.
 
@@ -307,18 +317,14 @@ def correlators_from_log_sums(log_z: float, log_s1: float, log_s2: float) -> Cor
     precision; for N = 1 the result is exactly 0 (a single emitter never
     yields a photon pair).
     """
-    g1 = _exp(log_s1 - log_z)
-    if g1 == 0.0:
+    cells = _g1_g2(log_z, log_s1, log_s2)
+    if cells is None:
         raise ZeroIntensity(
             "intensity underflows at double precision; the exact sums carry no "
             "information here, use the closed-form asymptotics"
         )
-    if log_s2 == -math.inf:
-        g2_raw = 0.0
-        g2_norm = 0.0
-    else:
-        g2_raw = _exp(log_s2 - log_z)
-        g2_norm = _exp(log_s2 + log_z - 2.0 * log_s1)
+    g1, g2_norm = cells
+    g2_raw = 0.0 if log_s2 == -math.inf else _exp(log_s2 - log_z)
     return CorrelatorResult(
         g1=g1,
         g2_raw=g2_raw,

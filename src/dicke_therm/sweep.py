@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import AsymptoticReport, _check_distinct
 from .correlators import (
-    _exp,
+    _g1_g2,
     _ladder_log_sums_at_n,
     classify_statistics,
     ratio_from_log_g1,
@@ -122,12 +122,11 @@ def evaluate_rows(
     at most one per unit and one per CPU, since a forked pool starts all of
     its workers at once; the rows are built here.
 
-    Each (N, eta) group builds its requested columns a column at a time,
-    with the float steps of correlators_from_log_sums and math.exp: g1 =
-    exp(log S1 - log Z), g2 = exp(log S2 + log Z - 2 log S1) (0 where
-    log S2 is -inf), the classify_statistics verdict and the ratio of
-    ratio_from_log_g1; then the correlator cells of the rows whose g1
-    underflows become NA.
+    Each (N, eta) group builds its requested columns a column at a time:
+    g1 and g2 from correlators._g1_g2, the float steps that
+    correlators_from_log_sums takes, with NA where the intensity
+    underflows; the classify_statistics verdict of g2; and the ratio of
+    ratio_from_log_g1.
     """
     _check_outputs(outputs)
     _check_distinct(N=n_values, eta=eta_values, x=xs)
@@ -158,30 +157,24 @@ def evaluate_rows(
             g1 = g2 = ratio = classification = none
             lost = [False] * len(xs)
             if want_corr:
-                g1 = [_exp(s1 - z) for z, s1 in zip(s.log_z, s.log_s1)]
-                lost = [v == 0.0 for v in g1]
-            if pairs:
-                g2 = [0.0 if s2 == -math.inf else _exp(s2 + z - 2.0 * s1)
-                      for z, s1, s2 in zip(s.log_z, s.log_s1, s.log_s2)]
-            if want_class:
-                classification = ["NA" if gone else classify_statistics(v).value
-                                  for v, gone in zip(g2, lost)]
+                cells = list(map(_g1_g2, *s))
+                lost = [c is None for c in cells]
+                if want_g1:
+                    g1 = ["NA" if c is None else c[0] for c in cells]
+                if want_g2:
+                    g2 = ["NA" if c is None else c[1] for c in cells]
+                if want_class:
+                    classification = ["NA" if c is None else classify_statistics(c[1]).value
+                                      for c in cells]
             if want_ratio and eta == 0.0:
                 ratio = [1.0] * len(xs)
             elif want_ratio:
                 ratio = [_ratio_cell(s1 - z, r1 - rz) for z, s1, rz, r1
                          in zip(s.log_z, s.log_s1, ref.log_z, ref.log_s1)]
-            g1 = _mark_lost(g1, lost) if want_g1 else none
-            g2 = _mark_lost(g2, lost) if want_g2 else none
             reason = ["ZeroIntensity" if gone or r == "NA" else "" for gone, r in zip(lost, ratio)]
             rows.extend({"g1": a, "g2": b, "ratio": c, "classification": d, "reason": e}
                         for a, b, c, d, e in zip(g1, g2, ratio, classification, reason))
     return rows
-
-
-def _mark_lost(column: list, lost: list[bool]) -> list:
-    """column with NA in the rows whose intensity underflows."""
-    return ["NA" if gone else v for v, gone in zip(column, lost)]
 
 
 def _ratio_cell(log_g1: float, log_g1_ref: float) -> float | str:
