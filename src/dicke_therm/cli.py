@@ -8,14 +8,14 @@ Exit codes: 0 success, 2 invalid input (an unwritable output path or a
 failed allocation), 3 validation tolerance exceeded, 4 integrator failure.  Errors
 carry the exception class name on stderr as a machine-readable token.  The
 environment variable DICKE_THERM_JOBS sets the default worker count, a
-positive integer; a configuration file of flat `key = value` lines
-mirroring the long flags can be passed with --config, with explicit flags
-taking precedence.
+positive integer.  A file of flat `key = value` lines mirroring the long
+flags can be passed once with --config; explicit flags take precedence.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import asdict, replace
@@ -52,7 +52,6 @@ from .sweep import (
     csv_text,
     evaluate_point,
     format_number,
-    parse_config_file,
     render_json,
     report_to_csv,
     run_sweep,
@@ -69,18 +68,17 @@ FIGURE_PRESETS: dict[str, SweepConfig] = {
 }
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    items = tuple(int(tok) for tok in text.split(",") if tok.strip())
-    if not items:
-        raise ValueError("empty list")
-    return items
+def _comma_list(kind: type):
+    """An argparse type: a non-empty comma list of kind values."""
 
+    def parse(text: str) -> tuple:
+        items = tuple(kind(tok) for tok in text.split(",") if tok.strip())
+        if not items:
+            raise ValueError("empty list")
+        return items
 
-def _float_list(text: str) -> tuple[float, ...]:
-    items = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    if not items:
-        raise ValueError("empty list")
-    return items
+    parse.__name__ = f"_{kind.__name__}_list"  # argparse's "invalid _int_list value"
+    return parse
 
 
 def _precision(text: str) -> int:
@@ -95,14 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dicke-therm",
         description="Thermal-equilibrium photon statistics of a dipole-dipole "
         "coupled two-level ensemble in the Dicke limit.",
+        epilog="Every subcommand also takes --config FILE, once: flat key = value "
+        "lines mirroring its long flags, which explicit flags override.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION,
                        help="significant digits in emitted numbers")
-        p.add_argument("--config", default=None,
-                       help="flat key = value file mirroring the long flags")
 
     p = sub.add_parser("point", help="evaluate one (N, eta, x) point as JSON")
     p.add_argument("--n", type=int, required=True, help="atom count N")
@@ -113,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_point)
 
     p = sub.add_parser("sweep", help="CSV sweep over an (N, eta, x) grid")
-    p.add_argument("--n", type=_int_list, required=True, help="comma list of atom counts")
-    p.add_argument("--eta", type=_float_list, required=True, help="comma list of couplings")
+    p.add_argument("--n", type=_comma_list(int), required=True, help="comma list of atom counts")
+    p.add_argument("--eta", type=_comma_list(float), required=True, help="comma list of couplings")
     p.add_argument("--x-start", type=float, required=True)
     p.add_argument("--x-stop", type=float, required=True)
     p.add_argument("--x-count", type=int, required=True)
@@ -128,11 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("validate", help="compare closed forms against the exact engine")
-    p.add_argument("--n", type=_int_list, default=DEFAULT_VALIDATION_N,
+    p.add_argument("--n", type=_comma_list(int), default=DEFAULT_VALIDATION_N,
                    help="comma list of atom counts")
-    p.add_argument("--eta", type=_float_list, default=DEFAULT_VALIDATION_ETA,
+    p.add_argument("--eta", type=_comma_list(float), default=DEFAULT_VALIDATION_ETA,
                    help="comma list of couplings")
-    p.add_argument("--x", type=_float_list, default=DEFAULT_VALIDATION_X,
+    p.add_argument("--x", type=_comma_list(float), default=DEFAULT_VALIDATION_X,
                    help="comma list of x values")
     p.add_argument("--out", default="validation_report.csv", help="report CSV path")
     common(p)
@@ -162,28 +160,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# --config FILE, --config=FILE or a unique prefix down to --c, as argparse
+# matches options; no subcommand declares it, and a file may not set it or --help
+_CONFIG = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+_CONFIG.add_argument("--config", action="append")
+_IN_FILE = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+_IN_FILE.add_argument("--config", "--help", action="append", nargs="?", dest="refused")
+
+
+def _config_flags(path: str) -> list[str]:
+    """The flags of a flat key = value file: keys are the long flag names
+    (hyphens or underscores), values the strings one would pass on the
+    command line, and a key given twice takes its last value."""
+    options: dict[str, str] = {}
+    for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        options[key.strip().replace("_", "-")] = value.strip()
+    flags = [arg for key, value in options.items() for arg in (f"--{key}", value)]
+    if _IN_FILE.parse_known_args(flags)[0].refused:
+        raise ValueError(f"{path}: a config file may not set --config or --help")
+    return flags
+
+
 def _apply_config(argv: list[str]) -> list[str]:
-    """Expand --config FILE or --config=FILE into flags inserted before the
-    explicit ones.  Any prefix from --c on counts, as argparse reads it."""
-    for i, arg in enumerate(argv):
-        flag, eq, path = arg.partition("=")
-        if len(flag) > 2 and "--config".startswith(flag):
-            break
-    else:
+    """Expand the one --config FILE into its flags, inserted right after the
+    subcommand, before the explicit ones."""
+    try:
+        found, rest = _CONFIG.parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        raise ValueError(str(exc)) from None
+    if not found.config:
         return argv
-    if eq:
-        rest = argv[:i] + argv[i + 1 :]
-    elif i + 1 < len(argv):
-        path = argv[i + 1]
-        rest = argv[:i] + argv[i + 2 :]
-    else:
-        raise ValueError("--config requires a file path")
+    if len(found.config) > 1:
+        raise ValueError("--config may be given only once")
     if not rest:
         raise ValueError("--config requires a subcommand")
-    expanded: list[str] = []
-    for key, value in parse_config_file(path).items():
-        expanded.extend([f"--{key}", value])
-    return [rest[0], *expanded, *rest[1:]]
+    return [rest[0], *_config_flags(found.config[0]), *rest[1:]]
 
 
 def point_document(params: EnsembleParams) -> dict:
@@ -337,12 +354,15 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-def _check_out_dir(out: str) -> None:
-    """Refuse an output path in a missing directory or a non-directory."""
-    parent = Path(out).parent
-    if not parent.is_dir():
-        parent.stat()  # raises for a missing directory or one under a file
-        raise NotADirectoryError(f"not a directory: {str(parent)!r}")
+def _check_out(out: str) -> None:
+    """Refuse an output path that is a directory (the empty path is the
+    current one), or lies in a missing directory or a non-directory."""
+    path = Path(out)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not path.parent.is_dir():
+        path.parent.stat()  # raises for a missing directory or one under a file
+        raise NotADirectoryError(f"not a directory: {str(path.parent)!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -358,8 +378,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "out", None):
-            _check_out_dir(args.out)
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return args.handler(args)
     except IntegrationError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -333,18 +333,28 @@ def correlators_from_log_sums(log_z: float, log_s1: float, log_s2: float) -> Cor
     )
 
 
+def _ratio(log_g1: float, log_g1_ref: float) -> float | None:
+    """G1/G1_ref from the two log intensities (log S1 - log Z of each), or
+    None when either intensity underflows to zero at double precision; a
+    quotient beyond the double range is inf."""
+    if _exp(log_g1) == 0.0 or _exp(log_g1_ref) == 0.0:
+        return None
+    return _exp(log_g1 - log_g1_ref)
+
+
 def ratio_from_log_g1(log_g1: float, log_g1_ref: float) -> float:
     """G1/G1_ref from the two log intensities (log S1 - log Z of each).
 
     Raises ZeroIntensity when either intensity underflows; a quotient
     beyond the double range is inf.
     """
-    if _exp(log_g1) == 0.0 or _exp(log_g1_ref) == 0.0:
+    ratio = _ratio(log_g1, log_g1_ref)
+    if ratio is None:
         raise ZeroIntensity(
             "intensity underflows at double precision; the ratio carries no "
             "information here, use the closed-form asymptotics"
         )
-    return _exp(log_g1 - log_g1_ref)
+    return ratio
 
 
 def classify_statistics(g2_norm: float) -> PhotonStatistics:
@@ -384,19 +394,18 @@ def _ratio_at(params: EnsembleParams, cell, ref_cell) -> float:
     """intensity_ratio at params from its (log Z, log S1, ...) cell and the
     cell of the eta = 0 reference at the same N and x.
 
-    The eta side is tested for underflow first, then the reference, each
-    raising ZeroIntensity that names its point; then ratio_from_log_g1
-    takes the quotient.
+    Where an intensity underflows, ZeroIntensity names the point of the
+    side that did: the eta side if both did.
     """
-    log_g1 = []
-    for eta, (log_z, log_s1, *_) in ((params.eta, cell), (0.0, ref_cell)):
-        log_g1.append(log_s1 - log_z)
-        if _exp(log_g1[-1]) == 0.0:
-            raise ZeroIntensity(
-                f"intensity underflows at double precision for N={params.n_atoms}, "
-                f"eta={eta}, x={params.x}"
-            )
-    return ratio_from_log_g1(*log_g1)
+    log_g1, log_g1_ref = (log_s1 - log_z for log_z, log_s1, *_ in (cell, ref_cell))
+    ratio = _ratio(log_g1, log_g1_ref)
+    if ratio is None:
+        eta = params.eta if _exp(log_g1) == 0.0 else 0.0
+        raise ZeroIntensity(
+            f"intensity underflows at double precision for N={params.n_atoms}, "
+            f"eta={eta}, x={params.x}"
+        )
+    return ratio
 
 
 def intensity_ratio(params: EnsembleParams) -> float:

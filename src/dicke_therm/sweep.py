@@ -21,14 +21,9 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import AsymptoticReport, _check_distinct
-from .correlators import (
-    _g1_g2,
-    _ladder_log_sums_at_n,
-    classify_statistics,
-    ratio_from_log_g1,
-)
+from .correlators import _g1_g2, _ladder_log_sums_at_n, _ratio, classify_statistics
 from .core import validate_params
-from .exceptions import NonPositiveX, ZeroIntensity
+from .exceptions import NonPositiveX
 
 __all__ = [
     "SWEEP_HEADER",
@@ -44,7 +39,6 @@ __all__ = [
     "run_sweep",
     "report_to_csv",
     "write_sidecar",
-    "parse_config_file",
 ]
 
 VALID_OUTPUTS = ("g1", "g2", "ratio", "classification")
@@ -125,8 +119,8 @@ def evaluate_rows(
     Each (N, eta) group builds its requested columns a column at a time:
     g1 and g2 from correlators._g1_g2, the float steps that
     correlators_from_log_sums takes, with NA where the intensity
-    underflows; the classify_statistics verdict of g2; and the ratio of
-    ratio_from_log_g1.
+    underflows; the classify_statistics verdict of g2; and the ratio from
+    correlators._ratio, with NA where an intensity underflows.
     """
     _check_outputs(outputs)
     _check_distinct(N=n_values, eta=eta_values, x=xs)
@@ -169,20 +163,13 @@ def evaluate_rows(
             if want_ratio and eta == 0.0:
                 ratio = [1.0] * len(xs)
             elif want_ratio:
-                ratio = [_ratio_cell(s1 - z, r1 - rz) for z, s1, rz, r1
+                ratio = [_ratio(s1 - z, r1 - rz) for z, s1, rz, r1
                          in zip(s.log_z, s.log_s1, ref.log_z, ref.log_s1)]
+                ratio = ["NA" if r is None else r for r in ratio]
             reason = ["ZeroIntensity" if gone or r == "NA" else "" for gone, r in zip(lost, ratio)]
             rows.extend({"g1": a, "g2": b, "ratio": c, "classification": d, "reason": e}
                         for a, b, c, d, e in zip(g1, g2, ratio, classification, reason))
     return rows
-
-
-def _ratio_cell(log_g1: float, log_g1_ref: float) -> float | str:
-    """One ratio cell: ratio_from_log_g1, or NA where an intensity underflows."""
-    try:
-        return ratio_from_log_g1(log_g1, log_g1_ref)
-    except ZeroIntensity:
-        return "NA"
 
 
 def evaluate_point(
@@ -294,21 +281,3 @@ def write_sidecar(data_path: str | Path, payload: dict) -> Path:
     side.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="ascii")
     return side
 
-
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat key = value configuration mirroring the CLI flags.
-
-    Keys use the long flag names (hyphens or underscores); values are the
-    same strings one would pass on the command line.  Flags given on the
-    command line override file values.
-    """
-    options: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        options[key.strip().replace("_", "-")] = value.strip()
-    return options

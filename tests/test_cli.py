@@ -318,6 +318,65 @@ class TestConfigFile:
         cfg.write_text("just some words\n")
         assert run(capsys, "point", "--config", str(cfg))[0] == 2
 
+    def test_second_config_exits_2(self, capsys, tmp_path):
+        (tmp_path / "a.cfg").write_text("x = 10\n")
+        (tmp_path / "b.cfg").write_text("eta = 0.1\n")
+        code, out, err = run(capsys, "point", "--n", "2", "--config", str(tmp_path / "a.cfg"),
+                             "--config", str(tmp_path / "b.cfg"))
+        assert code == 2
+        assert err.startswith("ValueError: ")
+        assert out == ""
+
+    @pytest.mark.parametrize("line", ["config = {b}", "conf = {b}", "help = 1", "h = 1"])
+    def test_config_or_help_key_exits_2(self, capsys, tmp_path, line):
+        # a nested file is never read, and help would compute nothing
+        (tmp_path / "b.cfg").write_text("eta = 0.1\n")
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("x = 10\n" + line.format(b=tmp_path / "b.cfg") + "\n")
+        code, out, err = run(capsys, "point", "--n", "2", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("ValueError: ")
+        assert out == ""
+
+    def test_config_without_path_exits_2(self, capsys):
+        code, out, err = run(capsys, "point", "--n", "2", "--x", "10", "--config")
+        assert code == 2
+        assert err.startswith("ValueError: ")
+        assert out == ""
+
+    def test_empty_config_path_exits_2(self, capsys):
+        code, out, err = run(capsys, "point", "--n", "2", "--x", "10", "--config=")
+        assert code == 2
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_config_before_the_subcommand(self, capsys, tmp_path):
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text("n = 2\neta = 0.1\nx = 10\n")
+        code, out, _ = run(capsys, "--config", str(cfg), "point")
+        assert code == 0
+        assert json.loads(out)["g2"] == pytest.approx(0.302018092984664, rel=1e-9)
+
+    def test_negative_value(self, capsys, tmp_path):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("eta = -0.1\n")
+        code, out, _ = run(capsys, "point", "--n", "2", "--x", "10", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["eta"] == -0.1
+
+    def test_top_level_help_documents_config(self, capsys):
+        # no subcommand declares --config, so the subcommands' -h omit it
+        code, out, _ = run(capsys, "-h")
+        assert code == 0
+        assert "--config FILE" in out
+
+    def test_key_given_twice_takes_the_last_value(self, capsys, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("eta = 0.1\neta = 0.2\n")
+        code, out, _ = run(capsys, "point", "--n", "2", "--x", "10", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["eta"] == 0.2
+
 
 class TestValidate:
     @pytest.mark.parametrize("flag, values", [
@@ -578,6 +637,8 @@ class TestOutputCheckedFirst:
         ("missing/out", "FileNotFoundError"),
         ("file/out", "NotADirectoryError"),
         ("file/sub/out", "NotADirectoryError"),
+        (".", "IsADirectoryError"),
+        ("", "IsADirectoryError"),  # the empty path is the working directory
     ])
     def test_no_work_before_the_refusal(self, capsys, tmp_path, monkeypatch,
                                         command, where, token):
@@ -586,9 +647,10 @@ class TestOutputCheckedFirst:
         calls = []
         for name in ("integrate", "run_sweep", "validate_asymptotics", "point_document"):
             monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+        monkeypatch.chdir(tmp_path)
         (tmp_path / "file").write_text("")
         code, text, err = run(capsys, command, *self.ARGV[command],
-                              "--out", str(tmp_path / where))
+                              "--out", str(tmp_path / where) if where else "")
         assert code == 2
         assert err.startswith(f"{token}: ")
         assert text == ""
@@ -681,6 +743,35 @@ class TestConsoleScript:
             [exe, "point", "--n", "1", "--eta", "0.1", "--x", "1"],
             capture_output=True, text=True,
         )
+        assert proc.returncode == 2
+        assert "SingleAtomWithCoupling" in proc.stderr
+
+
+class TestDeclaredConsoleScript:
+    def test_entry_point_runs_as_the_installed_wrapper(self):
+        # [project.scripts] resolved and called as the wrapper that pip
+        # installs calls it, with the package on PYTHONPATH instead
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as f:
+            target = tomllib.load(f)["project"]["scripts"]["dicke-therm"]
+        module, func = target.split(":")
+        wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+        def script(*argv):
+            return subprocess.run([sys.executable, "-c", wrapper, *argv],
+                                  capture_output=True, text=True, env=env)
+
+        proc = script("point", "--n", "2", "--eta", "0.1", "--x", "10")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["classification"] == "SubPoissonian"
+        proc = script("point", "--n", "1", "--eta", "0.1", "--x", "1")
         assert proc.returncode == 2
         assert "SingleAtomWithCoupling" in proc.stderr
 

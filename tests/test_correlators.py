@@ -22,7 +22,7 @@ from dicke_therm import (
     thermal_state,
 )
 from dicke_therm import correlators
-from dicke_therm.correlators import correlators_from_log_sums, ratio_from_log_g1
+from dicke_therm.correlators import _ratio, correlators_from_log_sums, ratio_from_log_g1
 from dicke_therm.sweep import VALID_OUTPUTS, evaluate_rows
 from helpers import matrix_correlators, random_valid_params
 
@@ -278,6 +278,13 @@ class TestIntensityRatio:
         assert ratio_from_log_g1(709.5, 0.0) == math.exp(709.5)
         assert correlators_from_log_sums(0.0, 0.0, 709.5).g2_norm == math.exp(709.5)
         assert ratio_from_log_g1(710.0, 0.0) == math.inf
+
+    @pytest.mark.parametrize("log_g1, log_g1_ref", [(-800.0, 0.0), (0.0, -800.0), (-800.0, -800.0)])
+    def test_underflow_on_either_side(self, log_g1, log_g1_ref):
+        # the sweep's NA cell and the raising call share one ratio step
+        assert _ratio(log_g1, log_g1_ref) is None
+        with pytest.raises(ZeroIntensity):
+            ratio_from_log_g1(log_g1, log_g1_ref)
 
 
 class TestSignFlip:

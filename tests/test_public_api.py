@@ -22,6 +22,7 @@ REMOVED = {
     "RateModel": "dynamics",
     "NonPositiveFrequency": "exceptions",
     "sweep_points": "sweep",
+    "parse_config_file": "sweep",
 }
 
 # (module, function, the retired keyword it no longer takes): separate
