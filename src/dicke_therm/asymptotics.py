@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import EnsembleParams, validate_params
+from .core import EnsembleParams
 from .correlators import _exp, _ladder_log_sums_at_n, _ratio_at, correlators_from_log_sums
 from .exceptions import ZeroAtoms, ZeroIntensity
 
@@ -277,7 +277,7 @@ def validate_asymptotics(grid: list[tuple[int, float, float]]) -> AsymptoticRepo
     every skipped note equals that of steady_state_correlators and
     intensity_ratio at the point.
     """
-    points = [validate_params(*pt) for pt in grid]
+    points = [EnsembleParams(*pt) for pt in grid]
     # each row with the (N, eta, x) keys of the cells it reads
     planned: list[tuple[str, EnsembleParams, str, float, str, list]] = []
     # N -> eta -> the x values read there, in first-read order; and the

@@ -38,7 +38,7 @@ from .asymptotics import (
     intensity_ratio_strong_bath,
     validate_asymptotics,
 )
-from .core import EnsembleParams, validate_params
+from .core import EnsembleParams
 from .dynamics import (
     INITIAL_STATE_KINDS,
     StepControl,
@@ -55,6 +55,7 @@ from .sweep import (
     render_json,
     report_to_csv,
     run_sweep,
+    sidecar_path,
     write_sidecar,
 )
 
@@ -198,6 +199,8 @@ def _apply_config(argv: list[str]) -> list[str]:
         return argv
     if len(found.config) > 1:
         raise ValueError("--config may be given only once")
+    if not found.config[0]:
+        raise ValueError("--config requires a file path, got ''")
     if not rest:
         raise ValueError("--config requires a subcommand")
     return [rest[0], *_config_flags(found.config[0]), *rest[1:]]
@@ -232,7 +235,7 @@ def point_document(params: EnsembleParams) -> dict:
 
 
 def _cmd_point(args) -> int:
-    params = validate_params(args.n, args.eta, args.x)
+    params = EnsembleParams(args.n, args.eta, args.x)
     text = render_json(point_document(params), args.precision) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="ascii")
@@ -310,7 +313,7 @@ def _print_validation_summary(report) -> None:
 
 
 def _cmd_evolve(args) -> int:
-    params = validate_params(args.n, args.eta, args.x)
+    params = EnsembleParams(args.n, args.eta, args.x)
     rho0 = initial_state(params, args.init)
     traj = integrate(
         rho0,
@@ -345,16 +348,32 @@ def _cmd_figures(args) -> int:
     jobs = _jobs(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, preset in FIGURE_PRESETS.items():
-        config = replace(preset, precision=args.precision)
-        path = out_dir / f"{name}.csv"
+    for name, path in _figure_paths(out_dir).items():
+        config = replace(FIGURE_PRESETS[name], precision=args.precision)
         rows = run_sweep(config, path, jobs=jobs)
         write_sidecar(path, {"command": "figures", "figure": name, "config": asdict(config)})
         print(f"wrote {rows} rows to {path}")
     return 0
 
 
-def _check_out(out: str) -> None:
+def _figure_paths(out_dir: Path) -> dict[str, Path]:
+    return {name: out_dir / f"{name}.csv" for name in FIGURE_PRESETS}
+
+
+def _out_paths(args) -> list[str | Path]:
+    """Every file the command writes, each data file then its sidecar; the
+    figure files only in an existing directory (figures makes a missing one)."""
+    if args.command == "figures":
+        out_dir = Path(args.out_dir)
+        data = list(_figure_paths(out_dir).values()) if out_dir.is_dir() else []
+    else:
+        data = [] if args.out is None else [args.out]
+    if args.command == "point":
+        return data
+    return [path for out in data for path in (out, sidecar_path(out))]
+
+
+def _check_out(out: str | Path) -> None:
     """Refuse an output path that is a directory (the empty path is the
     current one), or lies in a missing directory or a non-directory."""
     path = Path(out)
@@ -378,8 +397,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "out", None) is not None:
-            _check_out(args.out)
+        for out in _out_paths(args):
+            _check_out(out)
         return args.handler(args)
     except IntegrationError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

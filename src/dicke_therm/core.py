@@ -29,7 +29,6 @@ __all__ = [
     "DickeSpectrum",
     "LadderCoeffs",
     "ThermalState",
-    "validate_params",
     "build_spectrum",
     "ladder_coefficients",
     "thermal_state",
@@ -43,6 +42,10 @@ class EnsembleParams:
     n_atoms : number of emitters N
     eta     : dipole-dipole coupling over the transition frequency
     x       : inverse temperature hbar*omega0/(k_B*T)
+
+    The one constructor of validated parameters: n_atoms is stored as an
+    int, from any integral value (2.0, np.int64(3)); anything else, '3' or
+    2.5, is refused with ValueError.  eta and x are stored as float.
 
     The admissible coupling window -(N-1)/(N+1) < eta < 1 keeps every
     collective transition frequency positive; for N = 1 the per-pair
@@ -58,7 +61,15 @@ class EnsembleParams:
     x: float = 1.0
 
     def __post_init__(self) -> None:
-        n = self.n_atoms
+        try:
+            n = int(self.n_atoms)
+        except (TypeError, ValueError, OverflowError):
+            n = None
+        if n is None or n != self.n_atoms:
+            raise ValueError(f"atom count must be an integer, got {self.n_atoms!r}")
+        object.__setattr__(self, "n_atoms", n)
+        object.__setattr__(self, "eta", float(self.eta))
+        object.__setattr__(self, "x", float(self.x))
         if n < 1:
             raise ZeroAtoms(f"atom count must be at least 1, got {n}")
         if not math.isfinite(self.x) or self.x <= 0.0:
@@ -95,14 +106,6 @@ class EnsembleParams:
     def omega_bar(self) -> float:
         """Shifted transition frequency 1 + delta_tilde."""
         return 1.0 + self.delta_tilde
-
-
-def validate_params(n_atoms: int, eta: float = 0.0, x: float = 1.0) -> EnsembleParams:
-    """Coerce raw values and return validated ensemble parameters."""
-    n = int(n_atoms)
-    if n != n_atoms:
-        raise ValueError(f"atom count must be an integer, got {n_atoms!r}")
-    return EnsembleParams(n, float(eta), float(x))
 
 
 @dataclass(frozen=True)
@@ -160,9 +163,9 @@ class LadderCoeffs:
 
 
 def ladder_coefficients(n_atoms: int) -> LadderCoeffs:
-    """Ladder coefficients for N emitters; raising[n] == lowering[n+1]."""
-    if n_atoms < 1:
-        raise ZeroAtoms(f"atom count must be at least 1, got {n_atoms}")
+    """Ladder coefficients for N emitters; raising[n] == lowering[n+1].
+    N follows the EnsembleParams atom-count rule."""
+    n_atoms = EnsembleParams(n_atoms).n_atoms
     n = np.arange(n_atoms + 1, dtype=float)
     lowering = np.sqrt(n * (n_atoms - n + 1.0))
     lowering.setflags(write=False)

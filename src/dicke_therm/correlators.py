@@ -54,7 +54,6 @@ from .core import (
     build_spectrum,
     ladder_coefficients,
     logsumexp_rows,
-    validate_params,
 )
 from .exceptions import DimensionMismatch, ZeroIntensity
 
@@ -65,7 +64,6 @@ __all__ = [
     "LadderLogSums",
     "ladder_log_sums",
     "correlators_from_log_sums",
-    "ratio_from_log_g1",
     "g2_zero",
     "intensity_ratio",
     "classify_statistics",
@@ -273,11 +271,11 @@ def _ladder_log_sums_at_n(
 ) -> list[LadderLogSums]:
     """ladder_log_sums(n_atoms, eta, xs, pairs) for each (eta, xs, pairs) in
     calls, with the N-only ladder logs built once for all of them."""
-    params = [validate_params(n_atoms, eta) for eta, _, _ in calls]
+    params = [EnsembleParams(n_atoms, eta) for eta, _, _ in calls]
     grids = [np.asarray(xs, dtype=float).ravel() for _, xs, _ in calls]
     for xs in grids:
         for x in xs[~(np.isfinite(xs) & (xs > 0.0))]:
-            validate_params(n_atoms, 0.0, x)
+            EnsembleParams(n_atoms, 0.0, x)
     c_logs = _c_logs(ladder_coefficients(n_atoms).lowering)
     return [_eta_log_sums(p, xs, c_logs, pairs)
             for p, xs, (_, _, pairs) in zip(params, grids, calls)]
@@ -340,21 +338,6 @@ def _ratio(log_g1: float, log_g1_ref: float) -> float | None:
     if _exp(log_g1) == 0.0 or _exp(log_g1_ref) == 0.0:
         return None
     return _exp(log_g1 - log_g1_ref)
-
-
-def ratio_from_log_g1(log_g1: float, log_g1_ref: float) -> float:
-    """G1/G1_ref from the two log intensities (log S1 - log Z of each).
-
-    Raises ZeroIntensity when either intensity underflows; a quotient
-    beyond the double range is inf.
-    """
-    ratio = _ratio(log_g1, log_g1_ref)
-    if ratio is None:
-        raise ZeroIntensity(
-            "intensity underflows at double precision; the ratio carries no "
-            "information here, use the closed-form asymptotics"
-        )
-    return ratio
 
 
 def classify_statistics(g2_norm: float) -> PhotonStatistics:

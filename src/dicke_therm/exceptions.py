@@ -4,6 +4,10 @@ Exception class names double as the machine-readable error tokens printed
 by the command-line front end, so they are part of the public interface.
 """
 
+__all__ = ["DickeError", "ParameterError", "ZeroAtoms", "NonPositiveX", "EtaOutOfRange",
+           "SingleAtomWithCoupling", "ZeroIntensity", "DimensionMismatch", "IntegrationError",
+           "StepTooLarge", "NonFiniteState"]
+
 
 class DickeError(Exception):
     """Base class for every error raised by this package."""

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import AsymptoticReport, _check_distinct
 from .correlators import _g1_g2, _ladder_log_sums_at_n, _ratio, classify_statistics
-from .core import validate_params
+from .core import EnsembleParams
 from .exceptions import NonPositiveX
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "evaluate_point",
     "run_sweep",
     "report_to_csv",
+    "sidecar_path",
     "write_sidecar",
 ]
 
@@ -91,7 +92,7 @@ class SweepConfig:
         _check_outputs(self.outputs)
         for n in self.n_values:
             for eta in self.eta_values:
-                validate_params(n, eta, self.x_start)
+                EnsembleParams(n, eta, self.x_start)
         _check_distinct(N=self.n_values, eta=self.eta_values, outputs=self.outputs)
 
 
@@ -176,7 +177,7 @@ def evaluate_point(
     n_atoms: int, eta: float, x: float, outputs: tuple[str, ...]
 ) -> dict[str, object]:
     """Raw values for one sweep row: the one-point case of evaluate_rows."""
-    validate_params(n_atoms, eta, x)
+    EnsembleParams(n_atoms, eta, x)
     return evaluate_rows([n_atoms], [eta], [x], outputs)[0]
 
 
@@ -271,11 +272,16 @@ def render_json(obj, precision: int = DEFAULT_PRECISION) -> str:
     return emit(obj)
 
 
+def sidecar_path(data_path: str | Path) -> Path:
+    """The metadata file of a data file: its path with .meta.json appended."""
+    return Path(str(data_path) + ".meta.json")
+
+
 def write_sidecar(data_path: str | Path, payload: dict) -> Path:
     """Run metadata lives next to the data file, never inside it.  The JSON
     is strict: a non-finite number raises ValueError instead of being
     written as NaN or Infinity."""
-    side = Path(str(data_path) + ".meta.json")
+    side = sidecar_path(data_path)
     doc = {"tool": "dicke-therm", "version": __version__}
     doc.update(payload)
     side.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="ascii")

@@ -29,6 +29,7 @@ import numpy as np
 
 from dicke_therm import (
     DimensionMismatch,
+    EnsembleParams,
     StepControl,
     StepTooLarge,
     ThermalLiouvillian,
@@ -36,7 +37,6 @@ from dicke_therm import (
     integrate,
     ladder_coefficients,
     thermal_state,
-    validate_params,
 )
 from dicke_therm.sweep import SWEEP_HEADER
 
@@ -209,10 +209,10 @@ def _full_log_sums(log_weights, ladder_logs, pairs):
 def full_row_ladder_log_sums(n_atoms, eta, xs, pairs=True):
     """(log_z, log_s1, log_s2) lists at every x in xs, every ladder term
     exponentiated."""
-    params = validate_params(n_atoms, eta)
+    params = EnsembleParams(n_atoms, eta)
     xs = np.asarray(xs, dtype=float).ravel()
     for x in xs[~(np.isfinite(xs) & (xs > 0.0))]:
-        validate_params(n_atoms, eta, x)
+        EnsembleParams(n_atoms, eta, x)
     spectrum = build_spectrum(params)
     logs = _full_ladder_logs(spectrum, ladder_coefficients(params.n_atoms))
     gaps = spectrum.energies - spectrum.energies.min()

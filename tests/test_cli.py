@@ -350,6 +350,12 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("empty", [["--config="], ["--config", ""]])
+    def test_empty_config_path_names_the_flag(self, capsys, empty):
+        code, out, err = run(capsys, "point", "--n", "2", "--x", "10", *empty)
+        assert (code, out) == (2, "")
+        assert err == "ValueError: --config requires a file path, got ''\n"
+
     def test_config_before_the_subcommand(self, capsys, tmp_path):
         cfg = tmp_path / "point.cfg"
         cfg.write_text("n = 2\neta = 0.1\nx = 10\n")
@@ -642,6 +648,31 @@ class TestOutputCheckedFirst:
     ])
     def test_no_work_before_the_refusal(self, capsys, tmp_path, monkeypatch,
                                         command, where, token):
+        self.assert_refused(capsys, tmp_path, monkeypatch, [
+            command, *self.ARGV[command], "--out", str(tmp_path / where) if where else ""
+        ], token)
+
+    # a directory where a sidecar or a figure file goes (point writes no sidecar)
+    @pytest.mark.parametrize("command,blocked", [
+        ("evolve", "out.csv.meta.json"),
+        ("sweep", "out.csv.meta.json"),
+        ("validate", "out.csv.meta.json"),
+        ("figures", "fig3.csv"),
+        ("figures", "fig4.csv.meta.json"),
+    ])
+    def test_no_work_before_a_sidecar_refusal(self, capsys, tmp_path, monkeypatch,
+                                              command, blocked):
+        (tmp_path / blocked).mkdir()
+        if command == "figures":
+            argv = [command, "--out-dir", str(tmp_path)]
+        else:
+            argv = [command, *self.ARGV[command], "--out", str(tmp_path / "out.csv")]
+        err = self.assert_refused(capsys, tmp_path, monkeypatch, argv, "IsADirectoryError")
+        assert err == f"IsADirectoryError: [Errno 21] Is a directory: '{tmp_path / blocked}'\n"
+
+    @staticmethod
+    def assert_refused(capsys, tmp_path, monkeypatch, argv, token):
+        """Exit 2 with token, and nothing computed or written; returns stderr."""
         from dicke_therm import cli
 
         calls = []
@@ -649,13 +680,14 @@ class TestOutputCheckedFirst:
             monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
         monkeypatch.chdir(tmp_path)
         (tmp_path / "file").write_text("")
-        code, text, err = run(capsys, command, *self.ARGV[command],
-                              "--out", str(tmp_path / where) if where else "")
+        before = sorted(tmp_path.iterdir())
+        code, text, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith(f"{token}: ")
         assert text == ""
         assert calls == []
-        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert sorted(tmp_path.iterdir()) == before
+        return err
 
 
 class TestMemoryError:

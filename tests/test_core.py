@@ -1,6 +1,7 @@
 """Parameter validation, spectrum, ladder coefficients, and Gibbs state."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,6 @@ from dicke_therm import (
     build_spectrum,
     ladder_coefficients,
     thermal_state,
-    validate_params,
 )
 
 # frozen against a 50-digit evaluation of the closed forms
@@ -36,7 +36,7 @@ class TestValidation:
         ],
     )
     def test_accepts(self, n, eta, x):
-        p = validate_params(n, eta, x)
+        p = EnsembleParams(n, eta, x)
         assert (p.n_atoms, p.eta, p.x) == (n, eta, x)
 
     @pytest.mark.parametrize(
@@ -58,7 +58,7 @@ class TestValidation:
     )
     def test_rejects(self, n, eta, x, exc):
         with pytest.raises(exc):
-            validate_params(n, eta, x)
+            EnsembleParams(n, eta, x)
 
     def test_window_edges_keep_every_frequency_positive(self):
         # at the last floats inside the window, build_spectrum's rounding can
@@ -78,9 +78,26 @@ class TestValidation:
                     assert positive, (n, eta)
         assert refused == 2188
 
+    @pytest.mark.parametrize("n", [2.0, np.int64(3), np.float64(4.0)])
+    def test_coerces_an_integral_atom_count(self, n):
+        p = EnsembleParams(n, 0.1, 1.0)
+        assert type(p.n_atoms) is int and p.n_atoms == n
+        assert build_spectrum(p).energies.size == n + 1
+
+    def test_coerces_eta_and_x_to_float(self):
+        p = EnsembleParams(2, np.float32(0.25), 3)
+        assert (type(p.eta), type(p.x)) == (float, float)
+        assert (p.eta, p.x) == (0.25, 3.0)
+
     def test_rejects_fractional_atom_count(self):
-        with pytest.raises(ValueError):
-            validate_params(2.5, 0.0, 1.0)
+        with pytest.raises(ValueError, match="^atom count must be an integer, got 2.5$"):
+            EnsembleParams(2.5, 0.1, 1.0)
+
+    @pytest.mark.parametrize("n", ["3", np.float64(2.5), float("nan"), float("inf"), None])
+    def test_rejects_a_non_integral_atom_count(self, n):
+        message = f"atom count must be an integer, got {n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EnsembleParams(n, 0.0, 1.0)
 
     def test_derived_fields(self):
         p = EnsembleParams(2, 0.1, 1.0)
@@ -158,8 +175,18 @@ class TestLadder:
         assert not c.raising.flags.writeable
 
     def test_rejects_zero_atoms(self):
-        with pytest.raises(ZeroAtoms):
+        with pytest.raises(ZeroAtoms, match="^atom count must be at least 1, got 0$"):
             ladder_coefficients(0)
+
+    @pytest.mark.parametrize("n", [2.5, "3"])
+    def test_rejects_a_non_integral_atom_count(self, n):
+        # the EnsembleParams rule: no ladder for a fractional or string N
+        with pytest.raises(ValueError, match="^atom count must be an integer"):
+            ladder_coefficients(n)
+
+    def test_coerces_an_integral_atom_count(self):
+        assert np.array_equal(ladder_coefficients(np.float64(3.0)).lowering,
+                              ladder_coefficients(3).lowering)
 
 
 class TestThermalState:

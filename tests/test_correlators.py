@@ -1,6 +1,7 @@
 """Intensity, g2(0), classification, and the far-field prefactor."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from dicke_therm import (
     thermal_state,
 )
 from dicke_therm import correlators
-from dicke_therm.correlators import _ratio, correlators_from_log_sums, ratio_from_log_g1
+from dicke_therm.correlators import _ratio, _ratio_at, correlators_from_log_sums
 from dicke_therm.sweep import VALID_OUTPUTS, evaluate_rows
 from helpers import matrix_correlators, random_valid_params
 
@@ -275,16 +276,18 @@ class TestIntensityRatio:
 
     def test_finite_up_to_the_double_limit(self):
         # exp overflows only above log(DBL_MAX) = 709.78
-        assert ratio_from_log_g1(709.5, 0.0) == math.exp(709.5)
+        assert _ratio(709.5, 0.0) == math.exp(709.5)
         assert correlators_from_log_sums(0.0, 0.0, 709.5).g2_norm == math.exp(709.5)
-        assert ratio_from_log_g1(710.0, 0.0) == math.inf
+        assert _ratio(710.0, 0.0) == math.inf
 
     @pytest.mark.parametrize("log_g1, log_g1_ref", [(-800.0, 0.0), (0.0, -800.0), (-800.0, -800.0)])
     def test_underflow_on_either_side(self, log_g1, log_g1_ref):
-        # the sweep's NA cell and the raising call share one ratio step
+        # the sweep's NA cell and _ratio_at share one ratio step; the error
+        # names the eta side if it underflowed, else the eta = 0 reference
         assert _ratio(log_g1, log_g1_ref) is None
-        with pytest.raises(ZeroIntensity):
-            ratio_from_log_g1(log_g1, log_g1_ref)
+        side = 0.1 if log_g1 == -800.0 else 0.0
+        with pytest.raises(ZeroIntensity, match=re.escape(f"eta={side}, x=10.0")):
+            _ratio_at(EnsembleParams(2, 0.1, 10.0), (0.0, log_g1), (0.0, log_g1_ref))
 
 
 class TestSignFlip:

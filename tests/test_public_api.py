@@ -10,7 +10,9 @@ import pytest
 import dicke_therm
 
 # the modules that declare __all__
-MODULES = ["core", "correlators", "asymptotics", "dynamics", "sweep"]
+MODULES = ["core", "correlators", "asymptotics", "dynamics", "sweep", "exceptions"]
+# the modules whose __all__ the package re-exports, in this order
+EXPORTED = ["core", "correlators", "asymptotics", "dynamics", "exceptions"]
 
 # name -> module it was removed from
 REMOVED = {
@@ -23,6 +25,8 @@ REMOVED = {
     "NonPositiveFrequency": "exceptions",
     "sweep_points": "sweep",
     "parse_config_file": "sweep",
+    "validate_params": "core",
+    "ratio_from_log_g1": "correlators",
 }
 
 # (module, function, the retired keyword it no longer takes): separate
@@ -52,6 +56,15 @@ def test_all_entries_resolve(name):
     assert mod.__all__
     for entry in mod.__all__:
         assert hasattr(mod, entry), f"{mod.__name__}.{entry}"
+
+
+def test_package_exports_its_modules_all():
+    expected = ["__version__", *(e for m in EXPORTED for e in module(m).__all__)]
+    assert dicke_therm.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for name in EXPORTED:
+        for entry in module(name).__all__:
+            assert getattr(dicke_therm, entry) is getattr(module(name), entry)
 
 
 @pytest.mark.parametrize("name, home", sorted(REMOVED.items()))
