@@ -50,6 +50,8 @@ STRONG_BATH_X = 1e-3
 WEAK_BATH_X = 10.0
 WEAK_BATH_X_ETA0 = 30.0
 QUADRATIC_ETA_MAX = 0.2
+VALIDITY_WINDOWS = (f"x <= {STRONG_BATH_X:g}, or N >= 2 with x >= {WEAK_BATH_X_ETA0:g} at eta = 0"
+                    f" or x >= {WEAK_BATH_X:g} at 0 < |eta| <= {QUADRATIC_ETA_MAX:g}")
 # finite-difference probe for the quadratic-coefficient check
 PROBE_ETA = 1e-3
 
@@ -190,33 +192,9 @@ class AsymptoticReport:
         return out
 
 
-# per kind of report row: whether it also reads the cell of the eta = 0
-# reference at its N and x, and whether it reads g2, so that its cells
-# need the pair sum S2
-_READS = {"g2": (False, True), "ratio": (True, False), "coeff": (True, True)}
-
-
-def _exact(kind: str, params: EnsembleParams, cell, ref_cell=None) -> float:
-    """The exact side of a report row at params from its kernel cell
-    (log Z, log S1, log S2) and, where _READS says so, that of the eta = 0
-    reference, through the scalar steps of the per-point path: kind "g2"
-    is steady_state_correlators(params).g2_norm, "ratio" is
-    intensity_ratio(params), and "coeff" the finite-difference quadratic
-    coefficient of g2(0) at the probe coupling params.eta.  Raises
-    ZeroIntensity as those calls do."""
-    if kind == "ratio":
-        return _ratio_at(params, cell, ref_cell)
-    g2 = correlators_from_log_sums(*cell).g2_norm
-    if kind == "g2":
-        return g2
-    return (g2 - correlators_from_log_sums(*ref_cell).g2_norm) / params.eta**2
-
-
-def _row(
-    formula: str, params: EnsembleParams, kind: str, approx: float, note: str, cells: list
-) -> FormulaCheck:
-    """One report row: the exact quantity _exact(kind, params, *cells)
-    against its closed form approx.
+def _row(formula: str, params: EnsembleParams, exact, approx: float, note: str = "") -> FormulaCheck:
+    """One report row: the exact quantity exact() against its closed form
+    approx.
 
     The row is graded against DEFAULT_TOLERANCES, read at call time; a
     formula without an entry there is informational.  An exact side that
@@ -224,15 +202,12 @@ def _row(
     """
     point = (params.n_atoms, params.eta, params.x)
     try:
-        value = _exact(kind, params, *cells)
+        value = exact()
     except ZeroIntensity as exc:
         return FormulaCheck(formula, *point, None, None, None, "skipped", str(exc))
     dev = abs(approx - value) / max(abs(value), 1e-300)
     tol = DEFAULT_TOLERANCES.get(formula)
-    if tol is None:
-        status = "info"
-    else:
-        status = "ok" if dev <= tol else "fail"
+    status = "info" if tol is None else "ok" if dev <= tol else "fail"
     return FormulaCheck(formula, *point, value, approx, dev, status, note)
 
 
@@ -268,61 +243,61 @@ def validate_asymptotics(grid: list[tuple[int, float, float]]) -> AsymptoticRepo
     whose exact correlators underflow become skipped rows.  The
     strong-bath intensity ratio rows are informational and never graded.
 
-    The exact side comes from one _ladder_log_sums_at_n call per N.  It
-    sums each eta that the rows of that N read (a grid eta, the eta = 0
-    reference of the ratios and of the finite difference, PROBE_ETA) over
-    the x values read at that eta alone, so a grid that is not a product
-    sums no cell it never reads.  Each row then takes its cells through
-    the scalar steps of the per-point path (_exact), so every value and
-    every skipped note equals that of steady_state_correlators and
-    intensity_ratio at the point.
+    The exact side comes from one _ladder_log_sums_at_n call per N, as in
+    a sweep: the distinct x of that N's points at each grid eta of that N,
+    at the eta = 0 reference and at PROBE_ETA, all with the pair sum.  Each
+    row reads its cells through the scalar steps of the per-point path
+    (correlators_from_log_sums, _ratio_at), so every value and skipped
+    note equals that of steady_state_correlators and intensity_ratio.
     """
     points = [EnsembleParams(*pt) for pt in grid]
-    # each row with the (N, eta, x) keys of the cells it reads
-    planned: list[tuple[str, EnsembleParams, str, float, str, list]] = []
-    # N -> eta -> the x values read there, in first-read order; and the
-    # (N, eta) whose cells some row reads g2 from
-    reads: dict[int, dict[float, dict[float, None]]] = {}
-    pairs: set[tuple[int, float]] = set()
+    # N -> (its x grid, its {eta: pairs} calls), in first-seen order
+    by_n: dict[int, tuple[dict[float, None], dict[float, bool]]] = {}
+    for prm in points:
+        xs, calls = by_n.setdefault(prm.n_atoms, ({}, {}))
+        xs[prm.x] = None
+        calls[prm.eta] = True
+    cells: dict[tuple[int, float, float], tuple[float, float, float]] = {}
+    for n, (xs, calls) in by_n.items():
+        calls.setdefault(0.0, True)
+        if n >= 2:
+            calls.setdefault(PROBE_ETA, True)
+        for eta, sums in zip(calls, _ladder_log_sums_at_n(n, list(xs), calls)):
+            cells.update(((n, eta, x), cell) for x, cell in zip(xs, zip(*sums)))
 
-    def plan(formula, prm, kind, approx, note=""):
-        with_ref, with_pairs = _READS[kind]
-        n, x = prm.n_atoms, prm.x
-        keys = [(n, eta, x) for eta in ((prm.eta, 0.0) if with_ref else (prm.eta,))]
-        planned.append((formula, prm, kind, approx, note, keys))
-        for _, eta, _ in keys:
-            reads.setdefault(n, {}).setdefault(eta, {})[x] = None
-            if with_pairs:
-                pairs.add((n, eta))
+    def g2(prm, eta):
+        return correlators_from_log_sums(*cells[prm.n_atoms, eta, prm.x]).g2_norm
 
+    def ratio(prm):
+        return _ratio_at(prm, *(cells[prm.n_atoms, eta, prm.x] for eta in (prm.eta, 0.0)))
+
+    checks = []
     coeff_done: set[tuple[int, float]] = set()
     for prm in points:
         n, eta, x = prm.n_atoms, prm.eta, prm.x
         if eta == 0.0:
             if x <= STRONG_BATH_X:
-                plan("eq15_strong", prm, "g2", g2_limit_eta0(n, BathRegime.STRONG))
+                checks.append(_row("eq15_strong", prm, lambda: g2(prm, 0.0),
+                                   g2_limit_eta0(n, BathRegime.STRONG)))
             if x >= WEAK_BATH_X_ETA0 and n >= 2:
-                plan("eq15_weak", prm, "g2", g2_limit_eta0(n, BathRegime.WEAK))
+                checks.append(_row("eq15_weak", prm, lambda: g2(prm, 0.0),
+                                   g2_limit_eta0(n, BathRegime.WEAK)))
             continue
         if x <= STRONG_BATH_X:
             if n >= 2 and (n, x) not in coeff_done:
                 coeff_done.add((n, x))
-                plan("eq16_coeff", EnsembleParams(n, PROBE_ETA, x), "coeff",
-                     strong_bath_coefficient(n), f"finite-difference probe at eta={PROBE_ETA:g}")
-            plan("eq20", prm, "ratio", intensity_ratio_strong_bath(eta),
-                 "informational: the exact strong-bath ratio is N-dependent")
+                probe = EnsembleParams(n, PROBE_ETA, x)
+                checks.append(_row(
+                    "eq16_coeff", probe,
+                    lambda: (g2(probe, PROBE_ETA) - g2(probe, 0.0)) / PROBE_ETA**2,
+                    strong_bath_coefficient(n), f"finite-difference probe at eta={PROBE_ETA:g}"))
+            checks.append(_row("eq20", prm, lambda: ratio(prm), intensity_ratio_strong_bath(eta),
+                               "informational: the exact strong-bath ratio is N-dependent"))
         if x >= WEAK_BATH_X and n >= 2 and abs(eta) <= QUADRATIC_ETA_MAX:
-            plan("eq17", prm, "g2", g2_weak_bath(n, eta, x))
+            checks.append(_row("eq17", prm, lambda: g2(prm, eta), g2_weak_bath(n, eta, x)))
             # g1_weak_bath(n, eta, x) / g1_weak_bath(n, 0, x), cancelled: the
             # denominator N*exp(-x) underflows from x ~ 708
-            plan("eq18_ratio", prm, "ratio", (1.0 - eta) ** 4 * _exp(eta * x))
-
-    cells: dict[tuple[int, float, float], tuple[float, float, float]] = {}
-    for n, etas in reads.items():
-        calls = [(eta, list(xs), (n, eta) in pairs) for eta, xs in etas.items()]
-        for (eta, xs, _), sums in zip(calls, _ladder_log_sums_at_n(n, calls)):
-            cells.update(((n, eta, x), cell) for x, cell in zip(xs, zip(*sums)))
-    return AsymptoticReport(
-        grid=tuple((p.n_atoms, p.eta, p.x) for p in points),
-        checks=tuple(_row(*row, [cells[k] for k in keys]) for *row, keys in planned),
-    )
+            checks.append(_row("eq18_ratio", prm, lambda: ratio(prm),
+                               (1.0 - eta) ** 4 * _exp(eta * x)))
+    return AsymptoticReport(grid=tuple((p.n_atoms, p.eta, p.x) for p in points),
+                            checks=tuple(checks))

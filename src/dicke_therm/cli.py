@@ -28,6 +28,7 @@ from .asymptotics import (
     DEFAULT_VALIDATION_ETA,
     DEFAULT_VALIDATION_N,
     DEFAULT_VALIDATION_X,
+    VALIDITY_WINDOWS,
     BathRegime,
     default_validation_grid,
     eta_threshold,
@@ -278,6 +279,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     grid = default_validation_grid(n_values=args.n, eta_values=args.eta, x_values=args.x)
     report = validate_asymptotics(grid)
+    if not report.checks:
+        raise ValueError(f"no grid point lies in a validity window: {VALIDITY_WINDOWS}; "
+                         "nothing to compare")
     Path(args.out).write_text(report_to_csv(report, args.precision), encoding="ascii")
     write_sidecar(args.out, {
         "command": "validate",
@@ -298,12 +302,9 @@ def _print_validation_summary(report) -> None:
         at = f"({w.n_atoms}, {w.eta:g}, {w.x:g})" if w else "-"
         dev = format_number(w.rel_dev, 3) if w else "-"
         tol = DEFAULT_TOLERANCES.get(formula)
-        if all(c.status == "info" for c in rows):
-            status = "INFO"
-        elif any(c.status == "fail" for c in rows):
-            status = "FAIL"
-        else:
-            status = "PASS"
+        statuses = {c.status for c in rows} - {"skipped"}
+        status = ("SKIPPED" if not statuses else "INFO" if statuses == {"info"}
+                  else "FAIL" if "fail" in statuses else "PASS")
         print(f"{formula:<12} {len(rows):>4} {dev:>14} {at:<24} "
               f"{format_number(tol, 3) if tol else '-':>10} {status}")
     skipped = sum(1 for c in report.checks if c.status == "skipped")

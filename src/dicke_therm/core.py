@@ -45,7 +45,8 @@ class EnsembleParams:
 
     The one constructor of validated parameters: n_atoms is stored as an
     int, from any integral value (2.0, np.int64(3)); anything else, '3' or
-    2.5, is refused with ValueError.  eta and x are stored as float.
+    2.5, is refused with ValueError.  eta and x are stored as float; text
+    for either ('0.1', b'10') is refused with ValueError too.
 
     The admissible coupling window -(N-1)/(N+1) < eta < 1 keeps every
     collective transition frequency positive; for N = 1 the per-pair
@@ -68,8 +69,11 @@ class EnsembleParams:
         if n is None or n != self.n_atoms:
             raise ValueError(f"atom count must be an integer, got {self.n_atoms!r}")
         object.__setattr__(self, "n_atoms", n)
-        object.__setattr__(self, "eta", float(self.eta))
-        object.__setattr__(self, "x", float(self.x))
+        for name in ("eta", "x"):
+            value = getattr(self, name)
+            if isinstance(value, (str, bytes, bytearray)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if n < 1:
             raise ZeroAtoms(f"atom count must be at least 1, got {n}")
         if not math.isfinite(self.x) or self.x <= 0.0:

@@ -17,9 +17,9 @@ log Z and log g2 = log S2 + log Z - 2 log S1, with the shared weight shift
 cancelling exactly.  One kernel, ladder_log_sums, takes these sums for a
 whole x grid at fixed (N, eta); every single-point function is its one-x
 case, and log Z is the same row sum as ThermalState.log_z.  A sweep, and
-the asymptotic validator, take all eta of one N in one
+the asymptotic validator, take all eta of one N over one x grid in one
 _ladder_log_sums_at_n call, which builds the N-only ladder logs
-log n(N-n+1) once for all of them; each eta sums its own x grid.
+log n(N-n+1) once for all of them.
 
 In a cold bath most of a row is dead weight: the gaps E_n - E_0 grow with
 n (every omega_n > 0), so beyond some level every term lies more than
@@ -266,19 +266,16 @@ def _eta_log_sums(
     return LadderLogSums(*(s.tolist() for s in sums))
 
 
-def _ladder_log_sums_at_n(
-    n_atoms: int, calls: list[tuple[float, object, bool]]
-) -> list[LadderLogSums]:
-    """ladder_log_sums(n_atoms, eta, xs, pairs) for each (eta, xs, pairs) in
-    calls, with the N-only ladder logs built once for all of them."""
-    params = [EnsembleParams(n_atoms, eta) for eta, _, _ in calls]
-    grids = [np.asarray(xs, dtype=float).ravel() for _, xs, _ in calls]
-    for xs in grids:
-        for x in xs[~(np.isfinite(xs) & (xs > 0.0))]:
-            EnsembleParams(n_atoms, 0.0, x)
+def _ladder_log_sums_at_n(n_atoms: int, xs, calls: dict[float, bool]) -> list[LadderLogSums]:
+    """ladder_log_sums(n_atoms, eta, xs, pairs) for each eta: pairs of the
+    ordered calls, over one x grid checked and converted once, with the
+    N-only ladder logs built once for all of them."""
+    params = [EnsembleParams(n_atoms, eta) for eta in calls]
+    xs = np.asarray(xs, dtype=float).ravel()
+    for x in xs[~(np.isfinite(xs) & (xs > 0.0))]:
+        EnsembleParams(n_atoms, 0.0, x)
     c_logs = _c_logs(ladder_coefficients(n_atoms).lowering)
-    return [_eta_log_sums(p, xs, c_logs, pairs)
-            for p, xs, (_, _, pairs) in zip(params, grids, calls)]
+    return [_eta_log_sums(p, xs, c_logs, pairs) for p, pairs in zip(params, calls.values())]
 
 
 def ladder_log_sums(n_atoms: int, eta: float, xs, pairs: bool = True) -> LadderLogSums:
@@ -295,7 +292,7 @@ def ladder_log_sums(n_atoms: int, eta: float, xs, pairs: bool = True) -> LadderL
     kernel, and a sweep takes all eta of one N from _ladder_log_sums_at_n,
     so all paths agree bitwise.
     """
-    return _ladder_log_sums_at_n(n_atoms, [(eta, xs, pairs)])[0]
+    return _ladder_log_sums_at_n(n_atoms, xs, {eta: pairs})[0]
 
 
 def _g1_g2(log_z: float, log_s1: float, log_s2: float) -> tuple[float, float] | None:
@@ -401,8 +398,7 @@ def intensity_ratio(params: EnsembleParams) -> float:
     """
     if params.eta == 0.0:
         raise ValueError("intensity_ratio requires eta != 0 (the reference is eta = 0)")
-    xs = [params.x]
-    sums = _ladder_log_sums_at_n(params.n_atoms, [(params.eta, xs, False), (0.0, xs, False)])
+    sums = _ladder_log_sums_at_n(params.n_atoms, [params.x], {params.eta: False, 0.0: False})
     return _ratio_at(params, *[(s.log_z[0], s.log_s1[0]) for s in sums])
 
 

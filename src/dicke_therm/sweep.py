@@ -131,18 +131,17 @@ def evaluate_rows(
     calls = {eta: pairs for eta in eta_values if want_corr or (want_ratio and eta != 0.0)}
     if want_ratio and any(eta != 0.0 for eta in eta_values):
         calls.setdefault(0.0, False)
-    calls = [(eta, xs, with_pairs) for eta, with_pairs in calls.items()]
     units = list(n_values) if calls else []
     workers = min(jobs, len(units), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_ladder_log_sums_at_n, units, repeat(calls)))
+            results = list(pool.map(_ladder_log_sums_at_n, units, repeat(xs), repeat(calls)))
     else:
-        results = list(map(_ladder_log_sums_at_n, units, repeat(calls)))
+        results = list(map(_ladder_log_sums_at_n, units, repeat(xs), repeat(calls)))
     sums = {(n, eta): res for n, unit_sums in zip(units, results)
-            for (eta, _, _), res in zip(calls, unit_sums)}
+            for eta, res in zip(calls, unit_sums)}
     none = [None] * len(xs)
     rows = []
     for n in n_values:

@@ -18,8 +18,9 @@ included; the integrator's guard, which checks the bands it advances,
 must never refuse a step that copy accepts.  The coefficient copy
 (`dense_band`, `dense_coefficient_apply`) builds the arrays that
 ThermalLiouvillian held before it kept only O(N) vectors; its bands and
-apply must return the same bits.  `read_sweep_csv` parses the CLI's sweep
-CSV back into typed rows.
+apply must return the same bits.  `per_point_exact` takes the exact side
+of a validator row from the per-point public functions.  `read_sweep_csv`
+parses the CLI's sweep CSV back into typed rows.
 """
 
 import csv
@@ -33,9 +34,12 @@ from dicke_therm import (
     StepControl,
     StepTooLarge,
     ThermalLiouvillian,
+    ZeroIntensity,
     build_spectrum,
     integrate,
+    intensity_ratio,
     ladder_coefficients,
+    steady_state_correlators,
     thermal_state,
 )
 from dicke_therm.sweep import SWEEP_HEADER
@@ -318,6 +322,22 @@ def dense_coefficient_apply(rho, params):
     out[:-1, :-1] += gain_down * rho[1:, 1:]
     out[1:, 1:] += gain_up * rho[:-1, :-1]
     return out
+
+
+def per_point_exact(check):
+    """The exact side of a report row from the per-point public path:
+    (value, None), or (None, the ZeroIntensity note)."""
+    def g2(eta):
+        return steady_state_correlators(EnsembleParams(check.n_atoms, eta, check.x)).g2_norm
+
+    try:
+        if check.formula in ("eq18_ratio", "eq20"):
+            return intensity_ratio(EnsembleParams(check.n_atoms, check.eta, check.x)), None
+        if check.formula == "eq16_coeff":
+            return (g2(check.eta) - g2(0.0)) / check.eta**2, None
+        return g2(check.eta), None
+    except ZeroIntensity as exc:
+        return None, str(exc)
 
 
 def read_sweep_csv(path):

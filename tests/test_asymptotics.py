@@ -8,7 +8,6 @@ from dicke_therm import (
     BathRegime,
     EnsembleParams,
     ZeroAtoms,
-    ZeroIntensity,
     asymptotics,
     correlators,
     default_validation_grid,
@@ -17,13 +16,14 @@ from dicke_therm import (
     g2_limit_eta0,
     g2_strong_bath,
     g2_weak_bath,
-    intensity_ratio,
     intensity_ratio_strong_bath,
     steady_state_correlators,
     strong_bath_coefficient,
     validate_asymptotics,
 )
 from dicke_therm.asymptotics import DEFAULT_TOLERANCES
+
+from helpers import per_point_exact
 
 # frozen against a 50-digit evaluation
 EQ17_2_01_10 = 0.302003335142089
@@ -256,22 +256,6 @@ class TestValidator:
         assert all(c.rel_dev < 1e-12 for c in report.checks if c.status == "ok")
 
 
-def per_point_exact(check):
-    """The exact side of a report row from the per-point public path:
-    (value, None), or (None, the ZeroIntensity note)."""
-    def g2(eta):
-        return steady_state_correlators(EnsembleParams(check.n_atoms, eta, check.x)).g2_norm
-
-    try:
-        if check.formula in ("eq18_ratio", "eq20"):
-            return intensity_ratio(EnsembleParams(check.n_atoms, check.eta, check.x)), None
-        if check.formula == "eq16_coeff":
-            return (g2(check.eta) - g2(0.0)) / check.eta**2, None
-        return g2(check.eta), None
-    except ZeroIntensity as exc:
-        return None, str(exc)
-
-
 class TestValidatorAgainstPerPointPath:
     @pytest.mark.parametrize("grid", [WIDE_GRID, PATCHY_GRID], ids=["wide", "patchy"])
     def test_every_row_equals_the_per_point_path(self, grid):
@@ -310,7 +294,7 @@ class TestValidatorAgainstPerPointPath:
 
     @staticmethod
     def spy_kernel(monkeypatch):
-        """Record (N, [(eta, xs, pairs)]) of every kernel call, wherever
+        """Record (N, xs, {eta: pairs}) of every kernel call, wherever
         the validator looks the kernel up."""
         seen = []
         kernel = correlators._ladder_log_sums_at_n
@@ -328,17 +312,17 @@ class TestValidatorAgainstPerPointPath:
         validate_asymptotics(default_validation_grid())
         assert [call[0] for call in seen] == [2, 3, 7]
 
-    def test_each_eta_sums_only_the_x_values_read_there(self, monkeypatch):
+    def test_each_n_sums_its_x_grid_at_every_eta_read_there(self, monkeypatch):
         seen = self.spy_kernel(monkeypatch)
         validate_asymptotics([(2, 0.1, 10.0), (2, 0.0, 30.0), (2, 0.1, 1e-6), (7, -0.1, 20.0),
-                              (7, 0.0, 15.0)])
-        assert seen == [
-            # eq17 reads g2 at eta = 0.1; eq15_weak and the eq16 base read
-            # g2 at eta = 0, the ratios log S1 at both; the probe reads g2
-            (2, [(0.1, [10.0, 1e-6], True), (0.0, [10.0, 30.0, 1e-6], True),
-                 (1e-3, [1e-6], True)]),
-            # (7, 0, 15) lies in no window and costs nothing
-            (7, [(-0.1, [20.0], True), (0.0, [20.0], False)]),
+                              (7, 0.0, 15.0), (1, 0.0, 1e-6)])
+        assert [(n, list(xs), list(calls.items())) for n, xs, calls in seen] == [
+            # the grid eta, then the eta = 0 reference and the probe, each
+            # over the distinct x of that N in first-seen order
+            (2, [10.0, 30.0, 1e-6], [(0.1, True), (0.0, True), (1e-3, True)]),
+            (7, [20.0, 15.0], [(-0.1, True), (0.0, True), (1e-3, True)]),
+            # a single emitter has no probe coupling
+            (1, [1e-6], [(0.0, True)]),
         ]
 
 

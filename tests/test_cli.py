@@ -418,6 +418,25 @@ class TestValidate:
         assert code == 0
         assert "eq17" in out.read_text()
 
+    def test_grid_outside_every_window_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "v.csv"
+        code, text, err = run(capsys, "validate", "--n", "2", "--eta", "0.1", "--x", "1",
+                              "--out", str(out))
+        assert code == 2
+        assert err.startswith("ValueError: no grid point lies in a validity window: "
+                              "x <= 0.001, or N >= 2 with x >= 30 at eta = 0 or x >= 10 at "
+                              "0 < |eta| <= 0.2")
+        assert text == ""
+        assert not out.exists() and not (tmp_path / "v.csv.meta.json").exists()
+
+    def test_formula_with_every_row_skipped_is_not_a_pass(self, capsys, tmp_path):
+        code, text, _ = run(capsys, "validate", "--n", "2", "--eta", "0.1", "--x", "2000",
+                            "--out", str(tmp_path / "v.csv"))
+        assert code == 0
+        status = {line.split()[0]: line.split()[-1] for line in text.splitlines()[1:3]}
+        assert status == {"eq17": "SKIPPED", "eq18_ratio": "SKIPPED"}
+        assert "2 comparisons skipped" in text
+
     def test_invalid_grid_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "validate", "--n", "1", "--eta", "0.1", "--x", "10",

@@ -99,6 +99,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EnsembleParams(n, 0.0, 1.0)
 
+    @pytest.mark.parametrize("eta, x, name, value", [
+        ("0.1", "10", "eta", "0.1"),
+        (b"0.1", 10, "eta", b"0.1"),
+        (0.1, bytearray(b"10"), "x", bytearray(b"10")),
+        (0.1, "10", "x", "10"),
+        (np.str_("0.1"), 1.0, "eta", np.str_("0.1")),
+    ], ids=["str-eta", "bytes-eta", "bytearray-x", "str-x", "numpy-str-eta"])
+    def test_rejects_text_for_eta_and_x(self, eta, x, name, value):
+        message = f"{name} must be a number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EnsembleParams(2, eta, x)
+
     def test_derived_fields(self):
         p = EnsembleParams(2, 0.1, 1.0)
         assert p.delta_tilde == pytest.approx(0.1, rel=1e-15)

@@ -37,6 +37,11 @@ CASES = {
     "validate_cold": (["validate", "--n", "2,7", "--eta=-0.1,0,0.1",
                        "--x", "1e-6,10,745.25,1500", "--out", "{dir}/validate_cold.csv"],
                       ["validate_cold.csv", "validate_cold.csv.meta.json"]),
+    # two N with both underflow notes and the eq16 probe rows, and a
+    # mid-window x = 5 that no row reads
+    "validate_mixed": (["validate", "--n", "2,40", "--eta=-0.1,0,0.2",
+                        "--x", "1e-6,5,30,800", "--out", "{dir}/validate_mixed.csv"],
+                       ["validate_mixed.csv", "validate_mixed.csv.meta.json"]),
     "sweep_all": (["sweep", "--n", "2,3", "--eta", "0,0.1", "--x-start", "1",
                    "--x-stop", "1000", "--x-count", "5", "--x-scale", "log",
                    "--out", "{dir}/sweep_all.csv"],

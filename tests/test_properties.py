@@ -9,7 +9,9 @@ live width holds every level whose term exponentiates to a nonzero, and
 the blocks take every row once, widest first.
 Numpy's floating-point warnings are raised as errors, so an overflow, a
 log of zero or an invalid operation anywhere on the path fails the point.
-The CSV writer renders every table as the per-cell format_number join, and
+Every row of the asymptotic validator, on random grids that are not a
+product, takes the exact value or skipped note of the per-point path.  The
+CSV writer renders every table as the per-cell format_number join, and
 the step guard never refuses a step that the all-band guard accepts.
 """
 
@@ -33,6 +35,7 @@ from dicke_therm import (
     ladder_coefficients,
     steady_state_correlators,
     thermal_state,
+    validate_asymptotics,
 )
 from dicke_therm.correlators import (
     _BLOCK_TERMS,
@@ -49,6 +52,7 @@ from helpers import (
     fsum_log_sums,
     full_row_ladder_log_sums,
     guard_accepts,
+    per_point_exact,
 )
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -177,6 +181,35 @@ def assert_same_bits(got, want):
     got = tuple(got)
     assert got == want
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@st.composite
+def validation_grids(draw):
+    """A non-product validator grid: unsorted points, repeats allowed, N
+    from 1..12, 40 and 300, eta inside the window (0 at N = 1), x from the
+    validity windows, between them and beyond the underflow edge."""
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.one_of(st.integers(1, 12), st.sampled_from([40, 300])))
+        eta = 0.0 if n == 1 else draw(st.one_of(
+            st.sampled_from([0.0, -0.1, 0.2]),
+            st.floats(-0.99 * (n - 1) / (n + 1), 0.99),
+        ))
+        x = draw(st.sampled_from([1e-6, 1e-3, 0.5, 10.0, 30.0, 745.25, 2000.0]))
+        points.append((n, eta, x))
+    return points
+
+
+@PROPERTY_SETTINGS
+@given(validation_grids())
+def test_validator_rows_equal_the_per_point_path(grid):
+    for check in validate_asymptotics(grid).checks:
+        value, note = per_point_exact(check)
+        if note is None:
+            assert check.exact == value, check
+            assert check.rel_dev == abs(check.approx - value) / max(abs(value), 1e-300)
+        else:
+            assert (check.exact, check.status, check.note) == (None, "skipped", note), check
 
 
 @PROPERTY_SETTINGS

@@ -187,8 +187,8 @@ def test_any_outputs_give_the_cells_of_the_full_rows(outputs):
 def test_pair_sums_only_for_g2_or_classification(monkeypatch, outputs):
     seen = []
     kernel = sweep._ladder_log_sums_at_n
-    monkeypatch.setattr(sweep, "_ladder_log_sums_at_n",
-                        lambda n, calls: seen.append((n, calls)) or kernel(n, calls))
+    monkeypatch.setattr(sweep, "_ladder_log_sums_at_n", lambda n, xs, calls: seen.append(
+        (n, [(eta, xs, pairs) for eta, pairs in calls.items()])) or kernel(n, xs, calls))
     eta_values, xs = [-0.1, 0.0, 0.1], [0.5, 2.0]
     evaluate_rows([2, 7], eta_values, xs, outputs)
     correlators = not set(CORRELATOR_CELLS).isdisjoint(outputs)
