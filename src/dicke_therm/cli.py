@@ -4,11 +4,11 @@ Subcommands: point (single evaluation, JSON), sweep (CSV over a parameter
 grid), validate (closed forms against the exact engine), evolve (master
 equation trajectory), figures (preset sweep files fig1.csv..fig4.csv).
 
-Exit codes: 0 success, 2 invalid input (an unwritable output path or a
-failed allocation), 3 validation tolerance exceeded, 4 integrator failure.  Errors
-carry the exception class name on stderr as a machine-readable token.  The
-environment variable DICKE_THERM_JOBS sets the default worker count, a
-positive integer.  A file of flat `key = value` lines mirroring the long
+Exit codes: 0 success, 2 invalid input (an unwritable output path, a
+failed allocation or a validate grid that compares nothing), 3 validation
+tolerance exceeded, 4 integrator failure.  Errors carry the exception class
+name on stderr as a machine-readable token.  --jobs alone sets the worker
+count (default 1).  A file of flat `key = value` lines mirroring the long
 flags can be passed once with --config; explicit flags take precedence.
 """
 
@@ -59,8 +59,6 @@ from .sweep import (
     sidecar_path,
     write_sidecar,
 )
-
-JOBS_ENV = "DICKE_THERM_JOBS"
 
 FIGURE_PRESETS: dict[str, SweepConfig] = {
     "fig1": SweepConfig((2,), (0.0, 0.1), 0.01, 30.0, 300, "linear", ("g2", "classification")),
@@ -122,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outputs", type=str, default="g1,g2,ratio,classification",
                    help="comma subset of g1,g2,ratio,classification")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--jobs", type=int, default=None,
-                   help=f"worker processes (default ${JOBS_ENV} or 1), at most one per CPU")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (default 1), at most one per CPU")
     common(p)
     p.set_defaults(handler=_cmd_sweep)
 
@@ -154,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="write the preset sweep files fig1..fig4")
     p.add_argument("--out-dir", default=".", help="directory for figN.csv files")
-    p.add_argument("--jobs", type=int, default=None,
-                   help=f"worker processes (default ${JOBS_ENV} or 1), at most one per CPU")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (default 1), at most one per CPU")
     common(p)
     p.set_defaults(handler=_cmd_figures)
 
@@ -246,16 +244,10 @@ def _cmd_point(args) -> int:
 
 
 def _jobs(args) -> int:
-    """Worker processes: --jobs, else $DICKE_THERM_JOBS (unset or empty
-    means 1); anything but a positive integer is refused."""
-    raw = args.jobs if args.jobs is not None else os.environ.get(JOBS_ENV) or "1"
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"--jobs and ${JOBS_ENV} take a positive integer, got {raw!r}")
-    return jobs
+    """Worker processes: --jobs, refused unless a positive integer."""
+    if args.jobs < 1:
+        raise ValueError(f"--jobs takes a positive integer, got {args.jobs}")
+    return args.jobs
 
 
 def _cmd_sweep(args) -> int:
@@ -281,6 +273,10 @@ def _cmd_validate(args) -> int:
     report = validate_asymptotics(grid)
     if not report.checks:
         raise ValueError(f"no grid point lies in a validity window: {VALIDITY_WINDOWS}; "
+                         "nothing to compare")
+    if not any(c.status in ("ok", "fail") for c in report.checks):
+        raise ValueError("no comparison was made: every row in a validity window was "
+                         "skipped, the exact intensity underflowing at double precision; "
                          "nothing to compare")
     Path(args.out).write_text(report_to_csv(report, args.precision), encoding="ascii")
     write_sidecar(args.out, {

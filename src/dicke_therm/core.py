@@ -27,7 +27,6 @@ from .exceptions import (
 __all__ = [
     "EnsembleParams",
     "DickeSpectrum",
-    "LadderCoeffs",
     "ThermalState",
     "build_spectrum",
     "ladder_coefficients",
@@ -119,10 +118,6 @@ class DickeSpectrum:
     energies: np.ndarray
     frequencies: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.energies.size
-
 
 def build_spectrum(params: EnsembleParams) -> DickeSpectrum:
     """Closed-form spectrum of the collective Hamiltonian on the Dicke ladder.
@@ -146,41 +141,20 @@ def build_spectrum(params: EnsembleParams) -> DickeSpectrum:
     return DickeSpectrum(energies=energies, frequencies=frequencies)
 
 
-@dataclass(frozen=True)
-class LadderCoeffs:
-    """Matrix elements of the collective ladder operators on |n>.
-
-    lowering[n] = sqrt(n*(N-n+1))   for S-|n> -> |n-1>
-    raising[n]  = sqrt((N-n)*(n+1)) for S+|n> -> |n+1>
-    """
-
-    lowering: np.ndarray
-
-    @cached_property
-    def raising(self) -> np.ndarray:
-        """raising[n] = lowering[n+1], 0 at the top level, built on first
-        access; lowering[n+1] takes sqrt of (n+1)*(N-n), the product of
-        the closed form with its factors swapped, so every bit agrees."""
-        raising = np.append(self.lowering[1:], 0.0)
-        raising.setflags(write=False)
-        return raising
-
-
-def ladder_coefficients(n_atoms: int) -> LadderCoeffs:
-    """Ladder coefficients for N emitters; raising[n] == lowering[n+1].
-    N follows the EnsembleParams atom-count rule."""
+def ladder_coefficients(n_atoms: int) -> np.ndarray:
+    """Read-only lowering coefficients l_n = sqrt(n*(N-n+1)) of S-|n> ->
+    |n-1>, n = 0..N, for N emitters (the EnsembleParams atom-count rule).
+    The raising coefficient of |n> is l_{n+1} = sqrt((n+1)*(N-n)), the
+    closed form sqrt((N-n)*(n+1)) with its factors swapped, bit for bit."""
     n_atoms = EnsembleParams(n_atoms).n_atoms
     n = np.arange(n_atoms + 1, dtype=float)
     lowering = np.sqrt(n * (n_atoms - n + 1.0))
     lowering.setflags(write=False)
-    return LadderCoeffs(lowering=lowering)
+    return lowering
 
 
 def logsumexp_rows(
-    terms: np.ndarray,
-    length: int | None = None,
-    in_place: bool = False,
-    zeros: np.ndarray | None = None,
+    terms: np.ndarray, length: int | None = None, zeros: np.ndarray | None = None
 ) -> np.ndarray:
     """log(sum(exp(t))) of every row t of a 2-D array; -inf for empty rows
     and for rows whose terms are all -inf.
@@ -189,8 +163,8 @@ def logsumexp_rows(
     (0, 1] and the largest is exactly 1.  np.sum adds the positive terms of
     a row pairwise, so the relative error of each sum grows like
     eps*log2(length), and a row's result does not depend on the other rows.
-    With in_place the rows are shifted and exponentiated in the caller's
-    array.
+    The rows are shifted and exponentiated in the caller's array, which
+    must be writable and is spent on return.
 
     A length beyond the row width sums each row as the leading terms of a
     row of that length whose other exponentials are exactly 0.0: the row is
@@ -203,19 +177,15 @@ def logsumexp_rows(
         return np.full(terms.shape[0], -math.inf)
     top = terms.max(axis=1)
     top[top == -math.inf] = 0.0  # such a row sums to 0, whose log is -inf
-    if in_place:
-        terms -= top[:, None]
-        shifted = terms
-    else:
-        shifted = terms - top[:, None]
-    np.exp(shifted, out=shifted)
+    terms -= top[:, None]
+    np.exp(terms, out=terms)
     rows, width = terms.shape
     if length is None or length == width:
-        total = shifted.sum(axis=1)
+        total = terms.sum(axis=1)
     else:
         flat = np.zeros(rows * length) if zeros is None else zeros[: rows * length]
         padded = flat.reshape(rows, length)
-        padded[:, :width] = shifted
+        padded[:, :width] = terms
         total = padded.sum(axis=1)
         padded[:, :width] = 0.0
     with np.errstate(divide="ignore"):
@@ -253,12 +223,13 @@ def thermal_state(params: EnsembleParams) -> ThermalState:
     The weights are shifted by the ground-level weight before
     exponentiation, so arbitrarily cold ensembles stay representable;
     log_z is the single-row case of logsumexp_rows, the sum every
-    correlator path uses.  Detailed balance p_{n+1}/p_n =
+    correlator path uses, taken on a copy of the row so the stored
+    log_weights stay as they are.  Detailed balance p_{n+1}/p_n =
     exp(-x*(E_{n+1}-E_n)) holds at the level of the stored log weights.
     """
     energies = build_spectrum(params).energies
     with np.errstate(over="ignore"):  # a weight beyond the double range is -inf
         log_weights = -params.x * (energies - energies.min())
     log_weights.setflags(write=False)
-    log_z = float(logsumexp_rows(log_weights[None, :])[0])
+    log_z = float(logsumexp_rows(log_weights[None, :].copy())[0])
     return ThermalState(log_weights=log_weights, log_z=log_z)

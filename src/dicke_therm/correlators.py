@@ -49,7 +49,6 @@ import numpy as np
 from .core import (
     DickeSpectrum,
     EnsembleParams,
-    LadderCoeffs,
     ThermalState,
     build_spectrum,
     ladder_coefficients,
@@ -125,13 +124,12 @@ class FarFieldGeometry:
             raise ValueError(f"angle must lie in [0, pi], got {self.angle}")
 
 
-def _check_dimensions(state: ThermalState, spectrum: DickeSpectrum, coeffs: LadderCoeffs) -> None:
-    sizes = {state.log_weights.size, spectrum.frequencies.size, coeffs.lowering.size}
+def _check_dimensions(state: ThermalState, spectrum: DickeSpectrum, lowering: np.ndarray) -> None:
+    sizes = {state.log_weights.size, spectrum.frequencies.size, lowering.size}
     if len(sizes) != 1:
         raise DimensionMismatch(
             "state, spectrum and ladder coefficients must come from the same ensemble; "
-            f"got lengths {state.log_weights.size}, {spectrum.frequencies.size}, "
-            f"{coeffs.lowering.size}"
+            f"got lengths {state.log_weights.size}, {spectrum.frequencies.size}, {lowering.size}"
         )
 
 
@@ -174,19 +172,19 @@ def _log_sums(
     levels.  The rows may hold only its leading levels when the terms of
     the others exponentiate to exactly 0.0 (see _live_widths); zeros is
     then the zero padding of logsumexp_rows.  The term arrays are this
-    function's own, so they are shifted and exponentiated in place.
+    function's own, which logsumexp_rows spends; log_weights is only read.
     """
     log_w4, log_c1, log_c2 = ladder_logs
     live = log_weights.shape[1]
     terms = log_weights[:, 1:] + log_c1[: live - 1]
     terms += log_w4[: live - 1]
-    log_s1 = logsumexp_rows(terms, levels - 1, in_place=True, zeros=zeros)
+    log_s1 = logsumexp_rows(terms, levels - 1, zeros=zeros)
     if not pairs:
         return log_s1, np.full(log_s1.size, -math.inf)
     terms = log_weights[:, 2:] + log_c2[: live - 2]
     terms += log_w4[1 : live - 1]
     terms += log_w4[: live - 2]
-    return log_s1, logsumexp_rows(terms, levels - 2, in_place=True, zeros=zeros)
+    return log_s1, logsumexp_rows(terms, levels - 2, zeros=zeros)
 
 
 def _live_widths(gaps: np.ndarray, frequencies: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -249,7 +247,8 @@ def _eta_log_sums(
 ) -> LadderLogSums:
     """ladder_log_sums at one (N, eta), given the N-only ladder logs: the
     live widths of all rows from one _live_widths call, then one pass per
-    block of _blocks."""
+    block of _blocks, its S1 and S2 sums before the Z sum spends its log
+    weights."""
     spectrum = build_spectrum(params)
     logs = (4.0 * np.log(spectrum.frequencies), *c_logs)
     gaps = spectrum.energies - spectrum.energies.min()
@@ -261,8 +260,8 @@ def _eta_log_sums(
     for block, live in blocks:
         with np.errstate(over="ignore"):  # a weight beyond the double range is -inf
             log_weights = -xs[block, None] * gaps[:live]
-        sums[0][block] = logsumexp_rows(log_weights, gaps.size, zeros=zeros)
         sums[1][block], sums[2][block] = _log_sums(log_weights, logs, pairs, gaps.size, zeros)
+        sums[0][block] = logsumexp_rows(log_weights, gaps.size, zeros=zeros)
     return LadderLogSums(*(s.tolist() for s in sums))
 
 
@@ -274,7 +273,7 @@ def _ladder_log_sums_at_n(n_atoms: int, xs, calls: dict[float, bool]) -> list[La
     xs = np.asarray(xs, dtype=float).ravel()
     for x in xs[~(np.isfinite(xs) & (xs > 0.0))]:
         EnsembleParams(n_atoms, 0.0, x)
-    c_logs = _c_logs(ladder_coefficients(n_atoms).lowering)
+    c_logs = _c_logs(ladder_coefficients(n_atoms))
     return [_eta_log_sums(p, xs, c_logs, pairs) for p, pairs in zip(params, calls.values())]
 
 
@@ -350,16 +349,17 @@ def classify_statistics(g2_norm: float) -> PhotonStatistics:
 
 
 def g2_zero(
-    state: ThermalState, spectrum: DickeSpectrum, coeffs: LadderCoeffs
+    state: ThermalState, spectrum: DickeSpectrum, lowering: np.ndarray
 ) -> CorrelatorResult:
-    """Zero-delay second-order correlation of the scattered field.
+    """Zero-delay second-order correlation of the scattered field from a
+    state, spectrum and ladder_coefficients array of one ensemble.
 
     Raises ZeroIntensity when the intensity underflows to zero at double
     precision; for N = 1 the result is exactly 0 (a single emitter never
     yields a photon pair).
     """
-    _check_dimensions(state, spectrum, coeffs)
-    logs = (4.0 * np.log(spectrum.frequencies), *_c_logs(coeffs.lowering))
+    _check_dimensions(state, spectrum, lowering)
+    logs = (4.0 * np.log(spectrum.frequencies), *_c_logs(lowering))
     log_s1, log_s2 = _log_sums(state.log_weights[None, :], logs, True, state.dim)
     return correlators_from_log_sums(state.log_z, float(log_s1[0]), float(log_s2[0]))
 

@@ -142,7 +142,7 @@ class ThermalLiouvillian:
         gamma, nbar = _bath_rates(build_spectrum(params).frequencies[:-1], params.x)
         self._d1 = 0.5 * gamma * (1.0 + nbar)
         self._d2 = 0.5 * gamma * nbar
-        self._lo = ladder_coefficients(params.n_atoms).lowering[1:]  # l_{n+1}
+        self._lo = ladder_coefficients(params.n_atoms)[1:]  # l_{n+1}
         self._r = np.zeros(self.dim)
         self._r[1:] += self._d1 * self._lo**2
         self._r[:-1] += self._d2 * self._lo**2

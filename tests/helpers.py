@@ -191,9 +191,9 @@ def _full_logsumexp_rows(terms):
         return top + np.log(shifted.sum(axis=1))
 
 
-def _full_ladder_logs(spectrum, coeffs):
+def _full_ladder_logs(spectrum, lowering):
     log_w4 = 4.0 * np.log(spectrum.frequencies)
-    c2 = coeffs.lowering**2
+    c2 = lowering**2
     return log_w4, np.log(c2[1:]), np.log(c2[2:] * c2[1:-1])
 
 
@@ -287,7 +287,7 @@ def _dense_level_rates(params):
         gamma, nbar = omega**3, 1.0 / np.expm1(params.x * omega)
     d1 = 0.5 * gamma * (1.0 + nbar)
     d2 = 0.5 * gamma * nbar
-    lo = ladder_coefficients(params.n_atoms).lowering[1:]
+    lo = ladder_coefficients(params.n_atoms)[1:]
     r = np.zeros(params.n_atoms + 1)
     r[1:] += d1 * lo**2
     r[:-1] += d2 * lo**2

@@ -226,15 +226,6 @@ class TestSweep:
         assert meta["command"] == "sweep"
         assert meta["config"]["n_values"] == [2, 3]
 
-    def test_env_var_sets_default_jobs(self, capsys, tmp_path, monkeypatch):
-        out = tmp_path / "env.csv"
-        monkeypatch.setenv("DICKE_THERM_JOBS", "2")
-        assert run(capsys, *self.sweep_args(out))[0] == 0
-        ref = tmp_path / "ref.csv"
-        monkeypatch.delenv("DICKE_THERM_JOBS")
-        run(capsys, *self.sweep_args(ref))
-        assert out.read_bytes() == ref.read_bytes()
-
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs_exit_2(self, capsys, tmp_path, jobs):
         out = tmp_path / "j.csv"
@@ -243,11 +234,15 @@ class TestSweep:
         assert "ValueError" in err
         assert not out.exists()
 
-    def test_malformed_jobs_env_var_exits_2(self, capsys, tmp_path, monkeypatch):
+    def test_jobs_env_var_is_ignored(self, capsys, tmp_path, monkeypatch):
+        # --jobs is the one source of the worker count; the retired
+        # DICKE_THERM_JOBS is not read, even when malformed
+        ref = tmp_path / "ref.csv"
+        assert run(capsys, *self.sweep_args(ref))[0] == 0
+        out = tmp_path / "env.csv"
         monkeypatch.setenv("DICKE_THERM_JOBS", "abc")
-        code, _, err = run(capsys, *self.sweep_args(tmp_path / "j.csv"))
-        assert code == 2
-        assert "ValueError" in err and "DICKE_THERM_JOBS" in err
+        assert run(capsys, *self.sweep_args(out)) == (0, f"wrote 16 rows to {out}\n", "")
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_infinite_x_stop_exits_2(self, capsys, tmp_path):
         out = tmp_path / "inf.csv"
@@ -430,12 +425,25 @@ class TestValidate:
         assert not out.exists() and not (tmp_path / "v.csv.meta.json").exists()
 
     def test_formula_with_every_row_skipped_is_not_a_pass(self, capsys, tmp_path):
-        code, text, _ = run(capsys, "validate", "--n", "2", "--eta", "0.1", "--x", "2000",
-                            "--out", str(tmp_path / "v.csv"))
+        # x = 1e-6 gives compared strong-bath rows; every x = 2000 row skips
+        code, text, _ = run(capsys, "validate", "--n", "2", "--eta", "0,0.1", "--x",
+                            "1e-6,2000", "--out", str(tmp_path / "v.csv"))
         assert code == 0
-        status = {line.split()[0]: line.split()[-1] for line in text.splitlines()[1:3]}
-        assert status == {"eq17": "SKIPPED", "eq18_ratio": "SKIPPED"}
-        assert "2 comparisons skipped" in text
+        status = {line.split()[0]: line.split()[-1] for line in text.splitlines()[1:7]}
+        assert status == {"eq15_strong": "PASS", "eq15_weak": "SKIPPED", "eq16_coeff": "PASS",
+                          "eq17": "SKIPPED", "eq18_ratio": "SKIPPED", "eq20": "INFO"}
+        assert "3 comparisons skipped" in text
+
+    def test_grid_whose_every_row_skips_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "v.csv"
+        code, text, err = run(capsys, "validate", "--n", "2", "--eta", "0.1", "--x", "2000",
+                              "--out", str(out))
+        assert code == 2
+        assert err == ("ValueError: no comparison was made: every row in a validity window "
+                       "was skipped, the exact intensity underflowing at double precision; "
+                       "nothing to compare\n")
+        assert text == ""
+        assert not out.exists() and not (tmp_path / "v.csv.meta.json").exists()
 
     def test_invalid_grid_exits_2(self, capsys, tmp_path):
         code, _, err = run(
@@ -453,12 +461,13 @@ class TestValidate:
     @pytest.mark.parametrize("eta, x", [("-0.1", "4000"), ("0.1", "745.25"),
                                         ("0.1", "741.25"), ("-0.2", "618.25")])
     def test_cold_bath_grid_passes(self, capsys, tmp_path, eta, x):
+        # x = 10 adds compared rows: a grid whose every row skips is refused
         out = tmp_path / "report.csv"
-        code, _, err = run(capsys, "validate", "--n", "2", f"--eta={eta}", "--x", x,
+        code, _, err = run(capsys, "validate", "--n", "2", f"--eta={eta}", "--x", f"10,{x}",
                               "--out", str(out))
         assert code == 0, err
         with out.open(newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            rows = [r for r in csv.DictReader(fh) if float(r["x"]) == float(x)]
         assert [r["formula"] for r in rows] == ["eq17", "eq18_ratio"]
         assert all(r["status"] in ("ok", "skipped") for r in rows)
 
@@ -583,12 +592,14 @@ class TestDoubleLimitOfX:
         assert json.loads(out)["reason"] == "ZeroIntensity"
 
     def test_validate(self, capsys, tmp_path):
+        # x = 10 adds compared rows: a grid whose every row skips is refused
         out = tmp_path / "v.csv"
-        code, _, _ = run(capsys, "validate", "--n", "2", "--eta", "0.2", "--x", "1e308",
+        code, _, _ = run(capsys, "validate", "--n", "2", "--eta", "0.2", "--x", "10,1e308",
                          "--out", str(out))
         assert code == 0
         with open(out, newline="", encoding="ascii") as fh:
-            assert {r["status"] for r in csv.DictReader(fh)} == {"skipped"}
+            statuses = {(r["x"], r["status"]) for r in csv.DictReader(fh)}
+        assert statuses == {("10", "ok"), ("1e+308", "skipped")}
 
     def test_sweep(self, capsys, tmp_path):
         out = tmp_path / "s.csv"

@@ -161,30 +161,29 @@ class TestSpectrum:
 
 class TestLadder:
     def test_two_atoms(self):
-        c = ladder_coefficients(2)
-        assert_allclose(c.lowering, [0.0, math.sqrt(2), math.sqrt(2)], rtol=1e-15)
-        assert_allclose(c.raising, [math.sqrt(2), math.sqrt(2), 0.0], rtol=1e-15)
+        lowering = ladder_coefficients(2)
+        assert_allclose(lowering, [0.0, math.sqrt(2), math.sqrt(2)], rtol=1e-15)
+        assert_allclose(lowering[1:], [math.sqrt(2), math.sqrt(2)], rtol=1e-15)
 
     def test_single_atom(self):
-        c = ladder_coefficients(1)
-        assert_allclose(c.lowering, [0.0, 1.0], rtol=0)
-        assert_allclose(c.raising, [1.0, 0.0], rtol=0)
+        lowering = ladder_coefficients(1)
+        assert_allclose(lowering, [0.0, 1.0], rtol=0)
+        assert_allclose(lowering[1:], [1.0], rtol=0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 137])
     def test_raising_matches_shifted_lowering(self, n):
-        c = ladder_coefficients(n)
-        assert c.lowering[0] == 0.0
-        assert c.raising[n] == 0.0
-        assert np.array_equal(c.raising[:-1], c.lowering[1:])
-
-    def test_raising_is_built_on_first_read(self):
-        n = 137
-        c = ladder_coefficients(n)
-        assert "raising" not in vars(c)
+        # the raising coefficient of |n> is l_{n+1}: the closed form
+        # sqrt((N-n)*(n+1)) below the top level, bit for bit
+        lowering = ladder_coefficients(n)
+        assert lowering.shape == (n + 1,)
+        assert lowering[0] == 0.0
         k = np.arange(n + 1, dtype=float)
-        assert np.array_equal(c.raising, np.sqrt((n - k) * (k + 1.0)))
-        assert "raising" in vars(c)
-        assert not c.raising.flags.writeable
+        assert np.array_equal(lowering[1:], np.sqrt((n - k) * (k + 1.0))[:-1])
+
+    def test_returns_a_read_only_array(self):
+        lowering = ladder_coefficients(137)
+        assert type(lowering) is np.ndarray
+        assert not lowering.flags.writeable
 
     def test_rejects_zero_atoms(self):
         with pytest.raises(ZeroAtoms, match="^atom count must be at least 1, got 0$"):
@@ -197,8 +196,7 @@ class TestLadder:
             ladder_coefficients(n)
 
     def test_coerces_an_integral_atom_count(self):
-        assert np.array_equal(ladder_coefficients(np.float64(3.0)).lowering,
-                              ladder_coefficients(3).lowering)
+        assert np.array_equal(ladder_coefficients(np.float64(3.0)), ladder_coefficients(3))
 
 
 class TestThermalState:

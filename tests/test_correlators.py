@@ -157,11 +157,12 @@ class TestColdTailCut:
 
         monkeypatch.setattr(correlators, "logsumexp_rows", recording)
         correlators.ladder_log_sums(self.N, 0.1, [2.0])
-        assert [length for _, length in widths] == [self.N + 1, self.N, self.N - 1]
+        # S1 and S2 first, then Z on the very log weights they were built from
+        assert [length for _, length in widths] == [self.N, self.N - 1, self.N + 1]
         assert all(width < 0.01 * self.N for width, _ in widths)
         widths.clear()
         correlators.ladder_log_sums(self.N, 0.1, [1e-3])
-        assert widths == [(self.N + 1,) * 2, (self.N,) * 2, (self.N - 1,) * 2]
+        assert widths == [(self.N,) * 2, (self.N - 1,) * 2, (self.N + 1,) * 2]
 
 
 class TestWidthGroups:

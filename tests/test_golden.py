@@ -67,6 +67,9 @@ CASES = {
                       "--samples", "11", "--init", "equal", "--out", "{dir}/evolve_equal.csv"],
                      ["evolve_equal.csv", "evolve_equal.csv.meta.json"]),
     "point": (["point", "--n", "2", "--eta", "0.1", "--x", "10"], []),
+    # the benchmark's main workload: the four preset figure files, 2,700 rows
+    "figures": (["figures", "--out-dir", "{dir}"],
+                [f"fig{i}{suffix}" for i in range(1, 5) for suffix in (".csv", ".csv.meta.json")]),
 }
 
 # a number standing alone: not part of a name such as p_0 or a version

@@ -236,7 +236,7 @@ def test_live_width_holds_every_nonzero_term(grid):
         reject()
     gaps = spectrum.energies - spectrum.energies.min()
     log_w4 = 4.0 * np.log(spectrum.frequencies)
-    c2 = ladder_coefficients(n).lowering ** 2
+    c2 = ladder_coefficients(n) ** 2
     widths = _live_widths(gaps, spectrum.frequencies, np.array(xs, dtype=float))
     for x, width in zip(xs, widths.tolist()):
         with np.errstate(over="ignore"):

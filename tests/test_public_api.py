@@ -27,11 +27,12 @@ REMOVED = {
     "parse_config_file": "sweep",
     "validate_params": "core",
     "ratio_from_log_g1": "correlators",
+    "LadderCoeffs": "core",
 }
 
 # (module, function, the retired keyword it no longer takes): separate
 # bath rates, a spectrum apart from the ensemble, a classification
-# tolerance, validation tolerances
+# tolerance, validation tolerances, a copying logsumexp
 RETIRED_KEYWORDS = [
     ("dynamics", "ThermalLiouvillian", "rates"),
     ("dynamics", "integrate", "rates"),
@@ -43,6 +44,7 @@ RETIRED_KEYWORDS = [
     ("correlators", "classify_statistics", "tol"),
     ("core", "thermal_state", "spectrum"),
     ("asymptotics", "validate_asymptotics", "tolerances"),
+    ("core", "logsumexp_rows", "in_place"),
 ]
 
 
