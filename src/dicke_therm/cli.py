@@ -10,6 +10,8 @@ tolerance exceeded, 4 integrator failure.  Errors carry the exception class
 name on stderr as a machine-readable token.  --jobs alone sets the worker
 count (default 1).  A file of flat `key = value` lines mirroring the long
 flags can be passed once with --config; explicit flags take precedence.
+The parser is built on the first main call and shared by every later one;
+its handlers are bound then, so a test patches their callees, not _cmd_*.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import errno
 import os
 import sys
 from dataclasses import asdict, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +91,10 @@ def _precision(text: str) -> int:
     return digits
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call and shared by
+    every later one; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="dicke-therm",
         description="Thermal-equilibrium photon statistics of a dipole-dipole "

@@ -107,7 +107,7 @@ def evaluate_rows(
     """Raw values for the sweep rows over n_values x eta_values x xs in that
     nesting order; None marks a column not requested and the string 'NA' a
     column lost to intensity underflow.  An axis that repeats a value is
-    refused (ValueError).
+    refused (ValueError), and so is a jobs that is not a positive integer.
 
     Every N takes the same ladder_log_sums calls over xs: one per eta group
     whose columns need its sums and one for the eta = 0 reference of the
@@ -123,6 +123,8 @@ def evaluate_rows(
     underflows; the classify_statistics verdict of g2; and the ratio from
     correlators._ratio, with NA where an intensity underflows.
     """
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     _check_outputs(outputs)
     _check_distinct(N=n_values, eta=eta_values, x=xs)
     want_g1, want_g2, want_ratio, want_class = (k in outputs for k in VALID_OUTPUTS)

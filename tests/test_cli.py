@@ -3,10 +3,11 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from dicke_therm.cli import main
+from dicke_therm.cli import build_parser, main
 from dicke_therm.sweep import (
     REPORT_HEADER,
     SWEEP_HEADER,
@@ -767,8 +768,9 @@ class TestSidecars:
 
 
 class TestColdStart:
-    def test_cli_import_leaves_scipy_out(self):
-        # the CLI cold start imports numpy and the package only
+    @staticmethod
+    def fresh_python(code: str) -> str:
+        """Stdout of code run by a new interpreter that imports this package."""
         import os
         import subprocess
         import sys
@@ -780,11 +782,105 @@ class TestColdStart:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, dicke_therm.cli; print('scipy' in sys.modules)"],
+            [sys.executable, "-c", code],
             capture_output=True, text=True, check=True, env=env,
         )
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip()
+
+    def test_cli_import_leaves_scipy_out(self):
+        # the CLI cold start imports numpy and the package only
+        assert self.fresh_python(
+            "import sys, dicke_therm.cli; print('scipy' in sys.modules)") == "False"
+
+    def test_cli_import_builds_no_parser(self):
+        # the parser is built on the first main call, not in the cold start
+        assert self.fresh_python(
+            "import dicke_therm.cli as cli; print(cli.build_parser.cache_info().currsize)"
+        ) == "0"
+
+
+class TestSharedParser:
+    """One parser serves every main call of a process, and a call leaves
+    nothing on it that a later call could see."""
+
+    SWEEP = ("sweep", "--n", "2,3", "--eta", "0,0.1", "--x-start", "0.5",
+             "--x-stop", "10", "--x-count", "4", "--out", "s.csv")
+    POINT = ("point", "--n", "2", "--eta", "0.1", "--x", "10")
+
+    @staticmethod
+    def outcome(capsys, argv):
+        """Exit code, stdout, stderr and the bytes of every file the call
+        wrote to the working directory, which it leaves empty."""
+        code, out, err = run(capsys, *argv)
+        files = {}
+        for path in sorted(Path.cwd().iterdir()):
+            files[path.name] = path.read_bytes()
+            path.unlink()
+        return code, out, err, files
+
+    def test_built_once_across_calls(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        build_parser.cache_clear()
+        for argv in (self.POINT, self.SWEEP, ("sweep",), ("--help",), ("point", "--help"),
+                     ("validate",), ("evolve", "--n", "2", "--x", "1", "--t-end", "0.1"),
+                     self.POINT):
+            self.outcome(capsys, argv)
+        assert build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("first, then", [
+        ((*POINT, "--precision", "3"), POINT),
+        ((*SWEEP, "--jobs", "2"), SWEEP),
+        (("sweep",), SWEEP),
+        (("--help",), ("validate",)),
+        ((*POINT[:3], "--x", "10", "--config", "{cfg}"), (*POINT[:3], "--x", "10")),
+    ], ids=["precision", "jobs", "usage-error", "help", "config"])
+    def test_later_call_equals_a_fresh_parser(self, capsys, tmp_path, monkeypatch, first, then):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("eta = 0.1\nprecision = 3\n")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        build_parser.cache_clear()
+        self.outcome(capsys, [arg.format(cfg=cfg) for arg in first])
+        shared = self.outcome(capsys, then)
+        assert build_parser.cache_info().misses == 1
+        build_parser.cache_clear()
+        assert shared == self.outcome(capsys, then)
+
+
+class TestHelpText:
+    """The shared parser's help equals a fresh build's, at the terminal
+    width read when the help is printed."""
+
+    COMMANDS = [(), ("point",), ("sweep",), ("validate",), ("evolve",), ("figures",)]
+
+    @staticmethod
+    def fresh_help(capsys, argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            build_parser.__wrapped__().parse_args([*argv, "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    @staticmethod
+    def shared_help(capsys, argv) -> str:
+        code, out, _ = run(capsys, *argv, "--help")
+        assert code == 0
+        return out
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0] if a else "top")
+    def test_help_equals_a_fresh_build(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert self.shared_help(capsys, argv) == self.fresh_help(capsys, argv)
+
+    def test_width_is_read_when_help_is_printed(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        build_parser.cache_clear()
+        wide = self.shared_help(capsys, ())
+        monkeypatch.setenv("COLUMNS", "60")
+        assert self.shared_help(capsys, ()) != wide
+        for argv in self.COMMANDS:
+            assert self.shared_help(capsys, argv) == self.fresh_help(capsys, argv)
+        assert build_parser.cache_info().misses == 1
 
 
 class TestConsoleScript:

@@ -229,6 +229,23 @@ def test_unknown_or_no_outputs_are_refused(outputs):
         evaluate_rows([2], [0.1], [1.0], outputs)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_evaluate_rows_refuses_a_worker_count_below_one(monkeypatch, jobs):
+    seen = []
+    monkeypatch.setattr(sweep, "_ladder_log_sums_at_n", lambda *args: seen.append(args))
+    with pytest.raises(ValueError, match=f"^jobs must be a positive integer, got {jobs}$"):
+        evaluate_rows([2, 3], [0.0, 0.1], [0.5, 2.0], VALID_OUTPUTS, jobs=jobs)
+    assert seen == []
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_sweep_with_a_worker_count_below_one_writes_no_file(tmp_path, jobs):
+    out = tmp_path / "s.csv"
+    with pytest.raises(ValueError, match="jobs must be a positive integer"):
+        run_sweep(SweepConfig((2,), (0.1,), 0.5, 2.0, 2), out, jobs=jobs)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "cpus, jobs, pools",
     [(2, 500, [2]), (2, 2, [2]), (8, 3, [3]), (8, 500, [8]), (16, 500, [10]), (1, 500, []), (None, 500, [])],
