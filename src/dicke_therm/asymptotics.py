@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import EnsembleParams
-from .correlators import _exp, _ladder_log_sums_at_n, _ratio_at, correlators_from_log_sums
+from .correlators import _exp, _ratio_at, correlators_from_log_sums, ladder_log_sums
 from .exceptions import ZeroAtoms, ZeroIntensity
 
 __all__ = [
@@ -243,8 +243,8 @@ def validate_asymptotics(grid: list[tuple[int, float, float]]) -> AsymptoticRepo
     whose exact correlators underflow become skipped rows.  The
     strong-bath intensity ratio rows are informational and never graded.
 
-    The exact side comes from one _ladder_log_sums_at_n call per N, as in
-    a sweep: the distinct x of that N's points at each grid eta of that N,
+    The exact side comes from one ladder_log_sums call per N, as in a
+    sweep: the distinct x of that N's points at each grid eta of that N,
     at the eta = 0 reference and at PROBE_ETA, all with the pair sum.  Each
     row reads its cells through the scalar steps of the per-point path
     (correlators_from_log_sums, _ratio_at), so every value and skipped
@@ -262,7 +262,7 @@ def validate_asymptotics(grid: list[tuple[int, float, float]]) -> AsymptoticRepo
         calls.setdefault(0.0, True)
         if n >= 2:
             calls.setdefault(PROBE_ETA, True)
-        for eta, sums in zip(calls, _ladder_log_sums_at_n(n, list(xs), calls)):
+        for eta, sums in ladder_log_sums(n, list(xs), calls).items():
             cells.update(((n, eta, x), cell) for x, cell in zip(xs, zip(*sums)))
 
     def g2(prm, eta):

@@ -391,24 +391,15 @@ def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         raw = _apply_config(raw)
-    except (OSError, ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    parser = build_parser()
-    try:
-        args = parser.parse_args(raw)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(raw)
         for out in _out_paths(args):
             _check_out(out)
         return args.handler(args)
-    except IntegrationError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except (DickeError, ValueError, OSError, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, IntegrationError) else 2
 
 
 if __name__ == "__main__":

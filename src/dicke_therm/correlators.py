@@ -14,12 +14,11 @@ In cold regimes the populations span hundreds of orders of magnitude, so
 G1 and g2(0) are assembled from log-domain partial sums over the stored
 log weights instead of ratios of underflowing floats: log G1 = log S1 -
 log Z and log g2 = log S2 + log Z - 2 log S1, with the shared weight shift
-cancelling exactly.  One kernel, ladder_log_sums, takes these sums for a
-whole x grid at fixed (N, eta); every single-point function is its one-x
-case, and log Z is the same row sum as ThermalState.log_z.  A sweep, and
-the asymptotic validator, take all eta of one N over one x grid in one
-_ladder_log_sums_at_n call, which builds the N-only ladder logs
-log n(N-n+1) once for all of them.
+cancelling exactly.  One kernel, ladder_log_sums(N, xs, {eta: pairs}),
+takes these sums for a whole x grid at every eta of one N, and builds the
+N-only ladder logs log n(N-n+1) once for all of them.  Every single-point
+function is its one-x case, a sweep and the asymptotic validator call it
+once per N, and log Z is the same row sum as ThermalState.log_z.
 
 In a cold bath most of a row is dead weight: the gaps E_n - E_0 grow with
 n (every omega_n > 0), so beyond some level every term lies more than
@@ -265,33 +264,28 @@ def _eta_log_sums(
     return LadderLogSums(*(s.tolist() for s in sums))
 
 
-def _ladder_log_sums_at_n(n_atoms: int, xs, calls: dict[float, bool]) -> list[LadderLogSums]:
-    """ladder_log_sums(n_atoms, eta, xs, pairs) for each eta: pairs of the
-    ordered calls, over one x grid checked and converted once, with the
-    N-only ladder logs built once for all of them."""
+def ladder_log_sums(n_atoms: int, xs, calls: dict[float, bool]) -> dict[float, LadderLogSums]:
+    """log Z, log S1 and (where pairs is set) log S2 at every x in xs, for
+    each eta: pairs of calls, keyed by eta in calls order.
+
+    The x grid is checked and converted once, and the N-only ladder logs
+    are built once for all eta.  Each eta's log-weight rows -x*(E - min E)
+    are summed in blocks of at most _BLOCK_TERMS ladder terms, or of one
+    row of N + 1 terms when N + 1 exceeds that.  Each block computes only
+    the live prefix of its widest row (_live_widths), and rows of very
+    different widths never share a block (_blocks).  The rest of each row
+    is padded with the exact zeros np.exp would return; a block whose every
+    level is live runs the full rows with no padding.  Every single-point
+    function of this module, a sweep and the asymptotic validator all read
+    this kernel, so all paths agree bitwise.
+    """
     params = [EnsembleParams(n_atoms, eta) for eta in calls]
     xs = np.asarray(xs, dtype=float).ravel()
     for x in xs[~(np.isfinite(xs) & (xs > 0.0))]:
         EnsembleParams(n_atoms, 0.0, x)
     c_logs = _c_logs(ladder_coefficients(n_atoms))
-    return [_eta_log_sums(p, xs, c_logs, pairs) for p, pairs in zip(params, calls.values())]
-
-
-def ladder_log_sums(n_atoms: int, eta: float, xs, pairs: bool = True) -> LadderLogSums:
-    """log Z, log S1 and (with pairs) log S2 at every x in xs.
-
-    The spectrum and ladder logs are built once; the log-weight rows
-    -x*(E - min E) are summed in blocks of at most _BLOCK_TERMS ladder
-    terms, or of one row of N + 1 terms when N + 1 exceeds that.  Each
-    block computes only the live prefix of its widest row (_live_widths),
-    and rows of very different widths never share a block (_blocks).  The
-    rest of each row is padded with the exact zeros np.exp would return; a
-    block whose every level is live runs the full rows with no padding.
-    Every single-point function of this module is the one-x case of this
-    kernel, and a sweep takes all eta of one N from _ladder_log_sums_at_n,
-    so all paths agree bitwise.
-    """
-    return _ladder_log_sums_at_n(n_atoms, xs, {eta: pairs})[0]
+    return {eta: _eta_log_sums(p, xs, c_logs, pairs)
+            for p, (eta, pairs) in zip(params, calls.items())}
 
 
 def _g1_g2(log_z: float, log_s1: float, log_s2: float) -> tuple[float, float] | None:
@@ -366,7 +360,7 @@ def g2_zero(
 
 def steady_state_correlators(params: EnsembleParams) -> CorrelatorResult:
     """Correlators at one point: the one-x case of ladder_log_sums."""
-    sums = ladder_log_sums(params.n_atoms, params.eta, [params.x])
+    sums = ladder_log_sums(params.n_atoms, [params.x], {params.eta: True})[params.eta]
     return correlators_from_log_sums(*(s[0] for s in sums))
 
 
@@ -393,13 +387,13 @@ def intensity_ratio(params: EnsembleParams) -> float:
 
     Evaluated as a difference of log intensities, so the ratio stays
     accurate deep into the cold regime where both intensities are tiny.
-    Both come from one _ladder_log_sums_at_n call, as in a sweep, and
-    _ratio_at reads them, as the asymptotic validator does.
+    Both come from one ladder_log_sums call, as in a sweep, and _ratio_at
+    reads them, as the asymptotic validator does.
     """
     if params.eta == 0.0:
         raise ValueError("intensity_ratio requires eta != 0 (the reference is eta = 0)")
-    sums = _ladder_log_sums_at_n(params.n_atoms, [params.x], {params.eta: False, 0.0: False})
-    return _ratio_at(params, *[(s.log_z[0], s.log_s1[0]) for s in sums])
+    sums = ladder_log_sums(params.n_atoms, [params.x], {params.eta: False, 0.0: False})
+    return _ratio_at(params, *[(s.log_z[0], s.log_s1[0]) for s in sums.values()])
 
 
 def far_field_prefactor(geometry: FarFieldGeometry) -> float:

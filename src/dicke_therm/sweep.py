@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import AsymptoticReport, _check_distinct
-from .correlators import _g1_g2, _ladder_log_sums_at_n, _ratio, classify_statistics
+from .correlators import _g1_g2, _ratio, classify_statistics, ladder_log_sums
 from .core import EnsembleParams
 from .exceptions import NonPositiveX
 
@@ -109,13 +109,12 @@ def evaluate_rows(
     column lost to intensity underflow.  An axis that repeats a value is
     refused (ValueError), and so is a jobs that is not a positive integer.
 
-    Every N takes the same ladder_log_sums calls over xs: one per eta group
-    whose columns need its sums and one for the eta = 0 reference of the
-    ratio column, with the G2 sum only for g2 or classification (g1 reads
-    log Z and log S1 alone).  One N is one unit of work, its calls sharing
-    the N-only ladder logs.  With jobs > 1 worker processes take the units,
-    at most one per unit and one per CPU, since a forked pool starts all of
-    its workers at once; the rows are built here.
+    Every N takes one ladder_log_sums call over xs, at every eta of the
+    grid and, for the ratio column, at the eta = 0 reference, with the G2
+    sum only for g2 or classification (g1 reads log Z and log S1 alone).
+    One N is one unit of work.  With jobs > 1 worker processes take the
+    units, at most one per unit and one per CPU, since a forked pool starts
+    all of its workers at once; the rows are built here.
 
     Each (N, eta) group builds its requested columns a column at a time:
     g1 and g2 from correlators._g1_g2, the float steps that
@@ -129,27 +128,22 @@ def evaluate_rows(
     _check_distinct(N=n_values, eta=eta_values, x=xs)
     want_g1, want_g2, want_ratio, want_class = (k in outputs for k in VALID_OUTPUTS)
     want_corr = want_g1 or want_g2 or want_class
-    pairs = want_g2 or want_class
-    calls = {eta: pairs for eta in eta_values if want_corr or (want_ratio and eta != 0.0)}
-    if want_ratio and any(eta != 0.0 for eta in eta_values):
+    calls = dict.fromkeys(eta_values, want_g2 or want_class)
+    if want_ratio:
         calls.setdefault(0.0, False)
-    units = list(n_values) if calls else []
-    workers = min(jobs, len(units), os.cpu_count() or 1)
+    workers = min(jobs, len(n_values), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_ladder_log_sums_at_n, units, repeat(xs), repeat(calls)))
+            results = list(pool.map(ladder_log_sums, n_values, repeat(xs), repeat(calls)))
     else:
-        results = list(map(_ladder_log_sums_at_n, units, repeat(xs), repeat(calls)))
-    sums = {(n, eta): res for n, unit_sums in zip(units, results)
-            for eta, res in zip(calls, unit_sums)}
+        results = list(map(ladder_log_sums, n_values, repeat(xs), repeat(calls)))
     none = [None] * len(xs)
     rows = []
-    for n in n_values:
-        ref = sums.get((n, 0.0))
+    for sums in results:
         for eta in eta_values:
-            s = sums.get((n, eta))
+            s = sums[eta]
             g1 = g2 = ratio = classification = none
             lost = [False] * len(xs)
             if want_corr:
@@ -165,6 +159,7 @@ def evaluate_rows(
             if want_ratio and eta == 0.0:
                 ratio = [1.0] * len(xs)
             elif want_ratio:
+                ref = sums[0.0]
                 ratio = [_ratio(s1 - z, r1 - rz) for z, s1, rz, r1
                          in zip(s.log_z, s.log_s1, ref.log_z, ref.log_s1)]
                 ratio = ["NA" if r is None else r for r in ratio]

@@ -297,14 +297,14 @@ class TestValidatorAgainstPerPointPath:
         """Record (N, xs, {eta: pairs}) of every kernel call, wherever
         the validator looks the kernel up."""
         seen = []
-        kernel = correlators._ladder_log_sums_at_n
+        kernel = correlators.ladder_log_sums
 
         def spy(n, *args):
             seen.append((n, *args))
             return kernel(n, *args)
 
-        monkeypatch.setattr(correlators, "_ladder_log_sums_at_n", spy)
-        monkeypatch.setattr(asymptotics, "_ladder_log_sums_at_n", spy, raising=False)
+        monkeypatch.setattr(correlators, "ladder_log_sums", spy)
+        monkeypatch.setattr(asymptotics, "ladder_log_sums", spy, raising=False)
         return seen
 
     def test_default_grid_makes_one_kernel_call_per_n(self, monkeypatch):

@@ -3,8 +3,10 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dicke_therm.cli import build_parser, main
@@ -372,6 +374,13 @@ class TestConfigFile:
         assert code == 0
         assert "--config FILE" in out
 
+    def test_config_without_a_subcommand_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text("n = 2\nx = 10\n")
+        code, out, err = run(capsys, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "ValueError: --config requires a subcommand\n"
+
     def test_key_given_twice_takes_the_last_value(self, capsys, tmp_path):
         cfg = tmp_path / "twice.cfg"
         cfg.write_text("eta = 0.1\neta = 0.2\n")
@@ -533,6 +542,12 @@ class TestEvolve:
         assert code == 2
         assert "ValueError" in err
 
+    def test_one_sample_exits_2(self, capsys):
+        code, out, err = run(capsys, "evolve", "--n", "2", "--x", "1", "--t-end", "1",
+                             "--samples", "1")
+        assert (code, out) == (2, "")
+        assert err == "ValueError: need at least 2 samples, got 1\n"
+
     def test_infinite_t_end_exits_2(self, capsys):
         code, out, err = run(capsys, "evolve", "--n", "2", "--x", "1", "--t-end", "inf")
         assert code == 2
@@ -574,13 +589,25 @@ class TestEvolve:
         assert "StepTooLarge" in err or "NonFiniteState" in err
 
     def test_overflowing_map_reports_only_the_token(self, capsys):
-        # the powered step map overflows; numpy's warnings about it stay
-        # out of stderr, which carries the one error line
+        # a span whose powered step map once overflowed: band 0's map keeps
+        # the trace, so the run ends at the Gibbs state, and stderr carries
+        # the summary line alone, no numpy warning
         code, out, err = run(capsys, "evolve", "--n", "2", "--x", "1", "--samples", "2",
                              "--t-end", "1e300")
-        assert code == 4
-        assert out == ""
-        assert err == "NonFiniteState: state became non-finite near t=1e+300\n"
+        assert code == 0
+        assert out.startswith("t,trace,")
+        assert re.fullmatch(r"final trace_dist_to_gibbs = (\S+)\n", err)
+        assert float(err.split()[-1]) <= 1e-12
+
+    def test_long_span_ends_at_the_gibbs_state(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        code, _, err = run(capsys, "evolve", "--n", "200", "--eta", "0.1", "--x", "1",
+                           "--samples", "11", "--t-end", "1e15", "--out", str(out))
+        assert (code, err) == (0, "")
+        with open(out, newline="") as fh:
+            final = list(csv.DictReader(fh))[-1]
+        assert float(final["trace_dist_to_gibbs"]) <= 1e-12
+        assert float(final["trace"]) == pytest.approx(1.0, abs=1e-13)
 
 
 class TestDoubleLimitOfX:
@@ -740,6 +767,17 @@ class TestMemoryError:
         assert code == 2
         assert err == "MemoryError: Unable to allocate 74.5 TiB\n"
         assert text == ""
+
+    def test_reading_a_config_file_exits_2(self, capsys, tmp_path, monkeypatch):
+        from dicke_therm import cli
+
+        def fail(path):
+            raise MemoryError("Unable to allocate 74.5 TiB")
+
+        monkeypatch.setattr(cli, "_config_flags", fail)
+        code, text, err = run(capsys, "point", "--config", str(tmp_path / "big.cfg"))
+        assert (code, text) == (2, "")
+        assert err == "MemoryError: Unable to allocate 74.5 TiB\n"
 
 
 def _reject_constant(name):
@@ -941,3 +979,15 @@ class TestJsonRendering:
 
     def test_null_and_nested(self):
         assert render_json({"x": None, "y": {"z": [1.5, 2]}}) == '{"x": null, "y": {"z": [1.5, 2]}}'
+
+    def test_booleans_are_json_literals(self):
+        assert render_json({"a": True, "b": [False]}) == '{"a": true, "b": [false]}'
+
+    def test_an_unknown_type_is_refused(self):
+        with pytest.raises(TypeError, match="^cannot serialize object$"):
+            render_json(object())
+
+
+def test_a_numpy_float32_cell_prints_as_its_double():
+    # 0.1 in single precision is 0.100000001490116...
+    assert format_number(np.float32(0.1), 12) == "0.10000000149"

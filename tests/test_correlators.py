@@ -12,6 +12,7 @@ from dicke_therm import (
     EnsembleParams,
     PhotonStatistics,
     FarFieldGeometry,
+    NonPositiveX,
     ZeroIntensity,
     build_spectrum,
     classify_statistics,
@@ -156,12 +157,12 @@ class TestColdTailCut:
             return logsumexp_rows(terms, length, **kwargs)
 
         monkeypatch.setattr(correlators, "logsumexp_rows", recording)
-        correlators.ladder_log_sums(self.N, 0.1, [2.0])
+        correlators.ladder_log_sums(self.N, [2.0], {0.1: True})
         # S1 and S2 first, then Z on the very log weights they were built from
         assert [length for _, length in widths] == [self.N, self.N - 1, self.N + 1]
         assert all(width < 0.01 * self.N for width, _ in widths)
         widths.clear()
-        correlators.ladder_log_sums(self.N, 0.1, [1e-3])
+        correlators.ladder_log_sums(self.N, [1e-3], {0.1: True})
         assert widths == [(self.N,) * 2, (self.N - 1,) * 2, (self.N + 1,) * 2]
 
 
@@ -188,7 +189,7 @@ class TestWidthGroups:
             return logsumexp_rows(terms, length, **kwargs)
 
         monkeypatch.setattr(correlators, "logsumexp_rows", recording)
-        correlators.ladder_log_sums(self.N, eta, xs)
+        correlators.ladder_log_sums(self.N, xs, {eta: True})
         assert sorted(widths) == list(range(xs.size))
         for i, own in enumerate(live_widths(self.N, eta, xs).tolist()):
             assert own <= widths[i] <= max(2 * own, 256)
@@ -206,6 +207,20 @@ class TestWidthGroups:
         rows = evaluate_rows([20, 300], [-0.1, 0.0, 0.1], [0.01, 1.0, 30.0], VALID_OUTPUTS)
         assert len(rows) == 2 * 3 * 3
         assert built == [20, 300]
+
+    def test_one_call_keys_every_eta_in_calls_order(self):
+        xs = [1e-3, 2.0, 30.0]
+        calls = {0.1: True, -0.1: False, 0.0: True}
+        sums = correlators.ladder_log_sums(20, xs, calls)
+        assert list(sums) == list(calls)
+        for eta, pairs in calls.items():
+            assert sums[eta] == correlators.ladder_log_sums(20, xs, {eta: pairs})[eta]
+        assert sums[-0.1].log_s2 == [-math.inf] * len(xs)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
+    def test_kernel_refuses_a_nonpositive_or_nonfinite_x(self, x):
+        with pytest.raises(NonPositiveX, match="x must be positive and finite"):
+            correlators.ladder_log_sums(3, [1.0, x], {0.1: True})
 
 
 class TestMatrixOracle:

@@ -44,9 +44,9 @@ def count_maps(monkeypatch):
     calls = []
     power_increment = dynamics._power_increment
 
-    def counting(e, steps):
+    def counting(e, steps, *args):
         calls.append(steps)
-        return power_increment(e, steps)
+        return power_increment(e, steps, *args)
 
     monkeypatch.setattr(dynamics, "_power_increment", counting)
     return calls
@@ -455,6 +455,11 @@ class TestIntegration:
         with pytest.raises(ValueError, match="t_end"):
             integrate(initial_state(params, "ground"), t_end, params, n_samples=3)
 
+    def test_rejects_a_single_sample(self):
+        params = EnsembleParams(2, 0.0, 1.0)
+        with pytest.raises(ValueError, match="^need at least 2 samples, got 1$"):
+            integrate(initial_state(params, "ground"), 1.0, params, n_samples=1)
+
     @pytest.mark.parametrize("t_end, h, n_samples", [(1e308, None, 2), (1.0, 1e-320, 3)])
     def test_rejects_a_step_count_beyond_the_float_range(self, monkeypatch, t_end, h, n_samples):
         # span/h overflows to inf, which has no whole step count
@@ -765,3 +770,28 @@ class TestBandPropagator:
         v0[2] = np.inf
         with pytest.raises(NonFiniteState, match="t=0"):
             dynamics._band_history(e, v0, 20, times)
+
+
+class TestLongSpans:
+    """Band 0's powered map keeps the trace, so a diagonal start ends at
+    the Gibbs state over any span; the interval guard catches a map that
+    does not."""
+
+    @pytest.mark.parametrize("n", [2, 5, 20, 200])
+    def test_any_span_ends_at_the_gibbs_state(self, n):
+        params = EnsembleParams(n, 0.1, 1.0)
+        for t_end in (1e10, 1e15, 1e100, 1e300):
+            for kind in ("inverted", "ground"):
+                traj = integrate(initial_state(params, kind), t_end, params, n_samples=11)
+                assert traj.trace_dist_to_gibbs[1:].max() <= 1e-12, (t_end, kind)
+                assert np.abs(traj.populations.sum(axis=1) - 1.0).max() <= 1e-13, (t_end, kind)
+
+    def test_interval_guard_catches_a_map_that_drifts(self, monkeypatch):
+        # powered without the column-sum rule, band 0's map changes the
+        # trace by up to 8.8e-7 per interval here
+        power_increment = dynamics._power_increment
+        monkeypatch.setattr(dynamics, "_power_increment",
+                            lambda e, steps, conserve=False: power_increment(e, steps))
+        params = EnsembleParams(20, 0.1, 1.0)
+        with pytest.raises(StepTooLarge, match="over one sample interval"):
+            integrate(initial_state(params, "inverted"), 1e10, params, n_samples=11)

@@ -220,10 +220,10 @@ def test_kernel_matches_the_full_row_kernel_bitwise(grid, pairs):
         want = full_row_ladder_log_sums(n, eta, xs, pairs)
     except EtaOutOfRange:
         reject()
-    assert_same_bits(ladder_log_sums(n, eta, xs, pairs), want)
+    assert_same_bits(ladder_log_sums(n, xs, {eta: pairs})[eta], want)
     # one x per call: each row is a block of its own, cut at its own x
     for i, x in enumerate(xs):
-        assert_same_bits(ladder_log_sums(n, eta, [x], pairs), tuple([s[i]] for s in want))
+        assert_same_bits(ladder_log_sums(n, [x], {eta: pairs})[eta], tuple([s[i]] for s in want))
 
 
 @PROPERTY_SETTINGS
@@ -287,7 +287,7 @@ def test_blocks_order_rows_widest_first(widths, extra):
 @pytest.mark.parametrize("eta", [-0.1, 0.0, 0.1])
 def test_kernel_matches_the_full_row_kernel_at_n_1e5(eta, pairs, xs):
     want = full_row_ladder_log_sums(100_000, eta, xs, pairs)
-    assert_same_bits(ladder_log_sums(100_000, eta, xs, pairs), want)
+    assert_same_bits(ladder_log_sums(100_000, xs, {eta: pairs})[eta], want)
 
 
 # N = 1e4 spans widths from 3 to N + 1 in one call, so rows are regrouped
@@ -301,7 +301,7 @@ def test_kernel_matches_the_full_row_kernel_at_n_1e5(eta, pairs, xs):
 @pytest.mark.parametrize("eta", [-0.1, 0.0, 0.1])
 def test_kernel_matches_the_full_row_kernel_at_n_1e4(eta, pairs, xs):
     want = full_row_ladder_log_sums(10_000, eta, xs, pairs)
-    assert_same_bits(ladder_log_sums(10_000, eta, xs, pairs), want)
+    assert_same_bits(ladder_log_sums(10_000, xs, {eta: pairs})[eta], want)
 
 
 EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308]

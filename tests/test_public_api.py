@@ -32,7 +32,8 @@ REMOVED = {
 
 # (module, function, the retired keyword it no longer takes): separate
 # bath rates, a spectrum apart from the ensemble, a classification
-# tolerance, validation tolerances, a copying logsumexp
+# tolerance, validation tolerances, a copying logsumexp, a one-coupling
+# ladder kernel
 RETIRED_KEYWORDS = [
     ("dynamics", "ThermalLiouvillian", "rates"),
     ("dynamics", "integrate", "rates"),
@@ -45,6 +46,8 @@ RETIRED_KEYWORDS = [
     ("core", "thermal_state", "spectrum"),
     ("asymptotics", "validate_asymptotics", "tolerances"),
     ("core", "logsumexp_rows", "in_place"),
+    ("correlators", "ladder_log_sums", "eta"),
+    ("correlators", "ladder_log_sums", "pairs"),
 ]
 
 
@@ -84,6 +87,8 @@ def test_no_retired_keywords(home, name, keyword):
 def test_surviving_signatures():
     assert list(inspect.signature(dicke_therm.default_step).parameters) == ["params"]
     assert next(iter(inspect.signature(dicke_therm.g2_zero).parameters)) == "state"
+    assert list(inspect.signature(dicke_therm.ladder_log_sums).parameters) == [
+        "n_atoms", "xs", "calls"]
     assert hasattr(dicke_therm.ThermalLiouvillian(dicke_therm.EnsembleParams(2)), "dim")
 
 

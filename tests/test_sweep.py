@@ -1,4 +1,4 @@
-"""Group evaluation of sweeps: one ladder kernel call per (N, eta) x grid
+"""Group evaluation of sweeps: one ladder kernel call per N over its x grid
 must give the per-point library values bit for bit, any subset of the
 outputs the matching cells of the full rows, and the worker pool never
 outnumbers the CPUs."""
@@ -14,6 +14,8 @@ import pytest
 
 from dicke_therm import (
     EnsembleParams,
+    NonPositiveX,
+    ZeroAtoms,
     ZeroIntensity,
     build_spectrum,
     correlators,
@@ -88,6 +90,22 @@ def test_config_rejects_a_one_point_grid_with_unequal_ends():
     assert x_grid(SweepConfig((2,), (0.1,), 5.0, 5.0, 1)).tolist() == [5.0]
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"n_values": ()}, "N and eta lists must be non-empty"),
+    ({"eta_values": ()}, "N and eta lists must be non-empty"),
+    ({"x_scale": "cubic"}, "x scale must be 'linear' or 'log', got 'cubic'"),
+    ({"x_count": 0}, "x grid needs at least one point, got 0"),
+    ({"x_start": 0.0}, r"x grid must satisfy 0 < start <= stop, got \[0.0, 5.0\]"),
+    ({"x_start": -1.0}, r"x grid must satisfy 0 < start <= stop, got \[-1.0, 5.0\]"),
+    ({"x_start": 6.0}, r"x grid must satisfy 0 < start <= stop, got \[6.0, 5.0\]"),
+], ids=["no-N", "no-eta", "scale", "no-x", "zero-start", "negative-start", "start-past-stop"])
+def test_config_refuses_a_bad_grid(changes, message):
+    fields = {"n_values": (2,), "eta_values": (0.1,), "x_start": 1.0, "x_stop": 5.0,
+              "x_count": 3, **changes}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SweepConfig(**fields)
+
+
 def test_config_rejects_a_repeated_output():
     with pytest.raises(ValueError, match=r"outputs axis repeats \['g2'\]"):
         SweepConfig((2,), (0.1,), 1.0, 5.0, 3, outputs=("g2", "g1", "g2"))
@@ -121,7 +139,7 @@ def test_group_rows_equal_point_values(n, eta, xs):
 
 @pytest.mark.parametrize("n, eta, xs", GROUPS, ids=[f"N{g[0]}" for g in GROUPS])
 def test_state_and_tables_share_the_kernel(n, eta, xs):
-    sums = ladder_log_sums(n, eta, xs)
+    sums = ladder_log_sums(n, xs, {eta: True})[eta]
     coeffs = ladder_coefficients(n)
     for i, x in enumerate(xs.tolist()):
         params = EnsembleParams(n, eta, x)
@@ -144,7 +162,7 @@ def test_ratio_stays_finite_to_the_double_limit(tmp_path):
             "--x-count", "1", "--outputs", "ratio", "--precision", "17", "--out", str(out)]
     assert main(argv) == 0
     log_g1 = [s.log_s1[0] - s.log_z[0]
-              for s in (ladder_log_sums(2, eta, [735.0], pairs=False) for eta in (0.99, 0.0))]
+              for s in ladder_log_sums(2, [735.0], {0.99: False, 0.0: False}).values()]
     assert log_g1[0] - log_g1[1] > 709.0
     assert read_sweep_csv(out)[0]["ratio"] == pytest.approx(
         math.exp(log_g1[0] - log_g1[1]), rel=1e-12
@@ -186,19 +204,34 @@ def test_any_outputs_give_the_cells_of_the_full_rows(outputs):
 @pytest.mark.parametrize("outputs", SUBSETS, ids=",".join)
 def test_pair_sums_only_for_g2_or_classification(monkeypatch, outputs):
     seen = []
-    kernel = sweep._ladder_log_sums_at_n
-    monkeypatch.setattr(sweep, "_ladder_log_sums_at_n", lambda n, xs, calls: seen.append(
+    kernel = sweep.ladder_log_sums
+    monkeypatch.setattr(sweep, "ladder_log_sums", lambda n, xs, calls: seen.append(
         (n, [(eta, xs, pairs) for eta, pairs in calls.items()])) or kernel(n, xs, calls))
     eta_values, xs = [-0.1, 0.0, 0.1], [0.5, 2.0]
     evaluate_rows([2, 7], eta_values, xs, outputs)
-    correlators = not set(CORRELATOR_CELLS).isdisjoint(outputs)
     pairs = "g2" in outputs or "classification" in outputs
-    # every group a correlator column needs, else the ratio's groups and
-    # their eta = 0 reference, each over the whole x grid
-    want = [(eta, xs, pairs) for eta in eta_values if correlators or eta != 0.0]
-    if not correlators:
-        want.append((0.0, xs, False))
+    # every group of the grid, in grid order, each over the whole x grid;
+    # the grid's eta = 0 group is the ratio's reference
+    want = [(eta, xs, pairs) for eta in eta_values]
     assert seen == [(2, want), (7, want)]
+
+
+def test_ratio_reference_joins_a_grid_without_eta_zero(monkeypatch):
+    seen = []
+    kernel = sweep.ladder_log_sums
+    monkeypatch.setattr(sweep, "ladder_log_sums", lambda n, xs, calls: seen.append(
+        (n, list(calls.items()))) or kernel(n, xs, calls))
+    evaluate_rows([2, 7], [0.1, -0.1], [0.5, 2.0], ("ratio", "g2"))
+    want = [(0.1, True), (-0.1, True), (0.0, False)]
+    assert seen == [(2, want), (7, want)]
+
+
+@pytest.mark.parametrize("n, exc", [(0, ZeroAtoms), (2, NonPositiveX)])
+def test_a_ratio_only_grid_at_eta_zero_checks_every_point(n, exc):
+    # the eta = 0 ratio is 1 by definition, but its points still pass
+    # through the kernel and its checks
+    with pytest.raises(exc):
+        evaluate_rows([n], [0.0], [-1.0, math.nan], ("ratio",))
 
 
 @pytest.mark.parametrize("n, eta, x, underflows", [
@@ -232,7 +265,7 @@ def test_unknown_or_no_outputs_are_refused(outputs):
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_evaluate_rows_refuses_a_worker_count_below_one(monkeypatch, jobs):
     seen = []
-    monkeypatch.setattr(sweep, "_ladder_log_sums_at_n", lambda *args: seen.append(args))
+    monkeypatch.setattr(sweep, "ladder_log_sums", lambda *args: seen.append(args))
     with pytest.raises(ValueError, match=f"^jobs must be a positive integer, got {jobs}$"):
         evaluate_rows([2, 3], [0.0, 0.1], [0.5, 2.0], VALID_OUTPUTS, jobs=jobs)
     assert seen == []
