@@ -52,6 +52,8 @@ from .dynamics import (
 from .exceptions import DickeError, IntegrationError
 from .sweep import (
     DEFAULT_PRECISION,
+    SWEEP_HEADER,
+    VALID_OUTPUTS,
     SweepConfig,
     csv_text,
     evaluate_point,
@@ -123,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-stop", type=float, required=True)
     p.add_argument("--x-count", type=int, required=True)
     p.add_argument("--x-scale", choices=("linear", "log"), default="linear")
-    p.add_argument("--outputs", type=str, default="g1,g2,ratio,classification",
-                   help="comma subset of g1,g2,ratio,classification")
+    outputs = ",".join(VALID_OUTPUTS)
+    p.add_argument("--outputs", type=str, default=outputs, help=f"comma subset of {outputs}")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (default 1), at most one per CPU")
@@ -213,26 +215,21 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 def point_document(params: EnsembleParams) -> dict:
     """JSON payload for a single point, predictions included."""
-    n, eta, x = params.n_atoms, params.eta, params.x
     cells = ("g1", "g2", "classification")
-    row = evaluate_point(n, eta, x, cells)
-    doc = {
-        "N": n,
-        "eta": eta,
-        "x": x,
-        # an underflowed cell ("NA" in a sweep) is null, with the reason below
-        **{k: None if row[k] == "NA" else row[k] for k in cells},
-        "asymptotic_predictions": {
-            "eq15": {
-                "strong_bath": g2_limit_eta0(n, BathRegime.STRONG),
-                "weak_bath": g2_limit_eta0(n, BathRegime.WEAK),
-            },
-            "eq16": g2_strong_bath(n, eta) if n >= 2 else None,
-            "eq17": g2_weak_bath(n, eta, x) if n >= 2 else None,
-            "eq18": g1_weak_bath(n, eta, x),
-            "eq19_threshold": eta_threshold(n, x),
-            "eq20": intensity_ratio_strong_bath(eta),
+    row = dict(zip(SWEEP_HEADER, evaluate_point(params.n_atoms, params.eta, params.x, cells)))
+    n, eta, x = row["N"], row["eta"], row["x"]
+    # an underflowed cell ("NA" in a sweep) is null, with the reason below
+    doc = {"N": n, "eta": eta, "x": x, **{k: None if row[k] == "NA" else row[k] for k in cells}}
+    doc["asymptotic_predictions"] = {
+        "eq15": {
+            "strong_bath": g2_limit_eta0(n, BathRegime.STRONG),
+            "weak_bath": g2_limit_eta0(n, BathRegime.WEAK),
         },
+        "eq16": g2_strong_bath(n, eta) if n >= 2 else None,
+        "eq17": g2_weak_bath(n, eta, x) if n >= 2 else None,
+        "eq18": g1_weak_bath(n, eta, x),
+        "eq19_threshold": eta_threshold(n, x),
+        "eq20": intensity_ratio_strong_bath(eta),
     }
     if row["reason"]:
         doc["reason"] = row["reason"]

@@ -42,8 +42,8 @@ __all__ = [
     "write_sidecar",
 ]
 
-VALID_OUTPUTS = ("g1", "g2", "ratio", "classification")
 SWEEP_HEADER = ("N", "eta", "x", "g1", "g2", "ratio", "classification", "reason")
+VALID_OUTPUTS = SWEEP_HEADER[3:7]
 REPORT_HEADER = ("formula", "N", "eta", "x", "exact", "approx", "rel_dev", "status", "note")
 
 DEFAULT_PRECISION = 12
@@ -77,6 +77,8 @@ class SweepConfig:
             raise ValueError("N and eta lists must be non-empty")
         if self.x_scale not in ("linear", "log"):
             raise ValueError(f"x scale must be 'linear' or 'log', got {self.x_scale!r}")
+        if not isinstance(self.x_count, int):
+            raise ValueError(f"x_count must be an integer, got {self.x_count!r}")
         if self.x_count < 1:
             raise ValueError(f"x grid needs at least one point, got {self.x_count}")
         if not math.isfinite(self.x_stop):
@@ -103,11 +105,13 @@ def x_grid(config: SweepConfig) -> np.ndarray:
 
 def evaluate_rows(
     n_values, eta_values, xs, outputs: tuple[str, ...], jobs: int = 1
-) -> list[dict[str, object]]:
-    """Raw values for the sweep rows over n_values x eta_values x xs in that
-    nesting order; None marks a column not requested and the string 'NA' a
-    column lost to intensity underflow.  An axis that repeats a value is
-    refused (ValueError), and so is a jobs that is not a positive integer.
+) -> list[tuple]:
+    """The sweep rows over n_values x eta_values x xs in that nesting order,
+    as given: one tuple of raw values per point in SWEEP_HEADER order, its
+    first three cells its own N, eta and x (the value of xs as passed).
+    None marks a column not requested and the string 'NA' a column lost to
+    intensity underflow.  An axis that repeats a value is refused
+    (ValueError), and so is a jobs that is not a positive integer.
 
     Every N takes one ladder_log_sums call over xs, at every eta of the
     grid and, for the ratio column, at the eta = 0 reference, with the G2
@@ -141,7 +145,7 @@ def evaluate_rows(
         results = list(map(ladder_log_sums, n_values, repeat(xs), repeat(calls)))
     none = [None] * len(xs)
     rows = []
-    for sums in results:
+    for n, sums in zip(n_values, results):
         for eta in eta_values:
             s = sums[eta]
             g1 = g2 = ratio = classification = none
@@ -164,15 +168,12 @@ def evaluate_rows(
                          in zip(s.log_z, s.log_s1, ref.log_z, ref.log_s1)]
                 ratio = ["NA" if r is None else r for r in ratio]
             reason = ["ZeroIntensity" if gone or r == "NA" else "" for gone, r in zip(lost, ratio)]
-            rows.extend({"g1": a, "g2": b, "ratio": c, "classification": d, "reason": e}
-                        for a, b, c, d, e in zip(g1, g2, ratio, classification, reason))
+            rows.extend(zip(repeat(n), repeat(eta), xs, g1, g2, ratio, classification, reason))
     return rows
 
 
-def evaluate_point(
-    n_atoms: int, eta: float, x: float, outputs: tuple[str, ...]
-) -> dict[str, object]:
-    """Raw values for one sweep row: the one-point case of evaluate_rows."""
+def evaluate_point(n_atoms: int, eta: float, x: float, outputs: tuple[str, ...]) -> tuple:
+    """The one sweep row at (n_atoms, eta, x): the one-point case of evaluate_rows."""
     EnsembleParams(n_atoms, eta, x)
     return evaluate_rows([n_atoms], [eta], [x], outputs)[0]
 
@@ -217,18 +218,15 @@ def csv_text(header, rows, precision: int) -> str:
 def run_sweep(config: SweepConfig, out_path: str | Path, jobs: int = 1) -> int:
     """Evaluate the sweep and write the CSV; returns the number of rows.
 
-    The rows come from evaluate_rows (worker processes with jobs > 1) and
-    are written in (N, eta, x) order by this single writer, so the file
-    content does not depend on the level of parallelism.
+    The rows are those of evaluate_rows (worker processes with jobs > 1)
+    over the sorted N and eta axes and the x grid, written in that
+    (N, eta, x) order by this single writer, so the file content does not
+    depend on the level of parallelism.
     """
-    n_values, eta_values = sorted(config.n_values), sorted(config.eta_values)
-    xs = x_grid(config).tolist()
-    rows = evaluate_rows(n_values, eta_values, xs, config.outputs, jobs)
-    points = [(n, eta, x) for n in n_values for eta in eta_values for x in xs]
-    table = [[*point, r["g1"], r["g2"], r["ratio"], r["classification"], r["reason"]]
-             for point, r in zip(points, rows)]
-    Path(out_path).write_text(csv_text(SWEEP_HEADER, table, config.precision), encoding="ascii")
-    return len(table)
+    rows = evaluate_rows(sorted(config.n_values), sorted(config.eta_values),
+                         x_grid(config).tolist(), config.outputs, jobs)
+    Path(out_path).write_text(csv_text(SWEEP_HEADER, rows, config.precision), encoding="ascii")
+    return len(rows)
 
 
 def report_to_csv(report: AsymptoticReport, precision: int = DEFAULT_PRECISION) -> str:

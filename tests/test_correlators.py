@@ -1,5 +1,6 @@
 """Intensity, g2(0), classification, and the far-field prefactor."""
 
+import itertools
 import math
 import re
 
@@ -204,8 +205,9 @@ class TestWidthGroups:
             return c_logs(lowering)
 
         monkeypatch.setattr(correlators, "_c_logs", recording)
-        rows = evaluate_rows([20, 300], [-0.1, 0.0, 0.1], [0.01, 1.0, 30.0], VALID_OUTPUTS)
-        assert len(rows) == 2 * 3 * 3
+        axes = ([20, 300], [-0.1, 0.0, 0.1], [0.01, 1.0, 30.0])
+        rows = evaluate_rows(*axes, VALID_OUTPUTS)
+        assert [row[:3] for row in rows] == list(itertools.product(*axes))
         assert built == [20, 300]
 
     def test_one_call_keys_every_eta_in_calls_order(self):

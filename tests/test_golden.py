@@ -16,10 +16,12 @@ alone, and with no name those of every case; an unknown name is refused.
 import contextlib
 import io
 import math
+import os
 import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -67,6 +69,16 @@ CASES = {
                       "--samples", "11", "--init", "equal", "--out", "{dir}/evolve_equal.csv"],
                      ["evolve_equal.csv", "evolve_equal.csv.meta.json"]),
     "point": (["point", "--n", "2", "--eta", "0.1", "--x", "10"], []),
+    # an underflowed point: null cells and the reason
+    "point_cold": (["point", "--n", "2", "--eta", "0.1", "--x", "2000"], []),
+    # cold NA rows beside the empty cells of unrequested columns
+    "sweep_subset_cold": (["sweep", "--n", "2,7", "--eta", "0,0.1", "--x-start", "1",
+                           "--x-stop", "2000", "--x-count", "6", "--x-scale", "log",
+                           "--outputs", "g1,classification",
+                           "--out", "{dir}/sweep_subset_cold.csv"],
+                          ["sweep_subset_cold.csv", "sweep_subset_cold.csv.meta.json"]),
+    # the help bytes, wrapped at the 80 columns run_case sets
+    "sweep_help": (["sweep", "--help"], []),
     # the benchmark's main workload: the four preset figure files, 2,700 rows
     "figures": (["figures", "--out-dir", "{dir}"],
                 [f"fig{i}{suffix}" for i in range(1, 5) for suffix in (".csv", ".csv.meta.json")]),
@@ -78,10 +90,11 @@ _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|inf|nan)(?![\w.
 
 def run_case(name, out_dir):
     """Exit code and {file name: text} of one case, stdout included with
-    the output directory replaced by {dir}."""
+    the output directory replaced by {dir}; argparse wraps help and usage
+    text at COLUMNS, set to 80."""
     argv, files = CASES[name]
     stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(stdout):
         code = main([arg.replace("{dir}", str(out_dir)) for arg in argv])
     texts = {f: (out_dir / f).read_text(encoding="ascii") for f in files}
     texts[f"{name}.stdout"] = stdout.getvalue().replace(str(out_dir), "{dir}")

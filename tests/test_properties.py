@@ -13,6 +13,9 @@ Every row of the asymptotic validator, on random grids that are not a
 product, takes the exact value or skipped note of the per-point path.  The
 CSV writer renders every table as the per-cell format_number join, and
 the step guard never refuses a step that the all-band guard accepts.
+A diagonal start relaxes at the default step with a trace distance to the
+Gibbs state that never rises beyond rounding, and ends on the Gibbs
+populations.
 """
 
 import math
@@ -25,12 +28,15 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from dicke_therm import (
+    INITIAL_STATE_KINDS,
     EnsembleParams,
     EtaOutOfRange,
+    ThermalLiouvillian,
     ZeroIntensity,
     build_spectrum,
     g2_zero,
     initial_state,
+    integrate,
     intensity_ratio,
     ladder_coefficients,
     steady_state_correlators,
@@ -44,6 +50,7 @@ from dicke_therm.correlators import (
     _live_widths,
     ladder_log_sums,
 )
+from dicke_therm.dynamics import _eigenvalues
 from dicke_therm.sweep import csv_text, format_number
 
 from helpers import (
@@ -359,3 +366,29 @@ def test_step_guard_never_refuses_what_the_all_band_guard_accepts(start, factor)
     h = factor * band0_step_limit(params)
     if all_band_step_verdict(params, h):
         assert guard_accepts(rho0, params, h)
+
+
+@st.composite
+def relaxations(draw):
+    """Ensemble parameters at N <= 20, x in [1e-2, 30] and eta 1% inside
+    its window, and a diagonal start; as eta nears 1 the slowest decay
+    rate sinks below the rounding of the eigenvalue solver."""
+    n = draw(st.integers(1, 20))
+    x = 10.0 ** draw(st.floats(-2.0, math.log10(30.0)))
+    lower = -(n - 1) / (n + 1)
+    eta = draw(st.floats(0.99 * lower, 0.99)) if n > 1 else 0.0
+    return EnsembleParams(n, eta, x), draw(st.sampled_from(INITIAL_STATE_KINDS))
+
+
+@PROPERTY_SETTINGS
+@given(relaxations())
+def test_diagonal_starts_relax_monotonically_to_the_gibbs_state(case):
+    # total-variation distance contracts under a Markov semigroup; by
+    # t = 60/lambda_1, lambda_1 the slowest decay rate of band 0 (its
+    # largest eigenvalue is the conserved trace's 0), the start's weight
+    # off the Gibbs state is below exp(-60)
+    params, kind = case
+    rate = -_eigenvalues(ThermalLiouvillian(params).band(0))[-2]
+    traj = integrate(initial_state(params, kind), 60.0 / rate, params, n_samples=61)
+    assert np.max(np.diff(traj.trace_dist_to_gibbs)) <= 1e-14
+    assert np.max(np.abs(traj.populations[-1] - thermal_state(params).populations)) <= 1e-13

@@ -1,7 +1,8 @@
 """Group evaluation of sweeps: one ladder kernel call per N over its x grid
-must give the per-point library values bit for bit, any subset of the
-outputs the matching cells of the full rows, and the worker pool never
-outnumbers the CPUs."""
+must give the per-point library values bit for bit, each row its own
+(N, eta, x) in the order of the axes given, any subset of the outputs the
+matching cells of the full rows, and the worker pool never outnumbers the
+CPUs."""
 
 import concurrent.futures
 import itertools
@@ -29,8 +30,10 @@ from dicke_therm import sweep
 from dicke_therm.cli import main, point_document
 from dicke_therm.correlators import ladder_log_sums
 from dicke_therm.sweep import (
+    SWEEP_HEADER,
     VALID_OUTPUTS,
     SweepConfig,
+    csv_text,
     evaluate_point,
     evaluate_rows,
     format_number,
@@ -57,25 +60,25 @@ SUBSET_XS = np.geomspace(1e-3, 900.0, 20).tolist()
 
 
 def point_row(n, eta, x):
-    """The sweep row at one point from the per-point library functions."""
+    """The sweep row at one point, in SWEEP_HEADER order, from the
+    per-point library functions."""
     params = EnsembleParams(n, eta, x)
-    row, reason = {}, ""
+    reason = ""
     try:
         res = steady_state_correlators(params)
-        row.update(g1=res.g1, g2=res.g2_norm, classification=res.classification.value)
+        g1, g2, classification = res.g1, res.g2_norm, res.classification.value
     except ZeroIntensity:
         reason = "ZeroIntensity"
-        row.update(g1="NA", g2="NA", classification="NA")
+        g1 = g2 = classification = "NA"
     if eta == 0.0:
-        row["ratio"] = 1.0
+        ratio = 1.0
     else:
         try:
-            row["ratio"] = intensity_ratio(params)
+            ratio = intensity_ratio(params)
         except ZeroIntensity:
             reason = "ZeroIntensity"
-            row["ratio"] = "NA"
-    row["reason"] = reason
-    return row
+            ratio = "NA"
+    return (n, eta, x, g1, g2, ratio, classification, reason)
 
 
 @pytest.mark.parametrize("precision", [-1, 1.5])
@@ -95,10 +98,13 @@ def test_config_rejects_a_one_point_grid_with_unequal_ends():
     ({"eta_values": ()}, "N and eta lists must be non-empty"),
     ({"x_scale": "cubic"}, "x scale must be 'linear' or 'log', got 'cubic'"),
     ({"x_count": 0}, "x grid needs at least one point, got 0"),
+    ({"x_count": 2.5}, "x_count must be an integer, got 2.5"),
+    ({"x_count": "3"}, "x_count must be an integer, got '3'"),
     ({"x_start": 0.0}, r"x grid must satisfy 0 < start <= stop, got \[0.0, 5.0\]"),
     ({"x_start": -1.0}, r"x grid must satisfy 0 < start <= stop, got \[-1.0, 5.0\]"),
     ({"x_start": 6.0}, r"x grid must satisfy 0 < start <= stop, got \[6.0, 5.0\]"),
-], ids=["no-N", "no-eta", "scale", "no-x", "zero-start", "negative-start", "start-past-stop"])
+], ids=["no-N", "no-eta", "scale", "no-x", "float-count", "text-count", "zero-start",
+        "negative-start", "start-past-stop"])
 def test_config_refuses_a_bad_grid(changes, message):
     fields = {"n_values": (2,), "eta_values": (0.1,), "x_start": 1.0, "x_stop": 5.0,
               "x_count": 3, **changes}
@@ -134,7 +140,22 @@ def test_group_rows_equal_point_values(n, eta, xs):
     for x, row in zip(xs.tolist(), rows):
         assert row == point_row(n, eta, x)
     if n in (2, BIG_N):
-        assert any(row["reason"] == "ZeroIntensity" for row in rows)
+        assert any(row[-1] == "ZeroIntensity" for row in rows)
+
+
+def test_rows_carry_their_point_in_the_order_given(tmp_path):
+    n_values, eta_values, xs = [7, 2], [0.1, -0.1, 0.0], [30.0, 0.5, 2.0]
+    points = list(itertools.product(n_values, eta_values, xs))
+    rows = evaluate_rows(n_values, eta_values, xs, VALID_OUTPUTS)
+    assert [row[:3] for row in rows] == points
+    assert rows == [point_row(*point) for point in points]
+    # run_sweep writes the rows of the sorted axes, unchanged
+    config = SweepConfig(tuple(n_values), tuple(eta_values), 0.5, 30.0, 3, "log")
+    out = tmp_path / "s.csv"
+    assert run_sweep(config, out) == len(points)
+    want = evaluate_rows(sorted(n_values), sorted(eta_values), x_grid(config).tolist(),
+                         VALID_OUTPUTS)
+    assert out.read_text(encoding="ascii") == csv_text(SWEEP_HEADER, want, 12)
 
 
 @pytest.mark.parametrize("n, eta, xs", GROUPS, ids=[f"N{g[0]}" for g in GROUPS])
@@ -178,8 +199,7 @@ def test_sweep_cells_equal_point_values(tmp_path, capsys):
     assert [r["reason"] for r in rows].count("ZeroIntensity") == 1
     for x, line, rec in zip(x_grid(config).tolist(), lines, rows):
         want = point_row(BIG_N, 0.3, x)
-        cells = [format_number(want[k], 12) for k in ("g1", "g2", "ratio", "classification")]
-        assert line.split(",")[3:] == cells + [want["reason"]]
+        assert line.split(",")[3:] == [format_number(v, 12) for v in want[3:]]
         assert main(["point", "--n", str(BIG_N), "--eta", "0.3", "--x", repr(x)]) == 0
         doc = json.loads(capsys.readouterr().out)
         if rec["reason"]:
@@ -192,12 +212,11 @@ def test_sweep_cells_equal_point_values(tmp_path, capsys):
 def test_any_outputs_give_the_cells_of_the_full_rows(outputs):
     for n_values, eta_values in SUBSET_GROUPS:
         full = evaluate_rows(n_values, eta_values, SUBSET_XS, VALID_OUTPUTS)
-        assert any(row["reason"] == "ZeroIntensity" for row in full)
+        assert any(row[-1] == "ZeroIntensity" for row in full)
         want = []
         for row in full:
-            cells = {k: row[k] if k in outputs else None for k in VALID_OUTPUTS}
-            cells["reason"] = "ZeroIntensity" if "NA" in cells.values() else ""
-            want.append(cells)
+            cells = [v if k in outputs else None for k, v in zip(VALID_OUTPUTS, row[3:7])]
+            want.append((*row[:3], *cells, "ZeroIntensity" if "NA" in cells else ""))
         assert evaluate_rows(n_values, eta_values, SUBSET_XS, outputs) == want
 
 
@@ -245,12 +264,15 @@ def test_point_is_the_one_point_row(n, eta, x, underflows):
     for outputs in (VALID_OUTPUTS, CORRELATOR_CELLS):
         row = evaluate_point(n, eta, x, outputs)
         assert row == evaluate_rows([n], [eta], [x], outputs)[0]
-    assert (row["reason"] == "ZeroIntensity") == underflows
+    assert row[:3] == (n, eta, x)
+    assert (row[-1] == "ZeroIntensity") == underflows
     doc = point_document(EnsembleParams(n, eta, x))
+    cells = dict(zip(SWEEP_HEADER, row))
+    assert (doc["N"], doc["eta"], doc["x"]) == row[:3]
     assert {k: doc[k] for k in CORRELATOR_CELLS} == {
-        k: None if underflows else row[k] for k in CORRELATOR_CELLS
+        k: None if underflows else cells[k] for k in CORRELATOR_CELLS
     }
-    assert doc.get("reason", "") == row["reason"]
+    assert doc.get("reason", "") == row[-1]
 
 
 @pytest.mark.parametrize("outputs", [("G2",), ("g2", "ratioo"), "g2", "classification", ()],
