@@ -245,24 +245,22 @@ def validate_asymptotics(grid: list[tuple[int, float, float]]) -> AsymptoticRepo
 
     The exact side comes from one ladder_log_sums call per N, as in a
     sweep: the distinct x of that N's points at each grid eta of that N,
-    at the eta = 0 reference and at PROBE_ETA, all with the pair sum.  Each
-    row reads its cells through the scalar steps of the per-point path
-    (correlators_from_log_sums, _ratio_at), so every value and skipped
-    note equals that of steady_state_correlators and intensity_ratio.
+    at the eta = 0 reference and at PROBE_ETA.  Each row reads its cells
+    through the scalar steps of the per-point path (correlators_from_log_sums,
+    _ratio_at), so every value and skipped note equals that of
+    steady_state_correlators and intensity_ratio.
     """
     points = [EnsembleParams(*pt) for pt in grid]
-    # N -> (its x grid, its {eta: pairs} calls), in first-seen order
-    by_n: dict[int, tuple[dict[float, None], dict[float, bool]]] = {}
+    # N -> (its x grid in first-seen order, its couplings)
+    by_n: dict[int, tuple[dict[float, None], set[float]]] = {}
     for prm in points:
-        xs, calls = by_n.setdefault(prm.n_atoms, ({}, {}))
+        xs, etas = by_n.setdefault(prm.n_atoms, ({}, set()))
         xs[prm.x] = None
-        calls[prm.eta] = True
+        etas.add(prm.eta)
     cells: dict[tuple[int, float, float], tuple[float, float, float]] = {}
-    for n, (xs, calls) in by_n.items():
-        calls.setdefault(0.0, True)
-        if n >= 2:
-            calls.setdefault(PROBE_ETA, True)
-        for eta, sums in ladder_log_sums(n, list(xs), calls).items():
+    for n, (xs, etas) in by_n.items():
+        etas.update((0.0, PROBE_ETA) if n >= 2 else (0.0,))
+        for eta, sums in ladder_log_sums(n, list(xs), etas).items():
             cells.update(((n, eta, x), cell) for x, cell in zip(xs, zip(*sums)))
 
     def g2(prm, eta):

@@ -14,9 +14,9 @@ In cold regimes the populations span hundreds of orders of magnitude, so
 G1 and g2(0) are assembled from log-domain partial sums over the stored
 log weights instead of ratios of underflowing floats: log G1 = log S1 -
 log Z and log g2 = log S2 + log Z - 2 log S1, with the shared weight shift
-cancelling exactly.  One kernel, ladder_log_sums(N, xs, {eta: pairs}),
-takes these sums for a whole x grid at every eta of one N, and builds the
-N-only ladder logs log n(N-n+1) once for all of them.  Every single-point
+cancelling exactly.  One kernel, ladder_log_sums(N, xs, etas), takes all
+three sums for a whole x grid at every eta of one N, and builds the N-only
+ladder logs log n(N-n+1) once for all of them.  Every single-point
 function is its one-x case, a sweep and the asymptotic validator call it
 once per N, and log Z is the same row sum as ThermalState.log_z.
 
@@ -144,7 +144,7 @@ class LadderLogSums(NamedTuple):
     """log Z, log S1 and log S2 of one (N, eta) at each x of a grid.
 
     All three use the shifted log weights, so log G1 = log S1 - log Z.
-    log S2 is -inf where it was not requested and for N = 1.
+    log S2 is -inf for N = 1.
     """
 
     log_z: list[float]
@@ -162,24 +162,21 @@ def _c_logs(lowering: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _log_sums(
     log_weights: np.ndarray,
     ladder_logs: tuple,
-    pairs: bool,
     levels: int,
     zeros: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Log of the unnormalized G1 sum and, when pairs is set, of the G2 sum,
-    for every row of log weights (one row per x) of a ladder of `levels`
-    levels.  The rows may hold only its leading levels when the terms of
-    the others exponentiate to exactly 0.0 (see _live_widths); zeros is
-    then the zero padding of logsumexp_rows.  The term arrays are this
-    function's own, which logsumexp_rows spends; log_weights is only read.
+    """Log of the unnormalized G1 and G2 sums for every row of log weights
+    (one row per x) of a ladder of `levels` levels.  The rows may hold only
+    its leading levels when the terms of the others exponentiate to exactly
+    0.0 (see _live_widths); zeros is then the zero padding of
+    logsumexp_rows.  The term arrays are this function's own, which
+    logsumexp_rows spends; log_weights is only read.
     """
     log_w4, log_c1, log_c2 = ladder_logs
     live = log_weights.shape[1]
     terms = log_weights[:, 1:] + log_c1[: live - 1]
     terms += log_w4[: live - 1]
     log_s1 = logsumexp_rows(terms, levels - 1, zeros=zeros)
-    if not pairs:
-        return log_s1, np.full(log_s1.size, -math.inf)
     terms = log_weights[:, 2:] + log_c2[: live - 2]
     terms += log_w4[1 : live - 1]
     terms += log_w4[: live - 2]
@@ -241,9 +238,7 @@ def _blocks(widths: np.ndarray, size: int) -> list[tuple[np.ndarray, int]]:
     return blocks
 
 
-def _eta_log_sums(
-    params: EnsembleParams, xs: np.ndarray, c_logs: tuple, pairs: bool
-) -> LadderLogSums:
+def _eta_log_sums(params: EnsembleParams, xs: np.ndarray, c_logs: tuple) -> LadderLogSums:
     """ladder_log_sums at one (N, eta), given the N-only ladder logs: the
     live widths of all rows from one _live_widths call, then one pass per
     block of _blocks, its S1 and S2 sums before the Z sum spends its log
@@ -259,14 +254,15 @@ def _eta_log_sums(
     for block, live in blocks:
         with np.errstate(over="ignore"):  # a weight beyond the double range is -inf
             log_weights = -xs[block, None] * gaps[:live]
-        sums[1][block], sums[2][block] = _log_sums(log_weights, logs, pairs, gaps.size, zeros)
+        sums[1][block], sums[2][block] = _log_sums(log_weights, logs, gaps.size, zeros)
         sums[0][block] = logsumexp_rows(log_weights, gaps.size, zeros=zeros)
     return LadderLogSums(*(s.tolist() for s in sums))
 
 
-def ladder_log_sums(n_atoms: int, xs, calls: dict[float, bool]) -> dict[float, LadderLogSums]:
-    """log Z, log S1 and (where pairs is set) log S2 at every x in xs, for
-    each eta: pairs of calls, keyed by eta in calls order.
+def ladder_log_sums(n_atoms: int, xs, etas) -> dict[float, LadderLogSums]:
+    """log Z, log S1 and log S2 at every x in xs, for each eta of the
+    iterable etas, keyed by eta in first-seen order; a repeated eta is
+    summed once.
 
     The x grid is checked and converted once, and the N-only ladder logs
     are built once for all eta.  Each eta's log-weight rows -x*(E - min E)
@@ -279,23 +275,23 @@ def ladder_log_sums(n_atoms: int, xs, calls: dict[float, bool]) -> dict[float, L
     function of this module, a sweep and the asymptotic validator all read
     this kernel, so all paths agree bitwise.
     """
-    params = [EnsembleParams(n_atoms, eta) for eta in calls]
+    etas = list(dict.fromkeys(etas))
+    params = [EnsembleParams(n_atoms, eta) for eta in etas]
     xs = np.asarray(xs, dtype=float).ravel()
     for x in xs[~(np.isfinite(xs) & (xs > 0.0))]:
         EnsembleParams(n_atoms, 0.0, x)
     c_logs = _c_logs(ladder_coefficients(n_atoms))
-    return {eta: _eta_log_sums(p, xs, c_logs, pairs)
-            for p, (eta, pairs) in zip(params, calls.items())}
+    return {eta: _eta_log_sums(p, xs, c_logs) for eta, p in zip(etas, params)}
 
 
 def _g1_g2(log_z: float, log_s1: float, log_s2: float) -> tuple[float, float] | None:
     """G1 and g2(0) from one x of the ladder log sums, or None when the
-    intensity underflows to zero at double precision.  g2(0) is 0 where
-    log S2 is -inf (not summed, or N = 1)."""
+    intensity underflows to zero at double precision.  g2(0) is 0 for
+    N = 1, where log S2 is -inf."""
     g1 = _exp(log_s1 - log_z)
     if g1 == 0.0:
         return None
-    return g1, 0.0 if log_s2 == -math.inf else _exp(log_s2 + log_z - 2.0 * log_s1)
+    return g1, _exp(log_s2 + log_z - 2.0 * log_s1)
 
 
 def correlators_from_log_sums(log_z: float, log_s1: float, log_s2: float) -> CorrelatorResult:
@@ -312,7 +308,7 @@ def correlators_from_log_sums(log_z: float, log_s1: float, log_s2: float) -> Cor
             "information here, use the closed-form asymptotics"
         )
     g1, g2_norm = cells
-    g2_raw = 0.0 if log_s2 == -math.inf else _exp(log_s2 - log_z)
+    g2_raw = _exp(log_s2 - log_z)
     return CorrelatorResult(
         g1=g1,
         g2_raw=g2_raw,
@@ -354,13 +350,13 @@ def g2_zero(
     """
     _check_dimensions(state, spectrum, lowering)
     logs = (4.0 * np.log(spectrum.frequencies), *_c_logs(lowering))
-    log_s1, log_s2 = _log_sums(state.log_weights[None, :], logs, True, state.dim)
+    log_s1, log_s2 = _log_sums(state.log_weights[None, :], logs, state.dim)
     return correlators_from_log_sums(state.log_z, float(log_s1[0]), float(log_s2[0]))
 
 
 def steady_state_correlators(params: EnsembleParams) -> CorrelatorResult:
     """Correlators at one point: the one-x case of ladder_log_sums."""
-    sums = ladder_log_sums(params.n_atoms, [params.x], {params.eta: True})[params.eta]
+    sums = ladder_log_sums(params.n_atoms, [params.x], [params.eta])[params.eta]
     return correlators_from_log_sums(*(s[0] for s in sums))
 
 
@@ -392,7 +388,7 @@ def intensity_ratio(params: EnsembleParams) -> float:
     """
     if params.eta == 0.0:
         raise ValueError("intensity_ratio requires eta != 0 (the reference is eta = 0)")
-    sums = ladder_log_sums(params.n_atoms, [params.x], {params.eta: False, 0.0: False})
+    sums = ladder_log_sums(params.n_atoms, [params.x], [params.eta, 0.0])
     return _ratio_at(params, *[(s.log_z[0], s.log_s1[0]) for s in sums.values()])
 
 

@@ -51,8 +51,8 @@ class IntegrationError(DickeError, RuntimeError):
 
 
 class StepTooLarge(IntegrationError):
-    """The RK4 step is unstable for the generator, or its trace drift
-    exceeds the configured bound."""
+    """The RK4 step is unstable for the generator, or the trace changes by
+    more than the bound over one sample interval."""
 
 
 class NonFiniteState(IntegrationError):

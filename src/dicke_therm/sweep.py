@@ -114,11 +114,10 @@ def evaluate_rows(
     (ValueError), and so is a jobs that is not a positive integer.
 
     Every N takes one ladder_log_sums call over xs, at every eta of the
-    grid and, for the ratio column, at the eta = 0 reference, with the G2
-    sum only for g2 or classification (g1 reads log Z and log S1 alone).
-    One N is one unit of work.  With jobs > 1 worker processes take the
-    units, at most one per unit and one per CPU, since a forked pool starts
-    all of its workers at once; the rows are built here.
+    grid and, for the ratio column, at the eta = 0 reference.  One N is
+    one unit of work.  With jobs > 1 worker processes take the units, at
+    most one per unit and one per CPU, since a forked pool starts all of
+    its workers at once; the rows are built here.
 
     Each (N, eta) group builds its requested columns a column at a time:
     g1 and g2 from correlators._g1_g2, the float steps that
@@ -132,17 +131,15 @@ def evaluate_rows(
     _check_distinct(N=n_values, eta=eta_values, x=xs)
     want_g1, want_g2, want_ratio, want_class = (k in outputs for k in VALID_OUTPUTS)
     want_corr = want_g1 or want_g2 or want_class
-    calls = dict.fromkeys(eta_values, want_g2 or want_class)
-    if want_ratio:
-        calls.setdefault(0.0, False)
+    etas = [*eta_values, 0.0] if want_ratio and 0.0 not in eta_values else eta_values
     workers = min(jobs, len(n_values), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(ladder_log_sums, n_values, repeat(xs), repeat(calls)))
+            results = list(pool.map(ladder_log_sums, n_values, repeat(xs), repeat(etas)))
     else:
-        results = list(map(ladder_log_sums, n_values, repeat(xs), repeat(calls)))
+        results = list(map(ladder_log_sums, n_values, repeat(xs), repeat(etas)))
     none = [None] * len(xs)
     rows = []
     for n, sums in zip(n_values, results):

@@ -197,20 +197,18 @@ def _full_ladder_logs(spectrum, lowering):
     return log_w4, np.log(c2[1:]), np.log(c2[2:] * c2[1:-1])
 
 
-def _full_log_sums(log_weights, ladder_logs, pairs):
+def _full_log_sums(log_weights, ladder_logs):
     log_w4, log_c1, log_c2 = ladder_logs
     terms = log_weights[:, 1:] + log_c1
     terms += log_w4[:-1]
     log_s1 = _full_logsumexp_rows(terms)
-    if not pairs:
-        return log_s1, np.full(log_s1.size, -math.inf)
     terms = log_weights[:, 2:] + log_c2
     terms += log_w4[1:-1]
     terms += log_w4[:-2]
     return log_s1, _full_logsumexp_rows(terms)
 
 
-def full_row_ladder_log_sums(n_atoms, eta, xs, pairs=True):
+def full_row_ladder_log_sums(n_atoms, eta, xs):
     """(log_z, log_s1, log_s2) lists at every x in xs, every ladder term
     exponentiated."""
     params = EnsembleParams(n_atoms, eta)
@@ -227,7 +225,7 @@ def full_row_ladder_log_sums(n_atoms, eta, xs, pairs=True):
         with np.errstate(over="ignore"):  # a weight beyond the double range is -inf
             log_weights = -xs[block, None] * gaps
         sums[0][block] = _full_logsumexp_rows(log_weights)
-        sums[1][block], sums[2][block] = _full_log_sums(log_weights, logs, pairs)
+        sums[1][block], sums[2][block] = _full_log_sums(log_weights, logs)
     return tuple(s.tolist() for s in sums)
 
 

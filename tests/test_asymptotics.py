@@ -294,7 +294,7 @@ class TestValidatorAgainstPerPointPath:
 
     @staticmethod
     def spy_kernel(monkeypatch):
-        """Record (N, xs, {eta: pairs}) of every kernel call, wherever
+        """Record (N, xs, etas) of every kernel call, wherever
         the validator looks the kernel up."""
         seen = []
         kernel = correlators.ladder_log_sums
@@ -316,13 +316,13 @@ class TestValidatorAgainstPerPointPath:
         seen = self.spy_kernel(monkeypatch)
         validate_asymptotics([(2, 0.1, 10.0), (2, 0.0, 30.0), (2, 0.1, 1e-6), (7, -0.1, 20.0),
                               (7, 0.0, 15.0), (1, 0.0, 1e-6)])
-        assert [(n, list(xs), list(calls.items())) for n, xs, calls in seen] == [
-            # the grid eta, then the eta = 0 reference and the probe, each
-            # over the distinct x of that N in first-seen order
-            (2, [10.0, 30.0, 1e-6], [(0.1, True), (0.0, True), (1e-3, True)]),
-            (7, [20.0, 15.0], [(-0.1, True), (0.0, True), (1e-3, True)]),
+        assert [(n, list(xs), set(etas)) for n, xs, etas in seen] == [
+            # the grid eta, the eta = 0 reference and the probe, each over
+            # the distinct x of that N in first-seen order
+            (2, [10.0, 30.0, 1e-6], {0.1, 0.0, 1e-3}),
+            (7, [20.0, 15.0], {-0.1, 0.0, 1e-3}),
             # a single emitter has no probe coupling
-            (1, [1e-6], [(0.0, True)]),
+            (1, [1e-6], {0.0}),
         ]
 
 

@@ -578,8 +578,8 @@ class TestEvolve:
         assert not (tmp_path / "t.csv.meta.json").exists()
 
     def test_integrator_failure_exits_4(self, capsys, tmp_path):
-        # two samples leave the span as five giant steps; the state blows
-        # up and the per-step trace-drift bound trips
+        # two samples leave the span as five giant steps, at which RK4 is
+        # unstable; the step guard refuses them before any step
         code, _, err = run(
             capsys, "evolve", "--n", "3", "--eta", "0.1", "--x", "1",
             "--init", "inverted", "--t-end", "100", "--step", "20",

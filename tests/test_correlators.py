@@ -97,6 +97,7 @@ class TestG2:
 
     @pytest.mark.parametrize("x", [1e-6, 1.0, 30.0])
     def test_single_atom_never_pairs(self, x):
+        assert correlators.ladder_log_sums(1, [x], [0.0])[0.0].log_s2 == [-math.inf]
         res = steady_state_correlators(EnsembleParams(1, 0.0, x))
         assert res.g2_raw == 0.0
         assert res.g2_norm == 0.0
@@ -158,12 +159,12 @@ class TestColdTailCut:
             return logsumexp_rows(terms, length, **kwargs)
 
         monkeypatch.setattr(correlators, "logsumexp_rows", recording)
-        correlators.ladder_log_sums(self.N, [2.0], {0.1: True})
+        correlators.ladder_log_sums(self.N, [2.0], [0.1])
         # S1 and S2 first, then Z on the very log weights they were built from
         assert [length for _, length in widths] == [self.N, self.N - 1, self.N + 1]
         assert all(width < 0.01 * self.N for width, _ in widths)
         widths.clear()
-        correlators.ladder_log_sums(self.N, [1e-3], {0.1: True})
+        correlators.ladder_log_sums(self.N, [1e-3], [0.1])
         assert widths == [(self.N,) * 2, (self.N - 1,) * 2, (self.N + 1,) * 2]
 
 
@@ -190,7 +191,7 @@ class TestWidthGroups:
             return logsumexp_rows(terms, length, **kwargs)
 
         monkeypatch.setattr(correlators, "logsumexp_rows", recording)
-        correlators.ladder_log_sums(self.N, xs, {eta: True})
+        correlators.ladder_log_sums(self.N, xs, [eta])
         assert sorted(widths) == list(range(xs.size))
         for i, own in enumerate(live_widths(self.N, eta, xs).tolist()):
             assert own <= widths[i] <= max(2 * own, 256)
@@ -212,17 +213,29 @@ class TestWidthGroups:
 
     def test_one_call_keys_every_eta_in_calls_order(self):
         xs = [1e-3, 2.0, 30.0]
-        calls = {0.1: True, -0.1: False, 0.0: True}
-        sums = correlators.ladder_log_sums(20, xs, calls)
-        assert list(sums) == list(calls)
-        for eta, pairs in calls.items():
-            assert sums[eta] == correlators.ladder_log_sums(20, xs, {eta: pairs})[eta]
-        assert sums[-0.1].log_s2 == [-math.inf] * len(xs)
+        sums = correlators.ladder_log_sums(20, xs, [0.1, -0.1, 0.0])
+        assert list(sums) == [0.1, -0.1, 0.0]
+        for eta in sums:
+            assert sums[eta] == correlators.ladder_log_sums(20, xs, [eta])[eta]
+            assert all(math.isfinite(v) for v in sums[eta].log_s2)
+
+    @pytest.mark.parametrize("kind", [list, tuple, lambda etas: (eta for eta in etas)],
+                             ids=["list", "tuple", "generator"])
+    @pytest.mark.parametrize("n", [20, 10_000])
+    def test_a_repeated_eta_is_summed_once(self, kind, n):
+        # keyed by each distinct eta in first-seen order, each row bitwise
+        # that of its one-coupling call
+        xs = [1e-3, 2.0, 30.0, 900.0]
+        sums = correlators.ladder_log_sums(n, xs, kind([0.1, 0.0, 0.1]))
+        assert list(sums) == [0.1, 0.0]
+        for eta, rows in sums.items():
+            one = correlators.ladder_log_sums(n, xs, [eta])[eta]
+            assert np.array(rows).tobytes() == np.array(one).tobytes()
 
     @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
     def test_kernel_refuses_a_nonpositive_or_nonfinite_x(self, x):
         with pytest.raises(NonPositiveX, match="x must be positive and finite"):
-            correlators.ladder_log_sums(3, [1.0, x], {0.1: True})
+            correlators.ladder_log_sums(3, [1.0, x], [0.1])
 
 
 class TestMatrixOracle:

@@ -409,18 +409,6 @@ class TestIntegration:
                 n_samples=3,
             )
 
-    def test_absurd_drift_bound_trips_step_too_large(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_MAX_TRACE_DRIFT", 1e-18)
-        params = EnsembleParams(3, 0.1, 1.0)
-        with pytest.raises(StepTooLarge):
-            integrate(
-                initial_state(params, "inverted"),
-                1.0,
-                params,
-                ctrl=StepControl(h=0.01),
-                n_samples=3,
-            )
-
     def test_nonfinite_initial_state(self):
         params = EnsembleParams(2, 0.0, 1.0)
         bad = initial_state(params, "ground")
@@ -664,10 +652,10 @@ def checked_bands(monkeypatch):
     calls = []
     check_step = dynamics._check_step
 
-    def recording(generators, increment0, h):
+    def recording(generators, h):
         dim = len(generators[0])
         calls.append([dim - len(a) for a in generators])
-        return check_step(generators, increment0, h)
+        return check_step(generators, h)
 
     monkeypatch.setattr(dynamics, "_check_step", recording)
     return calls
@@ -715,16 +703,13 @@ class TestStepGuard:
         integrate(rho0, 0.2, params, n_samples=11)
         assert sizes == [11 - k for k in [0] + bands]
 
-    @pytest.mark.parametrize("drift_bound", [False, True])
-    def test_step_too_large_before_any_map(self, monkeypatch, drift_bound):
-        # refused by the gain check, or by the one-step drift check
-        if drift_bound:
-            monkeypatch.setattr(dynamics, "_MAX_TRACE_DRIFT", 1e-18)
+    def test_step_too_large_before_any_map(self, monkeypatch):
+        # refused by the gain check
         maps = count_maps(monkeypatch)
         params = EnsembleParams(3, 0.1, 1.0)
-        with pytest.raises(StepTooLarge, match="per step" if drift_bound else "unstable"):
+        with pytest.raises(StepTooLarge, match="unstable"):
             integrate(initial_state(params, "inverted"), 10.0, params,
-                      ctrl=StepControl(h=0.01 if drift_bound else 1000.0), n_samples=3)
+                      ctrl=StepControl(h=1000.0), n_samples=3)
         assert maps == []
 
     @pytest.mark.parametrize("n", GUARD_N)

@@ -220,17 +220,17 @@ def test_validator_rows_equal_the_per_point_path(grid):
 
 
 @PROPERTY_SETTINGS
-@given(x_grids(), st.booleans())
-def test_kernel_matches_the_full_row_kernel_bitwise(grid, pairs):
+@given(x_grids())
+def test_kernel_matches_the_full_row_kernel_bitwise(grid):
     n, eta, xs = grid
     try:
-        want = full_row_ladder_log_sums(n, eta, xs, pairs)
+        want = full_row_ladder_log_sums(n, eta, xs)
     except EtaOutOfRange:
         reject()
-    assert_same_bits(ladder_log_sums(n, xs, {eta: pairs})[eta], want)
+    assert_same_bits(ladder_log_sums(n, xs, [eta])[eta], want)
     # one x per call: each row is a block of its own, cut at its own x
     for i, x in enumerate(xs):
-        assert_same_bits(ladder_log_sums(n, [x], {eta: pairs})[eta], tuple([s[i]] for s in want))
+        assert_same_bits(ladder_log_sums(n, [x], [eta])[eta], tuple([s[i]] for s in want))
 
 
 @PROPERTY_SETTINGS
@@ -284,17 +284,22 @@ def test_blocks_order_rows_widest_first(widths, extra):
             assert all(2 * v >= w for v in widths[r].tolist())
 
 
+# the benchmark's couplings; with shared, each is summed in one kernel call
+# with all of them, as a sweep does, else in a call of its own
+ETAS = [-0.1, 0.0, 0.1]
+
+
 # the benchmark's large-N grid, and a dense grid over the x whose live
 # prefixes hold many comparable terms: there a prefix summed without its
 # zero tail would differ in the last bit
 @pytest.mark.parametrize(
     "xs", [np.geomspace(1e-3, 1e3, 10), np.geomspace(1e-2, 10.0, 40)], ids=["sweep", "dense"]
 )
-@pytest.mark.parametrize("pairs", [True, False])
-@pytest.mark.parametrize("eta", [-0.1, 0.0, 0.1])
-def test_kernel_matches_the_full_row_kernel_at_n_1e5(eta, pairs, xs):
-    want = full_row_ladder_log_sums(100_000, eta, xs, pairs)
-    assert_same_bits(ladder_log_sums(100_000, xs, {eta: pairs})[eta], want)
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("eta", ETAS)
+def test_kernel_matches_the_full_row_kernel_at_n_1e5(eta, shared, xs):
+    want = full_row_ladder_log_sums(100_000, eta, xs)
+    assert_same_bits(ladder_log_sums(100_000, xs, ETAS if shared else [eta])[eta], want)
 
 
 # N = 1e4 spans widths from 3 to N + 1 in one call, so rows are regrouped
@@ -304,11 +309,11 @@ def test_kernel_matches_the_full_row_kernel_at_n_1e5(eta, pairs, xs):
     [np.geomspace(1e-3, 1e3, 10), [10.0, 1e-3, 1e3, 0.05, 2.0, 1e-2, 300.0, 0.3]],
     ids=["sweep", "unsorted"],
 )
-@pytest.mark.parametrize("pairs", [True, False])
-@pytest.mark.parametrize("eta", [-0.1, 0.0, 0.1])
-def test_kernel_matches_the_full_row_kernel_at_n_1e4(eta, pairs, xs):
-    want = full_row_ladder_log_sums(10_000, eta, xs, pairs)
-    assert_same_bits(ladder_log_sums(10_000, xs, {eta: pairs})[eta], want)
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("eta", ETAS)
+def test_kernel_matches_the_full_row_kernel_at_n_1e4(eta, shared, xs):
+    want = full_row_ladder_log_sums(10_000, eta, xs)
+    assert_same_bits(ladder_log_sums(10_000, xs, ETAS if shared else [eta])[eta], want)
 
 
 EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308]

@@ -33,7 +33,7 @@ REMOVED = {
 # (module, function, the retired keyword it no longer takes): separate
 # bath rates, a spectrum apart from the ensemble, a classification
 # tolerance, validation tolerances, a copying logsumexp, a one-coupling
-# ladder kernel
+# ladder kernel, a per-coupling switch for the G2 sum
 RETIRED_KEYWORDS = [
     ("dynamics", "ThermalLiouvillian", "rates"),
     ("dynamics", "integrate", "rates"),
@@ -48,6 +48,7 @@ RETIRED_KEYWORDS = [
     ("core", "logsumexp_rows", "in_place"),
     ("correlators", "ladder_log_sums", "eta"),
     ("correlators", "ladder_log_sums", "pairs"),
+    ("correlators", "ladder_log_sums", "calls"),
 ]
 
 
@@ -88,7 +89,7 @@ def test_surviving_signatures():
     assert list(inspect.signature(dicke_therm.default_step).parameters) == ["params"]
     assert next(iter(inspect.signature(dicke_therm.g2_zero).parameters)) == "state"
     assert list(inspect.signature(dicke_therm.ladder_log_sums).parameters) == [
-        "n_atoms", "xs", "calls"]
+        "n_atoms", "xs", "etas"]
     assert hasattr(dicke_therm.ThermalLiouvillian(dicke_therm.EnsembleParams(2)), "dim")
 
 

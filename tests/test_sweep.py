@@ -160,7 +160,7 @@ def test_rows_carry_their_point_in_the_order_given(tmp_path):
 
 @pytest.mark.parametrize("n, eta, xs", GROUPS, ids=[f"N{g[0]}" for g in GROUPS])
 def test_state_and_tables_share_the_kernel(n, eta, xs):
-    sums = ladder_log_sums(n, xs, {eta: True})[eta]
+    sums = ladder_log_sums(n, xs, [eta])[eta]
     coeffs = ladder_coefficients(n)
     for i, x in enumerate(xs.tolist()):
         params = EnsembleParams(n, eta, x)
@@ -183,7 +183,7 @@ def test_ratio_stays_finite_to_the_double_limit(tmp_path):
             "--x-count", "1", "--outputs", "ratio", "--precision", "17", "--out", str(out)]
     assert main(argv) == 0
     log_g1 = [s.log_s1[0] - s.log_z[0]
-              for s in ladder_log_sums(2, [735.0], {0.99: False, 0.0: False}).values()]
+              for s in ladder_log_sums(2, [735.0], [0.99, 0.0]).values()]
     assert log_g1[0] - log_g1[1] > 709.0
     assert read_sweep_csv(out)[0]["ratio"] == pytest.approx(
         math.exp(log_g1[0] - log_g1[1]), rel=1e-12
@@ -221,28 +221,21 @@ def test_any_outputs_give_the_cells_of_the_full_rows(outputs):
 
 
 @pytest.mark.parametrize("outputs", SUBSETS, ids=",".join)
-def test_pair_sums_only_for_g2_or_classification(monkeypatch, outputs):
+def test_one_kernel_call_per_n_over_the_grid_couplings(monkeypatch, outputs):
     seen = []
     kernel = sweep.ladder_log_sums
-    monkeypatch.setattr(sweep, "ladder_log_sums", lambda n, xs, calls: seen.append(
-        (n, [(eta, xs, pairs) for eta, pairs in calls.items()])) or kernel(n, xs, calls))
-    eta_values, xs = [-0.1, 0.0, 0.1], [0.5, 2.0]
-    evaluate_rows([2, 7], eta_values, xs, outputs)
-    pairs = "g2" in outputs or "classification" in outputs
-    # every group of the grid, in grid order, each over the whole x grid;
-    # the grid's eta = 0 group is the ratio's reference
-    want = [(eta, xs, pairs) for eta in eta_values]
-    assert seen == [(2, want), (7, want)]
-
-
-def test_ratio_reference_joins_a_grid_without_eta_zero(monkeypatch):
-    seen = []
-    kernel = sweep.ladder_log_sums
-    monkeypatch.setattr(sweep, "ladder_log_sums", lambda n, xs, calls: seen.append(
-        (n, list(calls.items()))) or kernel(n, xs, calls))
-    evaluate_rows([2, 7], [0.1, -0.1], [0.5, 2.0], ("ratio", "g2"))
-    want = [(0.1, True), (-0.1, True), (0.0, False)]
-    assert seen == [(2, want), (7, want)]
+    monkeypatch.setattr(sweep, "ladder_log_sums", lambda n, xs, etas: seen.append(
+        (n, xs, list(etas))) or kernel(n, xs, etas))
+    xs = [0.5, 2.0]
+    ratio = "ratio" in outputs
+    # the grid's couplings in grid order, each over the whole x grid; the
+    # grid's eta = 0 group is the ratio's reference, and where the grid
+    # lacks one the reference joins once, after them
+    for eta_values, want in [([-0.1, 0.0, 0.1], [-0.1, 0.0, 0.1]),
+                             ([0.1, -0.1], [0.1, -0.1, 0.0] if ratio else [0.1, -0.1])]:
+        seen.clear()
+        evaluate_rows([2, 7], eta_values, xs, outputs)
+        assert seen == [(2, xs, want), (7, xs, want)]
 
 
 @pytest.mark.parametrize("n, exc", [(0, ZeroAtoms), (2, NonPositiveX)])
