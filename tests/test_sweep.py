@@ -226,16 +226,24 @@ def test_one_kernel_call_per_n_over_the_grid_couplings(monkeypatch, outputs):
     kernel = sweep.ladder_log_sums
     monkeypatch.setattr(sweep, "ladder_log_sums", lambda n, xs, etas: seen.append(
         (n, xs, list(etas))) or kernel(n, xs, etas))
-    xs = [0.5, 2.0]
-    ratio = "ratio" in outputs
-    # the grid's couplings in grid order, each over the whole x grid; the
-    # grid's eta = 0 group is the ratio's reference, and where the grid
-    # lacks one the reference joins once, after them
-    for eta_values, want in [([-0.1, 0.0, 0.1], [-0.1, 0.0, 0.1]),
-                             ([0.1, -0.1], [0.1, -0.1, 0.0] if ratio else [0.1, -0.1])]:
+    eta_values, xs = [-0.1, 0.0, 0.1], [0.5, 2.0]
+    evaluate_rows([2, 7], eta_values, xs, outputs)
+    # every group of the grid, in grid order, each over the whole x grid;
+    # the grid's eta = 0 group is the ratio's reference
+    assert seen == [(2, xs, eta_values), (7, xs, eta_values)]
+
+
+def test_ratio_reference_joins_a_grid_without_eta_zero(monkeypatch):
+    seen = []
+    kernel = sweep.ladder_log_sums
+    monkeypatch.setattr(sweep, "ladder_log_sums", lambda n, xs, etas: seen.append(
+        (n, list(etas))) or kernel(n, xs, etas))
+    for outputs in SUBSETS:
         seen.clear()
-        evaluate_rows([2, 7], eta_values, xs, outputs)
-        assert seen == [(2, xs, want), (7, xs, want)]
+        evaluate_rows([2, 7], [0.1, -0.1], [0.5, 2.0], outputs)
+        # the reference joins once, after the grid's couplings, only for ratio
+        want = [0.1, -0.1, 0.0] if "ratio" in outputs else [0.1, -0.1]
+        assert seen == [(2, want), (7, want)]
 
 
 @pytest.mark.parametrize("n, exc", [(0, ZeroAtoms), (2, NonPositiveX)])
