@@ -31,9 +31,10 @@ x grid.  The rest of the row is filled with the zeros np.exp would have
 returned and summed at full length, so every result is bit-identical to
 exponentiating the whole row.  A block of rows is cut at the width of its
 widest row, so rows whose widths differ by more than a factor of 2 (above
-256 levels) never share one.  The kernel shifts and exponentiates its own
-term arrays in place, and one zero padding per (N, eta) serves all of its
-cut rows.
+256 levels) never share one.  The rows, terms and padding buffers belong
+to the call: the kernel builds, shifts and exponentiates every block of
+every eta in one rows and one terms buffer, and one zero padding, made at
+the call's first cut row, serves all of its cut rows.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ __all__ = [
 _POISSONIAN_TOL = 1e-9
 # ladder terms summed per block of x rows, counted at the full row length
 # N + 1 of the zero padding; a block is never smaller than one row, so a
-# temporary takes max(1 MB, 8*(N+1) bytes)
+# call's rows, terms and padding buffers take at most max(1 MB, 8*(N+1)
+# bytes) each
 _BLOCK_TERMS = 1 << 17
 # rows whose live widths are at most this many levels may share a block;
 # wider rows share one only with rows at least half as wide
@@ -163,24 +165,28 @@ def _log_sums(
     log_weights: np.ndarray,
     ladder_logs: tuple,
     levels: int,
+    terms: np.ndarray,
     zeros: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log of the unnormalized G1 and G2 sums for every row of log weights
     (one row per x) of a ladder of `levels` levels.  The rows may hold only
     its leading levels when the terms of the others exponentiate to exactly
     0.0 (see _live_widths); zeros is then the zero padding of
-    logsumexp_rows.  The term arrays are this function's own, which
+    logsumexp_rows.  The S1 and then the S2 terms are built in terms, the
+    caller's flat buffer of at least log_weights.size values, which
     logsumexp_rows spends; log_weights is only read.
     """
     log_w4, log_c1, log_c2 = ladder_logs
-    live = log_weights.shape[1]
-    terms = log_weights[:, 1:] + log_c1[: live - 1]
-    terms += log_w4[: live - 1]
-    log_s1 = logsumexp_rows(terms, levels - 1, zeros=zeros)
-    terms = log_weights[:, 2:] + log_c2[: live - 2]
-    terms += log_w4[1 : live - 1]
-    terms += log_w4[: live - 2]
-    return log_s1, logsumexp_rows(terms, levels - 2, zeros=zeros)
+    rows, live = log_weights.shape
+    s1 = terms[: rows * (live - 1)].reshape(rows, live - 1)
+    np.add(log_weights[:, 1:], log_c1[: live - 1], out=s1)
+    s1 += log_w4[: live - 1]
+    log_s1 = logsumexp_rows(s1, levels - 1, zeros=zeros)
+    s2 = terms[: rows * (live - 2)].reshape(rows, live - 2)
+    np.add(log_weights[:, 2:], log_c2[: live - 2], out=s2)
+    s2 += log_w4[1 : live - 1]
+    s2 += log_w4[: live - 2]
+    return log_s1, logsumexp_rows(s2, levels - 2, zeros=zeros)
 
 
 def _live_widths(gaps: np.ndarray, frequencies: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -238,23 +244,27 @@ def _blocks(widths: np.ndarray, size: int) -> list[tuple[np.ndarray, int]]:
     return blocks
 
 
-def _eta_log_sums(params: EnsembleParams, xs: np.ndarray, c_logs: tuple) -> LadderLogSums:
-    """ladder_log_sums at one (N, eta), given the N-only ladder logs: the
-    live widths of all rows from one _live_widths call, then one pass per
-    block of _blocks, its S1 and S2 sums before the Z sum spends its log
-    weights."""
+def _eta_log_sums(
+    params: EnsembleParams, xs: np.ndarray, c_logs: tuple, scratch: list
+) -> LadderLogSums:
+    """ladder_log_sums at one (N, eta), given the N-only ladder logs and
+    the call's buffers [rows, terms, zeros]: the live widths of all rows
+    from one _live_widths call, then one pass per block of _blocks, its log
+    weights built in rows and its S1 and S2 sums taken before the Z sum
+    spends them.  The first coupling with a cut row makes the padding."""
     spectrum = build_spectrum(params)
     logs = (4.0 * np.log(spectrum.frequencies), *c_logs)
     gaps = spectrum.energies - spectrum.energies.min()
     sums: list[np.ndarray] = [np.empty(xs.size) for _ in range(3)]
     blocks = _blocks(_live_widths(gaps, spectrum.frequencies, xs), gaps.size)
-    # one zero padding, room for a block of full rows, serves every cut row
-    cut = blocks and blocks[-1][1] < gaps.size
-    zeros = np.zeros(max(_BLOCK_TERMS, gaps.size)) if cut else None
+    rows, terms, zeros = scratch
+    if zeros is None and blocks and blocks[-1][1] < gaps.size:
+        zeros = scratch[2] = np.zeros(rows.size)
     for block, live in blocks:
+        log_weights = rows[: block.size * live].reshape(block.size, live)
         with np.errstate(over="ignore"):  # a weight beyond the double range is -inf
-            log_weights = -xs[block, None] * gaps[:live]
-        sums[1][block], sums[2][block] = _log_sums(log_weights, logs, gaps.size, zeros)
+            np.multiply(-xs[block, None], gaps[:live], out=log_weights)
+        sums[1][block], sums[2][block] = _log_sums(log_weights, logs, gaps.size, terms, zeros)
         sums[0][block] = logsumexp_rows(log_weights, gaps.size, zeros=zeros)
     return LadderLogSums(*(s.tolist() for s in sums))
 
@@ -271,17 +281,25 @@ def ladder_log_sums(n_atoms: int, xs, etas) -> dict[float, LadderLogSums]:
     the live prefix of its widest row (_live_widths), and rows of very
     different widths never share a block (_blocks).  The rest of each row
     is padded with the exact zeros np.exp would return; a block whose every
-    level is live runs the full rows with no padding.  Every single-point
-    function of this module, a sweep and the asymptotic validator all read
-    this kernel, so all paths agree bitwise.
+    level is live runs the full rows with no padding.  The rows, terms and
+    padding buffers belong to the call: each has room for one block and
+    serves every block of every eta.  Every single-point function of this
+    module, a sweep and the asymptotic validator all read this kernel, so
+    all paths agree bitwise.
     """
     etas = list(dict.fromkeys(etas))
     params = [EnsembleParams(n_atoms, eta) for eta in etas]
     xs = np.asarray(xs, dtype=float).ravel()
     for x in xs[~(np.isfinite(xs) & (xs > 0.0))]:
         EnsembleParams(n_atoms, 0.0, x)
+    # made before every O(N) temporary of the call, so that they never sit
+    # above freed temporaries and keep the heap from shrinking, which adds
+    # 0.7 MB to the peak RSS of a large-N sweep
+    levels = EnsembleParams(n_atoms).n_atoms + 1
+    size = max(levels, min(_BLOCK_TERMS, xs.size * levels))
+    scratch = [np.empty(size), np.empty(size), None]
     c_logs = _c_logs(ladder_coefficients(n_atoms))
-    return {eta: _eta_log_sums(p, xs, c_logs) for eta, p in zip(etas, params)}
+    return {eta: _eta_log_sums(p, xs, c_logs, scratch) for eta, p in zip(etas, params)}
 
 
 def _g1_g2(log_z: float, log_s1: float, log_s2: float) -> tuple[float, float] | None:
@@ -350,7 +368,7 @@ def g2_zero(
     """
     _check_dimensions(state, spectrum, lowering)
     logs = (4.0 * np.log(spectrum.frequencies), *_c_logs(lowering))
-    log_s1, log_s2 = _log_sums(state.log_weights[None, :], logs, state.dim)
+    log_s1, log_s2 = _log_sums(state.log_weights[None, :], logs, state.dim, np.empty(state.dim))
     return correlators_from_log_sums(state.log_z, float(log_s1[0]), float(log_s2[0]))
 
 

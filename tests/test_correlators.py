@@ -27,7 +27,7 @@ from dicke_therm import (
 from dicke_therm import correlators
 from dicke_therm.correlators import _ratio, _ratio_at, correlators_from_log_sums
 from dicke_therm.sweep import VALID_OUTPUTS, evaluate_rows
-from helpers import matrix_correlators, random_valid_params
+from helpers import full_row_ladder_log_sums, matrix_correlators, random_valid_params
 
 # frozen against a 50-digit evaluation of the closed-form sums
 G1_2_01_1E6 = 1.41346568722449
@@ -168,9 +168,15 @@ class TestColdTailCut:
         assert widths == [(self.N,) * 2, (self.N - 1,) * 2, (self.N + 1,) * 2]
 
 
+# the benchmark's large-N grid plus two more cut rows, x = 2 (444 live
+# levels at N = 1e5) and x = 900 (3), so full and cut rows share a call
+STALE_GRID = [*np.geomspace(1e-3, 1e3, 10).tolist(), 2.0, 900.0]
+
+
 class TestWidthGroups:
-    """Rows of very different live widths get blocks of their own, and a
-    sweep builds the N-only ladder logs once per N."""
+    """Rows of very different live widths get blocks of their own, a
+    sweep builds the N-only ladder logs once per N, and one call's blocks
+    share its buffers."""
 
     N = 10_000
 
@@ -231,6 +237,47 @@ class TestWidthGroups:
         for eta, rows in sums.items():
             one = correlators.ladder_log_sums(n, xs, [eta])[eta]
             assert np.array(rows).tobytes() == np.array(one).tobytes()
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_one_call_reuses_its_scratch_buffers(self, n, monkeypatch):
+        # every term array of the call lies in one of at most two buffers
+        # (log weights, S1/S2 terms), and one zero padding serves the cut
+        # rows of every coupling and is all zero again on return
+        owners, paddings = [], []
+        logsumexp_rows = correlators.logsumexp_rows
+
+        def recording(terms, length=None, zeros=None):
+            if not any(np.shares_memory(terms, owner) for owner in owners):
+                owners.append(terms)
+            if zeros is not None:
+                paddings.append(zeros)
+            return logsumexp_rows(terms, length, zeros=zeros)
+
+        monkeypatch.setattr(correlators, "logsumexp_rows", recording)
+        correlators.ladder_log_sums(n, np.geomspace(1e-3, 1e3, 10), [-0.1, 0.0, 0.1])
+        assert 1 <= len(owners) <= 2
+        assert paddings and all(zeros is paddings[0] for zeros in paddings)
+        assert not paddings[0].any()
+
+    @pytest.fixture(scope="class")
+    def wanted_at_n_1e5(self):
+        """Each coupling's rows on the stale-buffer grid: its one-coupling
+        call and the full-row oracle."""
+        return {
+            eta: [
+                np.array(correlators.ladder_log_sums(100_000, STALE_GRID, [eta])[eta]).tobytes(),
+                np.array(full_row_ladder_log_sums(100_000, eta, STALE_GRID)).tobytes(),
+            ]
+            for eta in (-0.1, 0.0, 0.1)
+        }
+
+    @pytest.mark.parametrize("order", list(itertools.permutations([-0.1, 0.0, 0.1])))
+    def test_no_coupling_reads_another_ones_scratch(self, order, wanted_at_n_1e5):
+        # cut and full rows share each coupling's pass, and the buffers
+        # pass from coupling to coupling in every order
+        sums = correlators.ladder_log_sums(100_000, STALE_GRID, order)
+        for eta in order:
+            assert [np.array(sums[eta]).tobytes()] * 2 == wanted_at_n_1e5[eta], eta
 
     @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
     def test_kernel_refuses_a_nonpositive_or_nonfinite_x(self, x):

@@ -21,6 +21,7 @@ from dicke_therm import (
     default_step,
     initial_state,
     integrate,
+    ladder_log_sums,
     steady_state_residual,
     thermal_state,
     trace_distance,
@@ -241,6 +242,18 @@ class TestDenseOracle:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+def test_ladder_kernel_memory_at_n_1e5():
+    # 7.96 MB: the call's rows, terms and padding buffers and the O(N)
+    # arrays of one coupling; 8.26 MB with arrays of each block's own
+    tracemalloc.start()
+    try:
+        ladder_log_sums(100_000, np.geomspace(1e-3, 1e3, 10), [-0.1, 0.0, 0.1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9_000_000
 
 
 class TestInitialStates:
