@@ -134,8 +134,17 @@ def build_spectrum(params: EnsembleParams) -> DickeSpectrum:
     dt = params.delta_tilde
     wb = params.omega_bar
     n = np.arange(big_n + 1, dtype=float)
-    energies = wb * (n - big_n / 2.0) - dt * n * (big_n - n + 1.0)
-    frequencies = wb + 2.0 * dt * (n - big_n / 2.0)
+    # in three arrays, rounded as the closed forms are:
+    # wb*(n - N/2) - (dt*n)*((N - n) + 1) and (2*dt)*(n - N/2) + wb
+    frequencies = n - big_n / 2.0
+    energies = big_n - n
+    energies += 1.0
+    n *= dt
+    energies *= n
+    np.multiply(frequencies, wb, out=n)
+    np.subtract(n, energies, out=energies)
+    frequencies *= 2.0 * dt
+    frequencies += wb
     energies.setflags(write=False)
     frequencies.setflags(write=False)
     return DickeSpectrum(energies=energies, frequencies=frequencies)
@@ -148,9 +157,30 @@ def ladder_coefficients(n_atoms: int) -> np.ndarray:
     closed form sqrt((N-n)*(n+1)) with its factors swapped, bit for bit."""
     n_atoms = EnsembleParams(n_atoms).n_atoms
     n = np.arange(n_atoms + 1, dtype=float)
-    lowering = np.sqrt(n * (n_atoms - n + 1.0))
+    lowering = n_atoms - n
+    lowering += 1.0
+    lowering *= n
+    np.sqrt(lowering, out=lowering)
     lowering.setflags(write=False)
     return lowering
+
+
+def _pairwise_length(length: int, width: int) -> int:
+    """The length of the smallest node of np.sum's pairwise split of a row
+    of `length` terms that starts the row and holds its first `width`.
+
+    np.sum adds a contiguous stretch of more than 128 terms as the sum of
+    its first half, rounded down to a multiple of 8, plus the sum of the
+    rest (numpy's rule since 1.9), so the nodes that start the row are
+    `length` halved that way while longer than 128.
+    """
+    size = length
+    while size > 128:
+        half = size // 2 - (size // 2) % 8
+        if width > half:
+            break
+        size = half
+    return size
 
 
 def logsumexp_rows(
@@ -167,11 +197,14 @@ def logsumexp_rows(
     must be writable and is spent on return.
 
     A length beyond the row width sums each row as the leading terms of a
-    row of that length whose other exponentials are exactly 0.0: the row is
-    padded with zeros, so np.sum keeps the pairwise order, and every bit,
-    of the full row.  The padding comes from zeros, a flat array of zeros
-    with room for every padded row, which is all zero again on return; a
-    new one is made when zeros is None.
+    row of that length whose other exponentials are exactly 0.0, with every
+    bit of the full row's sum.  The row is padded with zeros only up to
+    _pairwise_length(length, width): the node of np.sum's pairwise split
+    of the full row that holds its live terms.  Every other node of the
+    full row sums to +0.0, and s + 0.0 == s for every sum s >= +0.0.  The
+    padding comes from zeros, a flat array of zeros with room for every
+    padded row, which is all zero again on return; a new one is made when
+    zeros is None.
     """
     if terms.shape[1] == 0:
         return np.full(terms.shape[0], -math.inf)
@@ -180,11 +213,12 @@ def logsumexp_rows(
     terms -= top[:, None]
     np.exp(terms, out=terms)
     rows, width = terms.shape
-    if length is None or length == width:
+    size = width if length is None else _pairwise_length(length, width)
+    if size == width:
         total = terms.sum(axis=1)
     else:
-        flat = np.zeros(rows * length) if zeros is None else zeros[: rows * length]
-        padded = flat.reshape(rows, length)
+        flat = np.zeros(rows * size) if zeros is None else zeros[: rows * size]
+        padded = flat.reshape(rows, size)
         padded[:, :width] = terms
         total = padded.sum(axis=1)
         padded[:, :width] = 0.0

@@ -27,14 +27,17 @@ exactly 0.0.  The kernel exponentiates only the live prefix of each row,
 min(N+1, ~(746 + spread)/(x*omega_0)) terms, where the spread bounds the
 x-independent ladder logs log n(N-n+1) and 4 log omega_n; one searchsorted
 over the very gaps the kernel multiplies by x gives the widths of the whole
-x grid.  The rest of the row is filled with the zeros np.exp would have
-returned and summed at full length, so every result is bit-identical to
-exponentiating the whole row.  A block of rows is cut at the width of its
-widest row, so rows whose widths differ by more than a factor of 2 (above
-256 levels) never share one.  The rows, terms and padding buffers belong
-to the call: the kernel builds, shifts and exponentiates every block of
-every eta in one rows and one terms buffer, and one zero padding, made at
-the call's first cut row, serves all of its cut rows.
+x grid.  np.sum adds a row pairwise, so the rest of the row, the zeros
+np.exp would have returned, pads the live terms only up to the node of
+the full row's pairwise split that holds them (core._pairwise_length):
+every other node would add an exact +0.0, so every result is
+bit-identical to exponentiating the whole row.  A block of rows is cut
+at the width of its widest row, so rows whose widths differ by more than
+a factor of 2 (above 256 levels) never share one.  The rows, terms and
+padding buffers belong to the call: the kernel builds, shifts and
+exponentiates every block of every eta in one rows and one terms buffer,
+and one zero padding, made at the call's first cut row, serves all of
+its cut rows.
 """
 
 from __future__ import annotations
@@ -73,9 +76,9 @@ __all__ = [
 # half-width of the band around g2(0) = 1 classified as Poissonian
 _POISSONIAN_TOL = 1e-9
 # ladder terms summed per block of x rows, counted at the full row length
-# N + 1 of the zero padding; a block is never smaller than one row, so a
-# call's rows, terms and padding buffers take at most max(1 MB, 8*(N+1)
-# bytes) each
+# N + 1, which bounds the pairwise node a cut row is padded to; a block is
+# never smaller than one row, so a call's rows, terms and padding buffers
+# take at most max(1 MB, 8*(N+1) bytes) each
 _BLOCK_TERMS = 1 << 17
 # rows whose live widths are at most this many levels may share a block;
 # wider rows share one only with rows at least half as wide
@@ -156,9 +159,20 @@ class LadderLogSums(NamedTuple):
 
 def _c_logs(lowering: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The N-only parts of the ladder terms: the log ladder products of the
-    G1 and G2 sums, log c_n^2 and log c_n^2 c_{n-1}^2 with c = lowering."""
+    G1 and G2 sums, log c_n^2 and log c_n^2 c_{n-1}^2 with c = lowering,
+    for n >= 1 and n >= 2 (c_0 = 0)."""
     c2 = lowering**2
-    return np.log(c2[1:]), np.log(c2[2:] * c2[1:-1])
+    log_c2 = np.multiply(c2[2:], c2[1:-1])
+    np.log(log_c2, out=log_c2)
+    return np.log(c2[1:], out=c2[1:]), log_c2
+
+
+def _ladder_logs(frequencies: np.ndarray, c_logs: tuple) -> tuple:
+    """The x-independent logs of the ladder terms of one (N, eta):
+    4 log omega_n, then the two _c_logs."""
+    log_w4 = np.log(frequencies)
+    log_w4 *= 4.0
+    return (log_w4, *c_logs)
 
 
 def _log_sums(
@@ -253,7 +267,7 @@ def _eta_log_sums(
     weights built in rows and its S1 and S2 sums taken before the Z sum
     spends them.  The first coupling with a cut row makes the padding."""
     spectrum = build_spectrum(params)
-    logs = (4.0 * np.log(spectrum.frequencies), *c_logs)
+    logs = _ladder_logs(spectrum.frequencies, c_logs)
     gaps = spectrum.energies - spectrum.energies.min()
     sums: list[np.ndarray] = [np.empty(xs.size) for _ in range(3)]
     blocks = _blocks(_live_widths(gaps, spectrum.frequencies, xs), gaps.size)
@@ -280,10 +294,11 @@ def ladder_log_sums(n_atoms: int, xs, etas) -> dict[float, LadderLogSums]:
     row of N + 1 terms when N + 1 exceeds that.  Each block computes only
     the live prefix of its widest row (_live_widths), and rows of very
     different widths never share a block (_blocks).  The rest of each row
-    is padded with the exact zeros np.exp would return; a block whose every
-    level is live runs the full rows with no padding.  The rows, terms and
-    padding buffers belong to the call: each has room for one block and
-    serves every block of every eta.  Every single-point function of this
+    is padded, up to the pairwise node of its live terms, with the exact
+    zeros np.exp would return; a block whose every level is live runs the
+    full rows with no padding.  The rows, terms and padding buffers belong
+    to the call: each has room for one block and serves every block of
+    every eta.  Every single-point function of this
     module, a sweep and the asymptotic validator all read this kernel, so
     all paths agree bitwise.
     """
@@ -367,7 +382,7 @@ def g2_zero(
     yields a photon pair).
     """
     _check_dimensions(state, spectrum, lowering)
-    logs = (4.0 * np.log(spectrum.frequencies), *_c_logs(lowering))
+    logs = _ladder_logs(spectrum.frequencies, _c_logs(lowering))
     log_s1, log_s2 = _log_sums(state.log_weights[None, :], logs, state.dim, np.empty(state.dim))
     return correlators_from_log_sums(state.log_z, float(log_s1[0]), float(log_s2[0]))
 

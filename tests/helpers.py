@@ -1,9 +1,10 @@
 """Shared test helpers: brute-force matrix-product correlator oracle, a
 log-domain ladder-sum oracle added with math.fsum, the dense master
 equation with its step-by-step RK4 integrator, and the scalar-rate
-Dicke-limit master equation, a frozen copy of the full-row ladder
-kernel, a frozen copy of the all-band RK4 step guard, and a frozen copy
-of the dense (N+1)^2 coefficient arrays of the master equation.
+Dicke-limit master equation, the closed-form spectrum and ladder
+coefficients as written, a frozen copy of the full-row ladder kernel, a
+frozen copy of the all-band RK4 step guard, and a frozen copy of the
+dense (N+1)^2 coefficient arrays of the master equation.
 
 Deliberately independent of the indexed-sum and banded paths in the
 package: ladder operators are materialized as dense matrices, the
@@ -11,6 +12,9 @@ correlators come out of explicit operator products traced against the
 Gibbs state, and the master equation is applied as the operator products
 it is written in.  The Dicke-limit equation uses scalar rates at
 omega0 = 1 instead of the package's level-resolved rate operators.  The
+closed forms (`closed_form_spectrum`, `closed_form_lowering`) are the
+one-expression numpy forms that build_spectrum and ladder_coefficients
+must match bit for bit, since the kernel copy below reads those two.  The
 kernel copy (`full_row_ladder_log_sums`) exponentiates every ladder term
 of every row; the package's kernel must return the same bits.  The guard
 copy (`all_band_step_verdict`) checks every coherence band, zero bands
@@ -171,6 +175,22 @@ def random_valid_params(rng, n_max=6, x_lo=1e-4, x_hi=50.0):
         eta = float(rng.uniform(0.9 * lower, 0.9))
     x = float(np.exp(rng.uniform(np.log(x_lo), np.log(x_hi))))
     return EnsembleParams(n, eta, x)
+
+
+def closed_form_spectrum(params):
+    """(E_n, omega_n), n = 0..N, each the closed form as one numpy
+    expression: wb*(n - N/2) - dt*n*(N - n + 1) and wb + 2*dt*(n - N/2)."""
+    big_n, dt, wb = params.n_atoms, params.delta_tilde, params.omega_bar
+    n = np.arange(big_n + 1, dtype=float)
+    energies = wb * (n - big_n / 2.0) - dt * n * (big_n - n + 1.0)
+    frequencies = wb + 2.0 * dt * (n - big_n / 2.0)
+    return energies, frequencies
+
+
+def closed_form_lowering(n_atoms):
+    """l_n = sqrt(n*(N - n + 1)), n = 0..N, as one numpy expression."""
+    n = np.arange(n_atoms + 1, dtype=float)
+    return np.sqrt(n * (n_atoms - n + 1.0))
 
 
 # The full-row ladder kernel as it stood before the cold-tail cut, kept

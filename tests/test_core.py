@@ -18,10 +18,14 @@ from dicke_therm import (
     ladder_coefficients,
     thermal_state,
 )
+from dicke_therm.core import _pairwise_length, logsumexp_rows
+from helpers import closed_form_lowering, closed_form_spectrum
 
 # frozen against a 50-digit evaluation of the closed forms
 P_2_01_10 = (0.999876603363369, 1.23394575731928e-4, 2.06089928301397e-9)
 Z_TRUE_2_0_1 = 4.08616126963049
+# atom counts of the bitwise closed-form checks, small to benchmark-sized
+CLOSED_FORM_N = [1, 2, 3, 7, 20, 10_000, 100_000]
 
 
 class TestValidation:
@@ -151,6 +155,22 @@ class TestSpectrum:
             if eta > 0:
                 assert np.all(np.diff(spec.frequencies) > 0)
 
+    @pytest.mark.parametrize("n", CLOSED_FORM_N)
+    def test_matches_the_closed_forms_bitwise(self, n):
+        # couplings across the window, its last floats included; those may
+        # round an end frequency to zero, which EnsembleParams refuses, so
+        # the spectrum reads raw parameters
+        lower = -(n - 1) / (n + 1)
+        etas = [math.nextafter(lower, 1.0), 0.5 * lower, -1e-12, 0.0, 1e-12, 0.1, 0.5,
+                math.nextafter(1.0, 0.0)]
+        for eta in etas if n > 1 else [0.0]:
+            dt = eta / (n - 1) if n > 1 else 0.0
+            raw = SimpleNamespace(n_atoms=n, delta_tilde=dt, omega_bar=1.0 + dt)
+            spec = build_spectrum(raw)
+            want = closed_form_spectrum(raw)
+            assert spec.energies.tobytes() == want[0].tobytes(), eta
+            assert spec.frequencies.tobytes() == want[1].tobytes(), eta
+
     def test_eta_continuity_at_zero(self):
         for n in (2, 5, 20):
             a = build_spectrum(EnsembleParams(n, 1e-12, 1.0))
@@ -180,6 +200,10 @@ class TestLadder:
         k = np.arange(n + 1, dtype=float)
         assert np.array_equal(lowering[1:], np.sqrt((n - k) * (k + 1.0))[:-1])
 
+    @pytest.mark.parametrize("n", CLOSED_FORM_N)
+    def test_matches_the_closed_form_bitwise(self, n):
+        assert ladder_coefficients(n).tobytes() == closed_form_lowering(n).tobytes()
+
     def test_returns_a_read_only_array(self):
         lowering = ladder_coefficients(137)
         assert type(lowering) is np.ndarray
@@ -197,6 +221,61 @@ class TestLadder:
 
     def test_coerces_an_integral_atom_count(self):
         assert np.array_equal(ladder_coefficients(np.float64(3.0)), ladder_coefficients(3))
+
+
+def _pairwise_widths(length):
+    """Row widths at the edges of numpy's pairwise leaves and halves."""
+    half = length // 2 - (length // 2) % 8
+    widths = {1, 7, 8, 9, 127, 128, 129, half - 1, half, half + 1, length}
+    return sorted(w for w in widths if 1 <= w <= length)
+
+
+def _full_length_sum(terms, length):
+    """logsumexp_rows of rows of `length` terms whose first are `terms`
+    and whose other exponentials are 0.0: zero-padded to the full length
+    and summed by np.sum."""
+    top = terms.max(axis=1)
+    padded = np.zeros((terms.shape[0], length))
+    padded[:, : terms.shape[1]] = np.exp(terms - top[:, None])
+    return top + np.log(padded.sum(axis=1))
+
+
+class TestPairwisePadding:
+    """A cut row padded only to the pairwise node of its live terms sums
+    to the bits of the full-length row: numpy's split rule, pinned."""
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [range(1, 301), [4095, 4096, 4097], [10_001], [99_999, 100_000, 100_001]],
+        ids=["1-300", "4096", "10001", "100000"],
+    )
+    def test_short_padding_sums_the_full_length_bits(self, lengths):
+        rng = np.random.default_rng(28)
+        for length in lengths:
+            zeros = np.zeros(3 * length)
+            for width in _pairwise_widths(length):
+                # magnitudes spread over 17 decades, so any other order of
+                # the additions would move the last bits of most rows
+                terms = rng.uniform(-40.0, 0.0, (3, width))
+                want = _full_length_sum(terms, length)
+                got = logsumexp_rows(terms.copy(), length, zeros=zeros)
+                assert got.tobytes() == want.tobytes(), (length, width)
+                assert not zeros.any()
+
+    @pytest.mark.parametrize("width, node", [
+        (39_272, 50_000), (8_747, 12_496), (1_901, 3_120), (412, 776),
+        (91, 96), (22, 96), (7, 96), (3, 96), (100_001, 100_001), (50_001, 100_001),
+    ])
+    def test_nodes_of_a_row_of_100001_terms(self, width, node):
+        assert _pairwise_length(100_001, width) == node
+
+    def test_padding_needs_room_for_the_node_only(self):
+        # two rows of 412 live terms out of 100,001 take 2 x 776 zeros
+        terms = np.random.default_rng(5).uniform(-40.0, 0.0, (2, 412))
+        zeros = np.zeros(2 * 776)
+        got = logsumexp_rows(terms.copy(), 100_001, zeros=zeros)
+        assert got.tobytes() == _full_length_sum(terms, 100_001).tobytes()
+        assert not zeros.any()
 
 
 class TestThermalState:
