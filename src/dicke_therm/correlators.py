@@ -53,6 +53,7 @@ from .core import (
     DickeSpectrum,
     EnsembleParams,
     ThermalState,
+    _pairwise_length,
     build_spectrum,
     ladder_coefficients,
     logsumexp_rows,
@@ -219,10 +220,13 @@ def _live_widths(gaps: np.ndarray, frequencies: np.ndarray, xs: np.ndarray) -> n
     / (1 - _REL_SLACK), so fl(x*gaps[n]) - fl(x*gaps[2]) > _DEAD_DROP +
     spread, _REL_SLACK covering the rounding of the products and of need:
     the shifted term lies below -745.14 and np.exp returns exactly 0.0.
-    A subnormal x overflows need to inf and keeps the full width.
+    A subnormal x overflows need to inf and keeps the full width.  So does
+    a ladder that np.sum adds in one leaf (at most 128 levels): its
+    _pairwise_length is the full row, so logsumexp_rows would pad every
+    cut row back to it.
     """
     n = gaps.size - 1
-    if n < 3:
+    if _pairwise_length(n + 1, 3) == n + 1:
         return np.full(xs.size, n + 1)
     spread = 4.0 * math.log(n + 1.0) + 8.0 * abs(
         math.log(frequencies[-1]) - math.log(frequencies[0])
@@ -317,14 +321,48 @@ def ladder_log_sums(n_atoms: int, xs, etas) -> dict[float, LadderLogSums]:
     return {eta: _eta_log_sums(p, xs, c_logs, scratch) for eta, p in zip(etas, params)}
 
 
+def _log_g1_g2(log_z, log_s1, log_s2):
+    """log G1 = log S1 - log Z and log g2(0) = (log S2 + log Z) - 2 log S1,
+    of floats or, elementwise, of arrays over an x grid: numpy's +, - and *
+    round as Python's floats do.  Python float arithmetic never warns; take
+    arrays under np.errstate(invalid="ignore", over="ignore")."""
+    return log_s1 - log_z, (log_s2 + log_z) - 2.0 * log_s1
+
+
+def _intensities(sums: LadderLogSums) -> tuple[list[float], list[float], list[float]]:
+    """G1, log G1 and log g2(0) at each x of one (N, eta)'s ladder log sums,
+    G1 0.0 where the intensity underflows at double precision: the column
+    form of _log_g1_g2, one numpy pass over the grid.  G1 is exponentiated
+    by _exp (math.exp), never np.exp, which can differ in the last bit.
+    """
+    log_z, log_s1, log_s2 = map(np.array, sums)
+    with np.errstate(invalid="ignore", over="ignore"):
+        log_g1, log_g2 = (a.tolist() for a in _log_g1_g2(log_z, log_s1, log_s2))
+    return list(map(_exp, log_g1)), log_g1, log_g2
+
+
+def _g2_cells(g1, log_g2) -> list[float | None]:
+    """g2(0) at each x from G1 and log g2(0), None where the intensity
+    underflowed; g2(0) is 0 for N = 1, where log S2 is -inf."""
+    return [None if v == 0.0 else _exp(w) for v, w in zip(g1, log_g2)]
+
+
+def _ratio_cells(g1, log_g1, g1_ref, log_g1_ref) -> list[float | None]:
+    """G1/G1_ref at each x from G1 and log G1 of a coupling and of the
+    eta = 0 reference, None where either intensity underflowed; a quotient
+    beyond the double range is inf."""
+    return [None if v == 0.0 or r == 0.0 else _exp(a - b)
+            for v, a, r, b in zip(g1, log_g1, g1_ref, log_g1_ref)]
+
+
 def _g1_g2(log_z: float, log_s1: float, log_s2: float) -> tuple[float, float] | None:
     """G1 and g2(0) from one x of the ladder log sums, or None when the
-    intensity underflows to zero at double precision.  g2(0) is 0 for
-    N = 1, where log S2 is -inf."""
-    g1 = _exp(log_s1 - log_z)
-    if g1 == 0.0:
-        return None
-    return g1, _exp(log_s2 + log_z - 2.0 * log_s1)
+    intensity underflows to zero at double precision: the one-x case of
+    _log_g1_g2 and _g2_cells."""
+    log_g1, log_g2 = _log_g1_g2(log_z, log_s1, log_s2)
+    g1 = _exp(log_g1)
+    (g2,) = _g2_cells([g1], [log_g2])
+    return None if g2 is None else (g1, g2)
 
 
 def correlators_from_log_sums(log_z: float, log_s1: float, log_s2: float) -> CorrelatorResult:
@@ -352,11 +390,10 @@ def correlators_from_log_sums(log_z: float, log_s1: float, log_s2: float) -> Cor
 
 def _ratio(log_g1: float, log_g1_ref: float) -> float | None:
     """G1/G1_ref from the two log intensities (log S1 - log Z of each), or
-    None when either intensity underflows to zero at double precision; a
-    quotient beyond the double range is inf."""
-    if _exp(log_g1) == 0.0 or _exp(log_g1_ref) == 0.0:
-        return None
-    return _exp(log_g1 - log_g1_ref)
+    None when either intensity underflows to zero at double precision: the
+    one-x case of _ratio_cells."""
+    (ratio,) = _ratio_cells([_exp(log_g1)], [log_g1], [_exp(log_g1_ref)], [log_g1_ref])
+    return ratio
 
 
 def classify_statistics(g2_norm: float) -> PhotonStatistics:

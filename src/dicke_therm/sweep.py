@@ -6,6 +6,10 @@ and no timestamps, so identical configurations produce byte-identical
 files; run metadata goes to a JSON sidecar next to the data file.  Points
 whose correlators underflow carry the literal token NA in the affected
 columns plus the error name in the trailing reason column.
+
+A sweep is a rectangle of (N, eta) groups over one x grid, computed and
+written a group at a time (_groups, run_sweep); evolve and validate
+tables go through csv_text.  Both render every cell as format_number does.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import AsymptoticReport, _check_distinct
-from .correlators import _g1_g2, _ratio, classify_statistics, ladder_log_sums
+from .correlators import _g2_cells, _intensities, _ratio_cells, classify_statistics, ladder_log_sums
 from .core import EnsembleParams
 from .exceptions import NonPositiveX
 
@@ -103,27 +107,22 @@ def x_grid(config: SweepConfig) -> np.ndarray:
     return space(config.x_start, config.x_stop, config.x_count)
 
 
-def evaluate_rows(
-    n_values, eta_values, xs, outputs: tuple[str, ...], jobs: int = 1
-) -> list[tuple]:
-    """The sweep rows over n_values x eta_values x xs in that nesting order,
-    as given: one tuple of raw values per point in SWEEP_HEADER order, its
-    first three cells its own N, eta and x (the value of xs as passed).
-    None marks a column not requested and the string 'NA' a column lost to
-    intensity underflow.  An axis that repeats a value is refused
-    (ValueError), and so is a jobs that is not a positive integer.
+def _na(column: list) -> list:
+    """The column with the NA token where a correlator cell is None."""
+    return ["NA" if v is None else v for v in column]
 
-    Every N takes one ladder_log_sums call over xs, at every eta of the
-    grid and, for the ratio column, at the eta = 0 reference.  One N is
-    one unit of work.  With jobs > 1 worker processes take the units, at
-    most one per unit and one per CPU, since a forked pool starts all of
-    its workers at once; the rows are built here.
 
-    Each (N, eta) group builds its requested columns a column at a time:
-    g1 and g2 from correlators._g1_g2, the float steps that
-    correlators_from_log_sums takes, with NA where the intensity
-    underflows; the classify_statistics verdict of g2; and the ratio from
-    correlators._ratio, with NA where an intensity underflows.
+def _groups(n_values, eta_values, xs, outputs: tuple[str, ...], jobs: int = 1):
+    """The sweep over n_values x eta_values x xs a (N, eta) group at a time,
+    in that nesting order: (N, eta, columns) with columns the g1, g2,
+    ratio, classification and reason lists over xs.  evaluate_rows
+    documents the checks, the cells and the worker pool.
+
+    The float steps are those of correlators._intensities (the column form
+    of _log_g1_g2), _g2_cells and _ratio_cells, whose one-x cases the
+    single-point paths take.  The G1 of every
+    coupling of an N, the eta = 0 reference included, is exponentiated
+    once, and a ratio cell reads it for its own group and the reference.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
@@ -140,32 +139,53 @@ def evaluate_rows(
             results = list(pool.map(ladder_log_sums, n_values, repeat(xs), repeat(etas)))
     else:
         results = list(map(ladder_log_sums, n_values, repeat(xs), repeat(etas)))
-    none = [None] * len(xs)
-    rows = []
+    none, no_loss = [None] * len(xs), [False] * len(xs)
     for n, sums in zip(n_values, results):
+        intensities = {eta: _intensities(s) for eta, s in sums.items()}
         for eta in eta_values:
-            s = sums[eta]
-            g1 = g2 = ratio = classification = none
-            lost = [False] * len(xs)
-            if want_corr:
-                cells = list(map(_g1_g2, *s))
-                lost = [c is None for c in cells]
-                if want_g1:
-                    g1 = ["NA" if c is None else c[0] for c in cells]
-                if want_g2:
-                    g2 = ["NA" if c is None else c[1] for c in cells]
-                if want_class:
-                    classification = ["NA" if c is None else classify_statistics(c[1]).value
-                                      for c in cells]
+            g1, log_g1, log_g2 = intensities[eta]
+            lost = [v == 0.0 for v in g1] if want_corr else no_loss
+            g2 = ratio = classification = none
+            if want_g2 or want_class:
+                g2 = _na(_g2_cells(g1, log_g2))
+            if want_class:
+                # _value_ is the plain attribute behind the enum's value property
+                classification = ["NA" if gone else classify_statistics(v)._value_
+                                  for gone, v in zip(lost, g2)]
             if want_ratio and eta == 0.0:
                 ratio = [1.0] * len(xs)
             elif want_ratio:
-                ref = sums[0.0]
-                ratio = [_ratio(s1 - z, r1 - rz) for z, s1, rz, r1
-                         in zip(s.log_z, s.log_s1, ref.log_z, ref.log_s1)]
-                ratio = ["NA" if r is None else r for r in ratio]
+                ratio = _na(_ratio_cells(g1, log_g1, *intensities[0.0][:2]))
             reason = ["ZeroIntensity" if gone or r == "NA" else "" for gone, r in zip(lost, ratio)]
-            rows.extend(zip(repeat(n), repeat(eta), xs, g1, g2, ratio, classification, reason))
+            g1 = ["NA" if gone else v for gone, v in zip(lost, g1)] if want_g1 else none
+            yield n, eta, (g1, g2 if want_g2 else none, ratio, classification, reason)
+
+
+def evaluate_rows(
+    n_values, eta_values, xs, outputs: tuple[str, ...], jobs: int = 1
+) -> list[tuple]:
+    """The sweep rows over n_values x eta_values x xs in that nesting order,
+    as given: one tuple of raw values per point in SWEEP_HEADER order, its
+    first three cells its own N, eta and x (the value of xs as passed).
+    None marks a column not requested and the string 'NA' a column lost to
+    intensity underflow.  An axis that repeats a value is refused
+    (ValueError), and so is a jobs that is not a positive integer.
+
+    Every N takes one ladder_log_sums call over xs, at every eta of the
+    grid and, for the ratio column, at the eta = 0 reference.  One N is
+    one unit of work.  With jobs > 1 worker processes take the units, at
+    most one per unit and one per CPU, since a forked pool starts all of
+    its workers at once; the rows are built here.
+
+    The rows are the flattened (N, eta) groups of _groups, which builds
+    each requested column of a group at once: g1 and g2 from
+    correlators._intensities and _g2_cells, with NA where the intensity
+    underflows; the classify_statistics verdict of g2; and the ratio from
+    correlators._ratio_cells, with NA where an intensity underflows.
+    """
+    rows = []
+    for n, eta, columns in _groups(n_values, eta_values, xs, outputs, jobs):
+        rows.extend(zip(repeat(n), repeat(eta), xs, *columns))
     return rows
 
 
@@ -212,18 +232,39 @@ def csv_text(header, rows, precision: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cells(column, precision: int) -> list[str]:
+    """format_number of every cell of one column, a finite or infinite
+    float through one printf format and a string as is."""
+    fmt = f"%.{precision}g"
+    return [v if v.__class__ is str else fmt % v if v.__class__ is float and v == v
+            else format_number(v, precision) for v in column]
+
+
 def run_sweep(config: SweepConfig, out_path: str | Path, jobs: int = 1) -> int:
     """Evaluate the sweep and write the CSV; returns the number of rows.
 
     The rows are those of evaluate_rows (worker processes with jobs > 1)
     over the sorted N and eta axes and the x grid, written in that
     (N, eta, x) order by this single writer, so the file content does not
-    depend on the level of parallelism.
+    depend on the level of parallelism.  The text is that of csv_text,
+    built a (N, eta) group at a time: each x cell is formatted once per
+    sweep, each N,eta prefix once per group and each value column by
+    format_number's cell rule, and nothing is written before the last group.
     """
-    rows = evaluate_rows(sorted(config.n_values), sorted(config.eta_values),
-                         x_grid(config).tolist(), config.outputs, jobs)
-    Path(out_path).write_text(csv_text(SWEEP_HEADER, rows, config.precision), encoding="ascii")
-    return len(rows)
+    xs = x_grid(config).tolist()
+    precision = config.precision
+    x_cells = [format_number(x, precision) for x in xs]
+    blank = [""] * len(xs)
+    wanted = [k in config.outputs for k in VALID_OUTPUTS] + [True]
+    lines = [",".join(SWEEP_HEADER)]
+    for n, eta, columns in _groups(sorted(config.n_values), sorted(config.eta_values), xs,
+                                   config.outputs, jobs):
+        prefix = f"{format_number(n, precision)},{format_number(eta, precision)},"
+        cells = [_cells(c, precision) if w else blank for w, c in zip(wanted, columns)]
+        lines += [f"{prefix}{x},{g1},{g2},{ratio},{verdict},{reason}"
+                  for x, g1, g2, ratio, verdict, reason in zip(x_cells, *cells)]
+    Path(out_path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    return len(lines) - 1
 
 
 def report_to_csv(report: AsymptoticReport, precision: int = DEFAULT_PRECISION) -> str:

@@ -77,6 +77,17 @@ CASES = {
                            "--outputs", "g1,classification",
                            "--out", "{dir}/sweep_subset_cold.csv"],
                           ["sweep_subset_cold.csv", "sweep_subset_cold.csv.meta.json"]),
+    # a short precision over every output: NA cells, ratio cells of 1.0
+    # and mantissas of fewer than 3 digits; a lone emitter admits eta = 0
+    # only, so its g2 = 0 rows are a case of their own
+    "sweep_precision": (["sweep", "--n", "2", "--eta=0,0.1", "--x-start", "0.5",
+                         "--x-stop", "2000", "--x-count", "7", "--x-scale", "log",
+                         "--precision", "3", "--out", "{dir}/sweep_precision.csv"],
+                        ["sweep_precision.csv", "sweep_precision.csv.meta.json"]),
+    "sweep_precision_n1": (["sweep", "--n", "1", "--eta=0", "--x-start", "0.5",
+                            "--x-stop", "2000", "--x-count", "7", "--x-scale", "log",
+                            "--precision", "3", "--out", "{dir}/sweep_precision_n1.csv"],
+                           ["sweep_precision_n1.csv", "sweep_precision_n1.csv.meta.json"]),
     # the help bytes, wrapped at the 80 columns run_case sets
     "sweep_help": (["sweep", "--help"], []),
     # the benchmark's main workload: the four preset figure files, 2,700 rows

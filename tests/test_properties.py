@@ -11,8 +11,9 @@ Numpy's floating-point warnings are raised as errors, so an overflow, a
 log of zero or an invalid operation anywhere on the path fails the point.
 Every row of the asymptotic validator, on random grids that are not a
 product, takes the exact value or skipped note of the per-point path.  The
-CSV writer renders every table as the per-cell format_number join, and
-the step guard never refuses a step that the all-band guard accepts.
+CSV writer renders every table as the per-cell format_number join, a
+sweep file is the csv_text of its evaluate_rows, and the step guard
+never refuses a step that the all-band guard accepts.
 A diagonal start relaxes at the default step with a trace distance to the
 Gibbs state that never rises beyond rounding, and ends on the Gibbs
 populations.
@@ -20,7 +21,9 @@ populations.
 
 import math
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +54,16 @@ from dicke_therm.correlators import (
     ladder_log_sums,
 )
 from dicke_therm.dynamics import _eigenvalues
-from dicke_therm.sweep import csv_text, format_number
+from dicke_therm.sweep import (
+    SWEEP_HEADER,
+    VALID_OUTPUTS,
+    SweepConfig,
+    csv_text,
+    evaluate_rows,
+    format_number,
+    run_sweep,
+    x_grid,
+)
 
 from helpers import (
     all_band_step_verdict,
@@ -346,6 +358,50 @@ def test_csv_text_is_the_per_cell_join(rows, precision, data):
     ]
     want = ["a,b"] + [",".join([format_number(v, precision) for v in row]) for row in table]
     assert csv_text(["a", "b"], table, precision) == "\n".join(want) + "\n"
+
+
+@st.composite
+def sweep_configs(draw):
+    """A sweep over N in 1..12 and 1e4, eta across the window of its
+    smallest N with eta = 0 in the grid or not, a log or linear x grid
+    that may run into intensity underflow (x up to 2,000), any subset of
+    the outputs in any order and any precision."""
+    n_values = draw(st.lists(st.sampled_from([*range(1, 13), 10_000]),
+                             min_size=1, max_size=3, unique=True))
+    if 1 in n_values:
+        eta_values = [0.0]  # a lone emitter admits eta = 0 only
+    else:
+        lower = -(min(n_values) - 1) / (min(n_values) + 1)
+        coupled = st.floats(lower, 1.0, exclude_min=True, exclude_max=True).filter(bool)
+        with_zero = draw(st.booleans())
+        eta_values = draw(st.lists(coupled, min_size=0 if with_zero else 1, max_size=3,
+                                   unique=True)) + [0.0] * with_zero
+    start = draw(st.floats(-3.0, 2.5))
+    count = draw(st.integers(1, 20))
+    # 10**3.3 is just below 2,000, where most intensities underflow
+    stop = start if count == 1 else draw(st.one_of(st.just(3.3), st.floats(start + 0.1, 3.3)))
+    return SweepConfig(
+        tuple(n_values), tuple(draw(st.permutations(eta_values))), 10.0**start, 10.0**stop,
+        count, draw(st.sampled_from(["log", "linear"])),
+        tuple(draw(st.lists(st.sampled_from(VALID_OUTPUTS), min_size=1, max_size=4,
+                            unique=True))),
+        draw(st.integers(0, 25)),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(sweep_configs())
+def test_sweep_file_is_the_csv_text_of_its_rows(config):
+    # run_sweep writes a group at a time; csv_text writes the rows of
+    # evaluate_rows a row at a time under format_number's cell rule
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep.csv"
+        count = run_sweep(config, out)
+        got = out.read_bytes()
+    rows = evaluate_rows(sorted(config.n_values), sorted(config.eta_values),
+                         x_grid(config).tolist(), config.outputs)
+    assert count == len(rows)
+    assert got == csv_text(SWEEP_HEADER, rows, config.precision).encode("ascii")
 
 
 @st.composite

@@ -1,9 +1,10 @@
 """Group evaluation of sweeps: one ladder kernel call per N over its x grid
 must give the per-point library values bit for bit, each row its own
 (N, eta, x) in the order of the axes given, any subset of the outputs the
-matching cells of the full rows, and the worker pool never outnumbers the
-CPUs."""
+matching cells of the full rows, the writer formats each coordinate once
+per sweep or group, and the worker pool never outnumbers the CPUs."""
 
+import collections
 import concurrent.futures
 import itertools
 import json
@@ -244,6 +245,33 @@ def test_ratio_reference_joins_a_grid_without_eta_zero(monkeypatch):
         # the reference joins once, after the grid's couplings, only for ratio
         want = [0.1, -0.1, 0.0] if "ratio" in outputs else [0.1, -0.1]
         assert seen == [(2, want), (7, want)]
+
+
+def test_sweep_formats_each_coordinate_once_and_takes_the_reference_once(
+    monkeypatch, tmp_path
+):
+    config = SweepConfig((2, 7), (-0.1, 0.0, 0.1), 0.5, 40.0, 50)
+    xs = x_grid(config).tolist()
+    refs = {n: ladder_log_sums(n, xs, [0.0])[0.0] for n in config.n_values}
+    formatted, exponentiated = [], []
+    fmt, exp = sweep.format_number, correlators._exp
+    monkeypatch.setattr(sweep, "format_number",
+                        lambda v, p: formatted.append((type(v), v)) or fmt(v, p))
+    spy = lambda v: exponentiated.append(v) or exp(v)  # noqa: E731
+    monkeypatch.setattr(correlators, "_exp", spy)
+    out = tmp_path / "s.csv"
+    assert run_sweep(config, out) == 300
+    # the x column once per sweep, and N and eta once per (N, eta) group
+    counts = collections.Counter(formatted)
+    assert {x: counts[float, x] for x in xs} == dict.fromkeys(xs, 1)
+    assert [counts[int, n] for n in (2, 7)] == [3, 3]
+    assert [counts[float, eta] for eta in (-0.1, 0.0, 0.1)] == [2, 2, 2]
+    # the reference intensities once per N, not once per coupling
+    for n, ref in refs.items():
+        log_g1 = [s1 - z for z, s1 in zip(ref.log_z, ref.log_s1)]
+        assert [exponentiated.count(v) for v in log_g1] == [1] * len(xs), n
+    want = evaluate_rows([2, 7], [-0.1, 0.0, 0.1], xs, VALID_OUTPUTS)
+    assert out.read_text(encoding="ascii") == csv_text(SWEEP_HEADER, want, 12)
 
 
 @pytest.mark.parametrize("n, exc", [(0, ZeroAtoms), (2, NonPositiveX)])
