@@ -55,6 +55,7 @@ from .sweep import (
     SWEEP_HEADER,
     VALID_OUTPUTS,
     SweepConfig,
+    _write_ascii,
     csv_text,
     evaluate_point,
     format_number,
@@ -240,7 +241,7 @@ def _cmd_point(args) -> int:
     params = EnsembleParams(args.n, args.eta, args.x)
     text = render_json(point_document(params), args.precision) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
+        _write_ascii(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -281,7 +282,7 @@ def _cmd_validate(args) -> int:
         raise ValueError("no comparison was made: every row in a validity window was "
                          "skipped, the exact intensity underflowing at double precision; "
                          "nothing to compare")
-    Path(args.out).write_text(report_to_csv(report, args.precision), encoding="ascii")
+    _write_ascii(args.out, report_to_csv(report, args.precision))
     write_sidecar(args.out, {
         "command": "validate",
         "grid": {"n": list(args.n), "eta": list(args.eta), "x": list(args.x)},
@@ -330,7 +331,7 @@ def _cmd_evolve(args) -> int:
     text = csv_text(header, table.tolist(), args.precision)
     summary = f"final trace_dist_to_gibbs = {traj.final_trace_distance:.6e}"
     if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
+        _write_ascii(args.out, text)
         write_sidecar(args.out, {
             "command": "evolve",
             "params": {"n": args.n, "eta": args.eta, "x": args.x},

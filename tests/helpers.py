@@ -24,11 +24,15 @@ must never refuse a step that copy accepts.  The coefficient copy
 ThermalLiouvillian held before it kept only O(N) vectors; its bands and
 apply must return the same bits.  `per_point_exact` takes the exact side
 of a validator row from the per-point public functions.  `read_sweep_csv`
-parses the CLI's sweep CSV back into typed rows.
+parses the CLI's sweep CSV back into typed rows, and `read_fifo` collects
+what a writer sends into a FIFO.
 """
 
 import csv
 import math
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -382,3 +386,23 @@ def read_sweep_csv(path):
             rec["reason"] = raw[7]
             rows.append(rec)
     return rows
+
+
+def read_fifo(path, write):
+    """Make a FIFO at path and call write() while a thread reads the FIFO
+    to its end; returns write's result and the bytes read.  A write that
+    fails before it opens the FIFO leaves no reader blocked in open."""
+    os.mkfifo(path)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(Path(path).read_bytes()), daemon=True)
+    reader.start()
+    try:
+        result = write()
+    finally:
+        try:  # a reader still waiting in open gets an empty write end
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:  # ENXIO: the reader has closed the FIFO
+            pass
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    return result, got[0]

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from dicke_therm.sweep import (
     render_json,
     x_grid,
 )
-from helpers import read_sweep_csv
+from helpers import read_fifo, read_sweep_csv
 
 
 def run(capsys, *argv):
@@ -66,6 +67,16 @@ class TestPoint:
         code, _, _ = run(capsys, "point", "--n", "3", "--x", "2", "--out", str(target))
         assert code == 0
         assert json.loads(target.read_text())["N"] == 3
+
+    def test_out_fifo_gets_the_stdout_json(self, capsys, tmp_path):
+        argv = ["point", "--n", "2", "--eta", "0.1", "--x", "10"]
+        code, printed, _ = run(capsys, *argv)
+        assert code == 0
+        fifo = tmp_path / "pt.json"
+        code, got = read_fifo(fifo, lambda: main([*argv, "--out", str(fifo)]))
+        assert code == 0
+        assert got.decode("ascii") == printed
+        assert capsys.readouterr() == ("", "")
 
     def test_cold_bath_prediction_overflows_to_inf(self, capsys):
         code, out, _ = run(capsys, "point", "--n", "2", "--eta", "-0.3", "--x", "2000")
@@ -746,6 +757,41 @@ class TestOutputCheckedFirst:
         assert calls == []
         assert sorted(tmp_path.iterdir()) == before
         return err
+
+
+class TestRewrittenInPlace:
+    """A re-run rewrites every output file in place: each file the command
+    writes is opened once, and never with O_TRUNC."""
+
+    ARGV = {
+        "point": ["point", "--n", "2", "--x", "1", "--out", "{dir}/out.json"],
+        "sweep": ["sweep", "--n", "2", "--eta", "0", "--x-start", "1", "--x-stop", "2",
+                  "--x-count", "2", "--out", "{dir}/out.csv"],
+        "validate": ["validate", "--out", "{dir}/out.csv"],
+        "evolve": ["evolve", "--n", "2", "--x", "1", "--t-end", "1", "--out", "{dir}/out.csv"],
+        "figures": ["figures", "--out-dir", "{dir}"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_each_output_opened_once_without_truncation(self, capsys, tmp_path, monkeypatch,
+                                                        command):
+        from dicke_therm import cli
+
+        argv = [arg.replace("{dir}", str(tmp_path)) for arg in self.ARGV[command]]
+        assert run(capsys, *argv)[0] == 0
+        outputs = sorted(os.fspath(p) for p in cli._out_paths(build_parser().parse_args(argv)))
+        assert len(outputs) == {"point": 1, "figures": 8}.get(command, 2)
+        opened = []
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert run(capsys, *argv)[0] == 0
+        assert sorted(path for path, _ in opened) == outputs
+        assert not [path for path, flags in opened if flags & os.O_TRUNC]
 
 
 class TestMemoryError:

@@ -136,13 +136,45 @@ def assert_same_text(name: str, got: str, want: str) -> None:
         f"{name}: precision"
 
 
+def assert_golden(texts: dict[str, str]) -> None:
+    for file_name, text in texts.items():
+        want = (GOLDEN / file_name).read_text(encoding="ascii")
+        assert_same_text(file_name, text, want)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_golden(name, tmp_path):
     code, texts = run_case(name, tmp_path)
     assert code == 0
-    for file_name, text in texts.items():
-        want = (GOLDEN / file_name).read_text(encoding="ascii")
-        assert_same_text(file_name, text, want)
+    assert_golden(texts)
+
+
+# more than any output: a re-run must leave none of it behind
+JUNK = b"0123456789,junk\n" * 65536
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, files) in CASES.items() if files))
+def test_rerun_over_longer_files_matches_golden(name, tmp_path):
+    """Every output path holds 1 MiB of junk before the run; the files
+    left are the bytes a run into an empty directory writes."""
+    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+    fresh.mkdir()
+    rerun.mkdir()
+    files = CASES[name][1]
+    for file_name in files:
+        (rerun / file_name).write_bytes(JUNK)
+    code, texts = run_case(name, rerun)
+    assert code == 0
+    assert run_case(name, fresh) == (code, texts)
+    for file_name in files:
+        assert (rerun / file_name).read_bytes() == (fresh / file_name).read_bytes()
+    assert_golden(texts)
+
+
+def test_figures_twice_into_one_directory(tmp_path):
+    first = run_case("figures", tmp_path)
+    assert run_case("figures", tmp_path) == first
+    assert_golden(first[1])
 
 
 def test_comparison_passes_last_digit_flips_only():

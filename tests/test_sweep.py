@@ -2,10 +2,13 @@
 must give the per-point library values bit for bit, each row its own
 (N, eta, x) in the order of the axes given, any subset of the outputs the
 matching cells of the full rows, the writer formats each coordinate once
-per sweep or group, and the worker pool never outnumbers the CPUs."""
+per sweep or group, and the worker pool never outnumbers the CPUs.  The
+file writer rewrites in place: a file ends at the new bytes, links are
+written through and a FIFO gets the bytes without being truncated."""
 
 import collections
 import concurrent.futures
+import errno
 import itertools
 import json
 import math
@@ -41,7 +44,7 @@ from dicke_therm.sweep import (
     run_sweep,
     x_grid,
 )
-from helpers import read_sweep_csv
+from helpers import read_fifo, read_sweep_csv
 
 # N = 50,000 with 5 x values spans several kernel blocks
 BIG_N = 50_000
@@ -358,3 +361,55 @@ def test_pool_never_outnumbers_the_cpus(monkeypatch, cpus, jobs, pools):
     rows = evaluate_rows(*args, jobs=jobs)
     assert made == pools
     assert rows == evaluate_rows(*args)
+
+
+WRITER_TEXT = "N,eta,x\n2,0.1,1\n"
+
+
+@pytest.mark.parametrize("before", [None, b"stale,row\n" * 1000, b"x"],
+                         ids=["new", "longer", "shorter"])
+def test_writer_leaves_exactly_the_new_bytes(tmp_path, before):
+    path = tmp_path / "out.csv"
+    if before is not None:
+        path.write_bytes(before)
+    sweep._write_ascii(path, WRITER_TEXT)
+    assert path.read_bytes() == WRITER_TEXT.encode("ascii")
+
+
+def test_writer_writes_through_links(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"stale,row\n" * 1000)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    hard = tmp_path / "hard.csv"
+    os.link(target, hard)
+    sweep._write_ascii(link, WRITER_TEXT)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == hard.read_bytes() == WRITER_TEXT.encode("ascii")
+
+
+def test_writer_feeds_a_fifo(tmp_path):
+    fifo = tmp_path / "fifo"
+    text = WRITER_TEXT * 10_000  # beyond a pipe's buffer, so the reader drains it mid-write
+    _, got = read_fifo(fifo, lambda: sweep._write_ascii(fifo, text))
+    assert got == text.encode("ascii")
+
+
+def test_writer_cuts_a_failed_write_to_the_bytes_written(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"stale,row\n" * 1000)
+    real_write = os.write
+    calls = []
+
+    def write_five_then_fail(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data[:5])
+
+    monkeypatch.setattr(os, "write", write_five_then_fail)
+    with pytest.raises(OSError, match="No space left"):
+        sweep._write_ascii(path, WRITER_TEXT)
+    monkeypatch.undo()
+    assert calls == [len(WRITER_TEXT), len(WRITER_TEXT) - 5]
+    assert path.read_bytes() == WRITER_TEXT.encode("ascii")[:5]
