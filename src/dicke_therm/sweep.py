@@ -15,10 +15,15 @@ Every file the CLI writes goes through _write_ascii, which rewrites an
 existing file in place and then cuts it to the new length, never
 truncating it to empty first: ext4, xfs and btrfs flush a non-empty file
 truncated to zero when it is closed, about ten times the cost of the write.
+That flush is also what keeps a crash from mixing two runs in one file, so
+a run killed between write and cut, or a machine crash before the page
+cache reaches disk, can leave new rows followed by, or mixed with, the
+old file's bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -315,20 +320,27 @@ def _write_ascii(path: str | Path, text: str) -> None:
 
     The file is opened without O_TRUNC and written from its start; a
     regular file is then cut to the bytes written, so no stale tail stays,
-    even when a write fails part way.  A FIFO or a device is not cut.
-    A symlink is written through, and a hard link keeps its inode.
+    also when os.write raises part way.  That error is the one raised,
+    whatever the cut and the close after it raise.  A FIFO or a device is
+    not cut.  A symlink is written through, and a hard link keeps its inode.
     """
     data = memoryview(text.encode("ascii"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    regular = False
     try:
-        try:
-            while data:
-                data = data[os.write(fd, data):]
-        finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        while data:
+            data = data[os.write(fd, data):]
+        if regular:
+            os.ftruncate(fd, len(text))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            if regular:
                 os.ftruncate(fd, len(text) - len(data))
-    finally:
-        os.close(fd)
+        with contextlib.suppress(OSError):
+            os.close(fd)
+        raise
+    os.close(fd)
 
 
 def sidecar_path(data_path: str | Path) -> Path:

@@ -413,3 +413,29 @@ def test_writer_cuts_a_failed_write_to_the_bytes_written(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert calls == [len(WRITER_TEXT), len(WRITER_TEXT) - 5]
     assert path.read_bytes() == WRITER_TEXT.encode("ascii")[:5]
+
+
+def test_writer_raises_the_write_error_when_the_cut_and_close_fail(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"stale,row\n" * 1000)
+    real_close = os.close
+    closed = []
+
+    def raise_(code):
+        def fail(*args):
+            raise OSError(code, os.strerror(code))
+        return fail
+
+    def close_then_fail(fd):
+        closed.append(fd)
+        real_close(fd)
+        raise_(errno.EIO)()
+
+    monkeypatch.setattr(os, "write", raise_(errno.ENOSPC))
+    monkeypatch.setattr(os, "ftruncate", raise_(errno.EIO))
+    monkeypatch.setattr(os, "close", close_then_fail)
+    with pytest.raises(OSError) as exc:
+        sweep._write_ascii(path, WRITER_TEXT)
+    monkeypatch.undo()
+    assert exc.value.errno == errno.ENOSPC
+    assert len(closed) == 1
