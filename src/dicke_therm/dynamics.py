@@ -319,15 +319,15 @@ def _band_history(
 ) -> np.ndarray:
     """Band vector at the sample times from any start v0 (complex, not
     normalised), each interval `steps` RK4 steps I + e = R(hA) as one exact
-    map, powered with conserve for band 0 (_power_increment); raises
-    NonFiniteState at the first blown sample."""
+    map, powered with conserve for band 0 (_power_increment) and added in
+    place into the next row; raises NonFiniteState at the first blown sample."""
     hist = np.empty((len(times), v0.size), dtype=complex)
     hist[0] = v0
     with np.errstate(over="ignore", invalid="ignore"):
         # cast once: the loop's complex products are those of the real map
         step_map = _power_increment(e, steps, conserve).astype(complex)
-        for i in range(len(times) - 1):
-            hist[i + 1] = hist[i] + step_map @ hist[i]
+        for prev, row in zip(hist, hist[1:]):
+            np.add(prev, step_map @ prev, out=row)
     blown = ~np.all(np.isfinite(hist), axis=1)
     if blown.any():
         raise NonFiniteState(f"state became non-finite near t={times[np.argmax(blown)]:g}")
@@ -349,8 +349,8 @@ def integrate(
     of steps.  Each coherence band rho_{i,i+k} evolves under its own
     generator A_k (`ThermalLiouvillian.band`), so the RK4 steps of an
     interval collapse into one map R(hA_k)^steps, powered from the band's
-    one RK4 increment (`_band_history`): the work grows with log(steps),
-    not steps.  A band that starts at zero stays zero and gets no map.
+    one RK4 increment (`_band_history`): the work grows with log(steps).
+    A band that is zero in the hermitian part of rho0 stays zero, with no map.
 
     Each state after rho0 is hermitian by construction with trace sum(p),
     so herm_defect is 0 past the first sample (max|rho0 - rho0^H|) and
@@ -388,20 +388,20 @@ def integrate(
         )
     steps = max(1, math.ceil(span / h_max))
     h = span / steps
-    # a band that starts at zero stays zero: it gets no map and no guard
+    # a band that starts at zero stays zero: no map, no guard (herm's zeros are symmetric)
     herm = _hermitian_part(rho0)
-    starts = {k: np.diagonal(herm, k) for k in range(liou.dim)}
-    generators = {k: liou.band(k) for k, v0 in starts.items() if k == 0 or v0.any()}
+    rows, cols = np.nonzero(herm)
+    generators = {k: liou.band(k) for k in sorted({0, *np.abs(cols - rows).tolist()})}
     _check_step(list(generators.values()), h)
     increments = {k: _rk4_increment(a, h) for k, a in generators.items()}
-    hist = _band_history(increments.pop(0), starts[0], steps, times, conserve=True)
+    hist = _band_history(increments.pop(0), np.diagonal(herm), steps, times, conserve=True)
     change = float(np.max(np.abs(np.diff(hist.sum(axis=1).real))))
     if change > _MAX_TRACE_DRIFT:
         raise StepTooLarge(
             f"trace drift {change:.3e} over one sample interval of {steps} steps exceeds "
             f"{_MAX_TRACE_DRIFT:.3e}; reduce the step below h={h:g}"
         )
-    bands = {k: _band_history(e, starts[k], steps, times) for k, e in increments.items()}
+    bands = {k: _band_history(e, np.diagonal(herm, k), steps, times) for k, e in increments.items()}
     p = hist.real.copy()
     pi = thermal_state(params).populations
     traj = Trajectory(

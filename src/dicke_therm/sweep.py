@@ -7,9 +7,9 @@ files; run metadata goes to a JSON sidecar next to the data file.  Points
 whose correlators underflow carry the literal token NA in the affected
 columns plus the error name in the trailing reason column.
 
-A sweep is a rectangle of (N, eta) groups over one x grid, computed and
-written a group at a time (_groups, run_sweep); evolve and validate
-tables go through csv_text.  Both render every cell as format_number does.
+A sweep is a rectangle of (N, eta) groups over one x grid, written a group
+at a time (_groups, run_sweep); csv_text writes evolve and validate tables
+a printf per run of like-typed rows.  Both render cells as format_number.
 
 Every file the CLI writes goes through _write_ascii, which rewrites an
 existing file in place and then cuts it to the new length, never
@@ -29,7 +29,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, groupby, repeat
 from pathlib import Path
 
 import numpy as np
@@ -224,22 +224,22 @@ def csv_text(header, rows, precision: int) -> str:
     """CSV text: the header line, then one line per row of plain values,
     each rendered by format_number; every line ends in a newline.
 
-    A row whose cells are all float, int, str or None is rendered by one
-    printf format, looked up by its tuple of cell types; other rows, and
-    lines where a NaN printed as nan, take the per-cell join."""
+    Each maximal run of consecutive rows that share one tuple of float,
+    int, str and None cell types is one printf, the row format repeated per
+    row; other runs, and runs where a NaN printed as nan, take the per-cell
+    join."""
     # "%.0s" prints None as an empty cell
     cell = {float: f"%.{precision}g", int: "%d", str: "%s", type(None): "%.0s"}
-    formats: dict[tuple[type, ...], str | None] = {}
     lines = [",".join(header)]
-    for row in rows:
-        kinds = tuple(map(type, row))
-        if kinds not in formats:
-            formats[kinds] = ",".join(map(cell.get, kinds)) if cell.keys() >= set(kinds) else None
-        fmt = formats[kinds]
-        line = None if fmt is None else fmt % tuple(row)
-        if line is None or "nan" in line:
-            line = ",".join([format_number(v, precision) for v in row])
-        lines.append(line)
+    for kinds, run in groupby(rows, lambda row: tuple(map(type, row))):
+        run = list(run)
+        if cell.keys() >= set(kinds):
+            text = "\n".join([",".join(map(cell.get, kinds))] * len(run))
+            text %= tuple(chain.from_iterable(run))
+            if "nan" not in text:
+                lines.append(text)
+                continue
+        lines += [",".join([format_number(v, precision) for v in row]) for row in run]
     return "\n".join(lines) + "\n"
 
 

@@ -22,7 +22,12 @@ included; the integrator's guard, which checks the bands it advances,
 must never refuse a step that copy accepts.  The coefficient copy
 (`dense_band`, `dense_coefficient_apply`) builds the arrays that
 ThermalLiouvillian held before it kept only O(N) vectors; its bands and
-apply must return the same bits.  `per_point_exact` takes the exact side
+apply must return the same bits.  The per-row writer copy
+(`per_row_csv_text`) renders a table one printf per row, and the
+per-sample propagator copy (`per_sample_band_history`) steps a band with
+one indexed assignment per sample; the package's run-at-a-time writer and
+in-place propagator must give the same text and the same bits.
+`per_point_exact` takes the exact side
 of a validator row from the per-point public functions.  `read_sweep_csv`
 parses the CLI's sweep CSV back into typed rows, and `read_fifo` collects
 what a writer sends into a FIFO.
@@ -50,7 +55,8 @@ from dicke_therm import (
     steady_state_correlators,
     thermal_state,
 )
-from dicke_therm.sweep import SWEEP_HEADER
+from dicke_therm.dynamics import _power_increment
+from dicke_therm.sweep import SWEEP_HEADER, format_number
 
 
 def ladder_matrices(n_atoms):
@@ -344,6 +350,37 @@ def dense_coefficient_apply(rho, params):
     out[:-1, :-1] += gain_down * rho[1:, 1:]
     out[1:, 1:] += gain_up * rho[:-1, :-1]
     return out
+
+
+# csv_text and dynamics._band_history as they were before the writer took
+# a run of like-typed rows per printf and the propagator stepped its
+# samples in place, kept verbatim (names changed) as their oracles.
+
+def per_row_csv_text(header, rows, precision):
+    # "%.0s" prints None as an empty cell
+    cell = {float: f"%.{precision}g", int: "%d", str: "%s", type(None): "%.0s"}
+    formats = {}
+    lines = [",".join(header)]
+    for row in rows:
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            formats[kinds] = ",".join(map(cell.get, kinds)) if cell.keys() >= set(kinds) else None
+        fmt = formats[kinds]
+        line = None if fmt is None else fmt % tuple(row)
+        if line is None or "nan" in line:
+            line = ",".join([format_number(v, precision) for v in row])
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def per_sample_band_history(e, v0, steps, times, conserve=False):
+    hist = np.empty((len(times), v0.size), dtype=complex)
+    hist[0] = v0
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_map = _power_increment(e, steps, conserve).astype(complex)
+        for i in range(len(times) - 1):
+            hist[i + 1] = hist[i] + step_map @ hist[i]
+    return hist
 
 
 def per_point_exact(check):

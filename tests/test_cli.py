@@ -876,6 +876,13 @@ class TestColdStart:
         assert self.fresh_python(
             "import sys, dicke_therm.cli; print('scipy' in sys.modules)") == "False"
 
+    def test_cli_import_leaves_the_process_pool_out(self):
+        # the pool is imported only by a sweep with jobs > 1
+        assert self.fresh_python(
+            "import sys, dicke_therm.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        ) == "[]"
+
     def test_cli_import_builds_no_parser(self):
         # the parser is built on the first main call, not in the cold start
         assert self.fresh_python(

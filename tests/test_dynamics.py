@@ -36,6 +36,7 @@ from helpers import (
     dense_liouvillian_apply,
     dicke_limit_liouvillian,
     guard_accepts,
+    per_sample_band_history,
     rk4_trajectory,
 )
 
@@ -704,6 +705,15 @@ class TestStepGuard:
         assert calls == [[0, 2, 5]]
         assert sorted(traj.coherences) == [2, 5]
 
+    def test_coherence_in_the_last_band_alone(self, monkeypatch):
+        # band N is the single corner entry rho_{0,N}
+        calls = checked_bands(monkeypatch)
+        params = EnsembleParams(10, 0.1, 1.0)
+        rho0 = initial_state(params, "equal") + small_coherence(np.random.default_rng(25), 11, [10])
+        traj = integrate(rho0, 0.2, params, n_samples=11)
+        assert calls == [[0, 10]]
+        assert sorted(traj.coherences) == [10]
+
     @pytest.mark.parametrize("bands", [[], [2, 5]])
     def test_one_rk4_increment_per_advanced_band(self, monkeypatch, bands):
         sizes = []
@@ -762,6 +772,23 @@ class TestBandPropagator:
         hist = dynamics._band_history(e, v0, 20, times)
         assert np.array_equal(dynamics._band_history(e, scale * v0, 20, times), scale * hist)
         assert np.array_equal(hist[0], v0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 60])
+    @pytest.mark.parametrize("kind", [*INITIAL_STATE_KINDS, "random"])
+    def test_same_bits_as_the_per_sample_loop(self, monkeypatch, n, kind):
+        # every band integrate advances, against the frozen per-sample loop
+        params = EnsembleParams(n, 0.1 if n > 1 else 0.0, 1.0)
+        if kind == "random":
+            rho0 = random_hermitian_unit_trace(np.random.default_rng(n), n + 1)
+        else:
+            rho0 = initial_state(params, kind)
+        got = integrate(rho0, 0.05, params, n_samples=21)
+        monkeypatch.setattr(dynamics, "_band_history", per_sample_band_history)
+        want = integrate(rho0, 0.05, params, n_samples=21)
+        assert np.array_equal(got.populations, want.populations)
+        assert sorted(got.coherences) == (list(range(1, n + 1)) if kind == "random" else [])
+        for k, band in want.coherences.items():
+            assert np.array_equal(got.coherences[k], band), k
 
     def test_nonfinite_start_raises(self):
         e, v0, times = self._setup(1)

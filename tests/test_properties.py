@@ -11,7 +11,8 @@ Numpy's floating-point warnings are raised as errors, so an overflow, a
 log of zero or an invalid operation anywhere on the path fails the point.
 Every row of the asymptotic validator, on random grids that are not a
 product, takes the exact value or skipped note of the per-point path.  The
-CSV writer renders every table as the per-cell format_number join, a
+CSV writer renders every table as the per-cell format_number join, and a
+table of runs of like-typed rows as a frozen copy of the per-row writer; a
 sweep file is the csv_text of its evaluate_rows, and the step guard
 never refuses a step that the all-band guard accepts.
 A diagonal start relaxes at the default step with a trace distance to the
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from dicke_therm import (
@@ -72,6 +73,7 @@ from helpers import (
     full_row_ladder_log_sums,
     guard_accepts,
     per_point_exact,
+    per_row_csv_text,
 )
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -358,6 +360,45 @@ def test_csv_text_is_the_per_cell_join(rows, precision, data):
     ]
     want = ["a,b"] + [",".join([format_number(v, precision) for v in row]) for row in table]
     assert csv_text(["a", "b"], table, precision) == "\n".join(want) + "\n"
+
+
+# one strategy per cell type; a run of rows shares one tuple of them
+RUN_CELLS = {
+    float: st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)),
+    np.float64: st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)).map(np.float64),
+    int: st.integers(),
+    str: st.one_of(st.text(), st.sampled_from(["NA", "nan", ""])),
+    type(None): st.none(),
+}
+
+
+@st.composite
+def typed_runs(draw):
+    """A table of up to five runs, each of up to six rows of one drawn tuple
+    of up to four cell types; runs of equal tuples that meet join into one."""
+    table = []
+    for kinds in draw(st.lists(st.lists(st.sampled_from(list(RUN_CELLS)), max_size=4),
+                               min_size=1, max_size=5)):
+        table += [[draw(RUN_CELLS[k]) for k in kinds] for _ in range(draw(st.integers(1, 6)))]
+    return table
+
+
+EDGE_RUNS = [
+    *[[v, 2, None, "NA", "nan", v] for v in EDGE_FLOATS],
+    *[[v, 2, None, "NA", "nan", np.float64(v)] for v in EDGE_FLOATS],
+    *[[5e-324, -1, None, "x", "", math.inf]] * 3,
+]
+
+
+@PROPERTY_SETTINGS
+@given(table=typed_runs(), precision=st.integers(0, 25))
+@example(table=EDGE_RUNS, precision=0)
+@example(table=EDGE_RUNS, precision=25)
+def test_csv_text_of_typed_runs_is_the_per_row_text(table, precision):
+    want = ["a,b"] + [",".join([format_number(v, precision) for v in row]) for row in table]
+    got = csv_text(["a", "b"], table, precision)
+    assert got == "\n".join(want) + "\n"
+    assert got == per_row_csv_text(["a", "b"], table, precision)
 
 
 @st.composite
