@@ -363,9 +363,10 @@ def test_csv_text_is_the_per_cell_join(rows, precision, data):
 
 
 # one strategy per cell type; a run of rows shares one tuple of them
+RUN_FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
 RUN_CELLS = {
-    float: st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)),
-    np.float64: st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)).map(np.float64),
+    float: RUN_FLOATS,
+    np.float64: RUN_FLOATS.map(np.float64),
     int: st.integers(),
     str: st.one_of(st.text(), st.sampled_from(["NA", "nan", ""])),
     type(None): st.none(),
