@@ -3,8 +3,9 @@ two-level ensemble in the Dicke limit.
 
 The package computes the Gibbs steady state over the symmetric subspace,
 the scattered-light intensity and zero-delay second-order correlation
-g2(0), closed-form limiting expressions with a validator, and full
-master-equation time evolution, plus a CSV/JSON command-line front end.
+g2(0), closed-form limiting expressions with a validator, and the
+master-equation relaxation of the Dicke-level populations, plus a CSV/JSON
+command-line front end.
 
 Code units: omega0 = hbar = k_B = 1 and Gamma(omega0) = 1.
 

@@ -1,4 +1,4 @@
-"""Master-equation dynamics on the symmetric-subspace density matrix.
+"""Master-equation dynamics of the Dicke-level populations.
 
 The dissipator couples the collective ladder operators to a thermal bath
 through level-dependent rates: with the cubic decay rate Gamma(w) = w^3
@@ -15,15 +15,13 @@ hermiticity.  The Gibbs state is annihilated by construction: the downward
 and upward fluxes between neighbouring levels balance because the level
 spacing E_{n+1}-E_n equals the transition frequency omega_n.
 
-The generator never mixes coherence bands: rho_{i,i+k} is fed only by
-rho_{i+1,i+k+1} and rho_{i-1,i+k-1}, so each band k evolves under its own
-real tridiagonal matrix, the populations (k = 0) as a birth-death chain.
-The integrator powers one RK4 increment per band into an exact step map;
-a band that starts at zero stays exactly zero, so it is skipped.  Every
-initial-state kind is diagonal, so these trajectories build the population
-map alone and take their diagnostics from the populations in O(N) per
-sample; a start with coherences takes them from the dense density
-matrices (`Trajectory.states`), which are otherwise built only on request.
+The generator is this dissipator alone, without the Hamiltonian term
+-i[H, rho].  H is diagonal in the Dicke basis, so the term vanishes on a
+diagonal state, which the dissipator keeps diagonal: the populations
+(band k = 0, a birth-death chain) are exact in any picture.  A coherence
+rho_{i,i+k} would also turn under i(E_{i+k} - E_i), so `integrate` refuses
+a start with coherences and advances band 0 alone, through one exact RK4
+step map, with O(N) diagnostics per sample.
 
 Complete positivity is not assumed anywhere: the minimum eigenvalue is
 recorded as a diagnostic along every trajectory rather than enforced.
@@ -53,10 +51,8 @@ __all__ = [
     "default_step",
 ]
 
-# a diagonal start builds and guards one (N+1)^2 step map, O(N^3 log(steps));
-# a start with coherences does so for each nonzero band, up to
-# O(N^4 log(steps)), and its dense per-sample diagnostics cost O(N^3) each.
-# The correlator engine covers larger ensembles.
+# a trajectory builds and guards one (N+1)^2 step map, O(N^3 log(steps));
+# the correlator engine covers larger ensembles.
 MAX_DYNAMICS_ATOMS = 200
 
 INITIAL_STATE_KINDS = ("ground", "inverted", "equal", "gibbs")
@@ -79,17 +75,14 @@ class StepControl:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled populations and nonzero coherence bands, with per-sample
-    health diagnostics.
+    """Sampled populations with per-sample health diagnostics.
 
-    populations[i] is the diagonal of the state at times[i];
-    coherences[k][i] is its band rho_{j,j+k}, j = 0..N-k, kept only for the
-    bands k >= 1 that start nonzero (the others stay exactly zero).
+    populations[i] is the diagonal of the state at times[i]; every state
+    after rho0 is diagonal.
     """
 
     times: np.ndarray
     populations: np.ndarray  # (n_samples, dim) real
-    coherences: dict[int, np.ndarray]  # k -> (n_samples, dim - k) complex
     rho0: np.ndarray
     trace_drift: np.ndarray
     herm_defect: np.ndarray
@@ -105,10 +98,6 @@ class Trajectory:
         states[0] = self.rho0
         idx = np.arange(dim)
         states[1:, idx, idx] = self.populations[1:]
-        for k, band in self.coherences.items():
-            rows, cols = idx[: dim - k], idx[k:]
-            states[1:, cols, rows] = band[1:].conj()
-            states[1:, rows, cols] = band[1:]
         return states
 
     @property
@@ -117,7 +106,8 @@ class Trajectory:
 
 
 class ThermalLiouvillian:
-    """Right-hand side of the thermal master equation, from O(N) vectors.
+    """The thermal dissipator, from O(N) vectors: the right-hand side of
+    the master equation without its Hamiltonian term -i[H, rho].
 
     With l_n the lowering coefficients (l_0 = l_{N+1} = 0), d1_n and d2_n
     the rates of the n <-> n+1 transition and
@@ -131,7 +121,9 @@ class ThermalLiouvillian:
     The three coefficients are symmetric in i and j, so the result is
     hermitian exactly when rho is, and each coherence band rho_{i,i+k}
     evolves on its own under a real tridiagonal generator (see `band`)
-    whose diagonals are slices of the vectors r, d1, d2 and l.
+    whose diagonals are slices of the vectors r, d1, d2 and l.  On a
+    diagonal rho this is the whole master equation, since -i[H, rho]
+    vanishes there.
     """
 
     def __init__(self, params: EnsembleParams):
@@ -147,7 +139,9 @@ class ThermalLiouvillian:
         self._r[:-1] += self._d2 * self._lo**2
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """drho/dt for hermitian rho: traceless and hermitian."""
+        """The dissipator's drho/dt for hermitian rho: traceless and
+        hermitian.  `integrate` uses `band(0)`; apply stays as the dense
+        form that the tests hold against the operator products."""
         _check_shape(rho, self.dim)
         r, d1, d2, lo = self._r, self._d1, self._d2, self._lo
         ll = lo[:, None] * lo[None, :]
@@ -168,8 +162,9 @@ class ThermalLiouvillian:
         )
 
     def band(self, k: int) -> np.ndarray:
-        """Generator of the coherence band v_i = rho_{i,i+k}, i = 0..N-k:
-        dv/dt = A_k v with A_k real tridiagonal."""
+        """Dissipative generator of the band v_i = rho_{i,i+k}, i = 0..N-k:
+        dv/dt = A_k v with A_k real tridiagonal.  A band k >= 1 needs
+        i(E_{i+k} - E_i) added to its diagonal to describe a coherence."""
         loss, down, up = self._band_diagonals(k)
         return np.diag(loss) + np.diag(down, 1) + np.diag(up, -1)
 
@@ -191,15 +186,11 @@ def default_step(params: EnsembleParams) -> float:
     return 0.01 / ((1.0 + nbar_max) * params.n_atoms**2)
 
 
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """0.5*(m + m^H) of a matrix or of each matrix in a stack."""
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
-
-
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Trace distance 0.5*||a - b||_1 of the hermitian parts: a float for
     two matrices, an array with one distance per matrix for a stack."""
-    d = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(_hermitian_part(a - b))), axis=-1)
+    m = a - b
+    d = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))), axis=-1)
     return float(d) if d.ndim == 0 else d
 
 
@@ -243,7 +234,8 @@ def _check_shape(rho: np.ndarray, dim: int) -> None:
 
 
 def _check_density_matrix(rho: np.ndarray, dim: int) -> float:
-    """Refuse an invalid start; return its hermiticity defect max|rho - rho^H|."""
+    """Refuse an invalid start and a start whose hermitian part has
+    coherences; return its hermiticity defect max|rho - rho^H|."""
     _check_shape(rho, dim)
     if not np.all(np.isfinite(rho)):
         raise NonFiniteState("initial state contains non-finite entries")
@@ -252,6 +244,13 @@ def _check_density_matrix(rho: np.ndarray, dim: int) -> float:
         raise ValueError("initial state is not hermitian within 1e-12")
     if abs(np.trace(rho) - 1.0) > 1e-12:
         raise ValueError("initial state trace differs from 1 by more than 1e-12")
+    herm = rho + rho.conj().T  # twice the hermitian part
+    np.fill_diagonal(herm, 0.0)
+    if herm.any():
+        raise ValueError(
+            "initial state has coherences: integrate takes diagonal starts only, because its "
+            "generator lacks the Hamiltonian term -i[H, rho] that turns them"
+        )
     return defect
 
 
@@ -299,12 +298,12 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.diag(np.diag(a)) + np.diag(off, 1) + np.diag(off, -1))
 
 
-def _check_step(generators: list[np.ndarray], h: float) -> None:
+def _check_step(a: np.ndarray, h: float) -> None:
     """Raise StepTooLarge before any step if RK4 amplifies an eigenmode
-    of the advanced bands' generators, band 0 first (|R(h*lambda)| > 1)."""
+    of band 0's generator a (|R(h*lambda)| > 1)."""
     # the generator is dissipative: a positive eigenvalue is rounding of
     # the conserved trace mode
-    z = h * np.minimum(np.concatenate([_eigenvalues(a) for a in generators]), 0.0)
+    z = h * np.minimum(_eigenvalues(a), 0.0)
     # RK4 stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
     gain = float(np.max(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))))
     if gain > 1.0:
@@ -320,7 +319,9 @@ def _band_history(
     """Band vector at the sample times from any start v0 (complex, not
     normalised), each interval `steps` RK4 steps I + e = R(hA) as one exact
     map, powered with conserve for band 0 (_power_increment) and added in
-    place into the next row; raises NonFiniteState at the first blown sample."""
+    place into the next row; raises NonFiniteState at the first blown sample.
+    The history is complex even for real populations: numpy's real and
+    complex matvecs of the same data can differ in the last bit."""
     hist = np.empty((len(times), v0.size), dtype=complex)
     hist[0] = v0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -341,29 +342,28 @@ def integrate(
     ctrl: StepControl | None = None,
     n_samples: int = 101,
 ) -> Trajectory:
-    """Classical fixed-step RK4 evolution of the master equation.
+    """Classical fixed-step RK4 evolution of the populations of a diagonal
+    start rho0 (its hermitian part diagonal, as every `initial_state` is).
 
     Samples (with diagnostics) are recorded at n_samples evenly spaced
     times from 0 to t_end.  The step is shortened to h = dt/steps, with
     dt = t_end/(n_samples - 1), so every interval is the same whole number
-    of steps.  Each coherence band rho_{i,i+k} evolves under its own
-    generator A_k (`ThermalLiouvillian.band`), so the RK4 steps of an
-    interval collapse into one map R(hA_k)^steps, powered from the band's
-    one RK4 increment (`_band_history`): the work grows with log(steps).
-    A band that is zero in the hermitian part of rho0 stays zero, with no map.
+    of steps.  The populations evolve under band 0's generator A_0
+    (`ThermalLiouvillian.band`), so the RK4 steps of an interval collapse
+    into one map R(hA_0)^steps, powered from one RK4 increment
+    (`_band_history`): the work grows with log(steps).
 
-    Each state after rho0 is hermitian by construction with trace sum(p),
-    so herm_defect is 0 past the first sample (max|rho0 - rho0^H|) and
-    trace_drift = |sum(p) - 1| at every sample.  A diagonal start takes
-    min_eig = min(p) and trace_dist_to_gibbs = sum|p - pi|/2; a start with
-    coherences takes both from eigvalsh over `states`, ~1 MB at a time.
+    Each state after rho0 is diagonal with trace sum(p), so herm_defect is
+    0 past the first sample (max|rho0 - rho0^H|), trace_drift =
+    |sum(p) - 1|, min_eig = min(p) and trace_dist_to_gibbs = sum|p - pi|/2
+    at every sample.
 
-    Raises ValueError for a step that is not positive and finite or whose
-    step count over one sample interval overflows a float, and
-    StepTooLarge before any step when RK4 at the step is unstable for the
-    A_k of some band it advances, and when the trace changes by more than
-    1e-8 over a sample interval; raises NonFiniteState when the state
-    blows up.
+    Raises ValueError for a start with coherences (the generator lacks
+    -i[H, rho]), for a step that is not positive and finite or whose step
+    count over one sample interval overflows a float, and StepTooLarge
+    before any step when RK4 at the step is unstable for A_0, and when the
+    trace changes by more than 1e-8 over a sample interval; raises
+    NonFiniteState when the state blows up.
     """
     _check_atom_cap(params)
     if not 0.0 < t_end < math.inf:
@@ -380,7 +380,7 @@ def integrate(
 
     times = np.linspace(0.0, t_end, n_samples)
     # every sample interval is the same span, so one (h, steps) pair and one
-    # map per band serve the whole trajectory
+    # map serve the whole trajectory
     span = t_end / (n_samples - 1)
     if not span / h_max < math.inf:
         raise ValueError(
@@ -388,39 +388,26 @@ def integrate(
         )
     steps = max(1, math.ceil(span / h_max))
     h = span / steps
-    # a band that starts at zero stays zero: no map, no guard (herm's zeros are symmetric)
-    herm = _hermitian_part(rho0)
-    rows, cols = np.nonzero(herm)
-    generators = {k: liou.band(k) for k in sorted({0, *np.abs(cols - rows).tolist()})}
-    _check_step(list(generators.values()), h)
-    increments = {k: _rk4_increment(a, h) for k, a in generators.items()}
-    hist = _band_history(increments.pop(0), np.diagonal(herm), steps, times, conserve=True)
+    a = liou.band(0)
+    _check_step(a, h)
+    hist = _band_history(_rk4_increment(a, h), np.diagonal(rho0).real, steps, times,
+                         conserve=True)
     change = float(np.max(np.abs(np.diff(hist.sum(axis=1).real))))
     if change > _MAX_TRACE_DRIFT:
         raise StepTooLarge(
             f"trace drift {change:.3e} over one sample interval of {steps} steps exceeds "
             f"{_MAX_TRACE_DRIFT:.3e}; reduce the step below h={h:g}"
         )
-    bands = {k: _band_history(e, np.diagonal(herm, k), steps, times) for k, e in increments.items()}
     p = hist.real.copy()
-    pi = thermal_state(params).populations
-    traj = Trajectory(
+    return Trajectory(
         times=times,
         populations=p,
-        coherences=bands,
         rho0=rho0,
         trace_drift=np.abs(p.sum(axis=1) - 1.0),
         herm_defect=np.concatenate(([defect0], np.zeros(n_samples - 1))),
-        min_eigenvalue=np.empty(n_samples) if bands else p.min(axis=1),
-        trace_dist_to_gibbs=np.empty(n_samples) if bands else 0.5 * np.abs(p - pi).sum(axis=1),
+        min_eigenvalue=p.min(axis=1),
+        trace_dist_to_gibbs=0.5 * np.abs(p - thermal_state(params).populations).sum(axis=1),
     )
-    if bands:  # the spectral formulas over stacks of states, ~1 MB at a time
-        chunk = max(1, 2**16 // liou.dim**2)
-        for i in range(0, n_samples, chunk):
-            block = _hermitian_part(traj.states[i : i + chunk])
-            traj.min_eigenvalue[i : i + chunk] = np.linalg.eigvalsh(block).min(axis=1)
-            traj.trace_dist_to_gibbs[i : i + chunk] = trace_distance(block, np.diag(pi))
-    return traj
 
 
 def steady_state_residual(params: EnsembleParams) -> float:

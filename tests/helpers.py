@@ -17,9 +17,9 @@ one-expression numpy forms that build_spectrum and ladder_coefficients
 must match bit for bit, since the kernel copy below reads those two.  The
 kernel copy (`full_row_ladder_log_sums`) exponentiates every ladder term
 of every row; the package's kernel must return the same bits.  The guard
-copy (`all_band_step_verdict`) checks every coherence band, zero bands
-included; the integrator's guard, which checks the bands it advances,
-must never refuse a step that copy accepts.  The coefficient copy
+copy (`all_band_step_verdict`) checks every coherence band; the
+integrator's guard, which checks band 0 alone, must never refuse a step
+that copy accepts.  The coefficient copy
 (`dense_band`, `dense_coefficient_apply`) builds the arrays that
 ThermalLiouvillian held before it kept only O(N) vectors; its bands and
 apply must return the same bits.  The per-row writer copy

@@ -54,6 +54,21 @@ def count_maps(monkeypatch):
     return calls
 
 
+def count_increments(monkeypatch):
+    """Record the size of every RK4 increment `integrate` builds."""
+    sizes = []
+    rk4_increment = dynamics._rk4_increment
+    monkeypatch.setattr(dynamics, "_rk4_increment",
+                        lambda a, h: sizes.append(len(a)) or rk4_increment(a, h))
+    return sizes
+
+
+def random_diagonal_start(rng, dim):
+    """A diagonal start: uniform random weights on every level, unit trace."""
+    p = rng.uniform(size=dim)
+    return np.diag(p / p.sum()).astype(complex)
+
+
 def random_hermitian_unit_trace(rng, dim):
     # positive construction keeps entries O(1) after trace normalization
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -302,18 +317,6 @@ class TestIntegration:
         dists = traj.trace_dist_to_gibbs
         assert dists[0] > dists[-1]
 
-    def test_coherences_die_out(self):
-        params = EnsembleParams(2, 0.1, 10.0)
-        psi = np.zeros(3, dtype=complex)
-        psi[0] = psi[2] = 1 / math.sqrt(2)
-        rho0 = 0.5 * np.outer(psi, psi.conj()) + 0.5 * initial_state(params, "gibbs")
-        traj = integrate(rho0, 40.0, params, ctrl=StepControl(h=0.01), n_samples=21)
-        def offdiag(m):
-            return float(np.max(np.abs(m - np.diag(np.diag(m)))))
-        envelope = [offdiag(s) for s in traj.states]
-        assert envelope[-1] < 1e-10
-        assert all(a >= b - 1e-12 for a, b in zip(envelope, envelope[1:]))
-
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_long_time_populations_obey_detailed_balance(self, n):
         params = EnsembleParams(n, 0.1, 1.0)
@@ -332,10 +335,10 @@ class TestIntegration:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_step_by_step_dense_rk4(self, n):
-        # a random full-rank start puts weight on every coherence band
+        # a random population vector puts weight on every level
         rng = np.random.default_rng(40 + n)
         params = EnsembleParams(n, 0.15 if n > 1 else 0.0, 2.0)
-        rho0 = random_hermitian_unit_trace(rng, n + 1)
+        rho0 = random_diagonal_start(rng, n + 1)
         traj = integrate(rho0, 1.0, params, ctrl=StepControl(h=0.013), n_samples=7)
         ref = rk4_trajectory(rho0, 1.0, params, 0.013, 7)
         assert np.max(np.abs(traj.states - ref)) <= 1e-12
@@ -375,23 +378,14 @@ class TestIntegration:
         traj = integrate(initial_state(params, "inverted"), 10.0, params, n_samples=201)
         assert traj.final_trace_distance <= 1e-8
 
-    def test_one_step_map_per_band(self, monkeypatch):
-        # the linspace sample spans differ in their last bits; all intervals
-        # must still share one (h, steps) pair, so one map per band is built.
-        # A random full-rank start puts weight on every coherence band.
-        calls = count_maps(monkeypatch)
-        params = EnsembleParams(20, 0.1, 1.0)
-        rho0 = random_hermitian_unit_trace(np.random.default_rng(20), 21)
-        integrate(rho0, 0.2, params, n_samples=201)
-        assert len(calls) == params.n_atoms + 1
-
     @pytest.mark.parametrize("kind", INITIAL_STATE_KINDS)
     def test_diagonal_start_builds_one_map(self, monkeypatch, kind):
+        # the linspace sample spans differ in their last bits; all intervals
+        # must still share one (h, steps) pair, so one map is built
         calls = count_maps(monkeypatch)
         params = EnsembleParams(20, 0.1, 1.0)
-        traj = integrate(initial_state(params, kind), 0.2, params, n_samples=201)
+        integrate(initial_state(params, kind), 0.2, params, n_samples=201)
         assert len(calls) == 1
-        assert traj.coherences == {}
 
     @pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -0.01])
     def test_rejects_bad_step(self, h):
@@ -442,6 +436,18 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate(off, 1.0, params, n_samples=3)
 
+    @pytest.mark.parametrize("i, j, c", [(0, 1, 1e-3 + 1e-3j), (2, 4, -1e-3), (0, 5, 1e-3j),
+                                         (3, 4, 1e-300)])
+    def test_coherent_start_is_refused_before_any_map(self, monkeypatch, i, j, c):
+        # one hermitian coherence, however small, would need -i[H, rho]
+        sizes = count_increments(monkeypatch)
+        params = EnsembleParams(5, 0.1, 1.0)
+        rho0 = initial_state(params, "equal")
+        rho0[i, j], rho0[j, i] = c, np.conj(c)
+        with pytest.raises(ValueError, match=r"coherences: .* -i\[H, rho\]"):
+            integrate(rho0, 0.2, params, n_samples=11)
+        assert sizes == []
+
     def test_atom_cap(self):
         params = EnsembleParams(300, 0.0, 1.0)
         with pytest.raises(ValueError, match="capped"):
@@ -477,8 +483,7 @@ class TestIntegration:
 
     def test_nested_list_start_runs_as_its_array(self):
         params = EnsembleParams(3, 0.1, 1.0)
-        rho0 = initial_state(params, "equal") + small_coherence(
-            np.random.default_rng(6), 4, [1, 2])
+        rho0 = random_diagonal_start(np.random.default_rng(6), 4)
         from_list = integrate(rho0.tolist(), 1.0, params, n_samples=5)
         from_array = integrate(rho0, 1.0, params, n_samples=5)
         for name in ("rho0", "populations", "states", "trace_drift", "herm_defect",
@@ -503,16 +508,6 @@ class TestIntegration:
         assert all(got[i] == trace_distance(a, b) for i, a in enumerate(stack))
 
 
-def small_coherence(rng, dim, bands):
-    """Hermitian perturbation, 1e-3 in size, with zero diagonal and nonzero
-    entries on the given coherence bands."""
-    c = np.zeros((dim, dim), dtype=complex)
-    for k in bands:
-        v = 1e-3 * (rng.uniform(0.5, 1.0, dim - k) + 1j * rng.uniform(0.5, 1.0, dim - k))
-        c += np.diag(v, k) + np.diag(v.conj(), -k)
-    return c
-
-
 class TestPopulationOnly:
     """A diagonal start advances the populations alone; its diagnostics come
     from the populations and `states` is assembled on request."""
@@ -522,17 +517,6 @@ class TestPopulationOnly:
     @staticmethod
     def _run(rho0, params):
         return integrate(rho0, 2.0, params, n_samples=11)
-
-    @pytest.mark.parametrize("n,kind", CASES)
-    def test_populations_match_the_all_bands_path(self, n, kind):
-        params = EnsembleParams(n, 0.1 if n > 1 else 0.0, 1.0)
-        rho0 = initial_state(params, kind)
-        coherent = rho0 + small_coherence(np.random.default_rng(n), n + 1, range(1, n + 1))
-        diag = self._run(rho0, params)
-        dense = self._run(coherent, params)
-        assert diag.coherences == {}
-        assert sorted(dense.coherences) == list(range(1, n + 1))
-        assert np.array_equal(diag.populations, dense.populations)
 
     @pytest.mark.parametrize("n,kind", CASES)
     def test_diagnostics_match_dense_formulas(self, n, kind):
@@ -572,7 +556,6 @@ class TestPopulationOnly:
         rho0 = initial_state(params, "equal")
         rho0[0, 1], rho0[1, 0] = 1e-13, -1e-13
         traj = self._run(rho0, params)
-        assert traj.coherences == {}
         assert traj.herm_defect[0] == np.max(np.abs(rho0 - rho0.conj().T)) == 2e-13
         assert np.all(traj.herm_defect[1:] == 0.0)
 
@@ -589,39 +572,14 @@ class TestPopulationOnly:
         traj = self._run(initial_state(params, kind), params)
         assert calls == []
         assert "states" not in vars(traj)
-        # a start with coherences takes them from the dense states, each
-        # sample's spectra once
-        coherent = initial_state(params, kind) + small_coherence(
-            np.random.default_rng(3), 6, [1])
-        traj = self._run(coherent, params)
-        assert calls == [("eigvalsh", (11, 6, 6)), ("trace_distance", (11, 6, 6)),
-                         ("eigvalsh", (11, 6, 6))]
-        assert "states" in vars(traj)
-
-    @pytest.mark.parametrize("kind", INITIAL_STATE_KINDS)
-    @pytest.mark.parametrize("n", [2, 5, 12, 40])
-    def test_coherent_diagnostics_equal_the_per_sample_formulas(self, n, kind):
-        params = EnsembleParams(n, 0.1, 1.0)
-        gibbs = np.diag(thermal_state(params).populations).astype(complex)
-        for bands in ([1], [k for k in (2, 5) if k <= n]):
-            rho0 = initial_state(params, kind) + small_coherence(
-                np.random.default_rng(n), n + 1, bands)
-            traj = self._run(rho0, params)
-            assert sorted(traj.coherences) == bands
-            for i, rho in enumerate(traj.states):
-                herm = 0.5 * (rho + rho.conj().T)
-                assert traj.min_eigenvalue[i] == np.min(np.linalg.eigvalsh(herm))
-                assert traj.trace_dist_to_gibbs[i] == trace_distance(rho, gibbs)
-            assert np.all(traj.herm_defect[1:] == 0.0)
-            assert np.all(traj.trace_drift == np.abs(traj.populations.sum(axis=1) - 1.0))
 
     def test_real_read_only_start_is_left_as_given(self):
-        # a real start, off hermitian within the tolerance, runs as its
-        # complex copy and is never written
+        # a real start, off hermitian within the tolerance by a pair that
+        # cancels in its hermitian part, runs as its complex copy and is
+        # never written
         params = EnsembleParams(5, 0.1, 1.0)
-        rho0 = initial_state(params, "equal").real + small_coherence(
-            np.random.default_rng(4), 6, [1, 3]).real
-        rho0[0, 1] += 5e-13
+        rho0 = random_diagonal_start(np.random.default_rng(4), 6).real
+        rho0[0, 1], rho0[1, 0] = 2.5e-13, -2.5e-13
         given = rho0.copy()
         rho0.flags.writeable = False
         traj = self._run(rho0, params)
@@ -631,48 +589,6 @@ class TestPopulationOnly:
         for name in ("populations", "states", "trace_drift", "herm_defect", "min_eigenvalue",
                      "trace_dist_to_gibbs"):
             assert np.array_equal(getattr(traj, name), getattr(as_complex, name)), name
-
-    def test_coherent_diagnostics_add_little_to_the_states(self):
-        # the spectral pass takes the states a few at a time: three
-        # stack-sized arrays at once peaked at 81 MB here
-        params = EnsembleParams(40, 0.1, 1.0)
-        rho0 = initial_state(params, "equal") + small_coherence(
-            np.random.default_rng(5), 41, [1, 2])
-        tracemalloc.start()
-        try:
-            traj = integrate(rho0, 1.0, params, n_samples=1001)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert "states" in vars(traj)
-        assert peak < 1.5 * traj.states.nbytes
-
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_zero_band_stays_zero_between_nonzero_bands(self, n):
-        params = EnsembleParams(n, 0.1, 1.0)
-        rng = np.random.default_rng(100 + n)
-        rho0 = initial_state(params, "equal") + small_coherence(rng, n + 1, [2])
-        traj = self._run(rho0, params)
-        assert sorted(traj.coherences) == [2]
-        idx = np.arange(n)
-        for states in (traj.states, traj.states.transpose(0, 2, 1)):
-            assert np.all(states[:, idx, idx + 1] == 0.0)
-        assert np.all(traj.states[1:, 0, 2] != 0.0)
-
-
-def checked_bands(monkeypatch):
-    """Record, per `integrate` call, the bands whose generators the step
-    guard checks (band k's generator has N + 1 - k rows)."""
-    calls = []
-    check_step = dynamics._check_step
-
-    def recording(generators, h):
-        dim = len(generators[0])
-        calls.append([dim - len(a) for a in generators])
-        return check_step(generators, h)
-
-    monkeypatch.setattr(dynamics, "_check_step", recording)
-    return calls
 
 
 # N x 6 couplings across the admissible window x 5 baths from 1e-3 to 100
@@ -686,45 +602,24 @@ def guard_grid(n):
 
 
 class TestStepGuard:
-    """The RK4 guard checks the bands integrate advances: band 0 and every
-    coherence band that starts nonzero."""
+    """The RK4 guard checks the band integrate advances, band 0."""
 
     @pytest.mark.parametrize("kind", INITIAL_STATE_KINDS)
     def test_diagonal_start_checks_band_0_only(self, monkeypatch, kind):
-        calls = checked_bands(monkeypatch)
+        checked = []
+        check_step = dynamics._check_step
+        monkeypatch.setattr(dynamics, "_check_step",
+                            lambda a, h: checked.append(a) or check_step(a, h))
         params = EnsembleParams(20, 0.1, 1.0)
         integrate(initial_state(params, kind), 0.2, params, n_samples=11)
-        assert calls == [[0]]
+        assert len(checked) == 1
+        assert np.array_equal(checked[0], ThermalLiouvillian(params).band(0))
 
-    def test_coherent_start_checks_its_bands(self, monkeypatch):
-        calls = checked_bands(monkeypatch)
+    def test_one_rk4_increment_per_advanced_band(self, monkeypatch):
+        sizes = count_increments(monkeypatch)
         params = EnsembleParams(10, 0.1, 1.0)
-        rng = np.random.default_rng(25)
-        rho0 = initial_state(params, "equal") + small_coherence(rng, 11, [2, 5])
-        traj = integrate(rho0, 0.2, params, n_samples=11)
-        assert calls == [[0, 2, 5]]
-        assert sorted(traj.coherences) == [2, 5]
-
-    def test_coherence_in_the_last_band_alone(self, monkeypatch):
-        # band N is the single corner entry rho_{0,N}
-        calls = checked_bands(monkeypatch)
-        params = EnsembleParams(10, 0.1, 1.0)
-        rho0 = initial_state(params, "equal") + small_coherence(np.random.default_rng(25), 11, [10])
-        traj = integrate(rho0, 0.2, params, n_samples=11)
-        assert calls == [[0, 10]]
-        assert sorted(traj.coherences) == [10]
-
-    @pytest.mark.parametrize("bands", [[], [2, 5]])
-    def test_one_rk4_increment_per_advanced_band(self, monkeypatch, bands):
-        sizes = []
-        rk4_increment = dynamics._rk4_increment
-        monkeypatch.setattr(dynamics, "_rk4_increment", lambda a, h: sizes.append(len(a))
-                            or rk4_increment(a, h))
-        params = EnsembleParams(10, 0.1, 1.0)
-        rho0 = initial_state(params, "equal") + small_coherence(
-            np.random.default_rng(25), 11, bands)
-        integrate(rho0, 0.2, params, n_samples=11)
-        assert sizes == [11 - k for k in [0] + bands]
+        integrate(initial_state(params, "equal"), 0.2, params, n_samples=11)
+        assert sizes == [11]
 
     def test_step_too_large_before_any_map(self, monkeypatch):
         # refused by the gain check
@@ -776,19 +671,16 @@ class TestBandPropagator:
     @pytest.mark.parametrize("n", [1, 2, 5, 20, 60])
     @pytest.mark.parametrize("kind", [*INITIAL_STATE_KINDS, "random"])
     def test_same_bits_as_the_per_sample_loop(self, monkeypatch, n, kind):
-        # every band integrate advances, against the frozen per-sample loop
+        # the populations integrate advances, against the frozen per-sample loop
         params = EnsembleParams(n, 0.1 if n > 1 else 0.0, 1.0)
         if kind == "random":
-            rho0 = random_hermitian_unit_trace(np.random.default_rng(n), n + 1)
+            rho0 = random_diagonal_start(np.random.default_rng(n), n + 1)
         else:
             rho0 = initial_state(params, kind)
         got = integrate(rho0, 0.05, params, n_samples=21)
         monkeypatch.setattr(dynamics, "_band_history", per_sample_band_history)
         want = integrate(rho0, 0.05, params, n_samples=21)
         assert np.array_equal(got.populations, want.populations)
-        assert sorted(got.coherences) == (list(range(1, n + 1)) if kind == "random" else [])
-        for k, band in want.coherences.items():
-            assert np.array_equal(got.coherences[k], band), k
 
     def test_nonfinite_start_raises(self):
         e, v0, times = self._setup(1)

@@ -447,23 +447,18 @@ def test_sweep_file_is_the_csv_text_of_its_rows(config):
 
 
 @st.composite
-def coherent_starts(draw):
-    """Ensemble parameters and an equal-mixture start with coherence 1e-3
-    on a drawn set of bands."""
+def guarded_starts(draw):
+    """Ensemble parameters and a drawn diagonal start."""
     n = draw(st.integers(1, 12))
     x = 10.0 ** draw(st.floats(-3.0, 2.0))
     lower = -(n - 1) / (n + 1)
     eta = draw(st.floats(0.99 * lower, 0.99)) if n > 1 else 0.0
     params = EnsembleParams(n, eta, x)
-    rho0 = initial_state(params, "equal")
-    for k in draw(st.sets(st.integers(1, n))):
-        rho0 += np.diag(np.full(n + 1 - k, 1e-3 + 1e-3j), k)
-        rho0 += np.diag(np.full(n + 1 - k, 1e-3 - 1e-3j), -k)
-    return params, rho0
+    return params, initial_state(params, draw(st.sampled_from(INITIAL_STATE_KINDS)))
 
 
 @PROPERTY_SETTINGS
-@given(coherent_starts(), st.floats(0.5, 1.5))
+@given(guarded_starts(), st.floats(0.5, 1.5))
 def test_step_guard_never_refuses_what_the_all_band_guard_accepts(start, factor):
     params, rho0 = start
     h = factor * band0_step_limit(params)

@@ -95,7 +95,8 @@ def test_surviving_signatures():
 
 @pytest.mark.parametrize(
     "cls, field",
-    [(dicke_therm.StepControl, "max_trace_drift"), (dicke_therm.AsymptoticReport, "tolerances")],
+    [(dicke_therm.StepControl, "max_trace_drift"), (dicke_therm.AsymptoticReport, "tolerances"),
+     (dicke_therm.Trajectory, "coherences")],
 )
 def test_retired_fields(cls, field):
     assert field not in {f.name for f in dataclasses.fields(cls)}
