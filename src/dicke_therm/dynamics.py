@@ -123,7 +123,8 @@ class ThermalLiouvillian:
     evolves on its own under a real tridiagonal generator (see `band`)
     whose diagonals are slices of the vectors r, d1, d2 and l.  On a
     diagonal rho this is the whole master equation, since -i[H, rho]
-    vanishes there.
+    vanishes there.  A bath hot enough that band 0 overflows a float is
+    refused with ValueError.
     """
 
     def __init__(self, params: EnsembleParams):
@@ -131,12 +132,16 @@ class ThermalLiouvillian:
         self.dim = params.n_atoms + 1
         # omega_n drives the n <-> n+1 transition, n = 0..N-1
         gamma, nbar = _bath_rates(build_spectrum(params).frequencies[:-1], params.x)
-        self._d1 = 0.5 * gamma * (1.0 + nbar)
-        self._d2 = 0.5 * gamma * nbar
         self._lo = ladder_coefficients(params.n_atoms)[1:]  # l_{n+1}
         self._r = np.zeros(self.dim)
-        self._r[1:] += self._d1 * self._lo**2
-        self._r[:-1] += self._d2 * self._lo**2
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._d1 = 0.5 * gamma * (1.0 + nbar)
+            self._d2 = 0.5 * gamma * nbar
+            self._r[1:] += self._d1 * self._lo**2
+            self._r[:-1] += self._d2 * self._lo**2
+        # every entry of band 0 is at most 2 r_i in size; NaN fails the test too
+        if not self._r.max() <= 0.5 * np.finfo(float).max:
+            raise ValueError(f"the bath rates at x={params.x:g} overflow a float; use a larger x")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """The dissipator's drho/dt for hermitian rho: traceless and
@@ -181,9 +186,12 @@ def _bath_rates(omega: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
 def default_step(params: EnsembleParams) -> float:
     """Conservative fixed step: 0.01/((1+nbar_max)*N^2), nbar_max over
     all N+1 frequencies omega_0..omega_N, omega_N included although it
-    drives no transition."""
+    drives no transition.  Raises ValueError where the step rounds to 0."""
     nbar_max = float(np.max(_bath_rates(build_spectrum(params).frequencies, params.x)[1]))
-    return 0.01 / ((1.0 + nbar_max) * params.n_atoms**2)
+    h = 0.01 / ((1.0 + nbar_max) * params.n_atoms**2)
+    if not h:
+        raise ValueError(f"the default step at x={params.x:g} rounds to 0; use a larger x")
+    return h
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -264,19 +272,18 @@ def _rk4_increment(a: np.ndarray, h: float) -> np.ndarray:
     return x @ t
 
 
-def _power_increment(e: np.ndarray, steps: int, conserve: bool = False) -> np.ndarray:
-    """(I + e)^steps - I by binary powering.
+def _power_increment(e: np.ndarray, steps: int) -> np.ndarray:
+    """(I + e)^steps - I by binary powering, for band 0's increment e.
 
     I + e is never formed: near a fixed point it would round the increment
     away, so the composition rules E_2m = 2E_m + E_m^2 and
-    E_a o E_b = E_a + E_b + E_a E_b act on increments only.  With conserve
-    (band 0, whose generator's columns sum to zero), each composition and
-    each doubling moves its columns' sums onto the diagonal, so rounding
-    in the conserved trace does not double with every squaring.
+    E_a o E_b = E_a + E_b + E_a E_b act on increments only.  Band 0's
+    generator has columns summing to zero, so each composition and each
+    doubling moves its columns' sums onto the diagonal, and rounding in
+    the conserved trace does not double with every squaring.
     """
     def kept(m: np.ndarray) -> np.ndarray:
-        if conserve:
-            m.ravel()[:: len(m) + 1] -= m.sum(axis=0)
+        m.ravel()[:: len(m) + 1] -= m.sum(axis=0)
         return m
 
     out = None
@@ -293,8 +300,8 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a real tridiagonal matrix whose off-diagonal products
     are nonnegative: the characteristic polynomial depends only on those
     products, so they are those of the symmetric matrix with off-diagonals
-    sqrt(super_i * sub_{i+1})."""
-    off = np.sqrt(np.diag(a, 1) * np.diag(a, -1))
+    sqrt(super_i) * sqrt(sub_{i+1}), a product that cannot overflow."""
+    off = np.sqrt(np.diag(a, 1)) * np.sqrt(np.diag(a, -1))
     return np.linalg.eigvalsh(np.diag(np.diag(a)) + np.diag(off, 1) + np.diag(off, -1))
 
 
@@ -304,8 +311,9 @@ def _check_step(a: np.ndarray, h: float) -> None:
     # the generator is dissipative: a positive eigenvalue is rounding of
     # the conserved trace mode
     z = h * np.minimum(_eigenvalues(a), 0.0)
-    # RK4 stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
-    gain = float(np.max(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))))
+    # RK4 stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, inf at a far too large h
+    with np.errstate(over="ignore"):
+        gain = float(np.max(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))))
     if gain > 1.0:
         raise StepTooLarge(
             f"RK4 is unstable at h={h:g}: |R(h*lambda)| reaches {gain:.3e} > 1; "
@@ -313,20 +321,18 @@ def _check_step(a: np.ndarray, h: float) -> None:
         )
 
 
-def _band_history(
-    e: np.ndarray, v0: np.ndarray, steps: int, times: np.ndarray, conserve: bool = False
-) -> np.ndarray:
-    """Band vector at the sample times from any start v0 (complex, not
+def _band_history(e: np.ndarray, v0: np.ndarray, steps: int, times: np.ndarray) -> np.ndarray:
+    """Band 0's vector at the sample times from any start v0 (complex, not
     normalised), each interval `steps` RK4 steps I + e = R(hA) as one exact
-    map, powered with conserve for band 0 (_power_increment) and added in
-    place into the next row; raises NonFiniteState at the first blown sample.
+    map (_power_increment) added in place into the next row; raises
+    NonFiniteState at the first blown sample.
     The history is complex even for real populations: numpy's real and
     complex matvecs of the same data can differ in the last bit."""
     hist = np.empty((len(times), v0.size), dtype=complex)
     hist[0] = v0
     with np.errstate(over="ignore", invalid="ignore"):
         # cast once: the loop's complex products are those of the real map
-        step_map = _power_increment(e, steps, conserve).astype(complex)
+        step_map = _power_increment(e, steps).astype(complex)
         for prev, row in zip(hist, hist[1:]):
             np.add(prev, step_map @ prev, out=row)
     blown = ~np.all(np.isfinite(hist), axis=1)
@@ -390,8 +396,7 @@ def integrate(
     h = span / steps
     a = liou.band(0)
     _check_step(a, h)
-    hist = _band_history(_rk4_increment(a, h), np.diagonal(rho0).real, steps, times,
-                         conserve=True)
+    hist = _band_history(_rk4_increment(a, h), np.diagonal(rho0).real, steps, times)
     change = float(np.max(np.abs(np.diff(hist.sum(axis=1).real))))
     if change > _MAX_TRACE_DRIFT:
         raise StepTooLarge(

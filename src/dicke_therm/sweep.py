@@ -11,14 +11,11 @@ A sweep is a rectangle of (N, eta) groups over one x grid, written a group
 at a time (_groups, run_sweep); csv_text writes evolve and validate tables
 a printf per run of like-typed rows.  Both render cells as format_number.
 
-Every file the CLI writes goes through _write_ascii, which rewrites an
-existing file in place and then cuts it to the new length, never
-truncating it to empty first: ext4, xfs and btrfs flush a non-empty file
-truncated to zero when it is closed, about ten times the cost of the write.
-That flush is also what keeps a crash from mixing two runs in one file, so
-a run killed between write and cut, or a machine crash before the page
-cache reaches disk, can leave new rows followed by, or mixed with, the
-old file's bytes.
+Every file the CLI writes goes through _write_ascii, which truncates and
+writes any file that does not already hold the new bytes.  A killed run
+leaves a prefix of the new file, and a crash cannot mix two runs: the
+truncation frees the old bytes, and ext4, xfs and btrfs flush a file
+truncated to zero when it is closed.
 """
 
 from __future__ import annotations
@@ -316,27 +313,23 @@ def render_json(obj, precision: int = DEFAULT_PRECISION) -> str:
 
 
 def _write_ascii(path: str | Path, text: str) -> None:
-    """Write text to path as its ASCII bytes, creating the file if needed.
-
-    The file is opened without O_TRUNC and written from its start; a
-    regular file is then cut to the bytes written, so no stale tail stays,
-    also when os.write raises part way.  That error is the one raised,
-    whatever the cut and the close after it raise.  A FIFO or a device is
-    not cut.  A symlink is written through, and a hard link keeps its inode.
-    """
-    data = memoryview(text.encode("ascii"))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    regular = False
+    """Write text to path as its ASCII bytes.  A regular file that already
+    holds them is not opened for writing, only its mtime advanced (make-style
+    freshness); any other path is opened with O_CREAT | O_TRUNC and written,
+    so a FIFO or a device is never read and a link is written through.  A
+    failed write raises its own OSError, whatever the close after it raises."""
+    data = text.encode("ascii")
+    with contextlib.suppress(OSError):  # no such file, or one the open below reports on
+        st = os.stat(path)
+        if (stat.S_ISREG(st.st_mode) and st.st_size == len(data)
+                and Path(path).read_bytes() == data):
+            os.utime(path)
+            return
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        regular = stat.S_ISREG(os.fstat(fd).st_mode)
         while data:
             data = data[os.write(fd, data):]
-        if regular:
-            os.ftruncate(fd, len(text))
     except BaseException:
-        with contextlib.suppress(OSError):
-            if regular:
-                os.ftruncate(fd, len(text) - len(data))
         with contextlib.suppress(OSError):
             os.close(fd)
         raise

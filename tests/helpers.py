@@ -27,10 +27,12 @@ apply must return the same bits.  The per-row writer copy
 per-sample propagator copy (`per_sample_band_history`) steps a band with
 one indexed assignment per sample; the package's run-at-a-time writer and
 in-place propagator must give the same text and the same bits.
+`plain_power_increment` powers a step map without the column-sum rule,
+so the per-interval trace guard has a drifting map to catch.
 `per_point_exact` takes the exact side
 of a validator row from the per-point public functions.  `read_sweep_csv`
-parses the CLI's sweep CSV back into typed rows, and `read_fifo` collects
-what a writer sends into a FIFO.
+parses the CLI's sweep CSV back into typed rows, `read_fifo` collects
+what a writer sends into a FIFO, and `spy_open` records every `os.open`.
 """
 
 import csv
@@ -373,14 +375,27 @@ def per_row_csv_text(header, rows, precision):
     return "\n".join(lines) + "\n"
 
 
-def per_sample_band_history(e, v0, steps, times, conserve=False):
+def per_sample_band_history(e, v0, steps, times):
     hist = np.empty((len(times), v0.size), dtype=complex)
     hist[0] = v0
     with np.errstate(over="ignore", invalid="ignore"):
-        step_map = _power_increment(e, steps, conserve).astype(complex)
+        step_map = _power_increment(e, steps).astype(complex)
         for i in range(len(times) - 1):
             hist[i + 1] = hist[i] + step_map @ hist[i]
     return hist
+
+
+def plain_power_increment(e, steps):
+    """(I + e)^steps - I by the binary powering of dynamics._power_increment
+    without its column-sum rule, so rounding in the trace builds up."""
+    out = None
+    while True:
+        if steps & 1:
+            out = e if out is None else out + e + out @ e
+        steps >>= 1
+        if not steps:
+            return out
+        e = 2.0 * e + e @ e
 
 
 def per_point_exact(check):
@@ -423,6 +438,19 @@ def read_sweep_csv(path):
             rec["reason"] = raw[7]
             rows.append(rec)
     return rows
+
+
+def spy_open(monkeypatch):
+    """The (path, flags) of every os.open call from now on."""
+    opened = []
+    real_open = os.open
+
+    def spy(path, flags, *args):
+        opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr(os, "open", spy)
+    return opened
 
 
 def read_fifo(path, write):

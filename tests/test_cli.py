@@ -19,7 +19,7 @@ from dicke_therm.sweep import (
     render_json,
     x_grid,
 )
-from helpers import read_fifo, read_sweep_csv
+from helpers import read_fifo, read_sweep_csv, spy_open
 
 
 def run(capsys, *argv):
@@ -77,6 +77,12 @@ class TestPoint:
         assert code == 0
         assert got.decode("ascii") == printed
         assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_out_full_device_exits_2_naming_the_write_error(self, capsys):
+        code, out, err = run(capsys, "point", "--n", "2", "--x", "1", "--out", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err == "OSError: [Errno 28] No space left on device\n"
 
     def test_cold_bath_prediction_overflows_to_inf(self, capsys):
         code, out, _ = run(capsys, "point", "--n", "2", "--eta", "-0.3", "--x", "2000")
@@ -759,9 +765,10 @@ class TestOutputCheckedFirst:
         return err
 
 
-class TestRewrittenInPlace:
-    """A re-run rewrites every output file in place: each file the command
-    writes is opened once, and never with O_TRUNC."""
+class TestRerunWrites:
+    """A re-run whose outputs are unchanged opens none of them for writing
+    and only advances their mtimes; one whose outputs changed truncates
+    each file it writes and leaves exactly the new bytes."""
 
     ARGV = {
         "point": ["point", "--n", "2", "--x", "1", "--out", "{dir}/out.json"],
@@ -772,26 +779,41 @@ class TestRewrittenInPlace:
         "figures": ["figures", "--out-dir", "{dir}"],
     }
 
-    @pytest.mark.parametrize("command", sorted(ARGV))
-    def test_each_output_opened_once_without_truncation(self, capsys, tmp_path, monkeypatch,
-                                                        command):
+    @classmethod
+    def first_run(cls, capsys, tmp_path, command):
+        """argv, and the bytes of every file its first run wrote."""
         from dicke_therm import cli
 
-        argv = [arg.replace("{dir}", str(tmp_path)) for arg in self.ARGV[command]]
+        argv = [arg.replace("{dir}", str(tmp_path)) for arg in cls.ARGV[command]]
         assert run(capsys, *argv)[0] == 0
         outputs = sorted(os.fspath(p) for p in cli._out_paths(build_parser().parse_args(argv)))
         assert len(outputs) == {"point": 1, "figures": 8}.get(command, 2)
-        opened = []
-        real_open = os.open
+        return argv, {path: Path(path).read_bytes() for path in outputs}
 
-        def spy(path, flags, *args, **kwargs):
-            opened.append((os.fspath(path), flags))
-            return real_open(path, flags, *args, **kwargs)
-
-        monkeypatch.setattr(os, "open", spy)
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_identical_rerun_opens_no_output(self, capsys, tmp_path, monkeypatch, command):
+        argv, first = self.first_run(capsys, tmp_path, command)
+        inodes = {path: os.stat(path).st_ino for path in first}
+        for path in first:
+            os.utime(path, ns=(0, 0))
+        opened = spy_open(monkeypatch)
         assert run(capsys, *argv)[0] == 0
-        assert sorted(path for path, _ in opened) == outputs
-        assert not [path for path, flags in opened if flags & os.O_TRUNC]
+        assert opened == []
+        for path, data in first.items():
+            st = os.stat(path)
+            assert (st.st_ino, Path(path).read_bytes()) == (inodes[path], data)
+            assert st.st_mtime_ns > 0
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_changed_rerun_truncates_each_output(self, capsys, tmp_path, monkeypatch, command):
+        argv, first = self.first_run(capsys, tmp_path, command)
+        for path in first:
+            Path(path).write_bytes(b"0123456789,junk\n" * 1000)
+        opened = spy_open(monkeypatch)
+        assert run(capsys, *argv)[0] == 0
+        assert sorted(path for path, _ in opened) == sorted(first)
+        assert all(flags & os.O_TRUNC for _, flags in opened)
+        assert {path: Path(path).read_bytes() for path in first} == first
 
 
 class TestMemoryError:
@@ -851,24 +873,27 @@ class TestSidecars:
             assert doc["command"] == argv[0]
 
 
+def fresh_python(*args: str, cwd=None):
+    """The finished process of a new interpreter, run with args, that
+    imports this package."""
+    import subprocess
+    import sys
+
+    import dicke_therm
+
+    src = str(Path(dicke_therm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd)
+
+
 class TestColdStart:
     @staticmethod
     def fresh_python(code: str) -> str:
         """Stdout of code run by a new interpreter that imports this package."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import dicke_therm
-
-        src = str(Path(dicke_therm.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, check=True, env=env,
-        )
+        proc = fresh_python("-c", code)
+        proc.check_returncode()
         return proc.stdout.strip()
 
     def test_cli_import_leaves_scipy_out(self):
@@ -888,6 +913,44 @@ class TestColdStart:
         assert self.fresh_python(
             "import dicke_therm.cli as cli; print(cli.build_parser.cache_info().currsize)"
         ) == "0"
+
+
+def _extreme_cases():
+    """pytest params (argv, exit code) of each command at the ends of the
+    float range."""
+    cases = []
+    for x in ("1e-300", "1e300"):
+        cases += [pytest.param(("point", "--n", n, "--eta", "0.1", "--x", x), 0,
+                               id=f"point-N{n}-x{x}") for n in ("2", "100000")]
+        cases.append(pytest.param(("sweep", "--n", "2,100000", "--eta", "0,0.1", "--x-start", x,
+                                   "--x-stop", x, "--x-count", "1", "--out", "s.csv"), 0,
+                                  id=f"sweep-x{x}"))
+        # at x = 1e300 every intensity underflows, so nothing is compared
+        cases.append(pytest.param(("validate", "--n", "2,100000", "--eta", "0,0.1", "--x", x,
+                                   "--out", "v.csv"), 0 if x == "1e-300" else 2,
+                                  id=f"validate-x{x}"))
+    for x, code, step_code in (("1e-200", 0, 4), ("1e-308", 2, 2), ("1e-320", 2, 2)):
+        for n in ("2", "5"):
+            argv = ("evolve", "--n", n, "--x", x, "--t-end", "1", "--samples", "3",
+                    "--out", "e.csv")
+            cases += [pytest.param(argv, code, id=f"evolve-N{n}-x{x}"),
+                      pytest.param((*argv, "--step", "0.01"), step_code,
+                                   id=f"evolve-N{n}-x{x}-step")]
+    return cases
+
+
+class TestExtremeInputs:
+    """Every command at the ends of the float range, each in a fresh
+    interpreter with the default warning filters: stderr carries no
+    warning, and a refused input prints exactly one `Type: message` line."""
+
+    @pytest.mark.parametrize("argv, code", _extreme_cases())
+    def test_no_warning_and_one_line_refusals(self, tmp_path, argv, code):
+        main_call = "import sys; from dicke_therm.cli import main; sys.exit(main())"
+        proc = fresh_python("-c", main_call, *argv, cwd=tmp_path)
+        assert "Warning" not in proc.stderr
+        assert proc.returncode == code, proc.stderr
+        assert re.fullmatch(r"\w+: [^\n]+\n", proc.stderr) if code else proc.stderr == ""
 
 
 class TestSharedParser:

@@ -37,6 +37,7 @@ from helpers import (
     dicke_limit_liouvillian,
     guard_accepts,
     per_sample_band_history,
+    plain_power_increment,
     rk4_trajectory,
 )
 
@@ -46,9 +47,9 @@ def count_maps(monkeypatch):
     calls = []
     power_increment = dynamics._power_increment
 
-    def counting(e, steps, *args):
+    def counting(e, steps):
         calls.append(steps)
-        return power_increment(e, steps, *args)
+        return power_increment(e, steps)
 
     monkeypatch.setattr(dynamics, "_power_increment", counting)
     return calls
@@ -105,6 +106,32 @@ class TestBathRates:
         traj = integrate(initial_state(params, "inverted"), 1.0, params,
                          ctrl=StepControl(h=0.01), n_samples=3)
         assert np.all(np.isfinite(traj.populations))
+
+    @pytest.mark.parametrize("x", [1e-200, 1e-300])
+    def test_hot_bath_relaxes_to_the_gibbs_state(self, x):
+        # the stability check's sqrt(A[n, n+1] * A[n+1, n]) would overflow
+        # here; the product of the two square roots does not
+        for n in (2, 5):
+            params = EnsembleParams(n, 0.0, x)
+            traj = integrate(initial_state(params, "inverted"), 1.0, params, n_samples=3)
+            assert traj.trace_dist_to_gibbs[-1] <= 1e-15
+
+    @pytest.mark.parametrize("x", [2e-308, 1e-308, 1e-320])
+    def test_overflowing_rates_are_refused_before_any_step(self, monkeypatch, x):
+        # at 2e-308 the rates r_n are finite, but band 0's 2 r_n are not
+        maps = count_maps(monkeypatch)
+        params = EnsembleParams(2, 0.0, x)
+        with pytest.raises(ValueError, match=f"rates at x={x:g} overflow"):
+            integrate(initial_state(params, "inverted"), 1.0, params,
+                      ctrl=StepControl(h=1e-300), n_samples=3)
+        assert maps == []
+
+    def test_default_step_rounding_to_zero_is_refused(self):
+        # the rates carry omega_0^3 = 1/8 and stay finite; nbar_max * N^2 does not
+        params = EnsembleParams(2, 0.5, 3e-308)
+        ThermalLiouvillian(params)
+        with pytest.raises(ValueError, match="default step at x=3e-308 rounds to 0"):
+            integrate(initial_state(params, "ground"), 1.0, params, n_samples=3)
 
     def test_occupation_decreases_with_x(self):
         values = [
@@ -649,20 +676,20 @@ class TestStepGuard:
 
 
 class TestBandPropagator:
-    """`_band_history` advances any start vector of a band, complex and
+    """`_band_history` advances any start vector of band 0, complex and
     unnormalised, and checks its own samples."""
 
     @staticmethod
-    def _setup(k):
+    def _setup(seed):
         params = EnsembleParams(8, 0.1, 1.0)
-        a = ThermalLiouvillian(params).band(k)
-        rng = np.random.default_rng(k)
+        a = ThermalLiouvillian(params).band(0)
+        rng = np.random.default_rng(seed)
         v0 = rng.normal(size=len(a)) + 1j * rng.normal(size=len(a))
         return dynamics._rk4_increment(a, 0.01), v0, np.linspace(0.0, 2.0, 11)
 
-    @pytest.mark.parametrize("k", [0, 1, 3])
-    def test_linear_in_an_unnormalised_start(self, k):
-        e, v0, times = self._setup(k)
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_linear_in_an_unnormalised_start(self, seed):
+        e, v0, times = self._setup(seed)
         scale = 2.0**-40
         hist = dynamics._band_history(e, v0, 20, times)
         assert np.array_equal(dynamics._band_history(e, scale * v0, 20, times), scale * hist)
@@ -706,9 +733,7 @@ class TestLongSpans:
     def test_interval_guard_catches_a_map_that_drifts(self, monkeypatch):
         # powered without the column-sum rule, band 0's map changes the
         # trace by up to 8.8e-7 per interval here
-        power_increment = dynamics._power_increment
-        monkeypatch.setattr(dynamics, "_power_increment",
-                            lambda e, steps, conserve=False: power_increment(e, steps))
+        monkeypatch.setattr(dynamics, "_power_increment", plain_power_increment)
         params = EnsembleParams(20, 0.1, 1.0)
         with pytest.raises(StepTooLarge, match="over one sample interval"):
             integrate(initial_state(params, "inverted"), 1e10, params, n_samples=11)

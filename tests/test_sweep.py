@@ -44,7 +44,7 @@ from dicke_therm.sweep import (
     run_sweep,
     x_grid,
 )
-from helpers import read_fifo, read_sweep_csv
+from helpers import read_fifo, read_sweep_csv, spy_open
 
 # N = 50,000 with 5 x values spans several kernel blocks
 BIG_N = 50_000
@@ -366,14 +366,30 @@ def test_pool_never_outnumbers_the_cpus(monkeypatch, cpus, jobs, pools):
 WRITER_TEXT = "N,eta,x\n2,0.1,1\n"
 
 
-@pytest.mark.parametrize("before", [None, b"stale,row\n" * 1000, b"x"],
-                         ids=["new", "longer", "shorter"])
-def test_writer_leaves_exactly_the_new_bytes(tmp_path, before):
+@pytest.mark.parametrize("before", [None, b"stale,row\n" * 1000, b"x",
+                                    WRITER_TEXT.upper().encode("ascii")],
+                         ids=["new", "longer", "shorter", "same-size"])
+def test_writer_leaves_exactly_the_new_bytes(tmp_path, monkeypatch, before):
     path = tmp_path / "out.csv"
     if before is not None:
         path.write_bytes(before)
+    opened = spy_open(monkeypatch)
     sweep._write_ascii(path, WRITER_TEXT)
+    assert opened == [(str(path), os.O_WRONLY | os.O_CREAT | os.O_TRUNC)]
     assert path.read_bytes() == WRITER_TEXT.encode("ascii")
+
+
+def test_writer_leaves_a_file_holding_the_bytes_alone(tmp_path, monkeypatch):
+    # only the mtime moves, so make-style freshness still holds
+    path = tmp_path / "out.csv"
+    path.write_bytes(WRITER_TEXT.encode("ascii"))
+    os.utime(path, ns=(0, 0))
+    inode = path.stat().st_ino
+    opened = spy_open(monkeypatch)
+    sweep._write_ascii(path, WRITER_TEXT)
+    assert opened == []
+    assert (path.stat().st_ino, path.read_bytes()) == (inode, WRITER_TEXT.encode("ascii"))
+    assert path.stat().st_mtime_ns > 0
 
 
 def test_writer_writes_through_links(tmp_path):
@@ -415,7 +431,7 @@ def test_writer_cuts_a_failed_write_to_the_bytes_written(tmp_path, monkeypatch):
     assert path.read_bytes() == WRITER_TEXT.encode("ascii")[:5]
 
 
-def test_writer_raises_the_write_error_when_the_cut_and_close_fail(tmp_path, monkeypatch):
+def test_writer_raises_the_write_error_when_the_close_fails(tmp_path, monkeypatch):
     path = tmp_path / "out.csv"
     path.write_bytes(b"stale,row\n" * 1000)
     real_close = os.close
@@ -432,7 +448,6 @@ def test_writer_raises_the_write_error_when_the_cut_and_close_fail(tmp_path, mon
         raise_(errno.EIO)()
 
     monkeypatch.setattr(os, "write", raise_(errno.ENOSPC))
-    monkeypatch.setattr(os, "ftruncate", raise_(errno.EIO))
     monkeypatch.setattr(os, "close", close_then_fail)
     with pytest.raises(OSError) as exc:
         sweep._write_ascii(path, WRITER_TEXT)
