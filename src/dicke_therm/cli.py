@@ -8,8 +8,9 @@ Exit codes: 0 success, 2 invalid input (an unwritable output path, a
 failed allocation or a validate grid that compares nothing), 3 validation
 tolerance exceeded, 4 integrator failure.  Errors carry the exception class
 name on stderr as a machine-readable token.  --jobs alone sets the worker
-count (default 1).  A file of flat `key = value` lines mirroring the long
-flags can be passed once with --config; explicit flags take precedence.
+count (default 1), and --precision takes 0 to 2**31 - 1 digits.  A file of
+flat `key = value` lines mirroring the long flags can be passed once with
+--config; explicit flags take precedence.
 The parser is built on the first main call and shared by every later one;
 its handlers are bound then, so a test patches their callees, not _cmd_*.
 """
@@ -52,6 +53,7 @@ from .dynamics import (
 from .exceptions import DickeError, IntegrationError
 from .sweep import (
     DEFAULT_PRECISION,
+    PRECISION_LIMIT,
     SWEEP_HEADER,
     VALID_OUTPUTS,
     SweepConfig,
@@ -89,8 +91,8 @@ def _comma_list(kind: type):
 
 def _precision(text: str) -> int:
     digits = int(text)
-    if digits < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {digits}")
+    if not 0 <= digits < PRECISION_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**31), got {digits}")
     return digits
 
 

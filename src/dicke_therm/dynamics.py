@@ -18,7 +18,7 @@ spacing E_{n+1}-E_n equals the transition frequency omega_n.
 The generator is this dissipator alone, without the Hamiltonian term
 -i[H, rho].  H is diagonal in the Dicke basis, so the term vanishes on a
 diagonal state, which the dissipator keeps diagonal: the populations
-(band k = 0, a birth-death chain) are exact in any picture.  A coherence
+(band 0, a birth-death chain) are exact in any picture.  A coherence
 rho_{i,i+k} would also turn under i(E_{i+k} - E_i), so `integrate` refuses
 a start with coherences and advances band 0 alone, through one exact RK4
 step map, with O(N) diagnostics per sample.
@@ -119,9 +119,9 @@ class ThermalLiouvillian:
                     + (d2_{i-1} + d2_{j-1}) l_i l_j rho_{i-1,j-1}.
 
     The three coefficients are symmetric in i and j, so the result is
-    hermitian exactly when rho is, and each coherence band rho_{i,i+k}
-    evolves on its own under a real tridiagonal generator (see `band`)
-    whose diagonals are slices of the vectors r, d1, d2 and l.  On a
+    hermitian exactly when rho is, and the populations rho_ii evolve on
+    their own under a real tridiagonal generator A_0 whose three diagonals
+    (`_band_diagonals`) come from the vectors r, d1, d2 and l.  On a
     diagonal rho this is the whole master equation, since -i[H, rho]
     vanishes there.  A bath hot enough that band 0 overflows a float is
     refused with ValueError.
@@ -145,7 +145,7 @@ class ThermalLiouvillian:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """The dissipator's drho/dt for hermitian rho: traceless and
-        hermitian.  `integrate` uses `band(0)`; apply stays as the dense
+        hermitian.  `integrate` uses `band()`; apply stays as the dense
         form that the tests hold against the operator products."""
         _check_shape(rho, self.dim)
         r, d1, d2, lo = self._r, self._d1, self._d2, self._lo
@@ -155,22 +155,16 @@ class ThermalLiouvillian:
         out[1:, 1:] += (d2[:, None] + d2[None, :]) * ll * rho[:-1, :-1]
         return out
 
-    def _band_diagonals(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Band k's diagonal, superdiagonal (feeding v_i from v_{i+1}) and
-        subdiagonal (feeding v_{i+1} from v_i)."""
-        n = self.dim - 1
-        ll = self._lo[: n - k] * self._lo[k:]
-        return (
-            -(self._r[: n + 1 - k] + self._r[k:]),
-            (self._d1[: n - k] + self._d1[k:]) * ll,
-            (self._d2[: n - k] + self._d2[k:]) * ll,
-        )
+    def _band_diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A_0's diagonal (loss), superdiagonal (down, feeding p_n from
+        p_{n+1}) and subdiagonal (up, feeding p_{n+1} from p_n), O(N)."""
+        ll = self._lo * self._lo
+        return -(self._r + self._r), (self._d1 + self._d1) * ll, (self._d2 + self._d2) * ll
 
-    def band(self, k: int) -> np.ndarray:
-        """Dissipative generator of the band v_i = rho_{i,i+k}, i = 0..N-k:
-        dv/dt = A_k v with A_k real tridiagonal.  A band k >= 1 needs
-        i(E_{i+k} - E_i) added to its diagonal to describe a coherence."""
-        loss, down, up = self._band_diagonals(k)
+    def band(self) -> np.ndarray:
+        """The populations' generator A_0 (dp/dt = A_0 p) as a dense
+        tridiagonal matrix, from which `integrate` builds its RK4 step map."""
+        loss, down, up = self._band_diagonals()
         return np.diag(loss) + np.diag(down, 1) + np.diag(up, -1)
 
 
@@ -296,21 +290,21 @@ def _power_increment(e: np.ndarray, steps: int) -> np.ndarray:
         e = kept(2.0 * e + e @ e)
 
 
-def _eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real tridiagonal matrix whose off-diagonal products
-    are nonnegative: the characteristic polynomial depends only on those
-    products, so they are those of the symmetric matrix with off-diagonals
-    sqrt(super_i) * sqrt(sub_{i+1}), a product that cannot overflow."""
-    off = np.sqrt(np.diag(a, 1)) * np.sqrt(np.diag(a, -1))
-    return np.linalg.eigvalsh(np.diag(np.diag(a)) + np.diag(off, 1) + np.diag(off, -1))
+def _eigenvalues(loss: np.ndarray, down: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the real tridiagonal matrix with diagonals (loss,
+    down, up) whose off-diagonal products are nonnegative: they depend
+    only on those products, so they are those of the symmetric matrix with
+    off-diagonals sqrt(down) * sqrt(up), a product that cannot overflow."""
+    off = np.sqrt(down) * np.sqrt(up)
+    return np.linalg.eigvalsh(np.diag(loss) + np.diag(off, 1) + np.diag(off, -1))
 
 
-def _check_step(a: np.ndarray, h: float) -> None:
+def _check_step(diagonals: tuple[np.ndarray, np.ndarray, np.ndarray], h: float) -> None:
     """Raise StepTooLarge before any step if RK4 amplifies an eigenmode
-    of band 0's generator a (|R(h*lambda)| > 1)."""
+    of band 0's generator, given by its `_band_diagonals` (|R(h*lambda)| > 1)."""
     # the generator is dissipative: a positive eigenvalue is rounding of
     # the conserved trace mode
-    z = h * np.minimum(_eigenvalues(a), 0.0)
+    z = h * np.minimum(_eigenvalues(*diagonals), 0.0)
     # RK4 stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, inf at a far too large h
     with np.errstate(over="ignore"):
         gain = float(np.max(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))))
@@ -394,9 +388,8 @@ def integrate(
         )
     steps = max(1, math.ceil(span / h_max))
     h = span / steps
-    a = liou.band(0)
-    _check_step(a, h)
-    hist = _band_history(_rk4_increment(a, h), np.diagonal(rho0).real, steps, times)
+    _check_step(liou._band_diagonals(), h)
+    hist = _band_history(_rk4_increment(liou.band(), h), np.diagonal(rho0).real, steps, times)
     change = float(np.max(np.abs(np.diff(hist.sum(axis=1).real))))
     if change > _MAX_TRACE_DRIFT:
         raise StepTooLarge(
@@ -424,7 +417,7 @@ def steady_state_residual(params: EnsembleParams) -> float:
     generator applied to the populations, in O(N) time and memory at any N.
     """
     p = thermal_state(params).populations
-    loss, down, up = ThermalLiouvillian(params)._band_diagonals(0)
+    loss, down, up = ThermalLiouvillian(params)._band_diagonals()
     out = loss * p
     out[:-1] += down * p[1:]
     out[1:] += up * p[:-1]

@@ -59,6 +59,7 @@ VALID_OUTPUTS = SWEEP_HEADER[3:7]
 REPORT_HEADER = ("formula", "N", "eta", "x", "exact", "approx", "rel_dev", "status", "note")
 
 DEFAULT_PRECISION = 12
+PRECISION_LIMIT = 2**31  # printf's "%.*g" reads the precision as a C int
 
 
 def _check_outputs(outputs) -> None:
@@ -101,8 +102,8 @@ class SweepConfig:
             )
         if self.x_count == 1 and self.x_start != self.x_stop:
             raise ValueError(f"one x point needs start == stop: [{self.x_start}, {self.x_stop}]")
-        if not isinstance(self.precision, int) or self.precision < 0:
-            raise ValueError(f"precision must be a non-negative integer, got {self.precision!r}")
+        if not isinstance(self.precision, int) or not 0 <= self.precision < PRECISION_LIMIT:
+            raise ValueError(f"precision must be an integer in [0, 2**31), got {self.precision!r}")
         _check_outputs(self.outputs)
         for n in self.n_values:
             for eta in self.eta_values:

@@ -3,8 +3,9 @@ log-domain ladder-sum oracle added with math.fsum, the dense master
 equation with its step-by-step RK4 integrator, and the scalar-rate
 Dicke-limit master equation, the closed-form spectrum and ladder
 coefficients as written, a frozen copy of the full-row ladder kernel, a
-frozen copy of the all-band RK4 step guard, and a frozen copy of the
-dense (N+1)^2 coefficient arrays of the master equation.
+frozen copy of the all-band RK4 step guard, a frozen copy of the dense
+band-0 step guard, and a frozen copy of the dense (N+1)^2 coefficient
+arrays of the master equation.
 
 Deliberately independent of the indexed-sum and banded paths in the
 package: ladder operators are materialized as dense matrices, the
@@ -17,11 +18,14 @@ one-expression numpy forms that build_spectrum and ladder_coefficients
 must match bit for bit, since the kernel copy below reads those two.  The
 kernel copy (`full_row_ladder_log_sums`) exponentiates every ladder term
 of every row; the package's kernel must return the same bits.  The guard
-copy (`all_band_step_verdict`) checks every coherence band; the
-integrator's guard, which checks band 0 alone, must never refuse a step
-that copy accepts.  The coefficient copy
+copy (`all_band_step_verdict`) checks every band of rho, each built by
+`dense_band`; the integrator's guard, which checks band 0 alone, must
+never refuse a step that copy accepts.  The dense guard copy
+(`dense_eigenvalues`, `dense_check_step`) reads band 0's diagonals back
+out of its (N+1)^2 matrix; the guard that takes the three diagonals must
+give the same eigenvalue bits, verdict and message.  The coefficient copy
 (`dense_band`, `dense_coefficient_apply`) builds the arrays that
-ThermalLiouvillian held before it kept only O(N) vectors; its bands and
+ThermalLiouvillian held before it kept only O(N) vectors; its band 0 and
 apply must return the same bits.  The per-row writer copy
 (`per_row_csv_text`) renders a table one printf per row, and the
 per-sample propagator copy (`per_sample_band_history`) steps a band with
@@ -280,15 +284,14 @@ def _band_spectrum(a):
 
 def band0_step_limit(params):
     """The largest RK4 step at which band 0 amplifies no eigenmode."""
-    return RK4_EDGE / float(np.min(_band_spectrum(ThermalLiouvillian(params).band(0))))
+    return RK4_EDGE / float(np.min(_band_spectrum(ThermalLiouvillian(params).band())))
 
 
 def all_band_step_verdict(params, h):
     """True when RK4 at step h amplifies no eigenmode of any coherence
     band's generator, zero bands included (|R(h*lambda)| <= 1), and one
     step changes the trace of unit populations by at most 1e-8."""
-    liou = ThermalLiouvillian(params)
-    generators = [liou.band(k) for k in range(liou.dim)]
+    generators = [dense_band(params, k) for k in range(params.n_atoms + 1)]
     z = h * np.minimum(np.concatenate([_band_spectrum(a) for a in generators]), 0.0)
     gain = np.max(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))))
     x = h * generators[0]
@@ -296,6 +299,26 @@ def all_band_step_verdict(params, h):
     increment = x @ (eye + (x / 2.0) @ (eye + (x / 3.0) @ (eye + x / 4.0)))
     drift = np.max(np.abs(increment.sum(axis=0)))
     return bool(gain <= 1.0 and drift <= ALL_BAND_MAX_TRACE_DRIFT)
+
+
+# dynamics._eigenvalues and dynamics._check_step as they were while the
+# guard took band 0's dense generator, kept verbatim (names changed) as the
+# oracle of the guard that reads its three diagonals.
+
+def dense_eigenvalues(a):
+    off = np.sqrt(np.diag(a, 1)) * np.sqrt(np.diag(a, -1))
+    return np.linalg.eigvalsh(np.diag(np.diag(a)) + np.diag(off, 1) + np.diag(off, -1))
+
+
+def dense_check_step(a, h):
+    z = h * np.minimum(dense_eigenvalues(a), 0.0)
+    with np.errstate(over="ignore"):
+        gain = float(np.max(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))))
+    if gain > 1.0:
+        raise StepTooLarge(
+            f"RK4 is unstable at h={h:g}: |R(h*lambda)| reaches {gain:.3e} > 1; "
+            "reduce the step"
+        )
 
 
 def guard_accepts(rho0, params, h):
@@ -309,7 +332,8 @@ def guard_accepts(rho0, params, h):
 
 # The master equation's coefficient arrays as ThermalLiouvillian built them
 # before its band diagonals were sliced from O(N) vectors, kept verbatim
-# (names prefixed) as the bit-identity oracle of `band` and `apply`.
+# (names prefixed) as the bit-identity oracle of `band` and `apply`;
+# `dense_band` reads off every band k, the coherence bands included.
 
 def _dense_level_rates(params):
     omega = build_spectrum(params).frequencies[:-1]

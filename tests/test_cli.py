@@ -114,6 +114,7 @@ class TestRefusedBeforeWork:
 
     @pytest.mark.parametrize("command", ["point", "sweep", "validate", "evolve", "figures"])
     def test_negative_precision_exits_2(self, capsys, tmp_path, command):
+        # and a precision past printf's C int, 2**31 and above
         argv = {
             "point": ["--n", "2", "--x", "1"],
             "sweep": ["--n", "2", "--eta", "0", "--x-start", "1", "--x-stop", "2",
@@ -122,11 +123,12 @@ class TestRefusedBeforeWork:
             "evolve": ["--n", "2", "--x", "1", "--t-end", "1", "--out", str(tmp_path / "out")],
             "figures": ["--out-dir", str(tmp_path / "out")],
         }[command]
-        code, out, err = run(capsys, command, *argv, "--precision", "-1")
-        assert code == 2
-        assert "--precision" in err
-        assert out == ""
-        assert list(tmp_path.iterdir()) == []
+        for precision in ("-1", "2147483648", "99999999999"):
+            code, out, err = run(capsys, command, *argv, "--precision", precision)
+            assert code == 2, precision
+            assert "--precision" in err
+            assert out == ""
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:

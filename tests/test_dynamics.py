@@ -29,10 +29,13 @@ from dicke_therm import (
 from dicke_therm import dynamics
 from dicke_therm.dynamics import INITIAL_STATE_KINDS
 from helpers import (
+    RK4_EDGE,
     all_band_step_verdict,
     band0_step_limit,
     dense_band,
+    dense_check_step,
     dense_coefficient_apply,
+    dense_eigenvalues,
     dense_liouvillian_apply,
     dicke_limit_liouvillian,
     guard_accepts,
@@ -78,30 +81,30 @@ def random_hermitian_unit_trace(rng, dim):
 
 
 class TestBathRates:
-    """The rates read off the population generator A = band(0):
+    """The rates read off the population generator A = band():
     A[n, n+1] = Gamma(1+nbar)*l_{n+1}^2 feeds level n from n+1 and
     A[n+1, n] = Gamma*nbar*l_{n+1}^2 the reverse, at omega_n.  For N = 1,
     l_1 = 1 and omega_0 = 1."""
 
     def test_cubic_decay(self):
         # a cold bath (nbar ~ 1e-22) leaves the bare decay rate downward
-        a = ThermalLiouvillian(EnsembleParams(1, 0.0, 50.0)).band(0)
+        a = ThermalLiouvillian(EnsembleParams(1, 0.0, 50.0)).band()
         assert a[0, 1] == 1.0
         # N = 2, eta = 0.5: omega_0 = 0.5, omega_1 = 1.5 and l_1^2 = l_2^2 = 2
-        a = ThermalLiouvillian(EnsembleParams(2, 0.5, 200.0)).band(0)
+        a = ThermalLiouvillian(EnsembleParams(2, 0.5, 200.0)).band()
         assert a[1, 2] == pytest.approx(2 * 1.5**3, rel=1e-15)
         assert a[1, 2] / a[0, 1] == pytest.approx(27.0, rel=1e-15)
 
     def test_occupation_small_argument(self):
         # expm1 keeps nbar accurate where exp(x*w) - 1 would cancel
-        a = ThermalLiouvillian(EnsembleParams(1, 0.0, 1e-8)).band(0)
+        a = ThermalLiouvillian(EnsembleParams(1, 0.0, 1e-8)).band()
         assert a[1, 0] == pytest.approx(1e8 - 0.5, rel=1e-6)
 
     def test_cold_bath_occupation_is_zero_without_warning(self):
         # expm1(x*omega) overflows above x*omega ~ 709.78; the suite turns
         # the RuntimeWarning numpy would print into an error
         params = EnsembleParams(2, 0.1, 800.0)
-        assert ThermalLiouvillian(params).band(0)[1, 0] == 0.0
+        assert ThermalLiouvillian(params).band()[1, 0] == 0.0
         assert steady_state_residual(params) < 1e-15
         traj = integrate(initial_state(params, "inverted"), 1.0, params,
                          ctrl=StepControl(h=0.01), n_samples=3)
@@ -109,8 +112,8 @@ class TestBathRates:
 
     @pytest.mark.parametrize("x", [1e-200, 1e-300])
     def test_hot_bath_relaxes_to_the_gibbs_state(self, x):
-        # the stability check's sqrt(A[n, n+1] * A[n+1, n]) would overflow
-        # here; the product of the two square roots does not
+        # the stability check's sqrt(down * up) would overflow here; the
+        # product of the two square roots does not
         for n in (2, 5):
             params = EnsembleParams(n, 0.0, x)
             traj = integrate(initial_state(params, "inverted"), 1.0, params, n_samples=3)
@@ -135,7 +138,7 @@ class TestBathRates:
 
     def test_occupation_decreases_with_x(self):
         values = [
-            ThermalLiouvillian(EnsembleParams(1, 0.0, x)).band(0)[1, 0]
+            ThermalLiouvillian(EnsembleParams(1, 0.0, x)).band()[1, 0]
             for x in (0.5, 1.0, 2.0, 5.0)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -254,18 +257,18 @@ def window_edge_etas(n):
 
 
 class TestDenseOracle:
-    """Bands and apply from the O(N) vectors equal, bit for bit, those of
+    """Band 0 and apply from the O(N) vectors equal, bit for bit, those of
     the dense (N+1)^2 coefficient arrays they replace."""
 
     @pytest.mark.parametrize("edge", [0, 1])
     @pytest.mark.parametrize("x", [1e-3, 1.0, 800.0])
     def test_every_band_at_the_window_edges(self, edge, x):
+        # band 0 is the one band the generator builds
         for n in range(1, 51):
             eta = window_edge_etas(n)[edge] if n > 1 else 0.0
             params = EnsembleParams(n, eta, x)
-            liou = ThermalLiouvillian(params)
-            for k in range(n + 1):
-                assert np.array_equal(liou.band(k), dense_band(params, k)), (n, eta, x, k)
+            got = ThermalLiouvillian(params).band()
+            assert np.array_equal(got, dense_band(params, 0)), (n, eta, x)
 
     def test_apply_on_random_hermitian_states(self):
         rng = np.random.default_rng(14)
@@ -280,7 +283,7 @@ class TestDenseOracle:
         # the dense arrays peaked at 122 MB here
         tracemalloc.start()
         try:
-            ThermalLiouvillian(EnsembleParams(2000, 0.1, 1.0)).band(1997)
+            ThermalLiouvillian(EnsembleParams(2000, 0.1, 1.0))._band_diagonals()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -499,9 +502,9 @@ class TestIntegration:
     def test_rejects_a_step_count_beyond_the_float_range(self, monkeypatch, t_end, h, n_samples):
         # span/h overflows to inf, which has no whole step count
         built = []
-        band = dynamics.ThermalLiouvillian.band
-        monkeypatch.setattr(dynamics.ThermalLiouvillian, "band",
-                            lambda self, k: built.append(k) or band(self, k))
+        diagonals = dynamics.ThermalLiouvillian._band_diagonals
+        monkeypatch.setattr(dynamics.ThermalLiouvillian, "_band_diagonals",
+                            lambda self: built.append(self) or diagonals(self))
         params = EnsembleParams(2, 0.1, 1.0)
         with pytest.raises(ValueError, match="steps"):
             integrate(initial_state(params, "inverted"), t_end, params,
@@ -618,6 +621,15 @@ class TestPopulationOnly:
             assert np.array_equal(getattr(traj, name), getattr(as_complex, name)), name
 
 
+def refusal(check_step, generator, h):
+    """The StepTooLarge message of a step guard, None where it accepts h."""
+    try:
+        check_step(generator, h)
+    except StepTooLarge as err:
+        return str(err)
+    return None
+
+
 # N x 6 couplings across the admissible window x 5 baths from 1e-3 to 100
 GUARD_N = (2, 3, 5, 10, 30, 60)
 
@@ -636,11 +648,13 @@ class TestStepGuard:
         checked = []
         check_step = dynamics._check_step
         monkeypatch.setattr(dynamics, "_check_step",
-                            lambda a, h: checked.append(a) or check_step(a, h))
+                            lambda diags, h: checked.append(diags) or check_step(diags, h))
         params = EnsembleParams(20, 0.1, 1.0)
         integrate(initial_state(params, kind), 0.2, params, n_samples=11)
         assert len(checked) == 1
-        assert np.array_equal(checked[0], ThermalLiouvillian(params).band(0))
+        want = ThermalLiouvillian(params)._band_diagonals()
+        assert len(checked[0]) == 3
+        assert all(map(np.array_equal, checked[0], want))
 
     def test_one_rk4_increment_per_advanced_band(self, monkeypatch):
         sizes = count_increments(monkeypatch)
@@ -674,6 +688,28 @@ class TestStepGuard:
             above.append(got["above"])
         assert all(below) and not any(above)
 
+    @pytest.mark.parametrize("cases", ["guard_grid", "window_edges", "hot_baths"])
+    def test_same_bits_as_the_dense_guard(self, cases):
+        # the guard on the three diagonals against the frozen one that read
+        # them out of the dense band, at the default step and 1e-6 on
+        # either side of band 0's stability limit
+        grid = {
+            "guard_grid": [params for n in GUARD_N for params in guard_grid(n)],
+            "window_edges": [EnsembleParams(n, eta, x) for x in (1e-3, 1.0, 800.0)
+                             for n in range(1, 51)
+                             for eta in (window_edge_etas(n) if n > 1 else [0.0])],
+            "hot_baths": [EnsembleParams(n, 0.0, x) for x in (1e-300, 1e-200) for n in (2, 5)],
+        }[cases]
+        for params in grid:
+            diagonals = ThermalLiouvillian(params)._band_diagonals()
+            a = dense_band(params, 0)
+            want = dense_eigenvalues(a)
+            assert dynamics._eigenvalues(*diagonals).tobytes() == want.tobytes(), params
+            limit = RK4_EDGE / float(np.min(want))
+            for h in (default_step(params), limit * (1 - 1e-6), limit * (1 + 1e-6)):
+                got = refusal(dynamics._check_step, diagonals, h)
+                assert got == refusal(dense_check_step, a, h), (params, h)
+
 
 class TestBandPropagator:
     """`_band_history` advances any start vector of band 0, complex and
@@ -682,7 +718,7 @@ class TestBandPropagator:
     @staticmethod
     def _setup(seed):
         params = EnsembleParams(8, 0.1, 1.0)
-        a = ThermalLiouvillian(params).band(0)
+        a = ThermalLiouvillian(params).band()
         rng = np.random.default_rng(seed)
         v0 = rng.normal(size=len(a)) + 1j * rng.normal(size=len(a))
         return dynamics._rk4_increment(a, 0.01), v0, np.linspace(0.0, 2.0, 11)

@@ -486,7 +486,7 @@ def test_diagonal_starts_relax_monotonically_to_the_gibbs_state(case):
     # largest eigenvalue is the conserved trace's 0), the start's weight
     # off the Gibbs state is below exp(-60)
     params, kind = case
-    rate = -_eigenvalues(ThermalLiouvillian(params).band(0))[-2]
+    rate = -_eigenvalues(*ThermalLiouvillian(params)._band_diagonals())[-2]
     traj = integrate(initial_state(params, kind), 60.0 / rate, params, n_samples=61)
     assert np.max(np.diff(traj.trace_dist_to_gibbs)) <= 1e-14
     assert np.max(np.abs(traj.populations[-1] - thermal_state(params).populations)) <= 1e-13

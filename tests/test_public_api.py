@@ -91,6 +91,8 @@ def test_surviving_signatures():
     assert list(inspect.signature(dicke_therm.ladder_log_sums).parameters) == [
         "n_atoms", "xs", "etas"]
     assert hasattr(dicke_therm.ThermalLiouvillian(dicke_therm.EnsembleParams(2)), "dim")
+    # band takes no index: band 0 is the one generator the package builds
+    assert list(inspect.signature(dicke_therm.ThermalLiouvillian.band).parameters) == ["self"]
 
 
 @pytest.mark.parametrize(

@@ -85,7 +85,7 @@ def point_row(n, eta, x):
     return (n, eta, x, g1, g2, ratio, classification, reason)
 
 
-@pytest.mark.parametrize("precision", [-1, 1.5])
+@pytest.mark.parametrize("precision", [-1, 1.5, 2**31])
 def test_config_rejects_bad_precision(precision):
     with pytest.raises(ValueError, match="precision"):
         SweepConfig((2,), (0.0,), 1.0, 2.0, 2, precision=precision)
