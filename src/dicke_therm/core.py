@@ -130,14 +130,23 @@ def build_spectrum(params: EnsembleParams) -> DickeSpectrum:
     level-dependent transition frequencies.  No diagonalization is involved;
     the Hamiltonian is diagonal in this basis.
     """
+    levels = params.n_atoms + 1
+    energies, frequencies = np.empty(levels), np.empty(levels)
+    _spectrum(params, np.arange(levels, dtype=float), energies, frequencies)
+    energies.setflags(write=False)
+    frequencies.setflags(write=False)
+    return DickeSpectrum(energies=energies, frequencies=frequencies)
+
+
+def _spectrum(params, n: np.ndarray, energies: np.ndarray, frequencies: np.ndarray) -> None:
+    """build_spectrum in place: fill energies and frequencies from n, the
+    level ramp 0..N, which is spent.  The closed forms are rounded as
+    wb*(n - N/2) - (dt*n)*((N - n) + 1) and (2*dt)*(n - N/2) + wb."""
     big_n = params.n_atoms
     dt = params.delta_tilde
     wb = params.omega_bar
-    n = np.arange(big_n + 1, dtype=float)
-    # in three arrays, rounded as the closed forms are:
-    # wb*(n - N/2) - (dt*n)*((N - n) + 1) and (2*dt)*(n - N/2) + wb
-    frequencies = n - big_n / 2.0
-    energies = big_n - n
+    np.subtract(n, big_n / 2.0, out=frequencies)
+    np.subtract(big_n, n, out=energies)
     energies += 1.0
     n *= dt
     energies *= n
@@ -145,9 +154,6 @@ def build_spectrum(params: EnsembleParams) -> DickeSpectrum:
     np.subtract(n, energies, out=energies)
     frequencies *= 2.0 * dt
     frequencies += wb
-    energies.setflags(write=False)
-    frequencies.setflags(write=False)
-    return DickeSpectrum(energies=energies, frequencies=frequencies)
 
 
 def ladder_coefficients(n_atoms: int) -> np.ndarray:
@@ -156,13 +162,30 @@ def ladder_coefficients(n_atoms: int) -> np.ndarray:
     The raising coefficient of |n> is l_{n+1} = sqrt((n+1)*(N-n)), the
     closed form sqrt((N-n)*(n+1)) with its factors swapped, bit for bit."""
     n_atoms = EnsembleParams(n_atoms).n_atoms
-    n = np.arange(n_atoms + 1, dtype=float)
-    lowering = n_atoms - n
-    lowering += 1.0
-    lowering *= n
-    np.sqrt(lowering, out=lowering)
+    lowering = _lowering(np.arange(n_atoms + 1, dtype=float), np.empty(n_atoms + 1))
     lowering.setflags(write=False)
     return lowering
+
+
+def _lowering(n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ladder_coefficients into out: sqrt(((N - n) + 1)*n) from the level
+    ramp n = 0..N, which is only read."""
+    np.subtract(n.size - 1, n, out=out)
+    out += 1.0
+    out *= n
+    return np.sqrt(out, out=out)
+
+
+def _ramp(out: np.ndarray) -> np.ndarray:
+    """Fill out with the exact level ramp 0..out.size - 1: 16 levels from a
+    range, then each pass adds the filled length to a copy of the prefix."""
+    done = min(out.size, 16)
+    out[:done] = range(done)
+    while done < out.size:
+        step = min(done, out.size - done)
+        np.add(out[:step], done, out=out[done : done + step])
+        done += step
+    return out
 
 
 def _pairwise_length(length: int, width: int) -> int:

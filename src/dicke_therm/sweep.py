@@ -60,6 +60,9 @@ REPORT_HEADER = ("formula", "N", "eta", "x", "exact", "approx", "rel_dev", "stat
 
 DEFAULT_PRECISION = 12
 PRECISION_LIMIT = 2**31  # printf's "%.*g" reads the precision as a C int
+# the most significant digits of a double's exact decimal expansion; %g drops
+# trailing zeros, so a float prints the same bytes at min(precision, _DIGITS)
+_DIGITS = 767
 
 
 def _check_outputs(outputs) -> None:
@@ -208,7 +211,7 @@ def format_number(value, precision: int) -> str:
     """One CSV cell: a float as printf "%.<precision>g" (NaN as NA), an
     integer in full, a string as is and None as empty."""
     if isinstance(value, float):
-        return "%.*g" % (precision, value) if value == value else "NA"
+        return "%.*g" % (min(precision, _DIGITS), value) if value == value else "NA"
     if value is None:
         return ""
     if isinstance(value, str):
@@ -227,7 +230,7 @@ def csv_text(header, rows, precision: int) -> str:
     row; other runs, and runs where a NaN printed as nan, take the per-cell
     join."""
     # "%.0s" prints None as an empty cell
-    cell = {float: f"%.{precision}g", int: "%d", str: "%s", type(None): "%.0s"}
+    cell = {float: f"%.{min(precision, _DIGITS)}g", int: "%d", str: "%s", type(None): "%.0s"}
     lines = [",".join(header)]
     for kinds, run in groupby(rows, lambda row: tuple(map(type, row))):
         run = list(run)
@@ -244,7 +247,7 @@ def csv_text(header, rows, precision: int) -> str:
 def _cells(column, precision: int) -> list[str]:
     """format_number of every cell of one column, a finite or infinite
     float through one printf format and a string as is."""
-    fmt = f"%.{precision}g"
+    fmt = f"%.{min(precision, _DIGITS)}g"
     return [v if v.__class__ is str else fmt % v if v.__class__ is float and v == v
             else format_number(v, precision) for v in column]
 
@@ -289,6 +292,7 @@ def report_to_csv(report: AsymptoticReport, precision: int = DEFAULT_PRECISION) 
 def render_json(obj, precision: int = DEFAULT_PRECISION) -> str:
     """Deterministic JSON with floats at a fixed number of significant
     digits and keys kept in insertion order."""
+    spec = f".{min(precision, _DIGITS)}g"
 
     def emit(o) -> str:
         if o is None:
@@ -301,7 +305,7 @@ def render_json(obj, precision: int = DEFAULT_PRECISION) -> str:
             v = float(o)
             if not math.isfinite(v):
                 return json.dumps(str(v))
-            return format(v, f".{precision}g")
+            return format(v, spec)
         if isinstance(o, str):
             return json.dumps(o)
         if isinstance(o, dict):

@@ -131,6 +131,36 @@ class TestRefusedBeforeWork:
             assert list(tmp_path.iterdir()) == []
 
 
+class TestHugePrecision:
+    def test_the_largest_precision_runs_under_a_2_gb_address_space(self):
+        # a float prints at most 767 significant digits, so a precision of
+        # 2**31 - 1 reserves no buffer of that size: a fresh interpreter
+        # limited to 2 GB prints --precision 767's bytes
+        import subprocess
+        import sys
+
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from dicke_therm.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+        def point(precision):
+            return subprocess.run(
+                [sys.executable, "-c", script, "point", "--n", "2", "--x", "1",
+                 "--precision", precision],
+                capture_output=True, env=env,
+            )
+
+        huge, want = point("2147483647"), point("767")
+        assert (huge.returncode, huge.stderr) == (0, b"")
+        assert want.returncode == 0
+        assert huge.stdout == want.stdout
+
+
 class TestSweep:
     def sweep_args(self, out, extra=()):
         return (
@@ -1088,6 +1118,21 @@ class TestDeclaredConsoleScript:
         proc = script("point", "--n", "1", "--eta", "0.1", "--x", "1")
         assert proc.returncode == 2
         assert "SingleAtomWithCoupling" in proc.stderr
+
+    def test_the_script_resolves_to_cli_main(self):
+        # TestConsoleScript skips unless the package is installed; this
+        # pins the [project.scripts] target to the very callable in process
+        import importlib
+
+        import dicke_therm.cli
+
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+            target = tomllib.load(f)["project"]["scripts"]["dicke-therm"]
+        module, _, func = target.partition(":")
+        entry = getattr(importlib.import_module(module), func)
+        assert callable(entry)
+        assert entry is dicke_therm.cli.main
 
 
 class TestJsonRendering:

@@ -18,7 +18,8 @@ from dicke_therm import (
     ladder_coefficients,
     thermal_state,
 )
-from dicke_therm.core import _pairwise_length, logsumexp_rows
+from dicke_therm import correlators
+from dicke_therm.core import _lowering, _pairwise_length, _ramp, _spectrum, logsumexp_rows
 from helpers import closed_form_lowering, closed_form_spectrum
 
 # frozen against a 50-digit evaluation of the closed forms
@@ -26,6 +27,22 @@ P_2_01_10 = (0.999876603363369, 1.23394575731928e-4, 2.06089928301397e-9)
 Z_TRUE_2_0_1 = 4.08616126963049
 # atom counts of the bitwise closed-form checks, small to benchmark-sized
 CLOSED_FORM_N = [1, 2, 3, 7, 20, 10_000, 100_000]
+
+
+def window_edge_etas(n):
+    """Couplings across the window of N = n, its last floats included."""
+    if n == 1:
+        return [0.0]
+    lower = -(n - 1) / (n + 1)
+    return [math.nextafter(lower, 1.0), 0.5 * lower, -1e-12, 0.0, 1e-12, 0.1, 0.5,
+            math.nextafter(1.0, 0.0)]
+
+
+def raw_params(n, eta):
+    """The fields build_spectrum reads, unchecked: a last float of the
+    window may round an end frequency to zero, which EnsembleParams refuses."""
+    dt = eta / (n - 1) if n > 1 else 0.0
+    return SimpleNamespace(n_atoms=n, delta_tilde=dt, omega_bar=1.0 + dt)
 
 
 class TestValidation:
@@ -157,15 +174,8 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("n", CLOSED_FORM_N)
     def test_matches_the_closed_forms_bitwise(self, n):
-        # couplings across the window, its last floats included; those may
-        # round an end frequency to zero, which EnsembleParams refuses, so
-        # the spectrum reads raw parameters
-        lower = -(n - 1) / (n + 1)
-        etas = [math.nextafter(lower, 1.0), 0.5 * lower, -1e-12, 0.0, 1e-12, 0.1, 0.5,
-                math.nextafter(1.0, 0.0)]
-        for eta in etas if n > 1 else [0.0]:
-            dt = eta / (n - 1) if n > 1 else 0.0
-            raw = SimpleNamespace(n_atoms=n, delta_tilde=dt, omega_bar=1.0 + dt)
+        for eta in window_edge_etas(n):
+            raw = raw_params(n, eta)
             spec = build_spectrum(raw)
             want = closed_form_spectrum(raw)
             assert spec.energies.tobytes() == want[0].tobytes(), eta
@@ -221,6 +231,64 @@ class TestLadder:
 
     def test_coerces_an_integral_atom_count(self):
         assert np.array_equal(ladder_coefficients(np.float64(3.0)), ladder_coefficients(3))
+
+
+class TestKernelSlots:
+    """The spectrum and ladder that the kernel writes into its workspace
+    slots, from its own level ramp, are the bytes of build_spectrum and
+    ladder_coefficients."""
+
+    @pytest.mark.parametrize("n", CLOSED_FORM_N)
+    def test_kernel_slots_hold_the_allocating_results(self, n, monkeypatch):
+        # each spy copies its slots as soon as they are written, before the
+        # kernel turns them into gaps or logs; the last floats of the window
+        # that EnsembleParams refuses are covered by the next test
+        etas = []
+        for eta in window_edge_etas(n):
+            try:
+                etas.append(EnsembleParams(n, eta).eta)
+            except EtaOutOfRange:
+                pass
+        written = {}
+        spectrum, lowering = correlators._spectrum, correlators._lowering
+
+        def spectrum_spy(params, ramp, energies, frequencies):
+            spectrum(params, ramp, energies, frequencies)
+            written[params.eta] = (energies.copy(), frequencies.copy(),
+                                   energies.base, frequencies.base)
+
+        def lowering_spy(ramp, out):
+            lowering(ramp, out)
+            written["lowering"] = (out.copy(), out.base)
+
+        monkeypatch.setattr(correlators, "_spectrum", spectrum_spy)
+        monkeypatch.setattr(correlators, "_lowering", lowering_spy)
+        correlators.ladder_log_sums(n, [1.0], etas)
+        coefficients, workspace = written.pop("lowering")
+        assert coefficients.tobytes() == ladder_coefficients(n).tobytes()
+        assert etas and sorted(written) == sorted(etas)
+        for eta, (energies, frequencies, *bases) in written.items():
+            assert all(base is workspace for base in bases), eta
+            want = build_spectrum(EnsembleParams(n, eta))
+            assert energies.tobytes() == want.energies.tobytes(), eta
+            assert frequencies.tobytes() == want.frequencies.tobytes(), eta
+
+    @pytest.mark.parametrize("n", CLOSED_FORM_N)
+    def test_helpers_overwrite_every_slot_value(self, n):
+        # every window-edge coupling, refused ones included, into slots
+        # that hold NaN, from the kernel's ramp
+        ramp, energies, frequencies, lowering = np.full((4, n + 1), math.nan)
+        for eta in window_edge_etas(n):
+            _ramp(ramp)
+            assert ramp.tobytes() == np.arange(n + 1, dtype=float).tobytes()
+            raw = raw_params(n, eta)
+            _spectrum(raw, ramp, energies, frequencies)
+            want = build_spectrum(raw)
+            assert energies.tobytes() == want.energies.tobytes(), eta
+            assert frequencies.tobytes() == want.frequencies.tobytes(), eta
+        _ramp(ramp)
+        _lowering(ramp, lowering)
+        assert lowering.tobytes() == ladder_coefficients(n).tobytes()
 
 
 def _pairwise_widths(length):

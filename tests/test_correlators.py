@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,9 +208,9 @@ class TestWidthGroups:
         built = []
         c_logs = correlators._c_logs
 
-        def recording(lowering):
+        def recording(lowering, *args):
             built.append(lowering.size - 1)
-            return c_logs(lowering)
+            return c_logs(lowering, *args)
 
         monkeypatch.setattr(correlators, "_c_logs", recording)
         axes = ([20, 300], [-0.1, 0.0, 0.1], [0.01, 1.0, 30.0])
@@ -240,24 +241,41 @@ class TestWidthGroups:
 
     @pytest.mark.parametrize("n", [10_000, 100_000])
     def test_one_call_reuses_its_scratch_buffers(self, n, monkeypatch):
-        # every term array of the call lies in one of at most two buffers
-        # (log weights, S1/S2 terms), and one zero padding serves the cut
-        # rows of every coupling and is all zero again on return
-        owners, paddings = [], []
+        # every array logsumexp_rows receives, the log weights, the S1/S2
+        # terms and the zero padding, lies in the call's one workspace of
+        # 3*size + 4*(N+1) values, and the padding, one slot that serves
+        # the cut rows of every coupling, is all zero again on return
+        xs = np.geomspace(1e-3, 1e3, 10)
+        received, paddings = [], []
         logsumexp_rows = correlators.logsumexp_rows
 
         def recording(terms, length=None, zeros=None):
-            if not any(np.shares_memory(terms, owner) for owner in owners):
-                owners.append(terms)
+            received.append(terms)
             if zeros is not None:
+                received.append(zeros)
                 paddings.append(zeros)
             return logsumexp_rows(terms, length, zeros=zeros)
 
         monkeypatch.setattr(correlators, "logsumexp_rows", recording)
-        correlators.ladder_log_sums(n, np.geomspace(1e-3, 1e3, 10), [-0.1, 0.0, 0.1])
-        assert 1 <= len(owners) <= 2
+        correlators.ladder_log_sums(n, xs, [-0.1, 0.0, 0.1])
+        size = max(n + 1, min(correlators._BLOCK_TERMS, xs.size * (n + 1)))
+        (workspace,) = {id(a.base): a.base for a in received}.values()
+        assert workspace.shape == (3 * size + 4 * (n + 1),)
         assert paddings and all(zeros is paddings[0] for zeros in paddings)
         assert not paddings[0].any()
+
+    def test_one_call_allocates_its_workspace_and_little_else(self):
+        # the tracemalloc peak of a benchmark-sized call: the workspace,
+        # 6.05 MiB here, plus 64 KiB for everything O(len(xs))
+        n, xs = 100_000, np.geomspace(1e-3, 1e3, 10)
+        size = max(n + 1, min(correlators._BLOCK_TERMS, xs.size * (n + 1)))
+        tracemalloc.start()
+        try:
+            correlators.ladder_log_sums(n, xs, [-0.1, 0.0, 0.1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (3 * size + 4 * (n + 1)) + 64 * 1024
 
     @pytest.fixture(scope="class")
     def wanted_at_n_1e5(self):

@@ -11,10 +11,11 @@ Numpy's floating-point warnings are raised as errors, so an overflow, a
 log of zero or an invalid operation anywhere on the path fails the point.
 Every row of the asymptotic validator, on random grids that are not a
 product, takes the exact value or skipped note of the per-point path.  The
-CSV writer renders every table as the per-cell format_number join, and a
-table of runs of like-typed rows as a frozen copy of the per-row writer; a
-sweep file is the csv_text of its evaluate_rows, and the step guard
-never refuses a step that the all-band guard accepts.
+CSV writer renders every table as the per-cell format_number join, a
+table of runs of like-typed rows as a frozen copy of the per-row writer,
+and a float at any precision past 767 digits as at 767; a sweep file is
+the csv_text of its evaluate_rows, and the step guard never refuses a
+step that the all-band guard accepts.
 A diagonal start relaxes at the default step with a trace distance to the
 Gibbs state that never rises beyond rounding, and ends on the Gibbs
 populations.
@@ -62,6 +63,7 @@ from dicke_therm.sweep import (
     csv_text,
     evaluate_rows,
     format_number,
+    render_json,
     run_sweep,
     x_grid,
 )
@@ -360,6 +362,22 @@ def test_csv_text_is_the_per_cell_join(rows, precision, data):
     ]
     want = ["a,b"] + [",".join([format_number(v, precision) for v in row]) for row in table]
     assert csv_text(["a", "b"], table, precision) == "\n".join(want) + "\n"
+
+
+# the double with the longest exact decimal expansion, 767 significant digits
+LARGEST_SUBNORMAL = 2.2250738585072009e-308
+
+
+@PROPERTY_SETTINGS
+@given(value=st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)))
+@example(value=LARGEST_SUBNORMAL)
+def test_a_precision_past_767_digits_prints_the_same_text(value):
+    # %g drops trailing zeros, so the writers' 767-digit cap moves no byte
+    want = "%.*g" % (10**6, value) if value == value else "NA"
+    assert {format_number(value, p) for p in (767, 768, 10**6)} == {want}
+    if math.isfinite(value):
+        want = format(value, ".1000000g")
+        assert {render_json(value, p) for p in (767, 768, 10**6)} == {want}
 
 
 # one strategy per cell type; a run of rows shares one tuple of them
