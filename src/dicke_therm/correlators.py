@@ -8,8 +8,9 @@ second-order correlation reduce to single sums over the Dicke ladder:
                           * omega_{n-1}^4 * omega_{n-2}^4
     g2(0)    = (G2/Psi^2) / (G1/Psi)^2
 
-The geometric far-field prefactor Psi cancels in g2(0), so all primary
-outputs are Psi-normalized; Psi itself is a separate multiplicative factor.
+The detector's geometric far-field prefactor Psi is a plain
+multiplicative factor of G1 that the library does not compute: it cancels
+in g2(0) and in intensity_ratio, so every output is Psi-normalized.
 In cold regimes the populations span hundreds of orders of magnitude, so
 G1 and g2(0) are assembled from log-domain partial sums over the stored
 log weights instead of ratios of underflowing floats: log G1 = log S1 -
@@ -64,14 +65,12 @@ from .exceptions import DimensionMismatch, ZeroIntensity
 __all__ = [
     "PhotonStatistics",
     "CorrelatorResult",
-    "FarFieldGeometry",
     "LadderLogSums",
     "ladder_log_sums",
     "correlators_from_log_sums",
     "g2_zero",
     "intensity_ratio",
     "classify_statistics",
-    "far_field_prefactor",
     "steady_state_correlators",
 ]
 
@@ -107,27 +106,6 @@ class CorrelatorResult:
     g2_raw: float
     g2_norm: float
     classification: PhotonStatistics
-
-
-@dataclass(frozen=True)
-class FarFieldGeometry:
-    """Detector geometry for the absolute intensity scale.
-
-    distance must be far outside the emission wavelength for the reduced
-    correlators to apply; angle is measured between the line of sight and
-    the dipole axis.
-    """
-
-    distance: float
-    angle: float
-    dipole: float = 1.0
-    light_speed: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.distance > 0.0:
-            raise ValueError(f"detector distance must be positive, got {self.distance}")
-        if not 0.0 <= self.angle <= math.pi:
-            raise ValueError(f"angle must lie in [0, pi], got {self.angle}")
 
 
 def _check_dimensions(state: ThermalState, spectrum: DickeSpectrum, lowering: np.ndarray) -> None:
@@ -459,14 +437,3 @@ def intensity_ratio(params: EnsembleParams) -> float:
         raise ValueError("intensity_ratio requires eta != 0 (the reference is eta = 0)")
     sums = ladder_log_sums(params.n_atoms, [params.x], [params.eta, 0.0])
     return _ratio_at(params, *[(s.log_z[0], s.log_s1[0]) for s in sums.values()])
-
-
-def far_field_prefactor(geometry: FarFieldGeometry) -> float:
-    """Geometric prefactor d^2*(1 - cos^2 angle)/(c^4 R^2) of the detected
-    intensity; vanishes exactly along the dipole axis."""
-    cos_xi = math.cos(geometry.angle)
-    return (
-        geometry.dipole**2
-        * (1.0 - cos_xi**2)
-        / (geometry.light_speed**4 * geometry.distance**2)
-    )

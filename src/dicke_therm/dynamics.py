@@ -30,6 +30,7 @@ recorded as a diagnostic along every trajectory rather than enforced.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,8 +97,7 @@ class Trajectory:
         n_samples, dim = self.populations.shape
         states = np.zeros((n_samples, dim, dim), dtype=complex)
         states[0] = self.rho0
-        idx = np.arange(dim)
-        states[1:, idx, idx] = self.populations[1:]
+        states.reshape(n_samples, -1)[1:, :: dim + 1] = self.populations[1:]
         return states
 
     @property
@@ -120,21 +120,21 @@ class ThermalLiouvillian:
 
     The three coefficients are symmetric in i and j, so the result is
     hermitian exactly when rho is, and the populations rho_ii evolve on
-    their own under a real tridiagonal generator A_0 whose three diagonals
-    (`_band_diagonals`) come from the vectors r, d1, d2 and l.  On a
-    diagonal rho this is the whole master equation, since -i[H, rho]
-    vanishes there.  A bath hot enough that band 0 overflows a float is
-    refused with ValueError.
+    their own under a real tridiagonal generator A_0.  The constructor
+    builds A_0's three diagonals (`_band_diagonals`) from r, d1, d2 and l
+    once, and every reader takes that one tuple.  A bath hot enough that
+    band 0 overflows a float is refused with ValueError.
     """
 
     def __init__(self, params: EnsembleParams):
         self.params = params
         self.dim = params.n_atoms + 1
         # omega_n drives the n <-> n+1 transition, n = 0..N-1
-        gamma, nbar = _bath_rates(build_spectrum(params).frequencies[:-1], params.x)
+        omega = build_spectrum(params).frequencies[:-1]
         self._lo = ladder_coefficients(params.n_atoms)[1:]  # l_{n+1}
         self._r = np.zeros(self.dim)
         with np.errstate(over="ignore", invalid="ignore"):
+            gamma, nbar = _bath_rates(omega, params.x)
             self._d1 = 0.5 * gamma * (1.0 + nbar)
             self._d2 = 0.5 * gamma * nbar
             self._r[1:] += self._d1 * self._lo**2
@@ -142,6 +142,10 @@ class ThermalLiouvillian:
         # every entry of band 0 is at most 2 r_i in size; NaN fails the test too
         if not self._r.max() <= 0.5 * np.finfo(float).max:
             raise ValueError(f"the bath rates at x={params.x:g} overflow a float; use a larger x")
+        ll = self._lo * self._lo
+        self._diagonals = (
+            -(self._r + self._r), (self._d1 + self._d1) * ll, (self._d2 + self._d2) * ll
+        )
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """The dissipator's drho/dt for hermitian rho: traceless and
@@ -157,31 +161,42 @@ class ThermalLiouvillian:
 
     def _band_diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A_0's diagonal (loss), superdiagonal (down, feeding p_n from
-        p_{n+1}) and subdiagonal (up, feeding p_{n+1} from p_n), O(N)."""
-        ll = self._lo * self._lo
-        return -(self._r + self._r), (self._d1 + self._d1) * ll, (self._d2 + self._d2) * ll
+        p_{n+1}) and subdiagonal (up, feeding p_{n+1} from p_n), O(N),
+        as the constructor built them."""
+        return self._diagonals
 
     def band(self) -> np.ndarray:
         """The populations' generator A_0 (dp/dt = A_0 p) as a dense
-        tridiagonal matrix, from which `integrate` builds its RK4 step map."""
-        loss, down, up = self._band_diagonals()
-        return np.diag(loss) + np.diag(down, 1) + np.diag(up, -1)
+        tridiagonal matrix (`_tridiagonal`), from which `integrate` builds
+        its RK4 step map."""
+        return _tridiagonal(*self._diagonals)
+
+
+def _tridiagonal(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """The dense matrix with the three diagonals, each added into zeros
+    through a strided view, so that a -0.0 entry turns +0.0 as in a sum."""
+    dim = len(diag)
+    flat = np.zeros(dim * dim)
+    flat[:: dim + 1] += diag
+    flat[1 :: dim + 1] += upper
+    flat[dim :: dim + 1] += lower
+    return flat.reshape(dim, dim)
 
 
 def _bath_rates(omega: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
     """Cubic decay rate Gamma = omega^3 and Bose-Einstein occupation
     nbar = 1/(exp(x*omega) - 1) at the frequencies omega; expm1 keeps nbar
     accurate for small x*omega, and its overflow at a cold bath gives the
-    right limit nbar = 0."""
-    with np.errstate(over="ignore"):
-        return omega**3, 1.0 / np.expm1(x * omega)
+    right limit nbar = 0, so callers ignore overflow around the call."""
+    return omega**3, 1.0 / np.expm1(x * omega)
 
 
 def default_step(params: EnsembleParams) -> float:
     """Conservative fixed step: 0.01/((1+nbar_max)*N^2), nbar_max over
     all N+1 frequencies omega_0..omega_N, omega_N included although it
     drives no transition.  Raises ValueError where the step rounds to 0."""
-    nbar_max = float(np.max(_bath_rates(build_spectrum(params).frequencies, params.x)[1]))
+    with np.errstate(over="ignore"):
+        nbar_max = float(_bath_rates(build_spectrum(params).frequencies, params.x)[1].max())
     h = 0.01 / ((1.0 + nbar_max) * params.n_atoms**2)
     if not h:
         raise ValueError(f"the default step at x={params.x:g} rounds to 0; use a larger x")
@@ -239,15 +254,15 @@ def _check_density_matrix(rho: np.ndarray, dim: int) -> float:
     """Refuse an invalid start and a start whose hermitian part has
     coherences; return its hermiticity defect max|rho - rho^H|."""
     _check_shape(rho, dim)
-    if not np.all(np.isfinite(rho)):
+    if not np.isfinite(rho).all():
         raise NonFiniteState("initial state contains non-finite entries")
-    defect = float(np.max(np.abs(rho - rho.conj().T)))
+    defect = float(np.abs(rho - rho.conj().T).max())
     if defect > 1e-12:
         raise ValueError("initial state is not hermitian within 1e-12")
-    if abs(np.trace(rho) - 1.0) > 1e-12:
+    if abs(rho.trace() - 1.0) > 1e-12:
         raise ValueError("initial state trace differs from 1 by more than 1e-12")
     herm = rho + rho.conj().T  # twice the hermitian part
-    np.fill_diagonal(herm, 0.0)
+    herm.reshape(-1)[:: dim + 1] = 0.0
     if herm.any():
         raise ValueError(
             "initial state has coherences: integrate takes diagonal starts only, because its "
@@ -275,19 +290,27 @@ def _power_increment(e: np.ndarray, steps: int) -> np.ndarray:
     generator has columns summing to zero, so each composition and each
     doubling moves its columns' sums onto the diagonal, and rounding in
     the conserved trace does not double with every squaring.
+    Doublings and products reuse two work buffers in place, in the order
+    2E + E E and (E_a + E_b) + E_a E_b, so every bit is that of forming
+    each sum anew; e is not written.
     """
-    def kept(m: np.ndarray) -> np.ndarray:
-        m.ravel()[:: len(m) + 1] -= m.sum(axis=0)
-        return m
-
+    sq, prod = np.empty_like(e), np.empty_like(e)
     out = None
     while True:
-        if steps & 1:
-            out = e if out is None else kept(out + e + out @ e)
+        if steps & 1 and out is None:
+            out = e.copy()
+        elif steps & 1:
+            np.matmul(out, e, out=prod)
+            out += e
+            out += prod
+            out.reshape(-1)[:: len(e) + 1] -= np.add.reduce(out)
         steps >>= 1
         if not steps:
             return out
-        e = kept(2.0 * e + e @ e)
+        np.matmul(e, e, out=prod)
+        e = np.multiply(2.0, e, out=sq)
+        e += prod
+        e.reshape(-1)[:: len(e) + 1] -= np.add.reduce(e)
 
 
 def _eigenvalues(loss: np.ndarray, down: np.ndarray, up: np.ndarray) -> np.ndarray:
@@ -296,7 +319,7 @@ def _eigenvalues(loss: np.ndarray, down: np.ndarray, up: np.ndarray) -> np.ndarr
     only on those products, so they are those of the symmetric matrix with
     off-diagonals sqrt(down) * sqrt(up), a product that cannot overflow."""
     off = np.sqrt(down) * np.sqrt(up)
-    return np.linalg.eigvalsh(np.diag(loss) + np.diag(off, 1) + np.diag(off, -1))
+    return np.linalg.eigvalsh(_tridiagonal(loss, off, off))
 
 
 def _check_step(diagonals: tuple[np.ndarray, np.ndarray, np.ndarray], h: float) -> None:
@@ -307,7 +330,7 @@ def _check_step(diagonals: tuple[np.ndarray, np.ndarray, np.ndarray], h: float) 
     z = h * np.minimum(_eigenvalues(*diagonals), 0.0)
     # RK4 stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, inf at a far too large h
     with np.errstate(over="ignore"):
-        gain = float(np.max(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))))
+        gain = float(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))).max())
     if gain > 1.0:
         raise StepTooLarge(
             f"RK4 is unstable at h={h:g}: |R(h*lambda)| reaches {gain:.3e} > 1; "
@@ -318,7 +341,7 @@ def _check_step(diagonals: tuple[np.ndarray, np.ndarray, np.ndarray], h: float) 
 def _band_history(e: np.ndarray, v0: np.ndarray, steps: int, times: np.ndarray) -> np.ndarray:
     """Band 0's vector at the sample times from any start v0 (complex, not
     normalised), each interval `steps` RK4 steps I + e = R(hA) as one exact
-    map (_power_increment) added in place into the next row; raises
+    map (_power_increment), prev + map @ prev formed in the next row; raises
     NonFiniteState at the first blown sample.
     The history is complex even for real populations: numpy's real and
     complex matvecs of the same data can differ in the last bit."""
@@ -328,10 +351,11 @@ def _band_history(e: np.ndarray, v0: np.ndarray, steps: int, times: np.ndarray) 
         # cast once: the loop's complex products are those of the real map
         step_map = _power_increment(e, steps).astype(complex)
         for prev, row in zip(hist, hist[1:]):
-            np.add(prev, step_map @ prev, out=row)
-    blown = ~np.all(np.isfinite(hist), axis=1)
+            np.matmul(step_map, prev, out=row)
+            np.add(prev, row, out=row)
+    blown = ~np.isfinite(hist).all(axis=1)
     if blown.any():
-        raise NonFiniteState(f"state became non-finite near t={times[np.argmax(blown)]:g}")
+        raise NonFiniteState(f"state became non-finite near t={times[blown.argmax()]:g}")
     return hist
 
 
@@ -358,17 +382,23 @@ def integrate(
     |sum(p) - 1|, min_eig = min(p) and trace_dist_to_gibbs = sum|p - pi|/2
     at every sample.
 
-    Raises ValueError for a start with coherences (the generator lacks
-    -i[H, rho]), for a step that is not positive and finite or whose step
-    count over one sample interval overflows a float, and StepTooLarge
-    before any step when RK4 at the step is unstable for A_0, and when the
-    trace changes by more than 1e-8 over a sample interval; raises
-    NonFiniteState when the state blows up.
+    Raises ValueError for a text t_end, a non-integer n_samples, a start
+    with coherences (the generator lacks -i[H, rho]), and a step that is
+    not positive and finite or whose step count over one sample interval
+    overflows a float; StepTooLarge before any step when RK4 at the step
+    is unstable for A_0, and when the trace changes by more than 1e-8 over
+    a sample interval; NonFiniteState when the state blows up.
     """
     _check_atom_cap(params)
+    if isinstance(t_end, (str, bytes, bytearray)):
+        raise ValueError(f"t_end must be a number, got {t_end!r}")
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    if n_samples < 2:
+    try:
+        samples = operator.index(n_samples)
+    except TypeError:
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}") from None
+    if samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     liou = ThermalLiouvillian(params)
     rho0 = np.array(rho0, dtype=complex)  # a copy: the caller's array is never written
@@ -378,10 +408,10 @@ def integrate(
     if not 0.0 < h_max < math.inf:
         raise ValueError(f"step must be positive and finite, got {h_max}")
 
-    times = np.linspace(0.0, t_end, n_samples)
+    times = np.linspace(0.0, t_end, samples)
     # every sample interval is the same span, so one (h, steps) pair and one
     # map serve the whole trajectory
-    span = t_end / (n_samples - 1)
+    span = t_end / (samples - 1)
     if not span / h_max < math.inf:
         raise ValueError(
             f"a sample interval of {span:g} takes more steps of h={h_max:g} than a float holds"
@@ -390,19 +420,22 @@ def integrate(
     h = span / steps
     _check_step(liou._band_diagonals(), h)
     hist = _band_history(_rk4_increment(liou.band(), h), np.diagonal(rho0).real, steps, times)
-    change = float(np.max(np.abs(np.diff(hist.sum(axis=1).real))))
+    trace = hist.sum(axis=1).real
+    change = float(np.abs(trace[1:] - trace[:-1]).max())
     if change > _MAX_TRACE_DRIFT:
         raise StepTooLarge(
             f"trace drift {change:.3e} over one sample interval of {steps} steps exceeds "
             f"{_MAX_TRACE_DRIFT:.3e}; reduce the step below h={h:g}"
         )
     p = hist.real.copy()
+    herm_defect = np.zeros(samples)
+    herm_defect[0] = defect0
     return Trajectory(
         times=times,
         populations=p,
         rho0=rho0,
         trace_drift=np.abs(p.sum(axis=1) - 1.0),
-        herm_defect=np.concatenate(([defect0], np.zeros(n_samples - 1))),
+        herm_defect=herm_defect,
         min_eigenvalue=p.min(axis=1),
         trace_dist_to_gibbs=0.5 * np.abs(p - thermal_state(params).populations).sum(axis=1),
     )

@@ -30,7 +30,11 @@ apply must return the same bits.  The per-row writer copy
 (`per_row_csv_text`) renders a table one printf per row, and the
 per-sample propagator copy (`per_sample_band_history`) steps a band with
 one indexed assignment per sample; the package's run-at-a-time writer and
-in-place propagator must give the same text and the same bits.
+in-place propagator must give the same text and the same bits.  The
+allocating copies (`allocating_power_increment`,
+`allocating_band_history`) power and propagate band 0 with a new array
+for every composition, doubling and sample; the versions that reuse work
+buffers must return the same bits.
 `plain_power_increment` powers a step map without the column-sum rule,
 so the per-interval trace guard has a drifting map to catch.
 `per_point_exact` takes the exact side
@@ -50,6 +54,7 @@ import numpy as np
 from dicke_therm import (
     DimensionMismatch,
     EnsembleParams,
+    NonFiniteState,
     StepControl,
     StepTooLarge,
     ThermalLiouvillian,
@@ -406,6 +411,41 @@ def per_sample_band_history(e, v0, steps, times):
         step_map = _power_increment(e, steps).astype(complex)
         for i in range(len(times) - 1):
             hist[i + 1] = hist[i] + step_map @ hist[i]
+    return hist
+
+
+# dynamics._power_increment and dynamics._band_history as they were while
+# every composition, doubling and sample allocated a new array, kept
+# verbatim (names changed) as the oracles of the versions that reuse work
+# buffers.
+
+def allocating_power_increment(e: np.ndarray, steps: int) -> np.ndarray:
+    def kept(m: np.ndarray) -> np.ndarray:
+        m.ravel()[:: len(m) + 1] -= m.sum(axis=0)
+        return m
+
+    out = None
+    while True:
+        if steps & 1:
+            out = e if out is None else kept(out + e + out @ e)
+        steps >>= 1
+        if not steps:
+            return out
+        e = kept(2.0 * e + e @ e)
+
+
+def allocating_band_history(e: np.ndarray, v0: np.ndarray, steps: int,
+                            times: np.ndarray) -> np.ndarray:
+    hist = np.empty((len(times), v0.size), dtype=complex)
+    hist[0] = v0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # cast once: the loop's complex products are those of the real map
+        step_map = allocating_power_increment(e, steps).astype(complex)
+        for prev, row in zip(hist, hist[1:]):
+            np.add(prev, step_map @ prev, out=row)
+    blown = ~np.all(np.isfinite(hist), axis=1)
+    if blown.any():
+        raise NonFiniteState(f"state became non-finite near t={times[np.argmax(blown)]:g}")
     return hist
 
 

@@ -1,4 +1,4 @@
-"""Intensity, g2(0), classification, and the far-field prefactor."""
+"""Intensity, g2(0) and classification."""
 
 import itertools
 import math
@@ -13,12 +13,10 @@ from dicke_therm import (
     DimensionMismatch,
     EnsembleParams,
     PhotonStatistics,
-    FarFieldGeometry,
     NonPositiveX,
     ZeroIntensity,
     build_spectrum,
     classify_statistics,
-    far_field_prefactor,
     g2_zero,
     intensity_ratio,
     ladder_coefficients,
@@ -421,34 +419,3 @@ class TestClassification:
             classify_statistics(-0.1)
         with pytest.raises(ValueError):
             classify_statistics(float("nan"))
-
-
-class TestFarField:
-    def test_transverse_and_inverse_square(self):
-        assert far_field_prefactor(FarFieldGeometry(1.0, math.pi / 2)) == pytest.approx(1.0)
-        assert far_field_prefactor(FarFieldGeometry(2.0, math.pi / 2)) == pytest.approx(0.25)
-
-    def test_vanishes_along_dipole_axis(self):
-        assert far_field_prefactor(FarFieldGeometry(1.0, 0.0)) == 0.0
-        assert far_field_prefactor(FarFieldGeometry(1.0, math.pi)) == 0.0
-
-    def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            FarFieldGeometry(0.0, 1.0)
-        with pytest.raises(ValueError):
-            FarFieldGeometry(1.0, 4.0)
-
-    def test_prefactor_cancels_in_g2(self):
-        # g2 is a pure operator ratio: changing the geometry rescales g1
-        # and g2_raw but never the normalized correlation
-        geom_a = FarFieldGeometry(1.0, math.pi / 2)
-        geom_b = FarFieldGeometry(3.0, 1.0, dipole=2.0)
-        res = steady_state_correlators(EnsembleParams(3, 0.1, 1.0))
-        g2_a = (res.g2_raw * far_field_prefactor(geom_a) ** 2) / (
-            res.g1 * far_field_prefactor(geom_a)
-        ) ** 2
-        g2_b = (res.g2_raw * far_field_prefactor(geom_b) ** 2) / (
-            res.g1 * far_field_prefactor(geom_b)
-        ) ** 2
-        assert g2_a == pytest.approx(g2_b, rel=1e-12)
-        assert g2_a == pytest.approx(res.g2_norm, rel=1e-12)

@@ -263,12 +263,14 @@ class TestDenseOracle:
     @pytest.mark.parametrize("edge", [0, 1])
     @pytest.mark.parametrize("x", [1e-3, 1.0, 800.0])
     def test_every_band_at_the_window_edges(self, edge, x):
-        # band 0 is the one band the generator builds
+        # band 0 is the one band the generator builds; bytes, not values,
+        # so a signed zero counts: in a cold bath at N = 1 the loss of the
+        # ground level is -0.0 and only the sum of the diagonals makes it +0.0
         for n in range(1, 51):
             eta = window_edge_etas(n)[edge] if n > 1 else 0.0
             params = EnsembleParams(n, eta, x)
             got = ThermalLiouvillian(params).band()
-            assert np.array_equal(got, dense_band(params, 0)), (n, eta, x)
+            assert got.tobytes() == dense_band(params, 0).tobytes(), (n, eta, x)
 
     def test_apply_on_random_hermitian_states(self):
         rng = np.random.default_rng(14)
@@ -497,6 +499,37 @@ class TestIntegration:
         params = EnsembleParams(2, 0.0, 1.0)
         with pytest.raises(ValueError, match="^need at least 2 samples, got 1$"):
             integrate(initial_state(params, "ground"), 1.0, params, n_samples=1)
+
+    @pytest.mark.parametrize("n_samples", [2.5, 3.0, "5", None, np.float64(4.0)],
+                             ids=["2.5", "3.0", "text", "None", "float64"])
+    def test_rejects_a_sample_count_that_is_not_an_integer(self, monkeypatch, n_samples):
+        # refused before the Liouvillian is built, as numpy would refuse it
+        # later with a bare TypeError
+        built = []
+        monkeypatch.setattr(dynamics, "ThermalLiouvillian", lambda p: built.append(p))
+        params = EnsembleParams(2, 0.0, 1.0)
+        with pytest.raises(ValueError, match="^n_samples must be an integer, got "):
+            integrate(initial_state(params, "ground"), 1.0, params, n_samples=n_samples)
+        assert built == []
+
+    @pytest.mark.parametrize("t_end", ["1", b"1", bytearray(b"1")],
+                             ids=["str", "bytes", "bytearray"])
+    def test_rejects_a_text_t_end(self, monkeypatch, t_end):
+        built = []
+        monkeypatch.setattr(dynamics, "ThermalLiouvillian", lambda p: built.append(p))
+        params = EnsembleParams(2, 0.0, 1.0)
+        with pytest.raises(ValueError, match="^t_end must be a number, got "):
+            integrate(initial_state(params, "ground"), t_end, params, n_samples=3)
+        assert built == []
+
+    @pytest.mark.parametrize("n_samples", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_numpy_integer_sample_counts_run_as_ints(self, n_samples):
+        params = EnsembleParams(2, 0.1, 1.0)
+        rho0 = initial_state(params, "inverted")
+        got = integrate(rho0, 1.0, params, n_samples=n_samples)
+        want = integrate(rho0, 1.0, params, n_samples=5)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.populations.tobytes() == want.populations.tobytes()
 
     @pytest.mark.parametrize("t_end, h, n_samples", [(1e308, None, 2), (1.0, 1e-320, 3)])
     def test_rejects_a_step_count_beyond_the_float_range(self, monkeypatch, t_end, h, n_samples):

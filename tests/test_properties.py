@@ -18,7 +18,8 @@ the csv_text of its evaluate_rows, and the step guard never refuses a
 step that the all-band guard accepts.
 A diagonal start relaxes at the default step with a trace distance to the
 Gibbs state that never rises beyond rounding, and ends on the Gibbs
-populations.
+populations.  Band 0's map, powered and propagated in reused work buffers,
+has the bits of a frozen copy that allocated every intermediate.
 """
 
 import math
@@ -55,7 +56,7 @@ from dicke_therm.correlators import (
     _live_widths,
     ladder_log_sums,
 )
-from dicke_therm.dynamics import _eigenvalues
+from dicke_therm.dynamics import _band_history, _eigenvalues, _power_increment, _rk4_increment
 from dicke_therm.sweep import (
     SWEEP_HEADER,
     VALID_OUTPUTS,
@@ -70,6 +71,8 @@ from dicke_therm.sweep import (
 
 from helpers import (
     all_band_step_verdict,
+    allocating_band_history,
+    allocating_power_increment,
     band0_step_limit,
     fsum_log_sums,
     full_row_ladder_log_sums,
@@ -508,3 +511,34 @@ def test_diagonal_starts_relax_monotonically_to_the_gibbs_state(case):
     traj = integrate(initial_state(params, kind), 60.0 / rate, params, n_samples=61)
     assert np.max(np.diff(traj.trace_dist_to_gibbs)) <= 1e-14
     assert np.max(np.abs(traj.populations[-1] - thermal_state(params).populations)) <= 1e-13
+
+
+@st.composite
+def band_increments(draw):
+    """Band 0's RK4 increment at N <= 30, eta anywhere inside its window,
+    x in [1e-3, 1e3] and a step up to band 0's stability limit, with a
+    drawn step count and a complex start vector."""
+    n = draw(st.integers(1, 30))
+    lower = -(n - 1) / (n + 1)
+    eta = draw(st.floats(lower, 1.0, exclude_min=True, exclude_max=True)) if n > 1 else 0.0
+    params = EnsembleParams(n, eta, 10.0 ** draw(st.floats(-3.0, 3.0)))
+    h = draw(st.floats(1e-3, 1.0)) * band0_step_limit(params)
+    e = _rk4_increment(ThermalLiouvillian(params).band(), h)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v0 = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return e, v0, draw(st.integers(1, 2**20))
+
+
+@PROPERTY_SETTINGS
+@given(band_increments())
+def test_buffered_powering_has_the_bits_of_the_allocating_one(case):
+    e, v0, drawn = case
+    start = e.tobytes()
+    times = np.linspace(0.0, 1.0, 6)
+    for steps in (drawn, 1, 2, 7, 68, 1000, 12345):
+        want = allocating_power_increment(e, steps)
+        assert _power_increment(e, steps).tobytes() == want.tobytes(), steps
+        want = allocating_band_history(e, v0, steps, times)
+        assert _band_history(e, v0, steps, times).tobytes() == want.tobytes(), steps
+    # the increment is read, never written
+    assert e.tobytes() == start

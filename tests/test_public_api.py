@@ -28,6 +28,8 @@ REMOVED = {
     "validate_params": "core",
     "ratio_from_log_g1": "correlators",
     "LadderCoeffs": "core",
+    "FarFieldGeometry": "correlators",
+    "far_field_prefactor": "correlators",
 }
 
 # (module, function, the retired keyword it no longer takes): separate
