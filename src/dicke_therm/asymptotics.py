@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import EnsembleParams
-from .correlators import _exp, _ratio_at, correlators_from_log_sums, ladder_log_sums
+from .correlators import _column, _exp, _g2_at, _ratio_at, ladder_log_sums
 from .exceptions import ZeroAtoms, ZeroIntensity
 
 __all__ = [
@@ -245,29 +245,32 @@ def validate_asymptotics(grid: list[tuple[int, float, float]]) -> AsymptoticRepo
 
     The exact side comes from one ladder_log_sums call per N, as in a
     sweep: the distinct x of that N's points at each grid eta of that N,
-    at the eta = 0 reference and at PROBE_ETA.  Each row reads its cells
-    through the scalar steps of the per-point path (correlators_from_log_sums,
-    _ratio_at), so every value and skipped note equals that of
-    steady_state_correlators and intensity_ratio.
+    at the eta = 0 reference and at PROBE_ETA.  Each coupling's sums take
+    one correlators._column step against the reference, and a row reads
+    its cell at its x's position through _g2_at and _ratio_at, so every
+    value and skipped note equals that of steady_state_correlators and
+    intensity_ratio.
     """
     points = [EnsembleParams(*pt) for pt in grid]
-    # N -> (its x grid in first-seen order, its couplings)
-    by_n: dict[int, tuple[dict[float, None], set[float]]] = {}
+    # N -> (each x of its grid, first-seen order, to its position; its couplings)
+    by_n: dict[int, tuple[dict[float, int], set[float]]] = {}
     for prm in points:
         xs, etas = by_n.setdefault(prm.n_atoms, ({}, set()))
-        xs[prm.x] = None
+        xs.setdefault(prm.x, len(xs))
         etas.add(prm.eta)
-    cells: dict[tuple[int, float, float], tuple[float, float, float]] = {}
+    # N -> eta -> the cells over that N's x grid
+    columns = {}
     for n, (xs, etas) in by_n.items():
         etas.update((0.0, PROBE_ETA) if n >= 2 else (0.0,))
-        for eta, sums in ladder_log_sums(n, list(xs), etas).items():
-            cells.update(((n, eta, x), cell) for x, cell in zip(xs, zip(*sums)))
+        sums = ladder_log_sums(n, list(xs), etas)
+        ref = _column(sums[0.0])
+        columns[n] = {eta: ref if eta == 0.0 else _column(s, ref) for eta, s in sums.items()}
 
     def g2(prm, eta):
-        return correlators_from_log_sums(*cells[prm.n_atoms, eta, prm.x]).g2_norm
+        return _g2_at(columns[prm.n_atoms][eta], by_n[prm.n_atoms][0][prm.x])
 
     def ratio(prm):
-        return _ratio_at(prm, *(cells[prm.n_atoms, eta, prm.x] for eta in (prm.eta, 0.0)))
+        return _ratio_at(prm, columns[prm.n_atoms][prm.eta], by_n[prm.n_atoms][0][prm.x])
 
     checks = []
     coeff_done: set[tuple[int, float]] = set()

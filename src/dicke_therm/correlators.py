@@ -19,7 +19,10 @@ cancelling exactly.  One kernel, ladder_log_sums(N, xs, etas), takes all
 three sums for a whole x grid at every eta of one N, and builds the N-only
 ladder logs log n(N-n+1) once for all of them.  Every single-point
 function is its one-x case, a sweep and the asymptotic validator call it
-once per N, and log Z is the same row sum as ThermalState.log_z.
+once per N, and log Z is the same row sum as ThermalState.log_z.  One
+column step, _column, turns the sums of one (N, eta) into G1, g2(0) and
+the ratio to the eta = 0 reference at every x, None where an intensity
+underflows; every path reads it.
 
 In a cold bath most of a row is dead weight: the gaps E_n - E_0 grow with
 n (every omega_n > 0), so beyond some level every term lies more than
@@ -36,9 +39,7 @@ bit-identical to exponentiating the whole row.  A block of rows is cut
 at the width of its widest row, so rows whose widths differ by more than
 a factor of 2 (above 256 levels) never share one.  Every O(N) array of a
 call lies in one workspace that the call owns, so a long-lived process
-reuses its freed pages: a sweep at N = 1e4 and 1e5 (3 eta, 10 x) took
-1,877 minor faults a run and now 0, 929 where it took 2,916 in a fresh
-interpreter, and its harness peak RSS fell by 0.24 MB.
+reuses its freed pages.
 """
 
 from __future__ import annotations
@@ -126,15 +127,25 @@ def _exp(v: float) -> float:
 
 
 class LadderLogSums(NamedTuple):
-    """log Z, log S1 and log S2 of one (N, eta) at each x of a grid.
+    """log Z, log S1 and log S2 of one (N, eta) at each x of a grid, as
+    float64 arrays in grid order.
 
     All three use the shifted log weights, so log G1 = log S1 - log Z.
     log S2 is -inf for N = 1.
     """
 
-    log_z: list[float]
-    log_s1: list[float]
-    log_s2: list[float]
+    log_z: np.ndarray
+    log_s1: np.ndarray
+    log_s2: np.ndarray
+
+
+class _Cells(NamedTuple):
+    """The correlator cells of one (N, eta) at each x of a grid (_column)."""
+
+    g1: list[float]
+    log_g1: np.ndarray
+    g2: list[float | None]
+    ratio: list[float | None] | None
 
 
 def _c_logs(lowering: np.ndarray, c2=None, log_c2=None) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +270,7 @@ def _eta_log_sums(params: EnsembleParams, xs: np.ndarray, c_logs: tuple, slots) 
             np.multiply(-xs[block, None], gaps[:live], out=log_weights)
         sums[1][block], sums[2][block] = _log_sums(log_weights, logs, gaps.size, terms, zeros)
         sums[0][block] = logsumexp_rows(log_weights, gaps.size, zeros=zeros)
-    return LadderLogSums(*(s.tolist() for s in sums))
+    return LadderLogSums(*sums)
 
 
 def ladder_log_sums(n_atoms: int, xs, etas) -> dict[float, LadderLogSums]:
@@ -298,48 +309,57 @@ def ladder_log_sums(n_atoms: int, xs, etas) -> dict[float, LadderLogSums]:
     return {eta: _eta_log_sums(p, xs, c_logs, slots) for eta, p in zip(etas, params)}
 
 
-def _log_g1_g2(log_z, log_s1, log_s2):
-    """log G1 = log S1 - log Z and log g2(0) = (log S2 + log Z) - 2 log S1,
-    of floats or, elementwise, of arrays over an x grid: numpy's +, - and *
-    round as Python's floats do.  Python float arithmetic never warns; take
-    arrays under np.errstate(invalid="ignore", over="ignore")."""
-    return log_s1 - log_z, (log_s2 + log_z) - 2.0 * log_s1
+def _column(sums: LadderLogSums, ref: _Cells | None = None) -> _Cells:
+    """G1, log G1, g2(0) and, given the cells of the eta = 0 reference over
+    the same x grid, the ratio G1/G1_ref at each x of one (N, eta)'s ladder
+    log sums.
 
-
-def _intensities(sums: LadderLogSums) -> tuple[list[float], list[float], list[float]]:
-    """G1, log G1 and log g2(0) at each x of one (N, eta)'s ladder log sums,
-    G1 0.0 where the intensity underflows at double precision: the column
-    form of _log_g1_g2, one numpy pass over the grid.  G1 is exponentiated
-    by _exp (math.exp), never np.exp, which can differ in the last bit.
+    log G1 = log S1 - log Z and log g2(0) = (log S2 + log Z) - 2 log S1
+    are one numpy pass over the arrays, whose +, - and * round as Python's
+    floats do, and so is the log ratio log G1 - log G1_ref.  Each cell is
+    exponentiated by _exp (math.exp), never np.exp, which can differ in
+    the last bit.  G1 is 0.0, and g2(0) None, where the intensity
+    underflows at double precision; the ratio is None where either
+    intensity does, and inf beyond the double range.  g2(0) is 0 for
+    N = 1, where log S2 is -inf.
     """
-    log_z, log_s1, log_s2 = map(np.array, sums)
+    log_z, log_s1, log_s2 = sums
     with np.errstate(invalid="ignore", over="ignore"):
-        log_g1, log_g2 = (a.tolist() for a in _log_g1_g2(log_z, log_s1, log_s2))
-    return list(map(_exp, log_g1)), log_g1, log_g2
+        log_g1 = log_s1 - log_z
+        log_g2 = ((log_s2 + log_z) - 2.0 * log_s1).tolist()
+        log_ratio = None if ref is None else (log_g1 - ref.log_g1).tolist()
+    g1 = list(map(_exp, log_g1.tolist()))
+    g2 = [None if v == 0.0 else _exp(w) for v, w in zip(g1, log_g2)]
+    ratio = None if ref is None else [
+        None if v == 0.0 or r == 0.0 else _exp(d) for v, r, d in zip(g1, ref.g1, log_ratio)]
+    return _Cells(g1, log_g1, g2, ratio)
 
 
-def _g2_cells(g1, log_g2) -> list[float | None]:
-    """g2(0) at each x from G1 and log g2(0), None where the intensity
-    underflowed; g2(0) is 0 for N = 1, where log S2 is -inf."""
-    return [None if v == 0.0 else _exp(w) for v, w in zip(g1, log_g2)]
+def _g2_at(cells: _Cells, i: int) -> float:
+    """g2(0) at the i-th x of cells; ZeroIntensity where the intensity
+    underflowed."""
+    if cells.g2[i] is None:
+        raise ZeroIntensity(
+            "intensity underflows at double precision; the exact sums carry no "
+            "information here, use the closed-form asymptotics"
+        )
+    return cells.g2[i]
 
 
-def _ratio_cells(g1, log_g1, g1_ref, log_g1_ref) -> list[float | None]:
-    """G1/G1_ref at each x from G1 and log G1 of a coupling and of the
-    eta = 0 reference, None where either intensity underflowed; a quotient
-    beyond the double range is inf."""
-    return [None if v == 0.0 or r == 0.0 else _exp(a - b)
-            for v, a, r, b in zip(g1, log_g1, g1_ref, log_g1_ref)]
+def _ratio_at(params: EnsembleParams, cells: _Cells, i: int) -> float:
+    """intensity_ratio at params from the cells of its coupling, taken
+    against the eta = 0 reference, at its x, the i-th of their grid.
 
-
-def _g1_g2(log_z: float, log_s1: float, log_s2: float) -> tuple[float, float] | None:
-    """G1 and g2(0) from one x of the ladder log sums, or None when the
-    intensity underflows to zero at double precision: the one-x case of
-    _log_g1_g2 and _g2_cells."""
-    log_g1, log_g2 = _log_g1_g2(log_z, log_s1, log_s2)
-    g1 = _exp(log_g1)
-    (g2,) = _g2_cells([g1], [log_g2])
-    return None if g2 is None else (g1, g2)
+    Where an intensity underflows, ZeroIntensity names the point of the
+    side that did: the eta side if both did.
+    """
+    if cells.ratio[i] is None:
+        eta = params.eta if cells.g1[i] == 0.0 else 0.0
+        raise ZeroIntensity(
+            f"intensity underflows at double precision for N={params.n_atoms}, "
+            f"eta={eta}, x={params.x}"
+        )
+    return cells.ratio[i]
 
 
 def correlators_from_log_sums(log_z: float, log_s1: float, log_s2: float) -> CorrelatorResult:
@@ -349,28 +369,16 @@ def correlators_from_log_sums(log_z: float, log_s1: float, log_s2: float) -> Cor
     precision; for N = 1 the result is exactly 0 (a single emitter never
     yields a photon pair).
     """
-    cells = _g1_g2(log_z, log_s1, log_s2)
-    if cells is None:
-        raise ZeroIntensity(
-            "intensity underflows at double precision; the exact sums carry no "
-            "information here, use the closed-form asymptotics"
-        )
-    g1, g2_norm = cells
-    g2_raw = _exp(log_s2 - log_z)
+    # a product refuses text (TypeError) as float arithmetic does, where
+    # np.array(..., dtype=float) would parse it
+    cells = _column(LadderLogSums(*np.multiply([[log_z], [log_s1], [log_s2]], 1.0)))
+    g2_norm = _g2_at(cells, 0)
     return CorrelatorResult(
-        g1=g1,
-        g2_raw=g2_raw,
+        g1=cells.g1[0],
+        g2_raw=_exp(log_s2 - log_z),
         g2_norm=g2_norm,
         classification=classify_statistics(g2_norm),
     )
-
-
-def _ratio(log_g1: float, log_g1_ref: float) -> float | None:
-    """G1/G1_ref from the two log intensities (log S1 - log Z of each), or
-    None when either intensity underflows to zero at double precision: the
-    one-x case of _ratio_cells."""
-    (ratio,) = _ratio_cells([_exp(log_g1)], [log_g1], [_exp(log_g1_ref)], [log_g1_ref])
-    return ratio
 
 
 def classify_statistics(g2_norm: float) -> PhotonStatistics:
@@ -404,25 +412,7 @@ def g2_zero(
 def steady_state_correlators(params: EnsembleParams) -> CorrelatorResult:
     """Correlators at one point: the one-x case of ladder_log_sums."""
     sums = ladder_log_sums(params.n_atoms, [params.x], [params.eta])[params.eta]
-    return correlators_from_log_sums(*(s[0] for s in sums))
-
-
-def _ratio_at(params: EnsembleParams, cell, ref_cell) -> float:
-    """intensity_ratio at params from its (log Z, log S1, ...) cell and the
-    cell of the eta = 0 reference at the same N and x.
-
-    Where an intensity underflows, ZeroIntensity names the point of the
-    side that did: the eta side if both did.
-    """
-    log_g1, log_g1_ref = (log_s1 - log_z for log_z, log_s1, *_ in (cell, ref_cell))
-    ratio = _ratio(log_g1, log_g1_ref)
-    if ratio is None:
-        eta = params.eta if _exp(log_g1) == 0.0 else 0.0
-        raise ZeroIntensity(
-            f"intensity underflows at double precision for N={params.n_atoms}, "
-            f"eta={eta}, x={params.x}"
-        )
-    return ratio
+    return correlators_from_log_sums(*(float(s[0]) for s in sums))
 
 
 def intensity_ratio(params: EnsembleParams) -> float:
@@ -430,10 +420,10 @@ def intensity_ratio(params: EnsembleParams) -> float:
 
     Evaluated as a difference of log intensities, so the ratio stays
     accurate deep into the cold regime where both intensities are tiny.
-    Both come from one ladder_log_sums call, as in a sweep, and _ratio_at
-    reads them, as the asymptotic validator does.
+    Both come from one ladder_log_sums call and one _column step each, as
+    in a sweep and the asymptotic validator.
     """
     if params.eta == 0.0:
         raise ValueError("intensity_ratio requires eta != 0 (the reference is eta = 0)")
     sums = ladder_log_sums(params.n_atoms, [params.x], [params.eta, 0.0])
-    return _ratio_at(params, *[(s.log_z[0], s.log_s1[0]) for s in sums.values()])
+    return _ratio_at(params, _column(sums[params.eta], _column(sums[0.0])), 0)

@@ -211,6 +211,15 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return float(d) if d.ndim == 0 else d
 
 
+def _check_positive(name: str, value) -> None:
+    """Refuse, with ValueError, a text or complex value and one that is
+    not positive and finite."""
+    if isinstance(value, (str, bytes, bytearray, complex)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _check_atom_cap(params: EnsembleParams) -> None:
     if params.n_atoms > MAX_DYNAMICS_ATOMS:
         raise ValueError(
@@ -382,31 +391,27 @@ def integrate(
     |sum(p) - 1|, min_eig = min(p) and trace_dist_to_gibbs = sum|p - pi|/2
     at every sample.
 
-    Raises ValueError for a text t_end, a non-integer n_samples, a start
-    with coherences (the generator lacks -i[H, rho]), and a step that is
-    not positive and finite or whose step count over one sample interval
+    Raises ValueError, before the Liouvillian is built, for a text or
+    complex t_end or step, one that is not positive and finite, and a
+    non-integer n_samples; ValueError for a start with coherences (the generator lacks
+    -i[H, rho]) and a step whose step count over one sample interval
     overflows a float; StepTooLarge before any step when RK4 at the step
     is unstable for A_0, and when the trace changes by more than 1e-8 over
     a sample interval; NonFiniteState when the state blows up.
     """
     _check_atom_cap(params)
-    if isinstance(t_end, (str, bytes, bytearray)):
-        raise ValueError(f"t_end must be a number, got {t_end!r}")
-    if not 0.0 < t_end < math.inf:
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    _check_positive("t_end", t_end)
     try:
         samples = operator.index(n_samples)
     except TypeError:
         raise ValueError(f"n_samples must be an integer, got {n_samples!r}") from None
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
+    h_max = default_step(params) if ctrl is None or ctrl.h is None else ctrl.h
+    _check_positive("step", h_max)
     liou = ThermalLiouvillian(params)
     rho0 = np.array(rho0, dtype=complex)  # a copy: the caller's array is never written
     defect0 = _check_density_matrix(rho0, liou.dim)
-
-    h_max = default_step(params) if ctrl is None or ctrl.h is None else ctrl.h
-    if not 0.0 < h_max < math.inf:
-        raise ValueError(f"step must be positive and finite, got {h_max}")
 
     times = np.linspace(0.0, t_end, samples)
     # every sample interval is the same span, so one (h, steps) pair and one

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import AsymptoticReport, _check_distinct
-from .correlators import _g2_cells, _intensities, _ratio_cells, classify_statistics, ladder_log_sums
+from .correlators import _column, classify_statistics, ladder_log_sums
 from .core import EnsembleParams
 from .exceptions import NonPositiveX
 
@@ -130,18 +130,16 @@ def _groups(n_values, eta_values, xs, outputs: tuple[str, ...], jobs: int = 1):
     ratio, classification and reason lists over xs.  evaluate_rows
     documents the checks, the cells and the worker pool.
 
-    The float steps are those of correlators._intensities (the column form
-    of _log_g1_g2), _g2_cells and _ratio_cells, whose one-x cases the
-    single-point paths take.  The G1 of every
-    coupling of an N, the eta = 0 reference included, is exponentiated
-    once, and a ratio cell reads it for its own group and the reference.
+    Each group's cells are one correlators._column step over its ladder
+    log sums, the step every single-point path takes.  The eta = 0
+    reference of an N takes its step once, for its own group and for
+    every ratio cell of that N, so its G1 is exponentiated once per N.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     _check_outputs(outputs)
     _check_distinct(N=n_values, eta=eta_values, x=xs)
     want_g1, want_g2, want_ratio, want_class = (k in outputs for k in VALID_OUTPUTS)
-    want_corr = want_g1 or want_g2 or want_class
     etas = [*eta_values, 0.0] if want_ratio and 0.0 not in eta_values else eta_values
     workers = min(jobs, len(n_values), os.cpu_count() or 1)
     if workers > 1:
@@ -151,26 +149,22 @@ def _groups(n_values, eta_values, xs, outputs: tuple[str, ...], jobs: int = 1):
             results = list(pool.map(ladder_log_sums, n_values, repeat(xs), repeat(etas)))
     else:
         results = list(map(ladder_log_sums, n_values, repeat(xs), repeat(etas)))
-    none, no_loss = [None] * len(xs), [False] * len(xs)
+    none = [None] * len(xs)
     for n, sums in zip(n_values, results):
-        intensities = {eta: _intensities(s) for eta, s in sums.items()}
+        ref = _column(sums[0.0]) if want_ratio else None
         for eta in eta_values:
-            g1, log_g1, log_g2 = intensities[eta]
-            lost = [v == 0.0 for v in g1] if want_corr else no_loss
-            g2 = ratio = classification = none
-            if want_g2 or want_class:
-                g2 = _na(_g2_cells(g1, log_g2))
-            if want_class:
+            cells = ref if ref and eta == 0.0 else _column(sums[eta], ref)
+            g2 = _na(cells.g2)
+            columns = [
+                ["NA" if v == 0.0 else v for v in cells.g1] if want_g1 else none,
+                g2 if want_g2 else none,
+                none if not want_ratio else [1.0] * len(xs) if eta == 0.0 else _na(cells.ratio),
                 # _value_ is the plain attribute behind the enum's value property
-                classification = ["NA" if gone else classify_statistics(v)._value_
-                                  for gone, v in zip(lost, g2)]
-            if want_ratio and eta == 0.0:
-                ratio = [1.0] * len(xs)
-            elif want_ratio:
-                ratio = _na(_ratio_cells(g1, log_g1, *intensities[0.0][:2]))
-            reason = ["ZeroIntensity" if gone or r == "NA" else "" for gone, r in zip(lost, ratio)]
-            g1 = ["NA" if gone else v for gone, v in zip(lost, g1)] if want_g1 else none
-            yield n, eta, (g1, g2 if want_g2 else none, ratio, classification, reason)
+                [v if v == "NA" else classify_statistics(v)._value_ for v in g2]
+                if want_class else none,
+            ]
+            reason = ["ZeroIntensity" if "NA" in row else "" for row in zip(*columns)]
+            yield n, eta, (*columns, reason)
 
 
 def evaluate_rows(
@@ -190,10 +184,10 @@ def evaluate_rows(
     its workers at once; the rows are built here.
 
     The rows are the flattened (N, eta) groups of _groups, which builds
-    each requested column of a group at once: g1 and g2 from
-    correlators._intensities and _g2_cells, with NA where the intensity
-    underflows; the classify_statistics verdict of g2; and the ratio from
-    correlators._ratio_cells, with NA where an intensity underflows.
+    each requested column of a group at once from its correlators._column
+    cells: g1 and g2, with NA where the intensity underflows; the
+    classify_statistics verdict of g2; and the ratio, with NA where an
+    intensity underflows.
     """
     rows = []
     for n, eta, columns in _groups(n_values, eta_values, xs, outputs, jobs):

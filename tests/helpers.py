@@ -37,8 +37,8 @@ for every composition, doubling and sample; the versions that reuse work
 buffers must return the same bits.
 `plain_power_increment` powers a step map without the column-sum rule,
 so the per-interval trace guard has a drifting map to catch.
-`per_point_exact` takes the exact side
-of a validator row from the per-point public functions.  `read_sweep_csv`
+`point_row` builds a sweep row and `per_point_exact` the exact side of a
+validator row from the per-point public functions.  `read_sweep_csv`
 parses the CLI's sweep CSV back into typed rows, `read_fifo` collects
 what a writer sends into a FIFO, and `spy_open` records every `os.open`.
 """
@@ -460,6 +460,28 @@ def plain_power_increment(e, steps):
         if not steps:
             return out
         e = 2.0 * e + e @ e
+
+
+def point_row(n, eta, x):
+    """The sweep row at one point, in SWEEP_HEADER order, from the
+    per-point library functions."""
+    params = EnsembleParams(n, eta, x)
+    reason = ""
+    try:
+        res = steady_state_correlators(params)
+        g1, g2, classification = res.g1, res.g2_norm, res.classification.value
+    except ZeroIntensity:
+        reason = "ZeroIntensity"
+        g1 = g2 = classification = "NA"
+    if eta == 0.0:
+        ratio = 1.0
+    else:
+        try:
+            ratio = intensity_ratio(params)
+        except ZeroIntensity:
+            reason = "ZeroIntensity"
+            ratio = "NA"
+    return (n, eta, x, g1, g2, ratio, classification, reason)
 
 
 def per_point_exact(check):

@@ -24,7 +24,7 @@ from dicke_therm import (
     thermal_state,
 )
 from dicke_therm import correlators
-from dicke_therm.correlators import _ratio, _ratio_at, correlators_from_log_sums
+from dicke_therm.correlators import LadderLogSums, _column, _ratio_at, correlators_from_log_sums
 from dicke_therm.sweep import VALID_OUTPUTS, evaluate_rows
 from helpers import full_row_ladder_log_sums, matrix_correlators, random_valid_params
 
@@ -96,11 +96,19 @@ class TestG2:
 
     @pytest.mark.parametrize("x", [1e-6, 1.0, 30.0])
     def test_single_atom_never_pairs(self, x):
-        assert correlators.ladder_log_sums(1, [x], [0.0])[0.0].log_s2 == [-math.inf]
+        log_s2 = correlators.ladder_log_sums(1, [x], [0.0])[0.0].log_s2
+        assert log_s2.tobytes() == np.array([-math.inf]).tobytes()
         res = steady_state_correlators(EnsembleParams(1, 0.0, x))
         assert res.g2_raw == 0.0
         assert res.g2_norm == 0.0
         assert res.classification is PhotonStatistics.SUB_POISSONIAN
+
+    @pytest.mark.parametrize("sums", [("0", 0.0, 0.0), (0.0, "0.5", 0.0), (0.0, 0.0, b"1")])
+    def test_log_sums_refuse_text(self, sums):
+        # as float arithmetic on them does; numpy's float conversion would
+        # parse the text
+        with pytest.raises(TypeError):
+            correlators_from_log_sums(*sums)
 
     def test_zero_intensity_raised_in_empty_regime(self):
         with pytest.raises(ZeroIntensity):
@@ -221,8 +229,9 @@ class TestWidthGroups:
         sums = correlators.ladder_log_sums(20, xs, [0.1, -0.1, 0.0])
         assert list(sums) == [0.1, -0.1, 0.0]
         for eta in sums:
-            assert sums[eta] == correlators.ladder_log_sums(20, xs, [eta])[eta]
-            assert all(math.isfinite(v) for v in sums[eta].log_s2)
+            one = correlators.ladder_log_sums(20, xs, [eta])[eta]
+            assert np.array(sums[eta]).tobytes() == np.array(one).tobytes()
+            assert np.isfinite(sums[eta].log_s2).all()
 
     @pytest.mark.parametrize("kind", [list, tuple, lambda etas: (eta for eta in etas)],
                              ids=["list", "tuple", "generator"])
@@ -339,6 +348,12 @@ class TestLimitAgreement:
         assert exact == pytest.approx(2.0 - 2.0 / n, abs=1e-3)
 
 
+def log_g1_sums(log_g1):
+    """Ladder log sums with log Z = 0 and the given log G1 = log S1."""
+    log_s1 = np.array(log_g1)
+    return LadderLogSums(np.zeros_like(log_s1), log_s1, np.zeros_like(log_s1))
+
+
 class TestIntensityRatio:
     def test_frozen_values(self):
         assert intensity_ratio(EnsembleParams(2, 0.1, 1e-6)) == pytest.approx(
@@ -370,18 +385,19 @@ class TestIntensityRatio:
 
     def test_finite_up_to_the_double_limit(self):
         # exp overflows only above log(DBL_MAX) = 709.78
-        assert _ratio(709.5, 0.0) == math.exp(709.5)
+        ref = _column(log_g1_sums([0.0, 0.0]))
+        assert _column(log_g1_sums([709.5, 710.0]), ref).ratio == [math.exp(709.5), math.inf]
         assert correlators_from_log_sums(0.0, 0.0, 709.5).g2_norm == math.exp(709.5)
-        assert _ratio(710.0, 0.0) == math.inf
 
     @pytest.mark.parametrize("log_g1, log_g1_ref", [(-800.0, 0.0), (0.0, -800.0), (-800.0, -800.0)])
     def test_underflow_on_either_side(self, log_g1, log_g1_ref):
-        # the sweep's NA cell and _ratio_at share one ratio step; the error
+        # the sweep's NA cell and _ratio_at share one column step; the error
         # names the eta side if it underflowed, else the eta = 0 reference
-        assert _ratio(log_g1, log_g1_ref) is None
+        cells = _column(log_g1_sums([log_g1]), _column(log_g1_sums([log_g1_ref])))
+        assert cells.ratio == [None]
         side = 0.1 if log_g1 == -800.0 else 0.0
         with pytest.raises(ZeroIntensity, match=re.escape(f"eta={side}, x=10.0")):
-            _ratio_at(EnsembleParams(2, 0.1, 10.0), (0.0, log_g1), (0.0, log_g1_ref))
+            _ratio_at(EnsembleParams(2, 0.1, 10.0), cells, 0)
 
 
 class TestSignFlip:

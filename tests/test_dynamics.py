@@ -522,6 +522,28 @@ class TestIntegration:
             integrate(initial_state(params, "ground"), t_end, params, n_samples=3)
         assert built == []
 
+    @pytest.mark.parametrize("t_end, h, message", [
+        (1.0, "0.1", "step must be a number"),
+        (1.0, 2 + 0j, "step must be a number"),
+        (1.0, np.complex128(0.1), "step must be a number"),
+        (1.0, b"1", "step must be a number"),
+        (1.0, math.nan, "step must be positive and finite"),
+        (1.0, -0.01, "step must be positive and finite"),
+        (2 + 0j, None, "t_end must be a number"),
+    ], ids=["str", "complex", "complex128", "bytes", "nan", "negative", "complex-t_end"])
+    def test_rejects_a_text_complex_or_nonpositive_step_before_building(
+        self, monkeypatch, t_end, h, message
+    ):
+        # the step is checked where t_end is; a text or complex one would
+        # reach the comparison with 0.0 and raise a bare TypeError
+        built = []
+        monkeypatch.setattr(dynamics, "ThermalLiouvillian", lambda p: built.append(p))
+        params = EnsembleParams(2, 0.0, 1.0)
+        with pytest.raises(ValueError, match=f"^{message}, got "):
+            integrate(initial_state(params, "ground"), t_end, params, ctrl=StepControl(h=h),
+                      n_samples=3)
+        assert built == []
+
     @pytest.mark.parametrize("n_samples", [np.int64(5), np.int32(5), np.uint8(5)])
     def test_numpy_integer_sample_counts_run_as_ints(self, n_samples):
         params = EnsembleParams(2, 0.1, 1.0)

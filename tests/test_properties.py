@@ -10,7 +10,8 @@ the blocks take every row once, widest first.
 Numpy's floating-point warnings are raised as errors, so an overflow, a
 log of zero or an invalid operation anywhere on the path fails the point.
 Every row of the asymptotic validator, on random grids that are not a
-product, takes the exact value or skipped note of the per-point path.  The
+product, takes the exact value or skipped note of the per-point path, and
+on product grids that cross the underflow edge so does every sweep row.  The
 CSV writer renders every table as the per-cell format_number join, a
 table of runs of like-typed rows as a frozen copy of the per-row writer,
 and a float at any precision past 767 digits as at 767; a sweep file is
@@ -79,6 +80,7 @@ from helpers import (
     guard_accepts,
     per_point_exact,
     per_row_csv_text,
+    point_row,
 )
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -204,9 +206,9 @@ def x_grids(draw):
 
 
 def assert_same_bits(got, want):
-    got = tuple(got)
-    assert got == want
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    got, want = np.array(got), np.array(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -234,6 +236,53 @@ def test_validator_rows_equal_the_per_point_path(grid):
         if note is None:
             assert check.exact == value, check
             assert check.rel_dev == abs(check.approx - value) / max(abs(value), 1e-300)
+        else:
+            assert (check.exact, check.status, check.note) == (None, "skipped", note), check
+
+
+@st.composite
+def underflow_grids(draw):
+    """Product axes at N <= 40: up to three N, couplings anywhere inside
+    the window of the smallest N (0 alone with N = 1) and up to eight x
+    log-distributed over [1e-3, 1e3].  A third of the x come from
+    [10**2.85, 1e3], where the intensity of a coupling below about 0.25
+    underflows, so a grid crosses the underflow edge; 1e-3, 10 and 30 lie
+    in the validator's strong- and weak-bath windows."""
+    n_values = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True))
+    lower = -(min(n_values) - 1) / (min(n_values) + 1)
+    coupled = st.floats(lower, 1.0, exclude_min=True, exclude_max=True)
+    eta_values = [0.0] if 1 in n_values else draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 0.1, -0.1]), coupled), min_size=1, max_size=3,
+        unique=True))
+    x = st.one_of(
+        st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        st.floats(2.85, 3.0).map(lambda e: 10.0**e),
+        st.sampled_from([1e-3, 10.0, 30.0]),
+    )
+    xs = draw(st.lists(x, min_size=1, max_size=8, unique=True))
+    try:
+        for n in n_values:
+            for eta in eta_values:
+                EnsembleParams(n, eta)
+    except EtaOutOfRange:
+        reject()
+    return n_values, eta_values, xs
+
+
+@PROPERTY_SETTINGS
+@example(([2, 40], [0.1, -0.1], [1e-3, 10.0, 30.0, 700.0, 760.0, 1e3]))
+@given(underflow_grids())
+def test_rows_across_the_underflow_edge_equal_the_per_point_path(axes):
+    # the sweep's columns and the validator's rows take one column step per
+    # coupling of an N; each cell is the one-point call's, and an
+    # underflowed one its ZeroIntensity
+    n_values, eta_values, xs = axes
+    grid = [(n, eta, x) for n in n_values for eta in eta_values for x in xs]
+    assert evaluate_rows(n_values, eta_values, xs, VALID_OUTPUTS) == [point_row(*p) for p in grid]
+    for check in validate_asymptotics(grid).checks:
+        value, note = per_point_exact(check)
+        if note is None:
+            assert check.exact == value, check
         else:
             assert (check.exact, check.status, check.note) == (None, "skipped", note), check
 

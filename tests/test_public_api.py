@@ -1,9 +1,12 @@
 """The public surface: every exported name resolves, retired names stay
-gone, and the physics is configured by EnsembleParams alone."""
+gone, the physics is configured by EnsembleParams alone, and every
+private name the README cites still exists."""
 
 import dataclasses
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -109,3 +112,26 @@ def test_retired_fields(cls, field):
 def test_sweep_config_has_no_as_dict():
     # sidecars serialise the config with dataclasses.asdict
     assert not hasattr(dicke_therm.sweep.SweepConfig, "as_dict")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_private_names_in_the_readme_resolve():
+    # a backticked `_name` or `module._name` (or `Class._name`) must name
+    # something in the package, so a removed helper leaves no stale mention
+    cited = re.findall(r"`((?:[A-Za-z_]\w*\.)*_\w+)`", README.read_text(encoding="utf-8"))
+    assert cited
+    homes = [dicke_therm, *map(module, MODULES)]
+    missing = []
+    for name in dict.fromkeys(cited):
+        head, *rest = name.split(".")
+        if head in MODULES:
+            found = [module(head)]
+        else:
+            found = [getattr(m, head) for m in homes if hasattr(m, head)]
+        for attr in rest:
+            found = [getattr(obj, attr) for obj in found if hasattr(obj, attr)]
+        if not found:
+            missing.append(name)
+    assert missing == []

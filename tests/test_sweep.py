@@ -25,7 +25,6 @@ from dicke_therm import (
     build_spectrum,
     correlators,
     g2_zero,
-    intensity_ratio,
     ladder_coefficients,
     steady_state_correlators,
     thermal_state,
@@ -44,7 +43,7 @@ from dicke_therm.sweep import (
     run_sweep,
     x_grid,
 )
-from helpers import read_fifo, read_sweep_csv, spy_open
+from helpers import point_row, read_fifo, read_sweep_csv, spy_open
 
 # N = 50,000 with 5 x values spans several kernel blocks
 BIG_N = 50_000
@@ -61,28 +60,6 @@ CORRELATOR_CELLS = ("g1", "g2", "classification")
 # N = 1 takes eta = 0 only; the x grid runs into intensity underflow
 SUBSET_GROUPS = [([1], [0.0]), ([2, 7, 300], [-0.1, 0.0, 0.1])]
 SUBSET_XS = np.geomspace(1e-3, 900.0, 20).tolist()
-
-
-def point_row(n, eta, x):
-    """The sweep row at one point, in SWEEP_HEADER order, from the
-    per-point library functions."""
-    params = EnsembleParams(n, eta, x)
-    reason = ""
-    try:
-        res = steady_state_correlators(params)
-        g1, g2, classification = res.g1, res.g2_norm, res.classification.value
-    except ZeroIntensity:
-        reason = "ZeroIntensity"
-        g1 = g2 = classification = "NA"
-    if eta == 0.0:
-        ratio = 1.0
-    else:
-        try:
-            ratio = intensity_ratio(params)
-        except ZeroIntensity:
-            reason = "ZeroIntensity"
-            ratio = "NA"
-    return (n, eta, x, g1, g2, ratio, classification, reason)
 
 
 @pytest.mark.parametrize("precision", [-1, 1.5, 2**31])
