@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=201, help="number of recorded samples")
     p.add_argument("--step", type=float, default=None,
                    help="fixed RK4 step, positive and finite "
-                   "(default: conservative heuristic)")
+                   "(default: no step, the exact interval map)")
     p.add_argument("--out", default=None, help="trajectory CSV path (default stdout)")
     common(p)
     p.set_defaults(handler=_cmd_evolve)

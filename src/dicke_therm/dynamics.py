@@ -20,8 +20,11 @@ The generator is this dissipator alone, without the Hamiltonian term
 diagonal state, which the dissipator keeps diagonal: the populations
 (band 0, a birth-death chain) are exact in any picture.  A coherence
 rho_{i,i+k} would also turn under i(E_{i+k} - E_i), so `integrate` refuses
-a start with coherences and advances band 0 alone, through one exact RK4
-step map, with O(N) diagnostics per sample.
+a start with coherences and advances band 0 alone, with O(N) diagnostics
+per sample.  Its default path is exact: one interval map e^{A_0 dt} by
+uniformization, whose terms are all nonnegative, so every population keeps
+its relative accuracy however small it is.  Classical RK4 runs only when a
+step is given.
 
 Complete positivity is not assumed anywhere: the minimum eigenvalue is
 recorded as a diagnostic along every trajectory rather than enforced.
@@ -37,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import EnsembleParams, build_spectrum, ladder_coefficients, thermal_state
-from .exceptions import DimensionMismatch, NonFiniteState, StepTooLarge
+from .exceptions import DimensionMismatch, IntegrationError, NonFiniteState, StepTooLarge
 
 __all__ = [
     "StepControl",
@@ -52,8 +55,9 @@ __all__ = [
     "default_step",
 ]
 
-# a trajectory builds and guards one (N+1)^2 step map, O(N^3 log(steps));
-# the correlator engine covers larger ensembles.
+# a trajectory builds one dense (N+1)^2 interval map, O(N^3) per Horner term
+# and squaring, and the squarings grow with log(max|A_0| t_end); the
+# correlator engine covers larger ensembles.
 MAX_DYNAMICS_ATOMS = 200
 
 INITIAL_STATE_KINDS = ("ground", "inverted", "equal", "gibbs")
@@ -61,14 +65,17 @@ INITIAL_STATE_KINDS = ("ground", "inverted", "equal", "gibbs")
 # largest trace change of one sample interval, checked after band 0's history
 _MAX_TRACE_DRIFT = 1e-8
 
+# Horner terms of the uniformized series on one interval's 2^-s part
+_SERIES_TERMS = 16
+
 
 @dataclass(frozen=True)
 class StepControl:
     """Fixed-step integrator settings.
 
-    h is the RK4 step in the time unit 1/Gamma(omega0); None picks the
-    conservative `default_step`.  The trace is never renormalized, so trace
-    drift stays visible as a diagnostic.
+    h is the RK4 step in the time unit 1/Gamma(omega0); None, the default,
+    takes the exact interval map and no RK4 step at all.  The trace is never
+    renormalized, so trace drift stays visible as a diagnostic.
     """
 
     h: float | None = None
@@ -192,9 +199,11 @@ def _bath_rates(omega: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def default_step(params: EnsembleParams) -> float:
-    """Conservative fixed step: 0.01/((1+nbar_max)*N^2), nbar_max over
+    """Conservative fixed RK4 step: 0.01/((1+nbar_max)*N^2), nbar_max over
     all N+1 frequencies omega_0..omega_N, omega_N included although it
-    drives no transition.  Raises ValueError where the step rounds to 0."""
+    drives no transition.  Raises ValueError where the step rounds to 0.
+    `integrate` takes the exact map when no step is given, so it never
+    calls this; pass StepControl(h=default_step(params)) for RK4 at it."""
     with np.errstate(over="ignore"):
         nbar_max = float(_bath_rates(build_spectrum(params).frequencies, params.x)[1].max())
     h = 0.01 / ((1.0 + nbar_max) * params.n_atoms**2)
@@ -362,10 +371,72 @@ def _band_history(e: np.ndarray, v0: np.ndarray, steps: int, times: np.ndarray) 
         for prev, row in zip(hist, hist[1:]):
             np.matmul(step_map, prev, out=row)
             np.add(prev, row, out=row)
+    _check_finite(hist, times)
+    return hist
+
+
+def _column_stochastic(m: np.ndarray) -> np.ndarray:
+    """m with each column divided by its sum, in place: band 0's maps keep
+    the trace, so rounding in it cannot build up over the squarings."""
+    m /= m.sum(axis=0)
+    return m
+
+
+def _interval_map(diagonals: tuple[np.ndarray, np.ndarray, np.ndarray], span: float) -> np.ndarray:
+    """The exact map e^{A_0 span} of band 0's generator, given by its
+    `_band_diagonals`, by uniformization.
+
+    With lam = max|loss|, P = I + A_0/lam is nonnegative with columns that
+    sum to 1, and e^{A_0 tau} = e^{-lam tau} e^{lam tau P}.  On
+    tau = span/2^s, with 2^s >= lam*span and 2^s >= 4(N+1), the series of
+    e^{lam tau P} is summed to _SERIES_TERMS terms by Horner's rule, each
+    column is divided by its sum in place of e^{-lam tau}, and s squarings
+    reach span.  Every term and product is nonnegative, so nothing cancels
+    and each entry keeps its relative accuracy, however small it is.
+    lam*span is bounded by the sum of the two binary exponents, never
+    formed, so no span overflows it, and a span that rounds to 0 maps to I.
+    """
+    loss, down, up = diagonals
+    dim = len(loss)
+    lam = -float(loss.min())
+    s = max(math.frexp(lam)[1] + math.frexp(span)[1], math.ceil(math.log2(4 * dim)))
+    c = lam * math.ldexp(span, -s)
+    p = _tridiagonal(1.0 + loss / lam, down / lam, up / lam)
+    m = np.eye(dim)
+    for j in range(_SERIES_TERMS, 0, -1):
+        m = p @ m
+        m *= c / j
+        m.reshape(-1)[:: dim + 1] += 1.0
+    m = _column_stochastic(m)
+    for _ in range(s):
+        m = _column_stochastic(m @ m)
+    return m
+
+
+def _doubling_history(m: np.ndarray, v0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Band 0's vector at the sample times, one interval map m apart, from
+    v0: rows [k, 2k) are rows [0, k) times (m^k)^T, with m^k squared like
+    m, so the work grows with log(samples); raises NonFiniteState at the
+    first blown sample."""
+    samples = len(times)
+    hist = np.empty((samples, len(v0)))
+    hist[0] = v0
+    k = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < samples:
+            np.matmul(hist[: min(k, samples - k)], m.T, out=hist[k : 2 * k])
+            k *= 2
+            if k < samples:
+                m = _column_stochastic(m @ m)
+    _check_finite(hist, times)
+    return hist
+
+
+def _check_finite(hist: np.ndarray, times: np.ndarray) -> None:
+    """Raise NonFiniteState at the first sample of hist that is not finite."""
     blown = ~np.isfinite(hist).all(axis=1)
     if blown.any():
         raise NonFiniteState(f"state became non-finite near t={times[blown.argmax()]:g}")
-    return hist
 
 
 def integrate(
@@ -375,16 +446,19 @@ def integrate(
     ctrl: StepControl | None = None,
     n_samples: int = 101,
 ) -> Trajectory:
-    """Classical fixed-step RK4 evolution of the populations of a diagonal
-    start rho0 (its hermitian part diagonal, as every `initial_state` is).
+    """Evolution of the populations of a diagonal start rho0 (its
+    hermitian part diagonal, as every `initial_state` is).
 
     Samples (with diagnostics) are recorded at n_samples evenly spaced
-    times from 0 to t_end.  The step is shortened to h = dt/steps, with
-    dt = t_end/(n_samples - 1), so every interval is the same whole number
-    of steps.  The populations evolve under band 0's generator A_0
-    (`ThermalLiouvillian.band`), so the RK4 steps of an interval collapse
-    into one map R(hA_0)^steps, powered from one RK4 increment
-    (`_band_history`): the work grows with log(steps).
+    times from 0 to t_end, dt = t_end/(n_samples - 1) apart.  The
+    populations evolve under band 0's generator A_0 alone.  Without a
+    step (ctrl None or ctrl.h None), every interval is the exact map
+    e^{A_0 dt} (`_interval_map`, by uniformization), and the samples are
+    filled by doubling (`_doubling_history`).  With a step h, every
+    interval is the same whole number of classical RK4 steps, the step
+    shortened to dt/steps, collapsed into one map R(hA_0)^steps powered
+    from one RK4 increment (`_band_history`); either way the work grows
+    with log(t_end).
 
     Each state after rho0 is diagonal with trace sum(p), so herm_defect is
     0 past the first sample (max|rho0 - rho0^H|), trace_drift =
@@ -393,11 +467,13 @@ def integrate(
 
     Raises ValueError, before the Liouvillian is built, for a text or
     complex t_end or step, one that is not positive and finite, and a
-    non-integer n_samples; ValueError for a start with coherences (the generator lacks
-    -i[H, rho]) and a step whose step count over one sample interval
-    overflows a float; StepTooLarge before any step when RK4 at the step
-    is unstable for A_0, and when the trace changes by more than 1e-8 over
-    a sample interval; NonFiniteState when the state blows up.
+    non-integer n_samples; ValueError for a start with coherences (the
+    generator lacks -i[H, rho]); NonFiniteState when the state blows up;
+    IntegrationError when the trace changes by more than 1e-8 over a
+    sample interval.  With a step, ValueError for a step whose step count
+    over one sample interval overflows a float, and StepTooLarge, a
+    subclass of IntegrationError, before any step when RK4 at the step
+    is unstable for A_0, and in place of IntegrationError for the trace.
     """
     _check_atom_cap(params)
     _check_positive("t_end", t_end)
@@ -407,32 +483,41 @@ def integrate(
         raise ValueError(f"n_samples must be an integer, got {n_samples!r}") from None
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
-    h_max = default_step(params) if ctrl is None or ctrl.h is None else ctrl.h
-    _check_positive("step", h_max)
+    h_max = None if ctrl is None else ctrl.h
+    if h_max is not None:
+        _check_positive("step", h_max)
     liou = ThermalLiouvillian(params)
     rho0 = np.array(rho0, dtype=complex)  # a copy: the caller's array is never written
     defect0 = _check_density_matrix(rho0, liou.dim)
 
     times = np.linspace(0.0, t_end, samples)
-    # every sample interval is the same span, so one (h, steps) pair and one
-    # map serve the whole trajectory
+    # every sample interval is the same span, so one map serves the whole
+    # trajectory
     span = t_end / (samples - 1)
-    if not span / h_max < math.inf:
-        raise ValueError(
-            f"a sample interval of {span:g} takes more steps of h={h_max:g} than a float holds"
-        )
-    steps = max(1, math.ceil(span / h_max))
-    h = span / steps
-    _check_step(liou._band_diagonals(), h)
-    hist = _band_history(_rk4_increment(liou.band(), h), np.diagonal(rho0).real, steps, times)
+    if h_max is None:
+        step_map = _interval_map(liou._band_diagonals(), span)
+        hist = _doubling_history(step_map, np.diagonal(rho0).real, times)
+    else:
+        if not span / h_max < math.inf:
+            raise ValueError(
+                f"a sample interval of {span:g} takes more steps of h={h_max:g} than a float "
+                "holds"
+            )
+        steps = max(1, math.ceil(span / h_max))
+        h = span / steps
+        _check_step(liou._band_diagonals(), h)
+        hist = _band_history(_rk4_increment(liou.band(), h), np.diagonal(rho0).real, steps,
+                             times)
     trace = hist.sum(axis=1).real
     change = float(np.abs(trace[1:] - trace[:-1]).max())
     if change > _MAX_TRACE_DRIFT:
+        drift = f"trace drift {change:.3e} over one sample interval of"
+        if h_max is None:
+            raise IntegrationError(f"{drift} {span:g} exceeds {_MAX_TRACE_DRIFT:.3e}")
         raise StepTooLarge(
-            f"trace drift {change:.3e} over one sample interval of {steps} steps exceeds "
-            f"{_MAX_TRACE_DRIFT:.3e}; reduce the step below h={h:g}"
+            f"{drift} {steps} steps exceeds {_MAX_TRACE_DRIFT:.3e}; reduce the step below h={h:g}"
         )
-    p = hist.real.copy()
+    p = np.ascontiguousarray(hist.real)
     herm_defect = np.zeros(samples)
     herm_defect[0] = defect0
     return Trajectory(

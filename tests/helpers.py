@@ -37,6 +37,9 @@ for every composition, doubling and sample; the versions that reuse work
 buffers must return the same bits.
 `plain_power_increment` powers a step map without the column-sum rule,
 so the per-interval trace guard has a drifting map to catch.
+`mp_interval_map` is the exact map e^{A_0 span} of band 0's float
+generator in 50-digit mpmath, every entry to its own relative accuracy,
+the oracle of the default path's interval map and trajectories.
 `point_row` builds a sweep row and `per_point_exact` the exact side of a
 validator row from the per-point public functions.  `read_sweep_csv`
 parses the CLI's sweep CSV back into typed rows, `read_fifo` collects
@@ -49,6 +52,7 @@ import os
 import threading
 from pathlib import Path
 
+import mpmath
 import numpy as np
 
 from dicke_therm import (
@@ -460,6 +464,56 @@ def plain_power_increment(e, steps):
         if not steps:
             return out
         e = 2.0 * e + e @ e
+
+
+def mp_interval_map(diagonals, span, dps=50):
+    """e^{A_0 span} of band 0's generator, given as its float diagonals
+    (loss, down, up), at dps digits: rows of mpf.
+
+    The diagonals enter exactly, so the map is that of the package's float
+    generator.  With lam = max|loss|, P = I + A_0/lam is nonnegative and
+    e^{A_0 tau} = e^{-lam tau} e^{lam tau P}, so no term cancels and every
+    entry, however small, keeps dps digits.  On tau = span/2^s with
+    lam*tau <= 1/32 the series runs N + 17 terms, past every level pair an
+    entry needs, so each entry's truncation stays below 1e-30 relative;
+    s squarings, each entry one mpmath.fdot, reach span.
+    """
+    with mpmath.workdps(dps):
+        loss, down, up = ([mpmath.mpf(float(v)) for v in d] for d in diagonals)
+        dim = len(loss)
+        lam = -min(loss)
+        span = mpmath.mpf(span)
+        s = max(0, int(mpmath.ceil(mpmath.log(lam * span, 2))) + 5)
+        c = lam * mpmath.ldexp(span, -s)
+        main, above, below = (np.array([v / lam for v in d], dtype=object)[:, None]
+                              for d in (loss, down, up))
+        main += 1
+        eye = np.array([[mpmath.mpf(i == j) for j in range(dim)] for i in range(dim)],
+                       dtype=object)
+        m = eye
+        for j in range(dim + 16, 0, -1):
+            pm = main * m
+            pm[:-1] += above * m[1:]
+            pm[1:] += below * m[:-1]
+            m = eye + (c / j) * pm
+        m = (mpmath.exp(-c) * m).tolist()
+        for _ in range(s):
+            cols = list(zip(*m))
+            m = [[mpmath.fdot(row, col) for col in cols] for row in m]
+        return m
+
+
+def mp_trajectory(params, v0, span, n_samples):
+    """The populations at n_samples times span apart from the float start
+    v0, each sample the mpmath map of the one before, rounded to floats."""
+    m = mp_interval_map(ThermalLiouvillian(params)._band_diagonals(), span)
+    with mpmath.workdps(50):
+        v = [mpmath.mpf(float(a)) for a in v0]
+        rows = []
+        for _ in range(n_samples):
+            rows.append([float(a) for a in v])
+            v = [mpmath.fdot(row, v) for row in m]
+    return np.array(rows)
 
 
 def point_row(n, eta, x):

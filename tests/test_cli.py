@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dicke_therm import dynamics
 from dicke_therm.cli import build_parser, main
 from dicke_therm.sweep import (
     REPORT_HEADER,
@@ -615,7 +616,7 @@ class TestEvolve:
         assert not (tmp_path / "t.csv.meta.json").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["--x", "1", "--t-end", "1e308", "--samples", "2"],
+        ["--x", "1", "--t-end", "1e308", "--samples", "2", "--step", "0.001"],
         ["--eta", "0.1", "--x", "1", "--t-end", "1", "--step", "1e-320", "--samples", "3"],
     ])
     def test_step_count_beyond_the_float_range_exits_2(self, capsys, tmp_path, argv):
@@ -625,6 +626,31 @@ class TestEvolve:
         assert err.startswith("ValueError: ") and "steps" in err
         assert not out.exists()
         assert not (tmp_path / "t.csv.meta.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        # max|A_0| * span overflows a float; no step is counted
+        ["--x", "1", "--t-end", "1e308", "--samples", "2"],
+        # a bath so hot that the default RK4 step was subnormal
+        ["--x", "1e-306", "--t-end", "1", "--samples", "3"],
+    ])
+    def test_runs_without_a_step_end_at_the_gibbs_state(self, capsys, tmp_path, argv):
+        out = tmp_path / "t.csv"
+        code, text, err = run(capsys, "evolve", "--n", "2", *argv, "--out", str(out))
+        assert (code, err) == (0, "")
+        assert float(text.split()[-1]) <= 1e-15
+        with open(out, newline="") as fh:
+            final = list(csv.DictReader(fh))[-1]
+        assert float(final["trace_dist_to_gibbs"]) <= 1e-15
+
+    def test_drifting_exact_map_exits_4_without_a_step_hint(self, capsys, monkeypatch):
+        interval_map = dynamics._interval_map
+        monkeypatch.setattr(dynamics, "_interval_map",
+                            lambda diagonals, span: interval_map(diagonals, span) * (1 + 1e-7))
+        code, out, err = run(capsys, "evolve", "--n", "3", "--x", "1", "--t-end", "1",
+                             "--samples", "3")
+        assert (code, out) == (4, "")
+        assert err == ("IntegrationError: trace drift 1.000e-07 over one sample interval of "
+                       "0.5 exceeds 1.000e-08\n")
 
     def test_integrator_failure_exits_4(self, capsys, tmp_path):
         # two samples leave the span as five giant steps, at which RK4 is
@@ -929,9 +955,11 @@ class TestColdStart:
         return proc.stdout.strip()
 
     def test_cli_import_leaves_scipy_out(self):
-        # the CLI cold start imports numpy and the package only
+        # the CLI cold start imports numpy and the package only: scipy and
+        # mpmath serve the test oracles alone
         assert self.fresh_python(
-            "import sys, dicke_therm.cli; print('scipy' in sys.modules)") == "False"
+            "import sys, dicke_therm.cli; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
+        ) == "[]"
 
     def test_cli_import_leaves_the_process_pool_out(self):
         # the pool is imported only by a sweep with jobs > 1

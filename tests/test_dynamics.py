@@ -39,6 +39,8 @@ from helpers import (
     dense_liouvillian_apply,
     dicke_limit_liouvillian,
     guard_accepts,
+    mp_interval_map,
+    mp_trajectory,
     per_sample_band_history,
     plain_power_increment,
     rk4_trajectory,
@@ -56,6 +58,15 @@ def count_maps(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_power_increment", counting)
     return calls
+
+
+def count_interval_maps(monkeypatch):
+    """Record the span of every exact interval map `integrate` builds."""
+    spans = []
+    interval_map = dynamics._interval_map
+    monkeypatch.setattr(dynamics, "_interval_map",
+                        lambda diagonals, span: spans.append(span) or interval_map(diagonals, span))
+    return spans
 
 
 def count_increments(monkeypatch):
@@ -134,7 +145,16 @@ class TestBathRates:
         params = EnsembleParams(2, 0.5, 3e-308)
         ThermalLiouvillian(params)
         with pytest.raises(ValueError, match="default step at x=3e-308 rounds to 0"):
-            integrate(initial_state(params, "ground"), 1.0, params, n_samples=3)
+            default_step(params)
+
+    @pytest.mark.parametrize("n, eta, x", [(2, 0.0, 1e-306), (2, 0.5, 3e-308)])
+    def test_hot_bath_without_a_step_ends_at_the_gibbs_state(self, n, eta, x):
+        # no step to round to 0 or to count past the float range: the
+        # exact map runs where the default RK4 step was refused
+        params = EnsembleParams(n, eta, x)
+        for kind in ("inverted", "ground"):
+            traj = integrate(initial_state(params, kind), 1.0, params, n_samples=3)
+            assert traj.trace_dist_to_gibbs[1:].max() <= 1e-15, kind
 
     def test_occupation_decreases_with_x(self):
         values = [
@@ -404,8 +424,8 @@ class TestIntegration:
             )
 
     def test_tiny_default_step_completes(self):
-        # default step 4e-7: 2.5e7 RK4 steps, collapsed into one map per
-        # band
+        # a hot bath whose default RK4 step would be 4e-7; the default path
+        # takes no step, and its squarings grow with log(max|A_0| t_end)
         params = EnsembleParams(5, 0.0, 1e-3)
         traj = integrate(initial_state(params, "inverted"), 10.0, params, n_samples=201)
         assert traj.final_trace_distance <= 1e-8
@@ -416,8 +436,22 @@ class TestIntegration:
         # must still share one (h, steps) pair, so one map is built
         calls = count_maps(monkeypatch)
         params = EnsembleParams(20, 0.1, 1.0)
-        integrate(initial_state(params, kind), 0.2, params, n_samples=201)
+        integrate(initial_state(params, kind), 0.2, params,
+                  ctrl=StepControl(h=default_step(params)), n_samples=201)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", INITIAL_STATE_KINDS)
+    def test_diagonal_start_builds_one_interval_map(self, monkeypatch, kind):
+        # without a step: one exact map of the whole interval, and no RK4
+        spans = count_interval_maps(monkeypatch)
+        steps = count_maps(monkeypatch)
+        params = EnsembleParams(20, 0.1, 1.0)
+        integrate(initial_state(params, kind), 0.2, params, n_samples=201)
+        assert spans == [0.2 / 200]
+        assert steps == []
+        integrate(initial_state(params, kind), 0.2, params,
+                  ctrl=StepControl(h=default_step(params)), n_samples=201)
+        assert spans == [0.2 / 200]
 
     @pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -0.01])
     def test_rejects_bad_step(self, h):
@@ -473,12 +507,15 @@ class TestIntegration:
     def test_coherent_start_is_refused_before_any_map(self, monkeypatch, i, j, c):
         # one hermitian coherence, however small, would need -i[H, rho]
         sizes = count_increments(monkeypatch)
+        spans = count_interval_maps(monkeypatch)
         params = EnsembleParams(5, 0.1, 1.0)
         rho0 = initial_state(params, "equal")
         rho0[i, j], rho0[j, i] = c, np.conj(c)
         with pytest.raises(ValueError, match=r"coherences: .* -i\[H, rho\]"):
             integrate(rho0, 0.2, params, n_samples=11)
-        assert sizes == []
+        with pytest.raises(ValueError, match=r"coherences: .* -i\[H, rho\]"):
+            integrate(rho0, 0.2, params, ctrl=StepControl(h=0.01), n_samples=11)
+        assert sizes == spans == []
 
     def test_atom_cap(self):
         params = EnsembleParams(300, 0.0, 1.0)
@@ -553,7 +590,7 @@ class TestIntegration:
         assert got.times.tobytes() == want.times.tobytes()
         assert got.populations.tobytes() == want.populations.tobytes()
 
-    @pytest.mark.parametrize("t_end, h, n_samples", [(1e308, None, 2), (1.0, 1e-320, 3)])
+    @pytest.mark.parametrize("t_end, h, n_samples", [(1e308, 1e-3, 2), (1.0, 1e-320, 3)])
     def test_rejects_a_step_count_beyond_the_float_range(self, monkeypatch, t_end, h, n_samples):
         # span/h overflows to inf, which has no whole step count
         built = []
@@ -565,6 +602,24 @@ class TestIntegration:
             integrate(initial_state(params, "inverted"), t_end, params,
                       ctrl=StepControl(h=h), n_samples=n_samples)
         assert built == []
+
+    @pytest.mark.parametrize("n", [2, 20])
+    @pytest.mark.parametrize("t_end", [1e308, np.finfo(float).max])
+    def test_a_span_past_the_float_range_of_its_rates_ends_at_the_gibbs_state(self, n, t_end):
+        # max|A_0| * span overflows a float, so the default path bounds it
+        # by the two binary exponents; it counts no steps
+        params = EnsembleParams(n, 0.1, 1.0)
+        for kind in ("inverted", "ground"):
+            traj = integrate(initial_state(params, kind), t_end, params, n_samples=2)
+            assert traj.trace_dist_to_gibbs[-1] <= 1e-12, kind
+            assert abs(traj.populations[-1].sum() - 1.0) <= 1e-13, kind
+
+    def test_a_span_that_rounds_to_0_maps_to_the_start(self):
+        # t_end = 5e-324 over two intervals: each span rounds to 0
+        params = EnsembleParams(2, 0.1, 1.0)
+        rho0 = initial_state(params, "equal")
+        traj = integrate(rho0, 5e-324, params, n_samples=3)
+        assert np.array_equal(traj.populations, np.tile(np.diagonal(rho0).real, (3, 1)))
 
     def test_nested_list_start_runs_as_its_array(self):
         params = EnsembleParams(3, 0.1, 1.0)
@@ -705,7 +760,8 @@ class TestStepGuard:
         monkeypatch.setattr(dynamics, "_check_step",
                             lambda diags, h: checked.append(diags) or check_step(diags, h))
         params = EnsembleParams(20, 0.1, 1.0)
-        integrate(initial_state(params, kind), 0.2, params, n_samples=11)
+        integrate(initial_state(params, kind), 0.2, params,
+                  ctrl=StepControl(h=default_step(params)), n_samples=11)
         assert len(checked) == 1
         want = ThermalLiouvillian(params)._band_diagonals()
         assert len(checked[0]) == 3
@@ -714,7 +770,8 @@ class TestStepGuard:
     def test_one_rk4_increment_per_advanced_band(self, monkeypatch):
         sizes = count_increments(monkeypatch)
         params = EnsembleParams(10, 0.1, 1.0)
-        integrate(initial_state(params, "equal"), 0.2, params, n_samples=11)
+        integrate(initial_state(params, "equal"), 0.2, params,
+                  ctrl=StepControl(h=default_step(params)), n_samples=11)
         assert sizes == [11]
 
     def test_step_too_large_before_any_map(self, monkeypatch):
@@ -795,9 +852,10 @@ class TestBandPropagator:
             rho0 = random_diagonal_start(np.random.default_rng(n), n + 1)
         else:
             rho0 = initial_state(params, kind)
-        got = integrate(rho0, 0.05, params, n_samples=21)
+        ctrl = StepControl(h=default_step(params))
+        got = integrate(rho0, 0.05, params, ctrl=ctrl, n_samples=21)
         monkeypatch.setattr(dynamics, "_band_history", per_sample_band_history)
-        want = integrate(rho0, 0.05, params, n_samples=21)
+        want = integrate(rho0, 0.05, params, ctrl=ctrl, n_samples=21)
         assert np.array_equal(got.populations, want.populations)
 
     def test_nonfinite_start_raises(self):
@@ -808,7 +866,8 @@ class TestBandPropagator:
 
 
 class TestLongSpans:
-    """Band 0's powered map keeps the trace, so a diagonal start ends at
+    """Band 0's maps keep the trace, the exact one by its column sums and
+    the powered RK4 one by its column-sum rule, so a diagonal start ends at
     the Gibbs state over any span; the interval guard catches a map that
     does not."""
 
@@ -827,4 +886,86 @@ class TestLongSpans:
         monkeypatch.setattr(dynamics, "_power_increment", plain_power_increment)
         params = EnsembleParams(20, 0.1, 1.0)
         with pytest.raises(StepTooLarge, match="over one sample interval"):
+            integrate(initial_state(params, "inverted"), 1e10, params,
+                      ctrl=StepControl(h=default_step(params)), n_samples=11)
+
+    def test_interval_guard_catches_an_exact_map_that_drifts(self, monkeypatch):
+        # an interval map whose columns sum to 1 + 1e-7; there is no step
+        # to reduce, so the refusal names the interval alone
+        interval_map = dynamics._interval_map
+        monkeypatch.setattr(dynamics, "_interval_map",
+                            lambda diagonals, span: interval_map(diagonals, span) * (1 + 1e-7))
+        params = EnsembleParams(20, 0.1, 1.0)
+        with pytest.raises(IntegrationError) as err:
             integrate(initial_state(params, "inverted"), 1e10, params, n_samples=11)
+        assert type(err.value) is IntegrationError
+        assert str(err.value) == (
+            "trace drift 1.000e-07 over one sample interval of 1e+09 exceeds 1.000e-08")
+
+    def test_non_finite_guard_catches_an_exact_map_that_blows_up(self, monkeypatch):
+        interval_map = dynamics._interval_map
+
+        def blown(diagonals, span):
+            m = interval_map(diagonals, span)
+            m[3, 0] = np.inf
+            return m
+
+        monkeypatch.setattr(dynamics, "_interval_map", blown)
+        params = EnsembleParams(5, 0.1, 1.0)
+        with pytest.raises(NonFiniteState, match="near t=0.1$"):
+            integrate(initial_state(params, "ground"), 1.0, params, n_samples=11)
+
+
+def exact_map_grid():
+    """(N, eta, x, span) over the coupling window, hot to cold baths and
+    short to long spans; the full product at N <= 10, corners beyond."""
+    grid = []
+    for n in (1, 3, 10):
+        lower = -(n - 1) / (n + 1)
+        etas = [0.0] if n == 1 else [0.99 * lower, 0.1, 0.99]
+        if n == 10:
+            etas = etas[::2]
+        xs = (1e-2, 1.0, 10.0, 100.0) if n < 10 else (1e-2, 10.0)
+        grid += [(n, eta, x, span) for eta in etas for x in xs for span in (1e-3, 1.0)]
+    return grid + [(20, -0.99 * 19 / 21, 1e-2, 1.0), (20, 0.9, 1e-2, 1.0), (20, 0.99, 10.0, 1e-3),
+                   (40, 0.1, 1.0, 1e-2)]
+
+
+class TestExactMap:
+    """The default path against the 50-digit mpmath map of the same float
+    generator (`mp_interval_map`): entry by entry, not in norm, because a
+    population can be 1e-38 beside one of order 1."""
+
+    @pytest.mark.parametrize("n, eta, x, span", exact_map_grid())
+    def test_interval_map_matches_mpmath_entry_by_entry(self, n, eta, x, span):
+        diagonals = ThermalLiouvillian(EnsembleParams(n, eta, x))._band_diagonals()
+        got = dynamics._interval_map(diagonals, span)
+        want = np.array(mp_interval_map(diagonals, span), dtype=float)
+        normal = want >= np.finfo(float).tiny
+        assert normal.any()
+        assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0.0)
+        assert np.abs(got.sum(axis=0) - 1.0).max() <= 1e-15
+
+    def test_evolve_n20_trajectory_matches_mpmath(self):
+        # the benchmark's evolve: the RK4 default step put p_0 at t = 1e-3
+        # 5.8e-4 off, at 1.8514997397e-38
+        params = EnsembleParams(20, 0.1, 1.0)
+        rho0 = initial_state(params, "inverted")
+        traj = integrate(rho0, 0.2, params, n_samples=201)
+        want = mp_trajectory(params, np.diagonal(rho0).real, 0.2 / 200, 201)
+        assert traj.populations[1, 0] == pytest.approx(1.85256513775e-38, rel=1e-12, abs=0.0)
+        normal = want >= np.finfo(float).tiny
+        assert_allclose(traj.populations[normal], want[normal], rtol=1e-12, atol=0.0)
+        assert np.array_equal(traj.populations == 0.0, want == 0.0)
+
+    @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
+    def test_single_atom_decays_at_coth_half_x(self, x):
+        # N = 1: p_1' = nbar - (1 + 2 nbar) p_1, a decay at 1 + 2 nbar =
+        # coth(x/2) to pi_1 = 1/(e^x + 1)
+        params = EnsembleParams(1, 0.0, x)
+        traj = integrate(initial_state(params, "inverted"), 5.0, params, n_samples=51)
+        rate, pi_1 = 1.0 / math.tanh(x / 2), 1.0 / (math.exp(x) + 1.0)
+        decay = np.exp(-rate * traj.times)
+        assert_allclose(traj.populations[:, 1], pi_1 + (1.0 - pi_1) * decay, rtol=1e-12, atol=0.0)
+        assert_allclose(traj.populations[1:, 0],
+                        -(1.0 - pi_1) * np.expm1(-rate * traj.times[1:]), rtol=1e-12, atol=0.0)

@@ -17,10 +17,12 @@ table of runs of like-typed rows as a frozen copy of the per-row writer,
 and a float at any precision past 767 digits as at 767; a sweep file is
 the csv_text of its evaluate_rows, and the step guard never refuses a
 step that the all-band guard accepts.
-A diagonal start relaxes at the default step with a trace distance to the
+A diagonal start relaxes on the default path with a trace distance to the
 Gibbs state that never rises beyond rounding, and ends on the Gibbs
-populations.  Band 0's map, powered and propagated in reused work buffers,
-has the bits of a frozen copy that allocated every intermediate.
+populations; over any span and sample count that path keeps every
+population nonnegative and the trace at 1 within 1e-13.  Band 0's RK4
+map, powered and propagated in reused work buffers, has the bits of a
+frozen copy that allocated every intermediate.
 """
 
 import math
@@ -560,6 +562,32 @@ def test_diagonal_starts_relax_monotonically_to_the_gibbs_state(case):
     traj = integrate(initial_state(params, kind), 60.0 / rate, params, n_samples=61)
     assert np.max(np.diff(traj.trace_dist_to_gibbs)) <= 1e-14
     assert np.max(np.abs(traj.populations[-1] - thermal_state(params).populations)) <= 1e-13
+
+
+@st.composite
+def exact_runs(draw):
+    """Ensemble parameters at N <= 40, x in [1e-3, 1e3] and eta 1% inside
+    its window, a diagonal start, t_end in [1e-4, 1e4] and 2 to 300
+    samples."""
+    n = draw(st.integers(1, 40))
+    lower = -(n - 1) / (n + 1)
+    eta = draw(st.floats(0.99 * lower, 0.99)) if n > 1 else 0.0
+    params = EnsembleParams(n, eta, 10.0 ** draw(st.floats(-3.0, 3.0)))
+    kind = draw(st.sampled_from(INITIAL_STATE_KINDS))
+    return params, kind, 10.0 ** draw(st.floats(-4.0, 4.0)), draw(st.integers(2, 300))
+
+
+@PROPERTY_SETTINGS
+@given(exact_runs())
+def test_the_default_path_keeps_populations_nonnegative_and_the_trace(case):
+    # every term of the uniformized series is nonnegative, and each
+    # column of every map is divided by its sum; the distance to the
+    # Gibbs state contracts under the semigroup, up to rounding
+    params, kind, t_end, samples = case
+    traj = integrate(initial_state(params, kind), t_end, params, n_samples=samples)
+    assert traj.populations.min() >= 0.0
+    assert np.abs(traj.populations.sum(axis=1) - 1.0).max() <= 1e-13
+    assert np.max(np.diff(traj.trace_dist_to_gibbs)) <= 1e-14
 
 
 @st.composite
