@@ -24,7 +24,7 @@ a start with coherences and advances band 0 alone, with O(N) diagnostics
 per sample.  Its default path is exact: one interval map e^{A_0 dt} by
 uniformization, whose terms are all nonnegative, so every population keeps
 its relative accuracy however small it is.  Classical RK4 runs only when a
-step is given.
+step is given, as the same pipeline with the Taylor series cut at degree 4.
 
 Complete positivity is not assumed anywhere: the minimum eigenvalue is
 recorded as a diagnostic along every trajectory rather than enforced.
@@ -74,8 +74,10 @@ class StepControl:
     """Fixed-step integrator settings.
 
     h is the RK4 step in the time unit 1/Gamma(omega0); None, the default,
-    takes the exact interval map and no RK4 step at all.  The trace is never
-    renormalized, so trace drift stays visible as a diagnostic.
+    takes the exact interval map and no RK4 step at all.  Either map has
+    its columns divided by their sums, and so do its powers; the states
+    themselves are never renormalized, so trace drift stays visible as a
+    diagnostic.
     """
 
     h: float | None = None
@@ -289,48 +291,6 @@ def _check_density_matrix(rho: np.ndarray, dim: int) -> float:
     return defect
 
 
-def _rk4_increment(a: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of dv/dt = a v as the increment R(ha) - I."""
-    x = h * a
-    eye = np.eye(len(a))
-    t = eye + x / 4.0
-    t = eye + (x / 3.0) @ t
-    t = eye + (x / 2.0) @ t
-    return x @ t
-
-
-def _power_increment(e: np.ndarray, steps: int) -> np.ndarray:
-    """(I + e)^steps - I by binary powering, for band 0's increment e.
-
-    I + e is never formed: near a fixed point it would round the increment
-    away, so the composition rules E_2m = 2E_m + E_m^2 and
-    E_a o E_b = E_a + E_b + E_a E_b act on increments only.  Band 0's
-    generator has columns summing to zero, so each composition and each
-    doubling moves its columns' sums onto the diagonal, and rounding in
-    the conserved trace does not double with every squaring.
-    Doublings and products reuse two work buffers in place, in the order
-    2E + E E and (E_a + E_b) + E_a E_b, so every bit is that of forming
-    each sum anew; e is not written.
-    """
-    sq, prod = np.empty_like(e), np.empty_like(e)
-    out = None
-    while True:
-        if steps & 1 and out is None:
-            out = e.copy()
-        elif steps & 1:
-            np.matmul(out, e, out=prod)
-            out += e
-            out += prod
-            out.reshape(-1)[:: len(e) + 1] -= np.add.reduce(out)
-        steps >>= 1
-        if not steps:
-            return out
-        np.matmul(e, e, out=prod)
-        e = np.multiply(2.0, e, out=sq)
-        e += prod
-        e.reshape(-1)[:: len(e) + 1] -= np.add.reduce(e)
-
-
 def _eigenvalues(loss: np.ndarray, down: np.ndarray, up: np.ndarray) -> np.ndarray:
     """Eigenvalues of the real tridiagonal matrix with diagonals (loss,
     down, up) whose off-diagonal products are nonnegative: they depend
@@ -356,30 +316,36 @@ def _check_step(diagonals: tuple[np.ndarray, np.ndarray, np.ndarray], h: float) 
         )
 
 
-def _band_history(e: np.ndarray, v0: np.ndarray, steps: int, times: np.ndarray) -> np.ndarray:
-    """Band 0's vector at the sample times from any start v0 (complex, not
-    normalised), each interval `steps` RK4 steps I + e = R(hA) as one exact
-    map (_power_increment), prev + map @ prev formed in the next row; raises
-    NonFiniteState at the first blown sample.
-    The history is complex even for real populations: numpy's real and
-    complex matvecs of the same data can differ in the last bit."""
-    hist = np.empty((len(times), v0.size), dtype=complex)
-    hist[0] = v0
-    with np.errstate(over="ignore", invalid="ignore"):
-        # cast once: the loop's complex products are those of the real map
-        step_map = _power_increment(e, steps).astype(complex)
-        for prev, row in zip(hist, hist[1:]):
-            np.matmul(step_map, prev, out=row)
-            np.add(prev, row, out=row)
-    _check_finite(hist, times)
-    return hist
-
-
 def _column_stochastic(m: np.ndarray) -> np.ndarray:
     """m with each column divided by its sum, in place: band 0's maps keep
-    the trace, so rounding in it cannot build up over the squarings."""
-    m /= m.sum(axis=0)
+    the trace, so rounding in it cannot build up over the powering."""
+    m /= np.add.reduce(m)
     return m
+
+
+def _taylor(a: np.ndarray, c: float, terms: int) -> np.ndarray:
+    """The Taylor polynomial sum_{j <= terms} (c a)^j / j! by Horner's rule.
+    At terms = 4 it is one classical RK4 step of dv/dt = a v of size c."""
+    dim = len(a)
+    m = np.eye(dim)
+    for j in range(terms, 0, -1):
+        m = a @ m
+        m *= c / j
+        m.reshape(-1)[:: dim + 1] += 1.0
+    return m
+
+
+def _power(m: np.ndarray, k: int) -> np.ndarray:
+    """m^k, k >= 1, by binary powering, each product's columns divided by
+    their sums (`_column_stochastic`); at k = 2^s it is s squarings."""
+    out = None
+    while True:
+        if k & 1:
+            out = m if out is None else _column_stochastic(out @ m)
+        k >>= 1
+        if not k:
+            return out
+        m = _column_stochastic(m @ m)
 
 
 def _interval_map(diagonals: tuple[np.ndarray, np.ndarray, np.ndarray], span: float) -> np.ndarray:
@@ -389,12 +355,13 @@ def _interval_map(diagonals: tuple[np.ndarray, np.ndarray, np.ndarray], span: fl
     With lam = max|loss|, P = I + A_0/lam is nonnegative with columns that
     sum to 1, and e^{A_0 tau} = e^{-lam tau} e^{lam tau P}.  On
     tau = span/2^s, with 2^s >= lam*span and 2^s >= 4(N+1), the series of
-    e^{lam tau P} is summed to _SERIES_TERMS terms by Horner's rule, each
-    column is divided by its sum in place of e^{-lam tau}, and s squarings
-    reach span.  Every term and product is nonnegative, so nothing cancels
-    and each entry keeps its relative accuracy, however small it is.
-    lam*span is bounded by the sum of the two binary exponents, never
-    formed, so no span overflows it, and a span that rounds to 0 maps to I.
+    e^{lam tau P} is summed to _SERIES_TERMS terms (`_taylor`), each
+    column is divided by its sum in place of e^{-lam tau}, and `_power`
+    squares it s times to reach span.  Every term and product is
+    nonnegative, so nothing cancels and each entry keeps its relative
+    accuracy, however small it is.  lam*span is bounded by the sum of the
+    two binary exponents, never formed, so no span overflows it, and a
+    span that rounds to 0 maps to I.
     """
     loss, down, up = diagonals
     dim = len(loss)
@@ -402,15 +369,7 @@ def _interval_map(diagonals: tuple[np.ndarray, np.ndarray, np.ndarray], span: fl
     s = max(math.frexp(lam)[1] + math.frexp(span)[1], math.ceil(math.log2(4 * dim)))
     c = lam * math.ldexp(span, -s)
     p = _tridiagonal(1.0 + loss / lam, down / lam, up / lam)
-    m = np.eye(dim)
-    for j in range(_SERIES_TERMS, 0, -1):
-        m = p @ m
-        m *= c / j
-        m.reshape(-1)[:: dim + 1] += 1.0
-    m = _column_stochastic(m)
-    for _ in range(s):
-        m = _column_stochastic(m @ m)
-    return m
+    return _power(_column_stochastic(_taylor(p, c, _SERIES_TERMS)), 2**s)
 
 
 def _doubling_history(m: np.ndarray, v0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -428,15 +387,10 @@ def _doubling_history(m: np.ndarray, v0: np.ndarray, times: np.ndarray) -> np.nd
             k *= 2
             if k < samples:
                 m = _column_stochastic(m @ m)
-    _check_finite(hist, times)
-    return hist
-
-
-def _check_finite(hist: np.ndarray, times: np.ndarray) -> None:
-    """Raise NonFiniteState at the first sample of hist that is not finite."""
     blown = ~np.isfinite(hist).all(axis=1)
     if blown.any():
         raise NonFiniteState(f"state became non-finite near t={times[blown.argmax()]:g}")
+    return hist
 
 
 def integrate(
@@ -451,14 +405,14 @@ def integrate(
 
     Samples (with diagnostics) are recorded at n_samples evenly spaced
     times from 0 to t_end, dt = t_end/(n_samples - 1) apart.  The
-    populations evolve under band 0's generator A_0 alone.  Without a
-    step (ctrl None or ctrl.h None), every interval is the exact map
-    e^{A_0 dt} (`_interval_map`, by uniformization), and the samples are
-    filled by doubling (`_doubling_history`).  With a step h, every
-    interval is the same whole number of classical RK4 steps, the step
-    shortened to dt/steps, collapsed into one map R(hA_0)^steps powered
-    from one RK4 increment (`_band_history`); either way the work grows
-    with log(t_end).
+    populations evolve under band 0's generator A_0 alone, one interval
+    map apart.  Without a step (ctrl None or ctrl.h None), that map is
+    the exact e^{A_0 dt} (`_interval_map`, by uniformization).  With a
+    step h, every interval is the same whole number of classical RK4
+    steps, the step shortened to dt/steps: the map is R(hA_0)^steps, the
+    RK4 step map R(hA_0), the degree-4 Taylor polynomial of e^{hA_0},
+    raised by `_power`.  Either way the samples are filled by doubling
+    (`_doubling_history`), and the work grows with log(t_end).
 
     Each state after rho0 is diagonal with trace sum(p), so herm_defect is
     0 past the first sample (max|rho0 - rho0^H|), trace_drift =
@@ -496,7 +450,6 @@ def integrate(
     span = t_end / (samples - 1)
     if h_max is None:
         step_map = _interval_map(liou._band_diagonals(), span)
-        hist = _doubling_history(step_map, np.diagonal(rho0).real, times)
     else:
         if not span / h_max < math.inf:
             raise ValueError(
@@ -506,9 +459,9 @@ def integrate(
         steps = max(1, math.ceil(span / h_max))
         h = span / steps
         _check_step(liou._band_diagonals(), h)
-        hist = _band_history(_rk4_increment(liou.band(), h), np.diagonal(rho0).real, steps,
-                             times)
-    trace = hist.sum(axis=1).real
+        step_map = _power(_column_stochastic(_taylor(liou.band(), h, 4)), steps)
+    p = _doubling_history(step_map, np.diagonal(rho0).real, times)
+    trace = p.sum(axis=1)
     change = float(np.abs(trace[1:] - trace[:-1]).max())
     if change > _MAX_TRACE_DRIFT:
         drift = f"trace drift {change:.3e} over one sample interval of"
@@ -517,14 +470,13 @@ def integrate(
         raise StepTooLarge(
             f"{drift} {steps} steps exceeds {_MAX_TRACE_DRIFT:.3e}; reduce the step below h={h:g}"
         )
-    p = np.ascontiguousarray(hist.real)
     herm_defect = np.zeros(samples)
     herm_defect[0] = defect0
     return Trajectory(
         times=times,
         populations=p,
         rho0=rho0,
-        trace_drift=np.abs(p.sum(axis=1) - 1.0),
+        trace_drift=np.abs(trace - 1.0),
         herm_defect=herm_defect,
         min_eigenvalue=p.min(axis=1),
         trace_dist_to_gibbs=0.5 * np.abs(p - thermal_state(params).populations).sum(axis=1),

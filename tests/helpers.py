@@ -27,16 +27,10 @@ give the same eigenvalue bits, verdict and message.  The coefficient copy
 (`dense_band`, `dense_coefficient_apply`) builds the arrays that
 ThermalLiouvillian held before it kept only O(N) vectors; its band 0 and
 apply must return the same bits.  The per-row writer copy
-(`per_row_csv_text`) renders a table one printf per row, and the
-per-sample propagator copy (`per_sample_band_history`) steps a band with
-one indexed assignment per sample; the package's run-at-a-time writer and
-in-place propagator must give the same text and the same bits.  The
-allocating copies (`allocating_power_increment`,
-`allocating_band_history`) power and propagate band 0 with a new array
-for every composition, doubling and sample; the versions that reuse work
-buffers must return the same bits.
-`plain_power_increment` powers a step map without the column-sum rule,
-so the per-interval trace guard has a drifting map to catch.
+(`per_row_csv_text`) renders a table one printf per row; the package's
+run-at-a-time writer must give the same text.  `rk4_trajectory` steps the
+dense equation one RK4 step at a time, the oracle of the step path's
+Taylor map powered over each interval.
 `mp_interval_map` is the exact map e^{A_0 span} of band 0's float
 generator in 50-digit mpmath, every entry to its own relative accuracy,
 the oracle of the default path's interval map and trajectories.
@@ -58,7 +52,6 @@ import numpy as np
 from dicke_therm import (
     DimensionMismatch,
     EnsembleParams,
-    NonFiniteState,
     StepControl,
     StepTooLarge,
     ThermalLiouvillian,
@@ -70,7 +63,6 @@ from dicke_therm import (
     steady_state_correlators,
     thermal_state,
 )
-from dicke_therm.dynamics import _power_increment
 from dicke_therm.sweep import SWEEP_HEADER, format_number
 
 
@@ -387,9 +379,8 @@ def dense_coefficient_apply(rho, params):
     return out
 
 
-# csv_text and dynamics._band_history as they were before the writer took
-# a run of like-typed rows per printf and the propagator stepped its
-# samples in place, kept verbatim (names changed) as their oracles.
+# csv_text as it was before the writer took a run of like-typed rows per
+# printf, kept verbatim (name changed) as its oracle.
 
 def per_row_csv_text(header, rows, precision):
     # "%.0s" prints None as an empty cell
@@ -406,64 +397,6 @@ def per_row_csv_text(header, rows, precision):
             line = ",".join([format_number(v, precision) for v in row])
         lines.append(line)
     return "\n".join(lines) + "\n"
-
-
-def per_sample_band_history(e, v0, steps, times):
-    hist = np.empty((len(times), v0.size), dtype=complex)
-    hist[0] = v0
-    with np.errstate(over="ignore", invalid="ignore"):
-        step_map = _power_increment(e, steps).astype(complex)
-        for i in range(len(times) - 1):
-            hist[i + 1] = hist[i] + step_map @ hist[i]
-    return hist
-
-
-# dynamics._power_increment and dynamics._band_history as they were while
-# every composition, doubling and sample allocated a new array, kept
-# verbatim (names changed) as the oracles of the versions that reuse work
-# buffers.
-
-def allocating_power_increment(e: np.ndarray, steps: int) -> np.ndarray:
-    def kept(m: np.ndarray) -> np.ndarray:
-        m.ravel()[:: len(m) + 1] -= m.sum(axis=0)
-        return m
-
-    out = None
-    while True:
-        if steps & 1:
-            out = e if out is None else kept(out + e + out @ e)
-        steps >>= 1
-        if not steps:
-            return out
-        e = kept(2.0 * e + e @ e)
-
-
-def allocating_band_history(e: np.ndarray, v0: np.ndarray, steps: int,
-                            times: np.ndarray) -> np.ndarray:
-    hist = np.empty((len(times), v0.size), dtype=complex)
-    hist[0] = v0
-    with np.errstate(over="ignore", invalid="ignore"):
-        # cast once: the loop's complex products are those of the real map
-        step_map = allocating_power_increment(e, steps).astype(complex)
-        for prev, row in zip(hist, hist[1:]):
-            np.add(prev, step_map @ prev, out=row)
-    blown = ~np.all(np.isfinite(hist), axis=1)
-    if blown.any():
-        raise NonFiniteState(f"state became non-finite near t={times[np.argmax(blown)]:g}")
-    return hist
-
-
-def plain_power_increment(e, steps):
-    """(I + e)^steps - I by the binary powering of dynamics._power_increment
-    without its column-sum rule, so rounding in the trace builds up."""
-    out = None
-    while True:
-        if steps & 1:
-            out = e if out is None else out + e + out @ e
-        steps >>= 1
-        if not steps:
-            return out
-        e = 2.0 * e + e @ e
 
 
 def mp_interval_map(diagonals, span, dps=50):

@@ -41,22 +41,17 @@ from helpers import (
     guard_accepts,
     mp_interval_map,
     mp_trajectory,
-    per_sample_band_history,
-    plain_power_increment,
+    rk4_step,
     rk4_trajectory,
 )
 
 
 def count_maps(monkeypatch):
-    """Record the step count of every band map `integrate` builds."""
+    """Record the power k of every band map `integrate` raises: the RK4
+    step count, or 2^s for the exact map's s squarings."""
     calls = []
-    power_increment = dynamics._power_increment
-
-    def counting(e, steps):
-        calls.append(steps)
-        return power_increment(e, steps)
-
-    monkeypatch.setattr(dynamics, "_power_increment", counting)
+    power = dynamics._power
+    monkeypatch.setattr(dynamics, "_power", lambda m, k: calls.append(k) or power(m, k))
     return calls
 
 
@@ -70,11 +65,17 @@ def count_interval_maps(monkeypatch):
 
 
 def count_increments(monkeypatch):
-    """Record the size of every RK4 increment `integrate` builds."""
+    """Record the size of every RK4 step map, a degree-4 `_taylor`, that
+    `integrate` builds."""
     sizes = []
-    rk4_increment = dynamics._rk4_increment
-    monkeypatch.setattr(dynamics, "_rk4_increment",
-                        lambda a, h: sizes.append(len(a)) or rk4_increment(a, h))
+    taylor = dynamics._taylor
+
+    def counting(a, c, terms):
+        if terms == 4:
+            sizes.append(len(a))
+        return taylor(a, c, terms)
+
+    monkeypatch.setattr(dynamics, "_taylor", counting)
     return sizes
 
 
@@ -385,14 +386,25 @@ class TestIntegration:
             ratio = pops[k + 1] / pops[k]
             assert ratio == pytest.approx(math.exp(-params.x * gaps[k]), abs=1e-6)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_matches_step_by_step_dense_rk4(self, n):
-        # a random population vector puts weight on every level
-        rng = np.random.default_rng(40 + n)
+    @pytest.mark.parametrize(
+        "n, kind, h, t_end, samples",
+        [pytest.param(n, "random", 0.013, 1.0, 7, id=str(n)) for n in range(1, 6)]
+        + [pytest.param(n, kind, None, 0.05, 21, id=f"{n}-{kind}-default_step")
+           for n in (1, 2, 5, 10) for kind in (*INITIAL_STATE_KINDS, "random")]
+        + [pytest.param(20, kind, None, 0.05, 21, id=f"20-{kind}-default_step")
+           for kind in ("inverted", "random")],
+    )
+    def test_matches_step_by_step_dense_rk4(self, n, kind, h, t_end, samples):
+        # a random population vector puts weight on every level; h None is
+        # the default step
         params = EnsembleParams(n, 0.15 if n > 1 else 0.0, 2.0)
-        rho0 = random_diagonal_start(rng, n + 1)
-        traj = integrate(rho0, 1.0, params, ctrl=StepControl(h=0.013), n_samples=7)
-        ref = rk4_trajectory(rho0, 1.0, params, 0.013, 7)
+        if kind == "random":
+            rho0 = random_diagonal_start(np.random.default_rng(40 + n), n + 1)
+        else:
+            rho0 = initial_state(params, kind)
+        h = default_step(params) if h is None else h
+        traj = integrate(rho0, t_end, params, ctrl=StepControl(h=h), n_samples=samples)
+        ref = rk4_trajectory(rho0, t_end, params, h, samples)
         assert np.max(np.abs(traj.states - ref)) <= 1e-12
         assert np.all(traj.herm_defect[1:] == 0.0)
 
@@ -444,11 +456,11 @@ class TestIntegration:
     def test_diagonal_start_builds_one_interval_map(self, monkeypatch, kind):
         # without a step: one exact map of the whole interval, and no RK4
         spans = count_interval_maps(monkeypatch)
-        steps = count_maps(monkeypatch)
+        sizes = count_increments(monkeypatch)
         params = EnsembleParams(20, 0.1, 1.0)
         integrate(initial_state(params, kind), 0.2, params, n_samples=201)
         assert spans == [0.2 / 200]
-        assert steps == []
+        assert sizes == []
         integrate(initial_state(params, kind), 0.2, params,
                   ctrl=StepControl(h=default_step(params)), n_samples=201)
         assert spans == [0.2 / 200]
@@ -824,45 +836,47 @@ class TestStepGuard:
 
 
 class TestBandPropagator:
-    """`_band_history` advances any start vector of band 0, complex and
-    unnormalised, and checks its own samples."""
+    """`_doubling_history` advances any real start vector of band 0,
+    unnormalised, and checks its own samples; the step path's one-step
+    map, the degree-4 `_taylor`, is one classical RK4 step."""
 
     @staticmethod
     def _setup(seed):
         params = EnsembleParams(8, 0.1, 1.0)
-        a = ThermalLiouvillian(params).band()
+        step_map = dynamics._column_stochastic(
+            dynamics._taylor(ThermalLiouvillian(params).band(), 0.01, 4))
         rng = np.random.default_rng(seed)
-        v0 = rng.normal(size=len(a)) + 1j * rng.normal(size=len(a))
-        return dynamics._rk4_increment(a, 0.01), v0, np.linspace(0.0, 2.0, 11)
+        v0 = rng.normal(size=len(step_map))
+        return dynamics._power(step_map, 20), v0, np.linspace(0.0, 2.0, 11)
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_linear_in_an_unnormalised_start(self, seed):
-        e, v0, times = self._setup(seed)
+        m, v0, times = self._setup(seed)
         scale = 2.0**-40
-        hist = dynamics._band_history(e, v0, 20, times)
-        assert np.array_equal(dynamics._band_history(e, scale * v0, 20, times), scale * hist)
+        hist = dynamics._doubling_history(m, v0, times)
+        assert np.array_equal(dynamics._doubling_history(m, scale * v0, times), scale * hist)
         assert np.array_equal(hist[0], v0)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 20, 60])
-    @pytest.mark.parametrize("kind", [*INITIAL_STATE_KINDS, "random"])
-    def test_same_bits_as_the_per_sample_loop(self, monkeypatch, n, kind):
-        # the populations integrate advances, against the frozen per-sample loop
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_degree_4_taylor_map_is_one_rk4_step(self, n):
+        # column j is the four-stage RK4 step of the dense equation from |j><j|,
+        # at the default step and near band 0's stability limit
         params = EnsembleParams(n, 0.1 if n > 1 else 0.0, 1.0)
-        if kind == "random":
-            rho0 = random_diagonal_start(np.random.default_rng(n), n + 1)
-        else:
-            rho0 = initial_state(params, kind)
-        ctrl = StepControl(h=default_step(params))
-        got = integrate(rho0, 0.05, params, ctrl=ctrl, n_samples=21)
-        monkeypatch.setattr(dynamics, "_band_history", per_sample_band_history)
-        want = integrate(rho0, 0.05, params, ctrl=ctrl, n_samples=21)
-        assert np.array_equal(got.populations, want.populations)
+        for h in (default_step(params), 0.9 * band0_step_limit(params)):
+            got = dynamics._taylor(ThermalLiouvillian(params).band(), h, 4)
+            want = np.empty_like(got)
+            for j in range(n + 1):
+                rho = np.zeros((n + 1, n + 1), dtype=complex)
+                rho[j, j] = 1.0
+                rho = rk4_step(lambda r: dense_liouvillian_apply(r, params), rho, h)
+                want[:, j] = np.diagonal(rho).real
+            assert np.abs(got - want).max() <= 1e-15, h
 
     def test_nonfinite_start_raises(self):
-        e, v0, times = self._setup(1)
+        m, v0, times = self._setup(1)
         v0[2] = np.inf
         with pytest.raises(NonFiniteState, match="t=0"):
-            dynamics._band_history(e, v0, 20, times)
+            dynamics._doubling_history(m, v0, times)
 
 
 class TestLongSpans:
@@ -880,10 +894,19 @@ class TestLongSpans:
                 assert traj.trace_dist_to_gibbs[1:].max() <= 1e-12, (t_end, kind)
                 assert np.abs(traj.populations.sum(axis=1) - 1.0).max() <= 1e-13, (t_end, kind)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 60])
+    def test_gibbs_start_stays_put_on_the_step_path(self, n):
+        # the powered RK4 map moves the Gibbs populations by rounding only
+        params = EnsembleParams(n, 0.1 if n > 1 else 0.0, 1.0)
+        for t_end in (0.05, 1e10):
+            traj = integrate(initial_state(params, "gibbs"), t_end, params,
+                             ctrl=StepControl(h=default_step(params)), n_samples=21)
+            assert traj.trace_dist_to_gibbs.max() <= 1e-14, t_end
+
     def test_interval_guard_catches_a_map_that_drifts(self, monkeypatch):
-        # powered without the column-sum rule, band 0's map changes the
-        # trace by up to 8.8e-7 per interval here
-        monkeypatch.setattr(dynamics, "_power_increment", plain_power_increment)
+        # a powered RK4 map whose columns sum to 1 + 1e-7
+        power = dynamics._power
+        monkeypatch.setattr(dynamics, "_power", lambda m, k: power(m, k) * (1 + 1e-7))
         params = EnsembleParams(20, 0.1, 1.0)
         with pytest.raises(StepTooLarge, match="over one sample interval"):
             integrate(initial_state(params, "inverted"), 1e10, params,

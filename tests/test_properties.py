@@ -20,9 +20,11 @@ step that the all-band guard accepts.
 A diagonal start relaxes on the default path with a trace distance to the
 Gibbs state that never rises beyond rounding, and ends on the Gibbs
 populations; over any span and sample count that path keeps every
-population nonnegative and the trace at 1 within 1e-13.  Band 0's RK4
-map, powered and propagated in reused work buffers, has the bits of a
-frozen copy that allocated every intermediate.
+population nonnegative and the trace at 1 within 1e-13, and the step path
+keeps the trace too at steps where its RK4 map is nonnegative.  The binary
+powering that both paths share agrees with numpy's matrix_power on band
+0's stochastic maps, and at a power of two it is the exact path's
+normalized squarings.
 """
 
 import math
@@ -40,6 +42,7 @@ from dicke_therm import (
     INITIAL_STATE_KINDS,
     EnsembleParams,
     EtaOutOfRange,
+    StepControl,
     ThermalLiouvillian,
     ZeroIntensity,
     build_spectrum,
@@ -59,7 +62,14 @@ from dicke_therm.correlators import (
     _live_widths,
     ladder_log_sums,
 )
-from dicke_therm.dynamics import _band_history, _eigenvalues, _power_increment, _rk4_increment
+from dicke_therm.dynamics import (
+    _SERIES_TERMS,
+    _column_stochastic,
+    _eigenvalues,
+    _power,
+    _taylor,
+    _tridiagonal,
+)
 from dicke_therm.sweep import (
     SWEEP_HEADER,
     VALID_OUTPUTS,
@@ -74,8 +84,6 @@ from dicke_therm.sweep import (
 
 from helpers import (
     all_band_step_verdict,
-    allocating_band_history,
-    allocating_power_increment,
     band0_step_limit,
     fsum_log_sums,
     full_row_ladder_log_sums,
@@ -567,14 +575,20 @@ def test_diagonal_starts_relax_monotonically_to_the_gibbs_state(case):
 @st.composite
 def exact_runs(draw):
     """Ensemble parameters at N <= 40, x in [1e-3, 1e3] and eta 1% inside
-    its window, a diagonal start, t_end in [1e-4, 1e4] and 2 to 300
-    samples."""
+    its window, a diagonal start, t_end in [1e-4, 1e4], 2 to 300 samples
+    and an RK4 step h from 1e-3/lam to 1/lam, lam = max|A_0[n, n]|.  At
+    h*lam <= 1 the RK4 map is a polynomial in the nonnegative
+    P = I + A_0/lam with nonnegative coefficients, inside band 0's
+    stability limit of at least 1.39/lam; nearer that limit a cold bath's
+    RK4 populations swing to O(1e3) and the trace cancels."""
     n = draw(st.integers(1, 40))
     lower = -(n - 1) / (n + 1)
     eta = draw(st.floats(0.99 * lower, 0.99)) if n > 1 else 0.0
     params = EnsembleParams(n, eta, 10.0 ** draw(st.floats(-3.0, 3.0)))
     kind = draw(st.sampled_from(INITIAL_STATE_KINDS))
-    return params, kind, 10.0 ** draw(st.floats(-4.0, 4.0)), draw(st.integers(2, 300))
+    t_end, samples = 10.0 ** draw(st.floats(-4.0, 4.0)), draw(st.integers(2, 300))
+    lam = -float(ThermalLiouvillian(params)._band_diagonals()[0].min())
+    return params, kind, t_end, samples, draw(st.floats(1e-3, 1.0)) / lam
 
 
 @PROPERTY_SETTINGS
@@ -582,40 +596,46 @@ def exact_runs(draw):
 def test_the_default_path_keeps_populations_nonnegative_and_the_trace(case):
     # every term of the uniformized series is nonnegative, and each
     # column of every map is divided by its sum; the distance to the
-    # Gibbs state contracts under the semigroup, up to rounding
-    params, kind, t_end, samples = case
-    traj = integrate(initial_state(params, kind), t_end, params, n_samples=samples)
+    # Gibbs state contracts under the semigroup, up to rounding.  The
+    # step path's powered RK4 map has its columns divided the same way,
+    # so it keeps the trace too
+    params, kind, t_end, samples, h = case
+    rho0 = initial_state(params, kind)
+    traj = integrate(rho0, t_end, params, n_samples=samples)
     assert traj.populations.min() >= 0.0
     assert np.abs(traj.populations.sum(axis=1) - 1.0).max() <= 1e-13
     assert np.max(np.diff(traj.trace_dist_to_gibbs)) <= 1e-14
+    traj = integrate(rho0, t_end, params, ctrl=StepControl(h=h), n_samples=samples)
+    assert np.abs(traj.populations.sum(axis=1) - 1.0).max() <= 1e-13
 
 
 @st.composite
-def band_increments(draw):
-    """Band 0's RK4 increment at N <= 30, eta anywhere inside its window,
-    x in [1e-3, 1e3] and a step up to band 0's stability limit, with a
-    drawn step count and a complex start vector."""
+def stochastic_maps(draw):
+    """Band 0's uniformized one-interval map, nonnegative with columns
+    summing to 1, at N <= 30, eta 1% inside its window, x in [1e-3, 1e3]
+    and lam*tau from 2^-10 to 1."""
     n = draw(st.integers(1, 30))
     lower = -(n - 1) / (n + 1)
-    eta = draw(st.floats(lower, 1.0, exclude_min=True, exclude_max=True)) if n > 1 else 0.0
+    eta = draw(st.floats(0.99 * lower, 0.99)) if n > 1 else 0.0
     params = EnsembleParams(n, eta, 10.0 ** draw(st.floats(-3.0, 3.0)))
-    h = draw(st.floats(1e-3, 1.0)) * band0_step_limit(params)
-    e = _rk4_increment(ThermalLiouvillian(params).band(), h)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    v0 = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-    return e, v0, draw(st.integers(1, 2**20))
+    loss, down, up = ThermalLiouvillian(params)._band_diagonals()
+    lam = -float(loss.min())
+    p = _tridiagonal(1.0 + loss / lam, down / lam, up / lam)
+    return _column_stochastic(_taylor(p, 2.0 ** draw(st.floats(-10.0, 0.0)), _SERIES_TERMS))
 
 
 @PROPERTY_SETTINGS
-@given(band_increments())
-def test_buffered_powering_has_the_bits_of_the_allocating_one(case):
-    e, v0, drawn = case
-    start = e.tobytes()
-    times = np.linspace(0.0, 1.0, 6)
-    for steps in (drawn, 1, 2, 7, 68, 1000, 12345):
-        want = allocating_power_increment(e, steps)
-        assert _power_increment(e, steps).tobytes() == want.tobytes(), steps
-        want = allocating_band_history(e, v0, steps, times)
-        assert _band_history(e, v0, steps, times).tobytes() == want.tobytes(), steps
-    # the increment is read, never written
-    assert e.tobytes() == start
+@given(stochastic_maps(), st.integers(1, 2**20), st.integers(0, 40))
+def test_power_is_the_matrix_power(m, drawn, s):
+    # matrix_power lets the column sums drift by rounding, so the two part
+    # by up to about k ulps; the normalized squarings are the exact path's
+    start = m.tobytes()
+    eps = np.finfo(float).eps
+    for k in (drawn, 1, 2, 3, 7, 68, 1000):
+        assert np.abs(_power(m, k) - np.linalg.matrix_power(m, k)).max() <= 8 * k * eps, k
+    want = m
+    for _ in range(s):
+        want = _column_stochastic(want @ want)
+    assert _power(m, 2**s).tobytes() == want.tobytes()
+    # the map is read, never written
+    assert m.tobytes() == start
