@@ -330,7 +330,7 @@ def _cmd_evolve(args) -> int:
     pops = traj.populations
     table = np.column_stack([traj.times, pops.sum(axis=1), traj.herm_defect,
                              traj.min_eigenvalue, traj.trace_dist_to_gibbs, pops])
-    text = csv_text(header, table.tolist(), args.precision)
+    text = csv_text(header, table, args.precision)
     summary = f"final trace_dist_to_gibbs = {traj.final_trace_distance:.6e}"
     if args.out:
         _write_ascii(args.out, text)

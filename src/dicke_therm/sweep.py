@@ -8,8 +8,8 @@ whose correlators underflow carry the literal token NA in the affected
 columns plus the error name in the trailing reason column.
 
 A sweep is a rectangle of (N, eta) groups over one x grid, written a group
-at a time (_groups, run_sweep); csv_text writes evolve and validate tables
-a printf per run of like-typed rows.  Both render cells as format_number.
+at a time (_groups, run_sweep); csv_text prints evolve's float table in one
+printf and validate's rows cell by cell.  Both render cells as format_number.
 
 Every file the CLI writes goes through _write_ascii, which truncates and
 writes any file that does not already hold the new bytes.  A killed run
@@ -26,7 +26,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -219,23 +219,18 @@ def csv_text(header, rows, precision: int) -> str:
     """CSV text: the header line, then one line per row of plain values,
     each rendered by format_number; every line ends in a newline.
 
-    Each maximal run of consecutive rows that share one tuple of float,
-    int, str and None cell types is one printf, the row format repeated per
-    row; other runs, and runs where a NaN printed as nan, take the per-cell
-    join."""
-    # "%.0s" prints None as an empty cell
-    cell = {float: f"%.{min(precision, _DIGITS)}g", int: "%d", str: "%s", type(None): "%.0s"}
-    lines = [",".join(header)]
-    for kinds, run in groupby(rows, lambda row: tuple(map(type, row))):
-        run = list(run)
-        if cell.keys() >= set(kinds):
-            text = "\n".join([",".join(map(cell.get, kinds))] * len(run))
-            text %= tuple(chain.from_iterable(run))
-            if "nan" not in text:
-                lines.append(text)
-                continue
-        lines += [",".join([format_number(v, precision) for v in row]) for row in run]
-    return "\n".join(lines) + "\n"
+    A 2-D float64 array is one printf, the row format repeated per row;
+    anything else, and an array where a NaN printed as nan, takes the
+    per-cell join (another array through its tolist)."""
+    head = ",".join(header) + "\n"
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2:
+        line = ",".join([f"%.{min(precision, _DIGITS)}g"] * rows.shape[1]) + "\n"
+        text = line * len(rows) % tuple(rows.ravel().tolist())
+        if "nan" not in text:
+            return head + text
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    return head + "".join([",".join([format_number(v, precision) for v in row]) + "\n"
+                           for row in rows])
 
 
 def _cells(column, precision: int) -> list[str]:

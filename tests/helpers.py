@@ -28,9 +28,10 @@ give the same eigenvalue bits, verdict and message.  The coefficient copy
 ThermalLiouvillian held before it kept only O(N) vectors; its band 0 and
 apply must return the same bits.  The per-row writer copy
 (`per_row_csv_text`) renders a table one printf per row; the package's
-run-at-a-time writer must give the same text.  `rk4_trajectory` steps the
-dense equation one RK4 step at a time, the oracle of the step path's
-Taylor map powered over each interval.
+writer must give the same text.  `per_cell_trajectory_csv` writes
+evolve's CSV of a trajectory one format_number cell at a time.
+`rk4_trajectory` steps the dense equation one RK4 step at a time, the
+oracle of the step path's Taylor map powered over each interval.
 `mp_interval_map` is the exact map e^{A_0 span} of band 0's float
 generator in 50-digit mpmath, every entry to its own relative accuracy,
 the oracle of the default path's interval map and trajectories.
@@ -396,6 +397,19 @@ def per_row_csv_text(header, rows, precision):
         if line is None or "nan" in line:
             line = ",".join([format_number(v, precision) for v in row])
         lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def per_cell_trajectory_csv(traj, precision):
+    """evolve's CSV of a Trajectory, every cell through format_number, one
+    row per sample: t, trace, herm_defect, min_eig, trace_dist_to_gibbs
+    and the populations."""
+    lines = [",".join(["t", "trace", "herm_defect", "min_eig", "trace_dist_to_gibbs",
+                       *(f"p_{k}" for k in range(traj.populations.shape[1]))])]
+    for i, p in enumerate(traj.populations):
+        row = [traj.times[i], p.sum(), traj.herm_defect[i], traj.min_eigenvalue[i],
+               traj.trace_dist_to_gibbs[i], *p]
+        lines.append(",".join([format_number(v, precision) for v in row]))
     return "\n".join(lines) + "\n"
 
 

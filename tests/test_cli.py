@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dicke_therm import dynamics
+from dicke_therm import EnsembleParams, cli, dynamics, initial_state, integrate
 from dicke_therm.cli import build_parser, main
 from dicke_therm.sweep import (
     REPORT_HEADER,
@@ -20,7 +20,7 @@ from dicke_therm.sweep import (
     render_json,
     x_grid,
 )
-from helpers import read_fifo, read_sweep_csv, spy_open
+from helpers import per_cell_trajectory_csv, read_fifo, read_sweep_csv, spy_open
 
 
 def run(capsys, *argv):
@@ -575,6 +575,24 @@ class TestEvolve:
         assert len(parsed) == 6
         assert float(parsed[-1]["trace"]) == pytest.approx(1.0, abs=1e-12)
         assert sum(float(parsed[0][f"p_{k}"]) for k in range(3)) == pytest.approx(1.0)
+
+    def test_table_is_the_per_cell_join_of_an_array(self, capsys, monkeypatch):
+        # evolve hands csv_text its float array, and the text is that of
+        # integrate's trajectory cell by cell at every precision
+        seen = []
+        csv_text = cli.csv_text
+        monkeypatch.setattr(cli, "csv_text", lambda h, rows, p: seen.append(rows)
+                            or csv_text(h, rows, p))
+        params = EnsembleParams(5, 0.1, 2.0)
+        traj = integrate(initial_state(params, "inverted"), 1.0, params, n_samples=11)
+        for precision in (0, 12, 17, 800):
+            code, out, _ = run(capsys, "evolve", "--n", "5", "--eta", "0.1", "--x", "2.0",
+                               "--init", "inverted", "--t-end", "1.0", "--samples", "11",
+                               "--precision", str(precision))
+            assert code == 0
+            assert out == per_cell_trajectory_csv(traj, precision)
+        assert len(seen) == 4
+        assert all(type(rows) is np.ndarray and rows.dtype == np.float64 for rows in seen)
 
     def test_stdout_mode_puts_summary_on_stderr(self, capsys):
         code, out, err = run(

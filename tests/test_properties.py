@@ -14,6 +14,7 @@ product, takes the exact value or skipped note of the per-point path, and
 on product grids that cross the underflow edge so does every sweep row.  The
 CSV writer renders every table as the per-cell format_number join, a
 table of runs of like-typed rows as a frozen copy of the per-row writer,
+a float64 array as the join of its rows, any other array as its tolist,
 and a float at any precision past 767 digits as at 767; a sweep file is
 the csv_text of its evaluate_rows, and the step guard never refuses a
 step that the all-band guard accepts.
@@ -37,6 +38,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dicke_therm import (
     INITIAL_STATE_KINDS,
@@ -480,6 +482,35 @@ def test_csv_text_of_typed_runs_is_the_per_row_text(table, precision):
     got = csv_text(["a", "b"], table, precision)
     assert got == "\n".join(want) + "\n"
     assert got == per_row_csv_text(["a", "b"], table, precision)
+
+
+ARRAY_SHAPES = st.tuples(st.integers(0, 8), st.integers(1, 8))
+ARRAY_FLOATS = st.one_of(st.floats(), st.sampled_from([*EDGE_FLOATS, LARGEST_SUBNORMAL]))
+ARRAY_PRECISIONS = st.one_of(st.integers(0, 25), st.sampled_from([767, 768, 10**6]))
+
+
+@PROPERTY_SETTINGS
+@given(table=hnp.arrays(np.float64, ARRAY_SHAPES, elements=ARRAY_FLOATS),
+       precision=ARRAY_PRECISIONS)
+@example(table=np.zeros((0, 3)), precision=12)
+@example(table=np.array([[math.nan, 1.0], [LARGEST_SUBNORMAL, -math.inf]]), precision=768)
+def test_csv_text_of_a_float_array_is_the_per_cell_join(table, precision):
+    # the one-printf path, and its nan fallback, against the list path
+    want = ["a,b"] + [",".join([format_number(v, precision) for v in row])
+                      for row in table.tolist()]
+    got = csv_text(["a", "b"], table, precision)
+    assert got == "\n".join(want) + "\n"
+    assert got == csv_text(["a", "b"], table.tolist(), precision)
+
+
+@PROPERTY_SETTINGS
+@given(table=st.one_of(
+    hnp.arrays(np.int64, ARRAY_SHAPES),
+    hnp.arrays(np.float32, ARRAY_SHAPES),
+    hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.just(1)), elements=ARRAY_FLOATS),
+), precision=ARRAY_PRECISIONS)
+def test_other_arrays_render_as_their_lists(table, precision):
+    assert csv_text(["a"], table, precision) == csv_text(["a"], table.tolist(), precision)
 
 
 @st.composite

@@ -1,7 +1,9 @@
 """The public surface: every exported name resolves, retired names stay
-gone, the physics is configured by EnsembleParams alone, and every
-private name the README cites still exists."""
+gone, the physics is configured by EnsembleParams alone, every private
+name the README cites still exists, and no module imports a name it does
+not use."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -135,3 +137,25 @@ def test_private_names_in_the_readme_resolve():
         if not found:
             missing.append(name)
     assert missing == []
+
+
+SOURCES = sorted(Path(dicke_therm.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    # a module-level import that no code and no __all__ entry uses; the
+    # package __init__ only re-exports, and __future__ imports are pragmas
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= set(getattr(importlib.import_module(f"dicke_therm.{path.stem}"), "__all__", ()))
+    assert {name: line for name, line in imported.items() if name not in used} == {}
